@@ -7,10 +7,14 @@ estimator we run (up to Monte Carlo confidence). The minimax infimum
 itself is not computable, so passing this audit certifies soundness, not
 sharpness.
 
-Reproducibility contract: replicate r of an experiment draws from the
-Philox stream keyed by (seed, r), chunks accumulate with a fixed-order
-pairwise reduction, and identical configs (including chunking) produce
-bit-identical reports.
+Reproducibility contract: the replicates of an experiment are split into
+blocks of REPLICATE_BLOCK, and block b draws all of its replicates, as
+arrays, from the Philox stream keyed by (seed, REPLICATE_STREAM + b). The
+draws depend on the seed and the replicate index only, so growing reps
+leaves the replicates of the shared full blocks bit-identical and
+chunk_size never changes a draw. Loss sums accumulate per chunk with a
+fixed-order pairwise reduction, and identical configs (including
+chunking) produce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .discrete import DiscreteSpace
 from .info import DomainError, EnumerationLimitError, MarkovChainSpec, ProbVector
 from .results import MinimaxBound
 from .stats import clopper_pearson, mean_ci, pairwise_sum
-from .streams import CHAIN_STREAM, SPACE_STREAM, stream
+from .streams import CHAIN_STREAM, REPLICATE_STREAM, SPACE_STREAM, stream
 
 __all__ = [
     "PROBLEMS",
@@ -44,11 +48,16 @@ __all__ = [
     "check_bounds",
     "bound_to_matched",
     "DECODER_ENUM_CUTOFF",
+    "REPLICATE_BLOCK",
 ]
 
 PROBLEMS = ("sparse-location", "normal-mean", "regression", "discrete-chain")
 ESTIMATORS = ("mean", "hard-threshold", "soft-threshold", "ols", "chain-decoder")
 DECODER_ENUM_CUTOFF = 10**6
+# Replicates drawn from one keyed stream. Fixed by the library, not by
+# chunk_size, so that draws never depend on how the sums are chunked;
+# a block of the widest problem (d = 32) stays near 1 MB per array.
+REPLICATE_BLOCK = 4096
 
 _CONFIDENCE = 0.99
 
@@ -121,8 +130,9 @@ class ExperimentConfig:
 
     The latent parameter is drawn uniformly per replicate: on the
     eps-scaled sparse sign set (sparse-location), on the l2-ball of the
-    given radius (normal-mean, regression), or from the chain prior
-    (discrete-chain). t_list are tail radii measured on the parameter
+    given radius (normal-mean), or from the chain prior (discrete-chain).
+    The 'mean' and 'ols' errors do not depend on the parameter, so those
+    estimators draw none. t_list are tail radii measured on the parameter
     error, except for discrete-chain where they act on the index distance.
     """
 
@@ -149,9 +159,18 @@ class ExperimentConfig:
             raise DomainError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
         if self.reps < 1 or self.chunk_size < 1:
             raise DomainError("reps and chunk_size must be >= 1")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise DomainError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
+        for key in ("eps", "radius"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value >= 0):
+                raise DomainError(f"{key} must be finite and >= 0, got {value!r}")
+        for t in self.t_list:
+            if not (math.isfinite(t) and t >= 0):
+                raise DomainError(f"each t in t_list must be finite and >= 0, got {t!r}")
         if self.problem in ("sparse-location", "normal-mean"):
-            if self.d < 1 or self.n < 1 or not self.sigma2 > 0:
-                raise DomainError("need d >= 1, n >= 1, sigma2 > 0")
+            if self.d < 1 or self.n < 1:
+                raise DomainError("need d >= 1, n >= 1")
             if self.estimator not in ("mean", "hard-threshold", "soft-threshold"):
                 raise DomainError(f"estimator {self.estimator!r} does not fit {self.problem!r}")
         if self.problem == "sparse-location" and not 1 <= self.s <= self.d:
@@ -162,6 +181,8 @@ class ExperimentConfig:
             if self.estimator != "ols":
                 raise DomainError("regression supports the 'ols' estimator")
             X = np.asarray(self.design, dtype=np.float64)
+            if not np.all(np.isfinite(X)):
+                raise DomainError("design must have finite entries")
             if X.ndim != 2 or np.linalg.matrix_rank(X) < X.shape[1]:
                 raise DomainError("design must be a full-column-rank matrix")
             object.__setattr__(self, "design", X)
@@ -199,6 +220,8 @@ class MatchedBound:
             raise DomainError("target must be 'risk' or 'tail'")
         if self.target == "tail" and self.t is None:
             raise DomainError("tail-matched bounds need t")
+        if not math.isfinite(self.value):
+            raise DomainError(f"bound {self.label!r} value must be finite, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -229,68 +252,98 @@ class RiskReport:
         return "\n".join(lines) + "\n"
 
 
-def _uniform_ball(g: np.random.Generator, d: int, radius: float) -> np.ndarray:
-    u = g.standard_normal(d)
-    norm = math.sqrt(float(u @ u))
-    if norm == 0.0:
-        return np.zeros(d)
-    return u * (radius * g.random() ** (1.0 / d) / norm)
+def _uniform_ball(g: np.random.Generator, m: int, d: int, radius: float) -> np.ndarray:
+    """m points drawn uniformly from the d-dimensional l2-ball, one per row."""
+    u = g.standard_normal((m, d))
+    norm = np.sqrt(np.einsum("ij,ij->i", u, u))
+    r = radius * g.random(m) ** (1.0 / d)
+    # a zero Gaussian row has no direction; it maps to the center
+    scale = np.divide(r, norm, out=np.zeros(m), where=norm > 0)
+    return u * scale[:, None]
 
 
-def _replicate_gaussian(cfg: ExperimentConfig, g: np.random.Generator):
-    d, n = cfg.d, cfg.n
+def _sparse_theta(g: np.random.Generator, m: int, d: int, s: int, eps: float) -> np.ndarray:
+    """m points drawn uniformly from the eps-scaled s-sparse sign set, one per row."""
+    support = np.argsort(g.random((m, d)), axis=1)[:, :s]
+    theta = np.zeros((m, d))
+    signs = 2.0 * g.integers(0, 2, size=(m, s)) - 1.0
+    np.put_along_axis(theta, support, eps * signs, axis=1)
+    return theta
+
+
+def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row-wise index k with cum[k-1] <= u < cum[k]; clipped to the last
+    category, which rounding in the cumulative sums could otherwise pass."""
+    return np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[-1] - 1)
+
+
+def _chain_draw(chain: MarkovChainSpec, g: np.random.Generator,
+                m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m draws of (V, Vhat) through the chain V -> X -> Vhat."""
+    u = g.random((3, m))
+    v = _inverse_cdf(np.cumsum(chain.prior.p), u[0])
+    x = _inverse_cdf(np.cumsum(chain.channel, axis=1)[v], u[1])
+    vhat = _inverse_cdf(np.cumsum(chain.decoder, axis=1)[x], u[2])
+    return v, vhat
+
+
+def _error_sampler(cfg: ExperimentConfig):
+    """Returns g, m -> (m, d) parameter errors of m replicates.
+
+    Every estimator sees the data only through its sufficient statistic:
+    the sample mean xbar ~ N(theta, sigma2/n I), or the OLS error
+    (X^T X)^{-1} X^T noise ~ N(0, sigma2 (X^T X)^{-1}).
+    """
     sigma = math.sqrt(cfg.sigma2)
-    if cfg.problem == "sparse-location":
-        v = np.zeros(d)
-        support = g.choice(d, size=cfg.s, replace=False)
-        v[support] = g.integers(0, 2, size=cfg.s) * 2 - 1
-        theta = cfg.eps * v
-    else:
-        theta = _uniform_ball(g, d, cfg.radius)
-    x = theta + sigma * g.standard_normal((n, d))
-    xbar = x.mean(axis=0)
-    if cfg.estimator == "mean":
-        theta_hat = xbar
-    else:
-        tau = sigma * math.sqrt(2.0 * math.log(d) / n)
-        fn = hard_threshold if cfg.estimator == "hard-threshold" else soft_threshold
-        theta_hat = fn(xbar, tau)
-    err = theta_hat - theta
-    loss = float(err @ err)
-    return loss, math.sqrt(loss)
-
-
-def _make_replicate(cfg: ExperimentConfig):
-    """Returns (per-replicate fn g -> (loss, error_distance), tail event kind)."""
-    if cfg.problem in ("sparse-location", "normal-mean"):
-        return lambda g: _replicate_gaussian(cfg, g), "ge"
     if cfg.problem == "regression":
-        X = cfg.design
-        n_rows, d = X.shape
-        sigma = math.sqrt(cfg.sigma2)
-        # (X^T X)^{-1} X^T, computed once; OLS is linear in y
-        pinv = np.linalg.solve(X.T @ X, X.T)
+        # X = QR gives L = R^{-1} with L L^T = (X^T X)^{-1}. A Cholesky of
+        # the explicit inverse fails on designs the rank check admits.
+        d = cfg.design.shape[1]
+        factor_t = sigma * np.linalg.inv(np.linalg.qr(cfg.design, mode="r")).T
+        return lambda g, m: g.standard_normal((m, d)) @ factor_t
+    d = cfg.d
+    se = sigma / math.sqrt(cfg.n)
+    if cfg.estimator == "mean":
+        return lambda g, m: se * g.standard_normal((m, d))
+    tau = sigma * math.sqrt(2.0 * math.log(d) / cfg.n)
+    fn = hard_threshold if cfg.estimator == "hard-threshold" else soft_threshold
 
-        def rep(g):
-            theta = _uniform_ball(g, d, cfg.radius)
-            y = X @ theta + sigma * g.standard_normal(n_rows)
-            err = pinv @ y - theta
-            loss = float(err @ err)
-            return loss, math.sqrt(loss)
+    def errors(g, m):
+        if cfg.problem == "sparse-location":
+            theta = _sparse_theta(g, m, d, cfg.s, cfg.eps)
+        else:
+            theta = _uniform_ball(g, m, d, cfg.radius)
+        xbar = theta + se * g.standard_normal((m, d))
+        return fn(xbar, tau) - theta
 
-        return rep, "ge"
-    chain, space = cfg.chain, cfg.space
-    dmat = space.distance_matrix()
-    nv, nx, nvhat = chain.n_v, chain.n_x, chain.n_vhat
+    return errors
 
-    def rep(g):
-        v = int(g.choice(nv, p=chain.prior.p))
-        x = int(g.choice(nx, p=chain.channel[v]))
-        vhat = int(g.choice(nvhat, p=chain.decoder[x]))
-        dist = float(dmat[vhat, v])
-        return dist, dist
 
-    return rep, "gt"
+def _replicate_losses(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, str]:
+    """(per-replicate losses, error distances, tail event kind), drawn block
+    by block from the streams keyed by (seed, REPLICATE_STREAM + block)."""
+    if cfg.problem == "discrete-chain":
+        dmat = cfg.space.distance_matrix()
+
+        def draw(g, m):
+            v, vhat = _chain_draw(cfg.chain, g, m)
+            dist = dmat[vhat, v]
+            return dist, dist
+        event = "gt"
+    else:
+        errors = _error_sampler(cfg)
+
+        def draw(g, m):
+            err = errors(g, m)
+            loss = np.einsum("ij,ij->i", err, err)
+            return loss, np.sqrt(loss)
+        event = "ge"
+    losses = np.empty(cfg.reps)
+    dists = np.empty(cfg.reps)
+    for block, lo in enumerate(range(0, cfg.reps, REPLICATE_BLOCK)):
+        hi = min(lo + REPLICATE_BLOCK, cfg.reps)
+        losses[lo:hi], dists[lo:hi] = draw(stream(cfg.seed, REPLICATE_STREAM + block), hi - lo)
+    return losses, dists, event
 
 
 def simulate_risk(config: ExperimentConfig,
@@ -300,25 +353,9 @@ def simulate_risk(config: ExperimentConfig,
     Matched bounds, when supplied, are audited against the 99% CI upper
     endpoints and violations are recorded in the report.
     """
-    rep_fn, event = _make_replicate(config)
+    losses, dists, event = _replicate_losses(config)
     reps, chunk = config.reps, config.chunk_size
-    t_arr = np.asarray(config.t_list, dtype=np.float64)
-    losses = np.empty(reps)
-    tail_counts_chunks: list[np.ndarray] = []
-    chunk_sums: list[float] = []
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        counts = np.zeros(t_arr.size, dtype=np.int64)
-        for r in range(lo, hi):
-            loss, dist = rep_fn(stream(config.seed, r))
-            losses[r] = loss
-            if t_arr.size:
-                if event == "ge":
-                    counts += dist >= t_arr
-                else:
-                    counts += dist > t_arr
-        tail_counts_chunks.append(counts)
-        chunk_sums.append(float(losses[lo:hi].sum()))
+    chunk_sums = [float(losses[lo:lo + chunk].sum()) for lo in range(0, reps, chunk)]
     # Mean via the fixed-order pairwise reduction; the CI half-width still
     # comes from the per-replicate sample variance.
     risk_mean = pairwise_sum(chunk_sums) / reps
@@ -326,16 +363,18 @@ def simulate_risk(config: ExperimentConfig,
     if reps >= 2:
         half = (ci[1] - ci[0]) / 2.0
         ci = (risk_mean - half, risk_mean + half)
-    tail_counts = np.sum(tail_counts_chunks, axis=0) if t_arr.size else np.zeros(0, dtype=np.int64)
     tails = []
-    for t, k in zip(t_arr.tolist(), tail_counts.tolist()):
-        tails.append(TailEstimate(t=t, event=event, count=int(k), reps=reps,
+    for t in config.t_list:
+        hit = dists >= t if event == "ge" else dists > t
+        k = int(np.count_nonzero(hit))
+        tails.append(TailEstimate(t=float(t), event=event, count=k, reps=reps,
                                   p_hat=k / reps,
-                                  ci=clopper_pearson(int(k), reps, _CONFIDENCE)))
+                                  ci=clopper_pearson(k, reps, _CONFIDENCE)))
     report = RiskReport(problem=config.problem, estimator=config.estimator,
                         reps=reps, seed=config.seed, risk_mean=risk_mean,
                         risk_ci=ci, tails=tuple(tails), bounds=tuple(bounds))
-    violations = tuple(label for label, margin in _margins(report) if margin < 0)
+    # a NaN margin (say, from an overflowed risk) is a violation, as in check_bounds
+    violations = tuple(label for label, margin in _margins(report) if not margin >= 0)
     return replace(report, violations=violations)
 
 

@@ -14,7 +14,6 @@ import numpy as np
 _MASK64 = (1 << 64) - 1
 
 # Disjoint stream-id namespaces for the library's internal consumers.
-# Plain replicate indices (0, 1, 2, ...) stay below 2**40.
 VOLUME_STREAM = 1 << 40
 CENTER_STREAM = 2 << 40
 BALL_STREAM = 3 << 40
@@ -23,6 +22,7 @@ CHAIN_STREAM = 5 << 40
 SPACE_STREAM = 6 << 40
 DESIGN_STREAM = 7 << 40
 VERIFY_STREAM = 8 << 40
+REPLICATE_STREAM = 9 << 40
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:

@@ -1,13 +1,17 @@
 """Harness behavior: generators, the decoder oracle, risk simulation."""
 
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from fanolab import lab
 from fanolab.discrete import DiscreteSpace
 from fanolab.info import DomainError, EnumerationLimitError, ProbVector
 from fanolab.lab import (
+    REPLICATE_BLOCK,
     ExperimentConfig,
     MatchedBound,
     check_bounds,
@@ -18,6 +22,8 @@ from fanolab.lab import (
     simulate_risk,
     soft_threshold,
 )
+from fanolab.stats import clopper_pearson
+from fanolab.streams import REPLICATE_STREAM, stream
 
 
 # -- generators ----------------------------------------------------------------
@@ -123,6 +129,23 @@ def test_ols_risk_matches_analytic():
     assert rep.risk_mean == pytest.approx(1.0, rel=0.05)
 
 
+def test_ols_error_covariance_non_orthogonal_design():
+    """A transposed factor keeps tr(Cov) and the loss law; only the
+    covariance of the error vectors tells it apart."""
+    X = stream(2026, 0).standard_normal((12, 5))  # seeded, cond(X) ~ 2.8
+    sigma2 = 2.0
+    cov = sigma2 * np.linalg.inv(X.T @ X)
+    cfg = ExperimentConfig(problem="regression", estimator="ols", reps=20_000,
+                           seed=19, d=5, sigma2=sigma2, design=X)
+    rep = simulate_risk(cfg)
+    assert rep.risk_ci[0] <= np.trace(cov) <= rep.risk_ci[1]
+    m = 50_000
+    err = lab._error_sampler(cfg)(stream(19, REPLICATE_STREAM), m)
+    emp = err.T @ err / m
+    se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / m)
+    assert np.all(np.abs(emp - cov) <= 5 * se)
+
+
 def test_single_replicate_degenerate_ci():
     cfg = ExperimentConfig(problem="normal-mean", estimator="mean", reps=1,
                            seed=3, d=2, n=5, sigma2=1.0, t_list=(0.5,))
@@ -150,6 +173,50 @@ def test_chunking_is_part_of_the_config():
     assert a.risk_mean == pytest.approx(b.risk_mean, rel=1e-13)
 
 
+_MULTI_BLOCK_REPS = 2 * REPLICATE_BLOCK + 123  # two full blocks and a partial one
+
+_BLOCK_CONFIGS = {
+    "normal-mean": dict(problem="normal-mean", estimator="hard-threshold", d=3, n=10,
+                        radius=0.5, t_list=(0.3,)),
+    "sparse-location": dict(problem="sparse-location", estimator="soft-threshold",
+                            d=16, s=2, n=30, eps=0.4, t_list=(0.2,)),
+    "regression": dict(problem="regression", estimator="ols", d=3,
+                       design=np.array([[2.0, 0.0, 1.0], [0.5, 1.0, 0.0],
+                                        [0.0, 1.0, 3.0], [1.0, 1.0, 1.0]]),
+                       t_list=(1.0,)),
+    "discrete-chain": dict(problem="discrete-chain", estimator="chain-decoder",
+                           chain=random_chain(9, (3, 3, 3)),
+                           space=random_symmetric_space(9, 3), t_list=(0.5,)),
+}
+
+
+@pytest.mark.parametrize("problem", sorted(_BLOCK_CONFIGS))
+def test_block_draws_independent_of_chunking(problem):
+    base = dict(_BLOCK_CONFIGS[problem], reps=_MULTI_BLOCK_REPS, seed=12)
+    reports = [simulate_risk(ExperimentConfig(chunk_size=c, **base))
+               for c in (1, 64, 1000, _MULTI_BLOCK_REPS)]
+    for rep in reports[1:]:
+        assert rep.tails[0].count == reports[0].tails[0].count
+        assert rep.risk_mean == pytest.approx(reports[0].risk_mean, rel=1e-13)
+
+
+@pytest.mark.parametrize("problem", sorted(_BLOCK_CONFIGS))
+def test_growing_reps_keeps_shared_full_blocks(problem):
+    short = ExperimentConfig(reps=REPLICATE_BLOCK + 7, seed=12, **_BLOCK_CONFIGS[problem])
+    long = replace(short, reps=_MULTI_BLOCK_REPS)
+    a, da, _ = lab._replicate_losses(short)
+    b, db, _ = lab._replicate_losses(long)
+    assert np.array_equal(a[:REPLICATE_BLOCK], b[:REPLICATE_BLOCK])
+    assert np.array_equal(da[:REPLICATE_BLOCK], db[:REPLICATE_BLOCK])
+    assert not np.array_equal(b[:REPLICATE_BLOCK], b[REPLICATE_BLOCK:2 * REPLICATE_BLOCK])
+
+
+def test_multi_block_report_byte_identical():
+    cfg = ExperimentConfig(reps=_MULTI_BLOCK_REPS, seed=12,
+                           **_BLOCK_CONFIGS["sparse-location"])
+    assert simulate_risk(cfg).to_text() == simulate_risk(cfg).to_text()
+
+
 def test_ci_scales_inverse_sqrt_reps():
     widths = []
     for reps in (400, 1600):
@@ -159,6 +226,69 @@ def test_ci_scales_inverse_sqrt_reps():
         widths.append(rep.risk_ci[1] - rep.risk_ci[0])
         assert rep.risk_ci[0] < 10 / 50 < rep.risk_ci[1]
     assert widths[0] / widths[1] == pytest.approx(2.0, rel=0.25)
+
+
+# -- vectorized samplers --------------------------------------------------------------
+
+
+def test_sparse_theta_rows_exact_support_and_uniform_inclusion():
+    d, s, eps, m = 10, 3, 0.7, 20_000
+    theta = lab._sparse_theta(stream(5, REPLICATE_STREAM), m, d, s, eps)
+    assert np.all(np.count_nonzero(theta, axis=1) == s)
+    assert np.all(np.abs(theta[theta != 0]) == eps)
+    freq = np.count_nonzero(theta, axis=0) / m
+    se = math.sqrt((s / d) * (1 - s / d) / m)
+    assert np.all(np.abs(freq - s / d) <= 5 * se)
+    assert abs(np.mean(np.sign(theta[theta != 0]))) <= 5 / math.sqrt(m * s)
+
+
+class _ZeroRowGenerator:
+    """Stands in for a Generator whose first Gaussian row is exactly zero."""
+
+    def standard_normal(self, shape):
+        u = np.ones(shape)
+        u[0] = 0.0
+        return u
+
+    def random(self, size):
+        return np.full(size, 0.5)
+
+
+def test_uniform_ball_zero_norm_row_maps_to_center():
+    d, radius = 3, 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = lab._uniform_ball(_ZeroRowGenerator(), 4, d, radius)
+    assert np.array_equal(theta[0], np.zeros(d))
+    norms = np.linalg.norm(theta[1:], axis=1)
+    assert np.allclose(norms, radius * 0.5 ** (1 / d), rtol=1e-15)
+
+
+def test_uniform_ball_radial_law():
+    d, radius, m = 4, 1.5, 20_000
+    theta = lab._uniform_ball(stream(6, REPLICATE_STREAM), m, d, radius)
+    # ||theta||^d / radius^d is uniform on [0, 1] for a uniform ball draw
+    w = (np.linalg.norm(theta, axis=1) / radius) ** d
+    assert w.max() <= 1.0
+    assert abs(w.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / m)
+
+
+def test_inverse_cdf_clips_to_last_category():
+    cum = np.array([0.5, 0.9999999999999998])  # rounded short of 1
+    u = np.array([0.0, 0.4999, 0.5, 0.9999999999999999])
+    assert lab._inverse_cdf(cum, u).tolist() == [0, 0, 1, 1]
+
+
+def test_chain_draw_joint_matches_chain():
+    chain = random_chain(9, (3, 4, 3))
+    m = 40_000
+    v, vhat = lab._chain_draw(chain, stream(7, REPLICATE_STREAM), m)
+    counts = np.zeros((3, 3), dtype=np.int64)
+    np.add.at(counts, (v, vhat), 1)
+    joint = chain.joint_v_vhat()
+    for cell in np.ndindex(3, 3):
+        lo, hi = clopper_pearson(int(counts[cell]), m, 0.999)
+        assert lo <= joint[cell] <= hi, cell
 
 
 def test_discrete_chain_problem():
@@ -227,6 +357,48 @@ def test_config_validation():
     with pytest.raises(DomainError):
         ExperimentConfig(problem="sparse-location", estimator="mean", reps=10,
                          seed=0, d=4, s=5, n=2)
+
+
+_DESIGN = np.eye(3)
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(problem="regression", estimator="ols", design=_DESIGN, sigma2=-1.0), "sigma2"),
+    (dict(problem="regression", estimator="ols", design=_DESIGN, sigma2=math.nan), "sigma2"),
+    (dict(problem="normal-mean", estimator="mean", d=3, n=5, sigma2=math.inf), "sigma2"),
+    (dict(problem="sparse-location", estimator="hard-threshold", d=4, s=2, n=5,
+          eps=math.nan), "eps"),
+    (dict(problem="sparse-location", estimator="hard-threshold", d=4, s=2, n=5,
+          eps=-0.1), "eps"),
+    (dict(problem="normal-mean", estimator="hard-threshold", d=3, n=5,
+          radius=math.nan), "radius"),
+    (dict(problem="normal-mean", estimator="soft-threshold", d=3, n=5,
+          radius=-1.0), "radius"),
+    (dict(problem="normal-mean", estimator="mean", d=3, n=5, t_list=(math.nan,)), "t_list"),
+    (dict(problem="normal-mean", estimator="mean", d=3, n=5, t_list=(0.1, -0.5)), "t_list"),
+    (dict(problem="regression", estimator="ols",
+          design=np.array([[1.0, 0.0], [0.0, math.nan], [1.0, 1.0]])), "design"),
+])
+def test_config_rejects_out_of_domain_values(kwargs, key):
+    with pytest.raises(DomainError, match=key):
+        ExperimentConfig(reps=10, seed=0, **kwargs)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_matched_bound_rejects_non_finite_value(value):
+    with pytest.raises(DomainError, match="finite"):
+        MatchedBound("b", "risk", value)
+
+
+def test_nan_margin_is_a_violation():
+    # sigma2 near the float maximum overflows the losses: the CI is NaN
+    cfg = ExperimentConfig(problem="normal-mean", estimator="mean", reps=10,
+                           seed=1, d=4, n=1, sigma2=1.7e308)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = simulate_risk(cfg, (MatchedBound("b", "risk", 0.1),))
+    assert math.isnan(rep.risk_ci[1])
+    assert rep.violations == ("b",)
+    assert not check_bounds(rep).passed
 
 
 def test_bound_to_matched_helper():
