@@ -9,10 +9,10 @@ sharpness.
 
 Reproducibility contract: the replicates of an experiment are split into
 blocks of REPLICATE_BLOCK, and block b draws all of its replicates, as
-arrays, from the Philox stream keyed by (seed, REPLICATE_STREAM + b). The
-draws depend on the seed and the replicate index only, so growing reps
-leaves the replicates of the shared full blocks bit-identical and
-chunk_size never changes a draw. Loss sums accumulate per chunk with a
+arrays, from the Philox stream keyed by (seed, REPLICATE_STREAM + b). A
+full block's draws depend on the seed and b only, so growing reps leaves
+the replicates of the shared full blocks bit-identical, and chunk_size
+never changes a draw. Loss sums accumulate per chunk with a
 fixed-order pairwise reduction, and identical configs (including
 chunking) produce bit-identical reports.
 """
@@ -319,31 +319,28 @@ def _error_sampler(cfg: ExperimentConfig):
     return errors
 
 
-def _replicate_losses(cfg: ExperimentConfig) -> tuple[np.ndarray, np.ndarray, str]:
-    """(per-replicate losses, error distances, tail event kind), drawn block
-    by block from the streams keyed by (seed, REPLICATE_STREAM + block)."""
+def _replicate_losses(cfg: ExperimentConfig) -> tuple[np.ndarray, str]:
+    """(per-replicate losses, tail event kind), drawn block by block from the
+    streams keyed by (seed, REPLICATE_STREAM + block)."""
     if cfg.problem == "discrete-chain":
         dmat = cfg.space.distance_matrix()
 
         def draw(g, m):
             v, vhat = _chain_draw(cfg.chain, g, m)
-            dist = dmat[vhat, v]
-            return dist, dist
+            return dmat[vhat, v]
         event = "gt"
     else:
         errors = _error_sampler(cfg)
 
         def draw(g, m):
             err = errors(g, m)
-            loss = np.einsum("ij,ij->i", err, err)
-            return loss, np.sqrt(loss)
+            return np.einsum("ij,ij->i", err, err)
         event = "ge"
     losses = np.empty(cfg.reps)
-    dists = np.empty(cfg.reps)
     for block, lo in enumerate(range(0, cfg.reps, REPLICATE_BLOCK)):
         hi = min(lo + REPLICATE_BLOCK, cfg.reps)
-        losses[lo:hi], dists[lo:hi] = draw(stream(cfg.seed, REPLICATE_STREAM + block), hi - lo)
-    return losses, dists, event
+        losses[lo:hi] = draw(stream(cfg.seed, REPLICATE_STREAM + block), hi - lo)
+    return losses, event
 
 
 def simulate_risk(config: ExperimentConfig,
@@ -353,7 +350,7 @@ def simulate_risk(config: ExperimentConfig,
     Matched bounds, when supplied, are audited against the 99% CI upper
     endpoints and violations are recorded in the report.
     """
-    losses, dists, event = _replicate_losses(config)
+    losses, event = _replicate_losses(config)
     reps, chunk = config.reps, config.chunk_size
     chunk_sums = [float(losses[lo:lo + chunk].sum()) for lo in range(0, reps, chunk)]
     # Mean via the fixed-order pairwise reduction; the CI half-width still
@@ -363,6 +360,9 @@ def simulate_risk(config: ExperimentConfig,
     if reps >= 2:
         half = (ci[1] - ci[0]) / 2.0
         ci = (risk_mean - half, risk_mean + half)
+    # tails act on the error distance: the root of the squared-error loss,
+    # or the chain's index distance itself
+    dists = np.sqrt(losses) if event == "ge" else losses
     tails = []
     for t in config.t_list:
         hit = dists >= t if event == "ge" else dists > t
@@ -409,7 +409,8 @@ def check_bounds(report: RiskReport) -> BoundAudit:
     margins = _margins(report)
     if not margins:
         raise DomainError("report carries no matched bounds to audit")
-    worst = min(margins, key=lambda lm: lm[1])
+    # a NaN margin fails the audit, so it must also be the one reported
+    worst = min(margins, key=lambda lm: -math.inf if math.isnan(lm[1]) else lm[1])
     return BoundAudit(passed=all(m >= 0 for _, m in margins),
                       margins=tuple(margins),
                       worst_label=worst[0], worst_margin=worst[1])

@@ -204,10 +204,9 @@ def test_block_draws_independent_of_chunking(problem):
 def test_growing_reps_keeps_shared_full_blocks(problem):
     short = ExperimentConfig(reps=REPLICATE_BLOCK + 7, seed=12, **_BLOCK_CONFIGS[problem])
     long = replace(short, reps=_MULTI_BLOCK_REPS)
-    a, da, _ = lab._replicate_losses(short)
-    b, db, _ = lab._replicate_losses(long)
+    a, _ = lab._replicate_losses(short)
+    b, _ = lab._replicate_losses(long)
     assert np.array_equal(a[:REPLICATE_BLOCK], b[:REPLICATE_BLOCK])
-    assert np.array_equal(da[:REPLICATE_BLOCK], db[:REPLICATE_BLOCK])
     assert not np.array_equal(b[:REPLICATE_BLOCK], b[REPLICATE_BLOCK:2 * REPLICATE_BLOCK])
 
 
@@ -391,14 +390,17 @@ def test_matched_bound_rejects_non_finite_value(value):
 
 
 def test_nan_margin_is_a_violation():
-    # sigma2 near the float maximum overflows the losses: the CI is NaN
+    # sigma2 near the float maximum overflows the losses: the risk CI is NaN
     cfg = ExperimentConfig(problem="normal-mean", estimator="mean", reps=10,
-                           seed=1, d=4, n=1, sigma2=1.7e308)
+                           seed=1, d=4, n=1, sigma2=1.7e308, t_list=(1.0,))
+    bounds = (MatchedBound("tail", "tail", 0.1, t=1.0), MatchedBound("risk", "risk", 0.1))
     with np.errstate(over="ignore", invalid="ignore"):
-        rep = simulate_risk(cfg, (MatchedBound("b", "risk", 0.1),))
+        rep = simulate_risk(cfg, bounds)
     assert math.isnan(rep.risk_ci[1])
-    assert rep.violations == ("b",)
-    assert not check_bounds(rep).passed
+    assert rep.violations == ("risk",)
+    audit = check_bounds(rep)
+    assert not audit.passed
+    assert audit.worst_label == "risk" and math.isnan(audit.worst_margin)
 
 
 def test_bound_to_matched_helper():
