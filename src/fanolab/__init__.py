@@ -68,7 +68,6 @@ from .minimax import (
     ParamFamily,
     ReductionCheck,
     compressed_sensing_bound,
-    default_eps_grid,
     generalized_fano_minimax,
     hinge_integral,
     linear_regression_bound,

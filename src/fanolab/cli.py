@@ -1,17 +1,16 @@
 """Command-line front end: bound computation, verification suites, sweeps.
 
     fanolab bound <problem> [params] [--config FILE] [--out-dir DIR]
-    fanolab verify <suite> [--seed N] [--inject-fault] [--out-dir DIR]
+    fanolab verify <suite> [params] [--seed N] [--inject-fault] [--out-dir DIR]
     fanolab table <problem> --sweep key=v1,v2,... [params] [--with-risk REPS]
 
-Problems: normal-mean, sparse-location, compressed-sensing, regression,
-discrete-tail, continuum-tail. Suites: prop1-exhaustive, decoder-oracle,
-quadrature, volume, grid-partition, estimator-risk.
-
-Config files are flat ``key = value`` text ('#' comments); command-line
-flags override file values. The default seed comes from FANOLAB_SEED when
-set. Exit codes: 0 success, 2 invalid configuration, 3 when the computed
-bound carries valid=False.
+BOUND_PROBLEMS and SUITES list the keys (params) of each problem and
+suite. Flags, config files (flat ``key = value`` text, '#' comments, which
+flags override) and sweeps are checked against them; a key the chosen
+problem or suite does not use, or a value outside its domain, is refused
+with the key named. The default seed comes from FANOLAB_SEED when set.
+Exit codes: 0 success, 1 a verify check failed, 2 invalid configuration,
+3 when the computed bound carries valid=False.
 
 Every artifact embeds the 16-hex config hash of its run manifest; the
 manifest file itself carries wall-clock timestamps, but result JSON/CSV
@@ -30,6 +29,7 @@ import math
 import os
 import sys
 import time
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +38,7 @@ from scipy import integrate
 
 from . import __version__
 from .continuum import (
+    EstimationError,
     ball_volume_ratio_analytic,
     continuum_fano_bound,
     grid_partition_counts,
@@ -73,10 +74,6 @@ from .minimax import (
 from .results import MinimaxBound
 from .streams import DESIGN_STREAM, VERIFY_STREAM, stream
 
-BOUND_PROBLEMS = ("normal-mean", "sparse-location", "compressed-sensing",
-                  "regression", "discrete-tail", "continuum-tail")
-SUITES = ("prop1-exhaustive", "decoder-oracle", "quadrature", "volume",
-          "grid-partition", "estimator-risk")
 CSV_SCHEMA = "fanolab-bound-v1"
 VERIFY_SCHEMA = "fanolab-verify-v1"
 CSV_COLUMNS = ("pipeline", "d", "s", "n", "sigma2", "t", "eps",
@@ -88,12 +85,67 @@ class ConfigError(Exception):
     pass
 
 
-# -- config plumbing ---------------------------------------------------------
+# -- the parameter table -----------------------------------------------------
+
+REQUIRED = "required"
+_DOMAINS = {"any": lambda v: True, "finite": math.isfinite,
+            "finite and > 0": lambda v: math.isfinite(v) and v > 0,
+            ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One parameter key: its type, its default (REQUIRED when it must be
+    given, None when it may stay absent) and its domain: a _DOMAINS name,
+    or the values a string may take."""
+
+    type: type
+    default: object = REQUIRED
+    domain: str | tuple[str, ...] = "finite"
+
+    def parse(self, key: str, raw: str):
+        try:
+            value = self.type(raw)
+            ok = value in self.domain if isinstance(self.domain, tuple) \
+                else _DOMAINS[self.domain](value)
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"bad value for key {key}: {raw!r} "
+                              f"(must be {self.type.__name__}, {self.domain})")
+        return value
+
+
+_COUNT = Key(int, REQUIRED, ">= 1")
+_SIGMA2 = Key(float, 1.0, "finite and > 0")
+_DESIGN = Key(str, "identity", "any")  # identity | gaussian | path to a CSV file
+_SCALE = Key(float, 1.0)
+_MI = Key(float, 0.0)
+_RADIUS = Key(float, None, "finite and > 0")
+
+BOUND_PROBLEMS = {
+    "normal-mean": {"d": _COUNT, "n": _COUNT, "sigma2": _SIGMA2,
+                    "mode": Key(str, "integrated", ("simple", "integrated"))},
+    "sparse-location": {"d": _COUNT, "s": _COUNT, "n": _COUNT, "sigma2": _SIGMA2},
+    "compressed-sensing": {"d": _COUNT, "s": _COUNT, "n": _COUNT, "sigma2": _SIGMA2,
+                           "design": _DESIGN, "scale": _SCALE},
+    "regression": {"d": _COUNT, "n": _COUNT, "sigma2": _SIGMA2,
+                   "design": _DESIGN, "scale": _SCALE},
+    "discrete-tail": {"card": _COUNT, "n_max": _COUNT, "n_min": Key(int),
+                      "t": Key(float, 0.0), "mi": _MI},
+    # log_ratio, or r, t and d for the ratio of a radius-r ball to a radius-t one
+    "continuum-tail": {"log_ratio": Key(float, None), "r": _RADIUS, "t": _RADIUS,
+                       "d": Key(int, None, ">= 1"), "mi": _MI},
+}
 
 
 def _parse_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -104,58 +156,49 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _merged(args, keys: tuple[str, ...]) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    if getattr(args, "config", None):
-        cfg.update(_parse_config_file(args.config))
-    for key in keys:
-        val = getattr(args, key, None)
+def _seed(given: str | None) -> int:
+    """--seed or a config file's seed, else FANOLAB_SEED, else DEFAULT_SEED."""
+    name, raw = "seed", given
+    if raw is None:
+        name, raw = "FANOLAB_SEED", os.environ.get("FANOLAB_SEED") or str(DEFAULT_SEED)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+
+
+def _params(args) -> tuple[dict[str, str], int]:
+    """(the keys given, the seed). Keys keep the strings that results store:
+    a config file's values as written, then each flag's typed value as
+    str(), flags winning."""
+    given = _parse_config_file(args.config) if getattr(args, "config", None) else {}
+    for key in (*args.key_flags, "seed"):
+        val = getattr(args, key)
         if val is not None:
-            cfg[key] = str(val)
-    return cfg
+            given[key] = str(val)
+    return given, _seed(given.pop("seed", None))
 
 
-def _need(cfg: dict[str, str], key: str, conv, problem: str):
-    if key not in cfg:
-        raise ConfigError(f"missing required key for {problem}: {key}")
-    try:
-        return conv(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for key {key}: {cfg[key]!r} ({exc})") from exc
+def _typed(given: dict[str, str], keys: dict[str, Key], what: str) -> dict:
+    """Every key of `keys` as a typed, domain-checked value, with the
+    defaults filled in. A given key that `what` does not use is refused."""
+    for key in given:
+        if key not in keys:
+            raise ConfigError(f"{what} does not use key {key}; it accepts: "
+                              f"{', '.join(keys) or 'none'}")
+    out = {}
+    for key, spec in keys.items():
+        if key in given:
+            out[key] = spec.parse(key, given[key])
+        elif spec.default is REQUIRED:
+            raise ConfigError(f"missing required key for {what}: {key}")
+        else:
+            out[key] = spec.default
+    return out
 
 
-def _get(cfg: dict[str, str], key: str, conv, default):
-    if key not in cfg:
-        return default
-    try:
-        return conv(cfg[key])
-    except ValueError as exc:
-        raise ConfigError(f"bad value for key {key}: {cfg[key]!r} ({exc})") from exc
-
-
-def _seed_from(cfg: dict[str, str]) -> int:
-    if "seed" in cfg:
-        return int(cfg["seed"])
-    env = os.environ.get("FANOLAB_SEED")
-    return int(env) if env else DEFAULT_SEED
-
-
-def _parse_eps_grid(spec: str) -> np.ndarray:
-    try:
-        lo_s, hi_s, count_s = spec.split(",")
-        lo, hi, count = float(lo_s), float(hi_s), int(count_s)
-    except ValueError as exc:
-        raise ConfigError(f"eps_grid must be 'lo,hi,count', got {spec!r}") from exc
-    if not (0 < lo < hi) or count < 1:
-        raise ConfigError("eps_grid needs 0 < lo < hi and count >= 1")
-    return np.logspace(math.log10(lo), math.log10(hi), count)
-
-
-def _design_matrix(cfg: dict[str, str], problem: str, seed: int) -> np.ndarray:
-    kind = _get(cfg, "design", str, "identity")
-    scale = _get(cfg, "scale", float, 1.0)
-    d = _need(cfg, "d", int, problem)
-    n = _need(cfg, "n", int, problem)
+def _design_matrix(p: dict, seed: int) -> np.ndarray:
+    kind, d, n = p["design"], p["d"], p["n"]
     if kind == "identity":
         if n != d:
             raise ConfigError("design=identity builds sqrt(n)*I and needs n == d")
@@ -163,10 +206,13 @@ def _design_matrix(cfg: dict[str, str], problem: str, seed: int) -> np.ndarray:
     elif kind == "gaussian":
         X = stream(seed, DESIGN_STREAM).standard_normal((n, d))
     else:
-        X = np.loadtxt(kind, ndmin=2, delimiter=",")
+        try:
+            X = np.loadtxt(kind, ndmin=2, delimiter=",")
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read design file {kind}: {exc}") from None
         if X.shape != (n, d):
             raise ConfigError(f"design file {kind} has shape {X.shape}, expected ({n}, {d})")
-    return scale * X
+    return p["scale"] * X
 
 
 # -- output plumbing ---------------------------------------------------------
@@ -205,22 +251,21 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _bound_row(pipeline: str, result, cfg: dict[str, str]) -> dict[str, str]:
+def _bound_row(problem: str, result, cfg: dict[str, str]) -> dict[str, str]:
     if isinstance(result, MinimaxBound):
-        t, eps, mi, lr = result.t, result.eps, result.mi_bound, result.log_ratio
-        valid = result.valid
+        pipeline, t, eps = result.pipeline, result.t, result.eps
+        mi, lr = result.mi_bound, result.log_ratio
     else:
         ing = result.ingredients
-        t, eps = ing.get("t"), None
+        pipeline, t, eps = problem, ing.get("t"), None
         mi, lr = ing.get("mi_bound"), ing.get("log_ratio")
-        valid = result.valid
     return {
         "pipeline": pipeline,
         "d": cfg.get("d", ""), "s": cfg.get("s", ""), "n": cfg.get("n", ""),
         "sigma2": cfg.get("sigma2", ""),
         "t": _fmt(t), "eps": _fmt(eps),
         "mi_bound_nats": _fmt(mi), "log_ratio_nats": _fmt(lr),
-        "bound": _fmt(result.value), "valid": _fmt(valid),
+        "bound": _fmt(result.value), "valid": _fmt(result.valid),
     }
 
 
@@ -261,65 +306,48 @@ def _write_bound_outputs(out_dir: Path, problem: str, cfg: dict[str, str], seed:
     return json_path, csv_path
 
 
-def _csv_text(rows: list[dict[str, str]], manifest_hash: str) -> str:
-    lines = [f"# schema={CSV_SCHEMA} manifest={manifest_hash}",
-             ",".join(CSV_COLUMNS)]
+def _csv_text(rows: list[dict[str, str]], manifest_hash: str,
+              columns=CSV_COLUMNS) -> str:
+    lines = [f"# schema={CSV_SCHEMA} manifest={manifest_hash}", ",".join(columns)]
     for row in rows:
-        lines.append(",".join(row.get(c, "") for c in CSV_COLUMNS))
+        lines.append(",".join(row.get(c, "") for c in columns))
     return "\n".join(lines) + "\n"
 
 
 # -- bound dispatch ----------------------------------------------------------
 
 
-def _compute_bound(problem: str, cfg: dict[str, str], seed: int):
+def _compute_bound(problem: str, p: dict, seed: int):
     if problem == "normal-mean":
-        mode = _get(cfg, "mode", str, "integrated")
-        return normal_mean_bound(_need(cfg, "d", int, problem), _get(cfg, "sigma2", float, 1.0),
-                                 _need(cfg, "n", int, problem), mode=mode)
+        return normal_mean_bound(p["d"], p["sigma2"], p["n"], mode=p["mode"])
     if problem == "sparse-location":
-        grid = _get(cfg, "eps_grid", _parse_eps_grid, None)
-        return sparse_location_bound(_need(cfg, "d", int, problem), _need(cfg, "s", int, problem),
-                                     _get(cfg, "sigma2", float, 1.0),
-                                     _need(cfg, "n", int, problem), eps_grid=grid)
+        return sparse_location_bound(p["d"], p["s"], p["sigma2"], p["n"])
     if problem == "compressed-sensing":
-        grid = _get(cfg, "eps_grid", _parse_eps_grid, None)
-        X = _design_matrix(cfg, problem, seed)
-        return compressed_sensing_bound(X, _need(cfg, "s", int, problem),
-                                        _get(cfg, "sigma2", float, 1.0), eps_grid=grid)
+        return compressed_sensing_bound(_design_matrix(p, seed), p["s"], p["sigma2"])
     if problem == "regression":
-        X = _design_matrix(cfg, problem, seed)
-        return linear_regression_bound(X, _get(cfg, "sigma2", float, 1.0))
+        return linear_regression_bound(_design_matrix(p, seed), p["sigma2"])
     if problem == "discrete-tail":
-        profile = NeighborhoodProfile(t=_get(cfg, "t", float, 0.0),
-                                      n_max=_need(cfg, "n_max", int, problem),
-                                      n_min=_need(cfg, "n_min", int, problem))
-        return fano_tail_lower_bound(_need(cfg, "card", int, problem), profile,
-                                     _get(cfg, "mi", float, 0.0))
-    if problem == "continuum-tail":
-        if "log_ratio" in cfg:
-            log_ratio = float(cfg["log_ratio"])
-        else:
-            r = _need(cfg, "r", float, problem)
-            t = _need(cfg, "t", float, problem)
-            d = _need(cfg, "d", int, problem)
-            log_ratio = math.log(ball_volume_ratio_analytic(r, t, d))
-        return continuum_fano_bound(log_ratio, _get(cfg, "mi", float, 0.0))
-    raise ConfigError(f"unknown problem {problem!r}")
+        profile = NeighborhoodProfile(t=p["t"], n_max=p["n_max"], n_min=p["n_min"])
+        return fano_tail_lower_bound(p["card"], profile, p["mi"])
+    given = [k for k in ("log_ratio", "r", "t", "d") if p[k] is not None]
+    if given == ["log_ratio"]:
+        log_ratio = p["log_ratio"]
+    elif given == ["r", "t", "d"]:
+        log_ratio = math.log(ball_volume_ratio_analytic(p["r"], p["t"], p["d"]))
+    else:
+        raise ConfigError(f"{problem} takes log_ratio, or all of r, t and d; "
+                          f"got {', '.join(given) or 'none'}")
+    return continuum_fano_bound(log_ratio, p["mi"])
 
 
 def cmd_bound(args) -> int:
-    keys = ("d", "s", "n", "sigma2", "t", "mode", "eps_grid", "design", "scale",
-            "card", "n_max", "n_min", "mi", "log_ratio", "r", "seed")
-    cfg = _merged(args, keys)
-    seed = _seed_from(cfg)
-    cfg.pop("seed", None)
-    result = _compute_bound(args.problem, cfg, seed)
-    pipeline = result.pipeline if isinstance(result, MinimaxBound) else args.problem
-    row = _bound_row(pipeline, result, cfg)
+    cfg, seed = _params(args)
+    result = _compute_bound(args.problem, _typed(cfg, BOUND_PROBLEMS[args.problem],
+                                                 args.problem), seed)
+    row = _bound_row(args.problem, result, cfg)
     json_path, csv_path = _write_bound_outputs(Path(args.out_dir), args.problem,
                                                cfg, seed, result, row)
-    print(f"{pipeline}: bound={_fmt(result.value)} valid={_fmt(result.valid)}")
+    print(f"{row['pipeline']}: bound={_fmt(result.value)} valid={_fmt(result.valid)}")
     print(f"wrote {json_path} and {csv_path}")
     return 0 if result.valid else 3
 
@@ -327,7 +355,7 @@ def cmd_bound(args) -> int:
 # -- verify suites -----------------------------------------------------------
 
 
-def _suite_prop1(seed: int, fault: bool, instances: int = 1000):
+def _suite_prop1(seed: int, fault: bool, instances: int):
     worst = math.inf
     for i in range(instances):
         meta = stream(seed, VERIFY_STREAM + i)
@@ -345,7 +373,7 @@ def _suite_prop1(seed: int, fault: bool, instances: int = 1000):
     return lines, ok, worst
 
 
-def _suite_decoder(seed: int, fault: bool, instances: int = 200):
+def _suite_decoder(seed: int, fault: bool, instances: int):
     worst = math.inf
     bump = 0.05 if fault else 0.0
     for i in range(instances):
@@ -430,7 +458,7 @@ def _suite_quadrature(seed: int, fault: bool):
     return lines, ok, min(1e-8 - worst, 1e-10 - hinge_worst)
 
 
-def _suite_volume(seed: int, fault: bool, seeds: int = 100, points: int = 10**6):
+def _suite_volume(seed: int, fault: bool, seeds: int, points: int):
     lines = []
     ok = True
     worst_rel = 0.0
@@ -453,10 +481,9 @@ def _suite_volume(seed: int, fault: bool, seeds: int = 100, points: int = 10**6)
     return lines, ok, 0.03 - worst_rel
 
 
-def _suite_grid(seed: int, fault: bool, level: int = 9):
+def _suite_grid(seed: int, fault: bool, level: int):
     from .continuum import ContinuumSpace
 
-    level = max(level, 2)
     lines = []
     square = ContinuumSpace(
         dim=2, contains=lambda p: np.all((p >= 0.0) & (p <= 1.0), axis=1),
@@ -493,14 +520,14 @@ def _suite_grid(seed: int, fault: bool, level: int = 9):
     return lines, ok, 0.02 - area_err
 
 
-def _suite_estimator(seed: int, fault: bool, scale: float = 1.0):
+def _suite_estimator(seed: int, fault: bool, reps_scale: float):
     inflate = 20.0 if fault else 1.0
     lines = []
     margins = []
 
     nm = normal_mean_bound(10, 1.0, 100, mode="integrated")
     cfg = ExperimentConfig(problem="normal-mean", estimator="mean",
-                           reps=max(100, int(100_000 * scale)), seed=seed,
+                           reps=max(100, int(100_000 * reps_scale)), seed=seed,
                            d=10, n=100, sigma2=1.0, radius=1.0)
     rep = simulate_risk(cfg, (MatchedBound("normal-mean-integrated", "risk",
                                            inflate * nm.value),))
@@ -513,7 +540,7 @@ def _suite_estimator(seed: int, fault: bool, scale: float = 1.0):
     X = 3.0 * np.eye(9)
     reg = linear_regression_bound(X, 1.0)
     cfg = ExperimentConfig(problem="regression", estimator="ols",
-                           reps=max(100, int(10_000 * scale)), seed=seed,
+                           reps=max(100, int(10_000 * reps_scale)), seed=seed,
                            d=9, sigma2=1.0, radius=1.0, design=X)
     rep = simulate_risk(cfg, (
         MatchedBound("regression-simplified", "risk", inflate * reg.value),
@@ -526,7 +553,7 @@ def _suite_estimator(seed: int, fault: bool, scale: float = 1.0):
 
     sp = sparse_location_bound(32, 4, 1.0, 200)
     cfg = ExperimentConfig(problem="sparse-location", estimator="hard-threshold",
-                           reps=max(100, int(10_000 * scale)), seed=seed,
+                           reps=max(100, int(10_000 * reps_scale)), seed=seed,
                            d=32, s=4, n=200, sigma2=1.0, eps=sp.eps)
     rep = simulate_risk(cfg, (MatchedBound("sparse-location", "risk",
                                            inflate * sp.value),))
@@ -542,7 +569,7 @@ def _suite_estimator(seed: int, fault: bool, scale: float = 1.0):
     mi_ub = 0.5 * math.log1p(4.0 * t * t)
     tail_bound = continuum_fano_bound(2 * LN2, mi_ub)
     cfg = ExperimentConfig(problem="normal-mean", estimator="mean",
-                           reps=max(100, int(20_000 * scale)), seed=seed,
+                           reps=max(100, int(20_000 * reps_scale)), seed=seed,
                            d=2, n=1, sigma2=1.0, radius=2 * t, t_list=(t,))
     rep = simulate_risk(cfg, (MatchedBound("continuum-tail", "tail",
                                            inflate * tail_bound.value, t=t),))
@@ -556,23 +583,23 @@ def _suite_estimator(seed: int, fault: bool, scale: float = 1.0):
     return lines, ok, min(margins)
 
 
+# Each suite's function, and the keys it takes as keyword arguments.
+SUITES = {
+    "prop1-exhaustive": (_suite_prop1, {"instances": Key(int, 1000, ">= 1")}),
+    "decoder-oracle": (_suite_decoder, {"instances": Key(int, 200, ">= 1")}),
+    "quadrature": (_suite_quadrature, {}),
+    "volume": (_suite_volume, {"seeds": Key(int, 100, ">= 1"),
+                               "points": Key(int, 10**6, ">= 1")}),
+    "grid-partition": (_suite_grid, {"level": Key(int, 9, ">= 2")}),
+    "estimator-risk": (_suite_estimator, {"reps_scale": Key(float, 1.0, "finite and > 0")}),
+}
+
+
 def cmd_verify(args) -> int:
-    seed = args.seed if args.seed is not None else int(os.environ.get("FANOLAB_SEED",
-                                                                      DEFAULT_SEED))
-    fault = args.inject_fault
-    if args.suite == "prop1-exhaustive":
-        lines, ok, worst = _suite_prop1(seed, fault, instances=args.instances or 1000)
-    elif args.suite == "decoder-oracle":
-        lines, ok, worst = _suite_decoder(seed, fault, instances=args.instances or 200)
-    elif args.suite == "quadrature":
-        lines, ok, worst = _suite_quadrature(seed, fault)
-    elif args.suite == "volume":
-        lines, ok, worst = _suite_volume(seed, fault, seeds=args.seeds or 100,
-                                         points=args.points or 10**6)
-    elif args.suite == "grid-partition":
-        lines, ok, worst = _suite_grid(seed, fault, level=args.level or 9)
-    else:
-        lines, ok, worst = _suite_estimator(seed, fault, scale=args.reps_scale or 1.0)
+    suite, keys = SUITES[args.suite]
+    given, seed = _params(args)
+    lines, ok, worst = suite(seed, args.inject_fault,
+                             **_typed(given, keys, f"suite {args.suite}"))
     header = f"# fanolab verify suite={args.suite} seed={seed} schema={VERIFY_SCHEMA}"
     summary = (f"suite {args.suite}: {'PASS' if ok else 'FAIL'} "
                f"worst_margin={worst!r}")
@@ -588,57 +615,47 @@ def cmd_verify(args) -> int:
 
 
 def cmd_table(args) -> int:
-    keys = ("d", "s", "n", "sigma2", "t", "mode", "eps_grid", "design", "scale", "seed")
-    base = _merged(args, keys)
-    seed = _seed_from(base)
-    base.pop("seed", None)
+    base, seed = _params(args)
     try:
         sweep_key, sweep_vals = args.sweep.split("=", 1)
-        values = sweep_vals.split(",")
-        if not values:
-            raise ValueError("empty sweep")
-    except ValueError as exc:
-        raise ConfigError(f"bad sweep spec {args.sweep!r}: expected key=v1,v2,...") from exc
+    except ValueError:
+        raise ConfigError(f"bad sweep spec {args.sweep!r}: expected key=v1,v2,...") from None
     sweep_key = sweep_key.strip().replace("-", "_")
+    if args.with_risk is not None and args.with_risk < 1:
+        raise ConfigError(f"--with-risk must be >= 1, got {args.with_risk}")
     rows = []
-    for val in values:
+    for val in sweep_vals.split(","):
         cfg = dict(base)
         cfg[sweep_key] = val.strip()
-        result = _compute_bound(args.problem, cfg, seed)
-        pipeline = result.pipeline if isinstance(result, MinimaxBound) else args.problem
-        row = _bound_row(pipeline, result, cfg)
-        if args.with_risk:
-            row.update(_risk_columns(args.problem, cfg, result, seed, args.with_risk))
+        p = _typed(cfg, BOUND_PROBLEMS[args.problem], args.problem)
+        result = _compute_bound(args.problem, p, seed)
+        row = _bound_row(args.problem, result, cfg)
+        if args.with_risk is not None:
+            row.update(_risk_columns(args.problem, p, result, seed, args.with_risk))
         rows.append(row)
     chash = _config_hash("table", args.problem, dict(base, sweep=args.sweep), seed)
     columns = list(CSV_COLUMNS) + (["risk", "risk_ci_lo", "risk_ci_hi"]
-                                   if args.with_risk else [])
-    lines = [f"# schema={CSV_SCHEMA} manifest={chash}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(row.get(c, "") for c in columns))
-    text = "\n".join(lines) + "\n"
+                                   if args.with_risk is not None else [])
+    text = _csv_text(rows, chash, columns)
     if args.out:
         Path(args.out).write_text(text)
     sys.stdout.write(text)
     return 0
 
 
-def _risk_columns(problem: str, cfg: dict[str, str], result, seed: int,
-                  reps: int) -> dict[str, str]:
+def _risk_columns(problem: str, p: dict, result, seed: int, reps: int) -> dict[str, str]:
     if problem == "normal-mean":
         config = ExperimentConfig(problem="normal-mean", estimator="mean", reps=reps,
-                                  seed=seed, d=int(cfg["d"]), n=int(cfg["n"]),
-                                  sigma2=float(cfg.get("sigma2", 1.0)), radius=1.0)
+                                  seed=seed, d=p["d"], n=p["n"], sigma2=p["sigma2"],
+                                  radius=1.0)
     elif problem == "sparse-location":
         config = ExperimentConfig(problem="sparse-location", estimator="hard-threshold",
-                                  reps=reps, seed=seed, d=int(cfg["d"]), s=int(cfg["s"]),
-                                  n=int(cfg["n"]), sigma2=float(cfg.get("sigma2", 1.0)),
-                                  eps=result.eps or 0.0)
+                                  reps=reps, seed=seed, d=p["d"], s=p["s"], n=p["n"],
+                                  sigma2=p["sigma2"], eps=result.eps or 0.0)
     elif problem in ("regression", "compressed-sensing"):
-        X = _design_matrix(cfg, problem, seed)
+        X = _design_matrix(p, seed)
         config = ExperimentConfig(problem="regression", estimator="ols", reps=reps,
-                                  seed=seed, d=X.shape[1],
-                                  sigma2=float(cfg.get("sigma2", 1.0)),
+                                  seed=seed, d=X.shape[1], sigma2=p["sigma2"],
                                   radius=1.0, design=X)
     else:
         raise ConfigError(f"--with-risk is not supported for problem {problem!r}")
@@ -650,6 +667,18 @@ def _risk_columns(problem: str, cfg: dict[str, str], result, seed: int,
 # -- entry point -------------------------------------------------------------
 
 
+def _add_key_flags(parser: argparse.ArgumentParser,
+                   tables: dict[str, dict[str, Key]]) -> None:
+    """One flag per key of the tables, None unless given."""
+    specs = {key: spec for keys in tables.values() for key, spec in keys.items()}
+    for key, spec in specs.items():
+        users = [name for name, keys in tables.items() if key in keys]
+        parser.add_argument("--" + key.replace("_", "-"), type=spec.type,
+                            choices=spec.domain if isinstance(spec.domain, tuple) else None,
+                            help="used by " + ", ".join(users))
+    parser.set_defaults(key_flags=tuple(specs))
+
+
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fanolab",
                                 description="Fano-type estimation lower bounds")
@@ -658,57 +687,29 @@ def _build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", help="compute one lower bound")
     b.add_argument("problem", choices=BOUND_PROBLEMS)
     b.add_argument("--config", help="flat key=value config file")
-    b.add_argument("--d", type=int)
-    b.add_argument("--s", type=int)
-    b.add_argument("--n", type=int)
-    b.add_argument("--sigma2", type=float)
-    b.add_argument("--t", type=float)
-    b.add_argument("--r", type=float)
-    b.add_argument("--mi", type=float)
-    b.add_argument("--log-ratio", dest="log_ratio", type=float)
-    b.add_argument("--card", type=int)
-    b.add_argument("--n-max", dest="n_max", type=int)
-    b.add_argument("--n-min", dest="n_min", type=int)
-    b.add_argument("--mode", choices=("simple", "integrated"))
-    b.add_argument("--eps-grid", dest="eps_grid", help="lo,hi,count (log-spaced eps values)")
-    b.add_argument("--design", help="identity | gaussian | path to CSV")
-    b.add_argument("--scale", type=float)
-    b.add_argument("--seed", type=int)
     b.add_argument("--out-dir", default="out")
     b.set_defaults(fn=cmd_bound)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("suite", choices=SUITES)
-    v.add_argument("--seed", type=int)
     v.add_argument("--inject-fault", action="store_true",
                    help="corrupt the quantity under test to demonstrate detection")
-    v.add_argument("--instances", type=int, help="instance count (prop1/decoder suites)")
-    v.add_argument("--seeds", type=int, help="seed count (volume suite)")
-    v.add_argument("--points", type=int, help="sample count (volume suite)")
-    v.add_argument("--level", type=int, help="grid level (grid-partition suite)")
-    v.add_argument("--reps-scale", dest="reps_scale", type=float,
-                   help="replicate multiplier (estimator-risk suite)")
     v.add_argument("--out-dir", default="out")
     v.set_defaults(fn=cmd_verify)
 
     t = sub.add_parser("table", help="sweep a parameter and emit CSV")
     t.add_argument("problem", choices=BOUND_PROBLEMS)
     t.add_argument("--sweep", required=True, help="key=v1,v2,...")
-    t.add_argument("--config")
-    t.add_argument("--d", type=int)
-    t.add_argument("--s", type=int)
-    t.add_argument("--n", type=int)
-    t.add_argument("--sigma2", type=float)
-    t.add_argument("--t", type=float)
-    t.add_argument("--mode", choices=("simple", "integrated"))
-    t.add_argument("--eps-grid", dest="eps_grid")
-    t.add_argument("--design")
-    t.add_argument("--scale", type=float)
-    t.add_argument("--seed", type=int)
+    t.add_argument("--config", help="flat key=value config file")
     t.add_argument("--with-risk", dest="with_risk", type=int,
                    help="attach empirical risk with this many replicates")
     t.add_argument("--out")
     t.set_defaults(fn=cmd_table)
+
+    suite_keys = {name: keys for name, (_, keys) in SUITES.items()}
+    for parser, tables in ((b, BOUND_PROBLEMS), (v, suite_keys), (t, BOUND_PROBLEMS)):
+        _add_key_flags(parser, tables)
+        parser.add_argument("--seed", type=int)
     return p
 
 
@@ -717,7 +718,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError) as exc:
+    except (ConfigError, DomainError, EstimationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -163,7 +163,10 @@ def ball_volume_ratio_analytic(r: float, t: float, d: int) -> float:
         raise DomainError(f"need 0 < t <= r, got t={t!r}, r={r!r}")
     if d < 1:
         raise DomainError("need d >= 1")
-    return (r / t) ** d
+    try:
+        return (r / t) ** d
+    except OverflowError:
+        raise DomainError(f"(r/t)^d overflows float64 at r={r!r}, t={t!r}, d={d}") from None
 
 
 @dataclass(frozen=True)
@@ -307,8 +310,8 @@ def continuum_fano_bound(log_ratio: float, mi: float) -> BoundResult:
     """
     if not math.isfinite(log_ratio):
         raise DomainError("log_ratio must be finite")
-    if mi < 0:
-        raise DomainError("mutual information must be >= 0")
+    if not (math.isfinite(mi) and mi >= 0):
+        raise DomainError(f"mutual information mi must be finite and >= 0, got {mi!r}")
     valid = log_ratio > 0
     value = max(0.0, 1.0 - (mi + LN2) / log_ratio) if valid else 0.0
     return BoundResult(value=value, valid=valid,

@@ -242,6 +242,8 @@ class NeighborhoodProfile:
     n_min: int
 
     def __post_init__(self):
+        if self.n_max < 1:
+            raise DomainError(f"need n_max >= 1, got n_max={self.n_max}")
         if self.n_min > self.n_max or self.n_min < 0:
             raise DomainError(f"need 0 <= n_min <= n_max, got {self.n_min}, {self.n_max}")
 
@@ -385,8 +387,10 @@ def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) ->
     """
     if card < 2:
         raise DomainError("need card >= 2")
-    if mi < 0:
-        raise DomainError("mutual information must be >= 0")
+    if profile.n_max > card:
+        raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
+    if not (math.isfinite(mi) and mi >= 0):
+        raise DomainError(f"mutual information mi must be finite and >= 0, got {mi!r}")
     log_ratio = math.log(card / profile.n_max)
     side_ok = (card - profile.n_min) > profile.n_max
     valid = side_ok and log_ratio > 0
@@ -403,10 +407,12 @@ def fano_conditional_form(hvx: float, card: int, profile: NeighborhoodProfile) -
     P(rho(Vhat, V) > t) >= (H(V|X) - ln N_max - ln 2) / ln((card - N_min) / N_max),
     provided the denominator is positive (else valid=False, value 0).
     """
-    if hvx < 0:
-        raise DomainError("conditional entropy must be >= 0")
+    if not (math.isfinite(hvx) and hvx >= 0):
+        raise DomainError(f"conditional entropy hvx must be finite and >= 0, got {hvx!r}")
     if card < 2:
         raise DomainError("need card >= 2")
+    if profile.n_max > card:
+        raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
     ratio = (card - profile.n_min) / profile.n_max
     if ratio <= 1.0:
         den = math.log(ratio) if ratio > 0 else -math.inf

@@ -360,6 +360,10 @@ def simulate_risk(config: ExperimentConfig,
     if reps >= 2:
         half = (ci[1] - ci[0]) / 2.0
         ci = (risk_mean - half, risk_mean + half)
+    # a non-finite loss makes risk_mean non-finite; with reps >= 2 the CI is checked too
+    if not (math.isfinite(risk_mean) and (reps < 2 or all(map(math.isfinite, ci)))):
+        raise DomainError(f"risk {risk_mean!r} or its CI {ci!r} overflows float64: "
+                          f"sigma2={config.sigma2!r}, eps, radius or the design is too large")
     # tails act on the error distance: the root of the squared-error loss,
     # or the chain's index distance itself
     dists = np.sqrt(losses) if event == "ge" else losses

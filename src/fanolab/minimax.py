@@ -12,10 +12,10 @@ the tail probability. Four concrete pipelines are packaged:
 * linear_regression_bound   -- fixed-design regression, volume-ratio route
 
 Scale parameters that are usually only pinned up to proportionality
-(eps^2 of order log(d/s)/n and the like) are chosen by explicit grid
-search; every returned bound records the maximizing grid point and all
-ingredients, and no unspecified "universal constant" is ever hard-coded:
-the implied constant is reported alongside the bound instead.
+(eps^2 of order log(d/s)/n) are set to the exact maximizer of the bound
+objective, which is concave in eps^2; every returned bound records that
+eps and all ingredients, and no unspecified "universal constant" is ever
+hard-coded: the implied constant is reported alongside the bound instead.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "separation_delta",
     "generalized_fano_minimax",
     "reduce_estimator_to_test",
-    "default_eps_grid",
     "sparse_location_bound",
     "compressed_sensing_bound",
     "normal_mean_tail_integral",
@@ -171,17 +170,6 @@ def reduce_estimator_to_test(family: ParamFamily, t: float, theta_hat,
                           delta=delta)
 
 
-def default_eps_grid(ref_eps_sq: float, *, n_points: int = 64,
-                     span: float = 1e3) -> np.ndarray:
-    """Ascending grid of eps values with eps^2 log-spaced in
-    [ref/span, ref*span]; 64 points spanning six decades by default."""
-    if not ref_eps_sq > 0:
-        raise DomainError("reference eps^2 must be positive")
-    eps_sq = np.logspace(math.log10(ref_eps_sq / span),
-                         math.log10(ref_eps_sq * span), n_points)
-    return np.sqrt(eps_sq)
-
-
 def _sparse_log_ratio(d: int, s: int, t: int) -> tuple[float, dict]:
     """ln(|V| / N_t^max) for the s-sparse sign family at radius t.
 
@@ -206,37 +194,32 @@ def _sparse_log_ratio(d: int, s: int, t: int) -> tuple[float, dict]:
                        "log_ratio_counting": counting}
 
 
-def _grid_maximize(eps_grid: np.ndarray, t: int, log_ratio: float,
-                   mi_coeff: float) -> tuple[int, float, float]:
-    """Maximize ((t v 1) eps^2 / 4) * max(0, 1 - (mi_coeff*eps^2 + ln2)/L)
-    over the grid; first (smallest-eps) maximizer wins ties."""
-    scale = float(max(t, 1)) / 4.0
-    best_i, best_val = 0, -1.0
-    for i, eps in enumerate(np.asarray(eps_grid, dtype=np.float64).tolist()):
-        eps_sq = eps * eps
-        tail = max(0.0, 1.0 - (mi_coeff * eps_sq + LN2) / log_ratio)
-        val = scale * eps_sq * tail
-        if val > best_val:
-            best_i, best_val = i, val
-    return best_i, best_val, scale
+def _best_eps(t: int, log_ratio: float, mi_coeff: float) -> tuple[float, float]:
+    """(eps, value) maximizing ((t v 1)/4) * u * (1 - (mi_coeff*u + ln 2)/L)
+    over u = eps^2 >= 0. The objective is concave in u, with its maximum
+    at u* = (L - ln 2) / (2 mi_coeff); for L <= ln 2 it is u = 0, value 0."""
+    if log_ratio <= LN2:
+        return 0.0, 0.0
+    u = (log_ratio - LN2) / (2.0 * mi_coeff)
+    value = float(max(t, 1)) / 4.0 * u * (1.0 - (mi_coeff * u + LN2) / log_ratio)
+    return math.sqrt(u), value
 
 
-def sparse_location_bound(d: int, s: int, sigma2: float, n: int,
-                          eps_grid=None) -> MinimaxBound:
+def sparse_location_bound(d: int, s: int, sigma2: float, n: int) -> MinimaxBound:
     """Minimax squared-error bound for s-sparse Gaussian means from n samples.
 
     The index family is the s-sparse sign set with theta_v = eps*v; index
     pairs further than t = floor(s/4) apart in Hamming distance are at
     parameter distance above max(sqrt(t), 1)*eps, the mutual information
-    is at most n*s*eps^2/sigma2, and eps is chosen by grid search (the
-    default grid spans six decades around eps^2 = sigma2*log(d/s)/n).
+    is at most n*s*eps^2/sigma2, and eps^2 is the exact maximizer
+    (L - ln 2) * sigma2 / (2 n s) of the bound, L = ln(|V| / N_t).
     The implied universal constant bound/(sigma2*s*log(d/s)/n) is reported
     in the extras, never baked in.
     """
     if not (1 <= s and 2 * s <= d):
         raise DomainError(f"need 1 <= s <= d/2 so that log(d/s) > 0; got s={s}, d={d}")
-    if not sigma2 > 0 or n < 1:
-        raise DomainError("need sigma2 > 0 and n >= 1")
+    if not (math.isfinite(sigma2) and sigma2 > 0) or n < 1:
+        raise DomainError(f"need finite sigma2 > 0 and n >= 1, got sigma2={sigma2!r}, n={n}")
     t = s // 4
     log_ratio, route = _sparse_log_ratio(d, s, t)
     if log_ratio <= 0:
@@ -244,11 +227,8 @@ def sparse_location_bound(d: int, s: int, sigma2: float, n: int,
                             mi_bound=None, log_ratio=log_ratio, valid=False,
                             extras=route)
     rate = s * math.log(d / s) / n
-    if eps_grid is None:
-        eps_grid = default_eps_grid(sigma2 * math.log(d / s) / n)
     mi_coeff = n * s / sigma2
-    i, value, _ = _grid_maximize(eps_grid, t, log_ratio, mi_coeff)
-    eps = float(eps_grid[i])
+    eps, value = _best_eps(t, log_ratio, mi_coeff)
     extras = dict(route)
     extras["implied_c"] = value / (sigma2 * rate) if rate > 0 else math.nan
     extras["d"], extras["s"], extras["n"], extras["sigma2"] = d, s, n, sigma2
@@ -257,7 +237,7 @@ def sparse_location_bound(d: int, s: int, sigma2: float, n: int,
                         valid=True, extras=extras)
 
 
-def compressed_sensing_bound(X, s: int, sigma2: float, eps_grid=None) -> MinimaxBound:
+def compressed_sensing_bound(X, s: int, sigma2: float) -> MinimaxBound:
     """Minimax squared-error bound for an s-sparse signal observed through a
     fixed design matrix X with Gaussian noise.
 
@@ -265,7 +245,7 @@ def compressed_sensing_bound(X, s: int, sigma2: float, eps_grid=None) -> Minimax
     information ingredient: the index variable has covariance (s/d)*I, so
     I <= s * eps^2 * ||X||_F^2 / (d * sigma2). A design with an all-zero
     column leaves some coordinate unobserved (the minimax risk is then
-    infinite and the grid heuristic meaningless): the result is flagged
+    infinite and the eps choice meaningless): the result is flagged
     degenerate and marked invalid, with the formula value still reported.
     """
     X = np.asarray(X, dtype=np.float64)
@@ -274,9 +254,11 @@ def compressed_sensing_bound(X, s: int, sigma2: float, eps_grid=None) -> Minimax
     n_rows, d = X.shape
     if not (1 <= s and 2 * s <= d):
         raise DomainError(f"need 1 <= s <= d/2; got s={s}, d={d}")
-    if not sigma2 > 0:
-        raise DomainError("need sigma2 > 0")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise DomainError(f"need finite sigma2 > 0, got {sigma2!r}")
     fro2 = float((X * X).sum())
+    if not math.isfinite(fro2):
+        raise DomainError(f"design X must have finite entries and norm, got ||X||_F^2={fro2!r}")
     if fro2 == 0.0:
         raise DomainError("X must be nonzero")
     degenerate = bool(np.any(np.all(X == 0.0, axis=0)))
@@ -289,11 +271,8 @@ def compressed_sensing_bound(X, s: int, sigma2: float, eps_grid=None) -> Minimax
         return MinimaxBound(value=0.0, pipeline="compressed-sensing", t=t, eps=None,
                             mi_bound=None, log_ratio=log_ratio, valid=False,
                             extras=extras)
-    if eps_grid is None:
-        eps_grid = default_eps_grid(sigma2 * d * math.log(d / s) / fro2)
     mi_coeff = s * fro2 / (d * sigma2)
-    i, value, _ = _grid_maximize(eps_grid, t, log_ratio, mi_coeff)
-    eps = float(eps_grid[i])
+    eps, value = _best_eps(t, log_ratio, mi_coeff)
     extras = dict(route)
     extras["implied_c"] = value / (sigma2 * rate) if rate > 0 else math.nan
     extras["degenerate_design"] = degenerate
@@ -340,8 +319,8 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
     """
     if d < 2:
         raise DomainError("need d >= 2")
-    if not sigma2 > 0 or n < 1:
-        raise DomainError("need sigma2 > 0 and n >= 1")
+    if not (math.isfinite(sigma2) and sigma2 > 0) or n < 1:
+        raise DomainError(f"need finite sigma2 > 0 and n >= 1, got sigma2={sigma2!r}, n={n}")
     log_ratio = d * LN2  # radius ratio r/t = 2
     if mode == "simple":
         t_sq = d * sigma2 * LN2 / (4.0 * n)
@@ -392,11 +371,13 @@ def linear_regression_bound(X, sigma2: float) -> MinimaxBound:
     n_rows, d = X.shape
     if d < 2:
         raise DomainError("need d >= 2")
-    if not sigma2 > 0:
-        raise DomainError("need sigma2 > 0")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise DomainError(f"need finite sigma2 > 0, got {sigma2!r}")
+    fro2 = float((X * X).sum())
+    if not math.isfinite(fro2):
+        raise DomainError(f"design X must have finite entries and norm, got ||X||_F^2={fro2!r}")
     if np.linalg.matrix_rank(X) < d:
         raise DomainError("X must have full column rank")
-    fro2 = float((X * X).sum())
     exact = ((d - 1) ** 2 / (d * d)) * (d * (d + 2) * sigma2 * LN2) / (8.0 * fro2)
     gamma_max = float(np.linalg.norm(X / math.sqrt(n_rows), 2))
     simplified = (1.0 / 12.0) * (1.0 / (gamma_max * gamma_max)) * (d * sigma2 / n_rows)

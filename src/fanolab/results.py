@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
+
+from .info import DomainError
 
 
 @dataclass(frozen=True)
 class BoundResult:
     """A computed tail lower bound plus the ingredients that produced it.
 
-    value is clamped to [0, inf): a formula that evaluates negative is a
-    vacuous-but-correct bound of 0 and keeps valid=True. valid=False marks
-    a structural failure (denominator sign, side condition), i.e. the
-    formula did not apply at all; the value is then reported as 0.
+    value is finite and clamped to [0, inf): a formula that evaluates
+    negative is a vacuous-but-correct bound of 0 and keeps valid=True.
+    valid=False marks a structural failure (denominator sign, side
+    condition), i.e. the formula did not apply at all; the value is 0.
     """
 
     value: float
@@ -21,8 +24,8 @@ class BoundResult:
     ingredients: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
-        if not self.value >= 0.0:
-            raise ValueError(f"bound value must be >= 0, got {self.value!r}")
+        if not (math.isfinite(self.value) and self.value >= 0.0):
+            raise DomainError(f"bound value must be finite and >= 0, got {self.value!r}")
         if not isinstance(self.ingredients, MappingProxyType):
             object.__setattr__(self, "ingredients", MappingProxyType(dict(self.ingredients)))
 
@@ -46,7 +49,7 @@ class MinimaxBound:
     extras: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
-        if not self.value >= 0.0:
-            raise ValueError(f"bound value must be >= 0, got {self.value!r}")
+        if not (math.isfinite(self.value) and self.value >= 0.0):
+            raise DomainError(f"bound value must be finite and >= 0, got {self.value!r}")
         if not isinstance(self.extras, MappingProxyType):
             object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))

@@ -1,11 +1,19 @@
 """CLI behavior: exit codes, output schemas, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fanolab.cli import main
+from fanolab.cli import BOUND_PROBLEMS, SUITES, main
 
 LN2 = math.log(2.0)
 
@@ -193,3 +201,184 @@ def test_env_seed_override(tmp_path, monkeypatch, capsys):
                 "--out-dir", str(tmp_path)])
     assert code == 0
     assert "seed=777" in capsys.readouterr().out
+
+
+# -- the checked parameter table ----------------------------------------------
+
+REFUSED = [
+    # (argv, the key, path or variable the error must name)
+    (["bound", "sparse-location", "--d", "32", "--s", "4", "--n", "200", "--t", "7"], "t"),
+    (["bound", "normal-mean", "--d", "4", "--n", "10", "--scale", "2"], "scale"),
+    (["table", "normal-mean", "--sweep", "seed=1,2", "--d", "5", "--n", "10"], "seed"),
+    (["table", "normal-mean", "--sweep", "sigmaa2=1,2", "--d", "5", "--n", "10"], "sigmaa2"),
+    (["table", "normal-mean", "--sweep", "n=10,nan", "--d", "5"], "n"),
+    (["table", "normal-mean", "--sweep", "n=10", "--d", "5", "--with-risk", "0"],
+     "with-risk"),
+    (["verify", "prop1-exhaustive", "--instances", "-5"], "instances"),
+    (["verify", "decoder-oracle", "--instances", "0"], "instances"),
+    (["verify", "volume", "--seeds", "-1", "--points", "10"], "seeds"),
+    (["verify", "estimator-risk", "--reps-scale", "-1"], "reps_scale"),
+    (["verify", "grid-partition", "--level", "-3"], "level"),
+    (["verify", "quadrature", "--level", "4"], "level"),
+    (["bound", "discrete-tail", "--card", "6", "--n-max", "2", "--n-min", "2",
+      "--mi", "nan"], "mi"),
+    (["bound", "discrete-tail", "--card", "6", "--n-max", "0", "--n-min", "0"], "n_max"),
+    (["bound", "discrete-tail", "--card", "6", "--n-max", "9", "--n-min", "1"], "n_max"),
+    (["bound", "normal-mean", "--d", "4", "--n", "10", "--sigma2", "inf"], "sigma2"),
+    # finite inputs whose bound overflows, or underflows into 0 * inf
+    (["bound", "normal-mean", "--d", "10", "--n", "1", "--sigma2", "1.7e308"], "bound value"),
+    (["bound", "sparse-location", "--d", "8", "--s", "2", "--n", "5", "--sigma2", "1e-310"],
+     "bound value"),
+    (["bound", "regression", "--d", "9", "--n", "9", "--scale", "inf"], "scale"),
+    (["bound", "continuum-tail", "--log-ratio", "2", "--r", "3"], "log_ratio"),
+    (["bound", "continuum-tail", "--r", "1e300", "--t", "0.25", "--d", "12"], "r/t"),
+]
+
+
+@pytest.mark.parametrize("argv,name", REFUSED)
+def test_out_of_domain_input_exits_2_naming_the_key(argv, name, tmp_path, capsys):
+    out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "table" else \
+        ["--out-dir", str(tmp_path)]
+    assert run(argv + out) == 2
+    err = capsys.readouterr().err
+    assert name in err
+    assert "Traceback" not in err
+
+
+def test_config_file_unknown_key_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 10\nn = 100\nsigmaa2 = 4\n")
+    assert run(["bound", "normal-mean", "--config", str(cfg),
+                "--out-dir", str(tmp_path)]) == 2
+    assert "sigmaa2" in capsys.readouterr().err
+
+
+def test_config_file_value_out_of_domain_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 10\nn = 0\n")
+    assert run(["bound", "normal-mean", "--config", str(cfg),
+                "--out-dir", str(tmp_path)]) == 2
+    assert "key n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "normal-mean", "--d", "4", "--n", "10"],
+    ["verify", "quadrature"],
+    ["table", "normal-mean", "--sweep", "n=10", "--d", "4"],
+])
+def test_bad_env_seed_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FANOLAB_SEED", "abc")
+    out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "table" else \
+        ["--out-dir", str(tmp_path)]
+    assert run(argv + out) == 2
+    assert "FANOLAB_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--config", "--design"])
+def test_missing_file_exits_2_naming_the_path(flag, tmp_path, capsys):
+    missing = str(tmp_path / "no-such-file.csv")
+    assert run(["bound", "regression", "--d", "3", "--n", "3", flag, missing,
+                "--out-dir", str(tmp_path)]) == 2
+    assert missing in capsys.readouterr().err
+
+
+def test_bound_stores_given_values_only(tmp_path):
+    """Defaults are filled in for the computation but not stored: result
+    file names and params stay those of the keys given."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d = 10\nn = 100\n")
+    assert run(["bound", "normal-mean", "--config", str(cfg), "--sigma2", "1",
+                "--out-dir", str(tmp_path)]) == 0
+    js = json.loads(next(tmp_path.glob("normal-mean-*.json")).read_text())
+    assert js["params"] == {"d": "10", "n": "100", "sigma2": "1.0"}
+
+
+# -- property: no input escapes as a traceback -----------------------------------
+
+_PLAUSIBLE = {"mode": ["simple", "integrated"], "design": ["identity", "gaussian"]}
+_INTS = ["1", "2", "3", "4", "6", "8", "12"]
+_FLOATS = ["0.5", "1", "2", "2.5"]
+_INT_KEYS = {k for keys in BOUND_PROBLEMS.values() for k, spec in keys.items()
+             if spec.type is int}
+_HOSTILE = ["-3", "-1", "0", "1e-310", "1e-300", "1e300", "1.7e308", "nan", "inf", "-inf",
+            "abc", "", "/no/such/design.csv", "simple"]
+_FOREIGN = sorted({k for keys in BOUND_PROBLEMS.values() for k in keys}
+                  | {"sigmaa2", "eps_grid", "seed"})
+_SUITE_KEYS = {name: keys for name, (_, keys) in SUITES.items()}
+# Small values only, so that every suite that runs finishes in milliseconds.
+_SMALL = ["-1", "0", "1", "2", "3", "nan", "abc"]
+
+
+def _value(draw, key):
+    """Mostly a plausible value for the key (sizes up to 12), sometimes a hostile one."""
+    plausible = _PLAUSIBLE.get(key, _INTS if key in _INT_KEYS else _FLOATS)
+    return draw(st.sampled_from(plausible * (60 // len(plausible)) + _HOSTILE))
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+@st.composite
+def _argv(draw):
+    """(argv, config text or None, FANOLAB_SEED or None) for bound, table or verify."""
+    command = draw(st.sampled_from(["bound", "table", "verify"]))
+    config = None
+    if command == "verify":
+        suite = draw(st.sampled_from(sorted(SUITES)))
+        argv = ["verify", suite]
+        for key in _SUITE_KEYS[suite]:
+            # estimator-risk runs for seconds at any valid scale: give it none
+            vals = ["-1", "0", "nan", "inf", "abc"] if suite == "estimator-risk" else _SMALL
+            argv += [_flag(key), draw(st.sampled_from(vals))]
+        foreign = [k for keys in _SUITE_KEYS.values() for k in keys
+                   if k not in _SUITE_KEYS[suite]]
+        for key in draw(st.lists(st.sampled_from(foreign), max_size=1)):
+            argv += [_flag(key), draw(st.sampled_from(_SMALL))]
+    else:
+        problem = draw(st.sampled_from(sorted(BOUND_PROBLEMS)))
+        argv, lines = [command, problem], []
+        keys = [k for k in BOUND_PROBLEMS[problem] if draw(st.sampled_from([1, 1, 1, 0]))]
+        keys += draw(st.lists(st.sampled_from(_FOREIGN), max_size=1))
+        for key in keys:
+            if draw(st.booleans()):
+                lines.append(f"{key} = {_value(draw, key)}")
+            elif key != "seed":
+                argv += [_flag(key), _value(draw, key)]
+        if command == "table":
+            key = draw(st.sampled_from(list(BOUND_PROBLEMS[problem]) * 3 + _FOREIGN))
+            vals = [_value(draw, key) for _ in range(draw(st.integers(1, 3)))]
+            argv += ["--sweep", f"{key}={','.join(vals)}"]
+            if draw(st.booleans()):
+                argv += ["--with-risk", draw(st.sampled_from(_SMALL))]
+        if lines or draw(st.booleans()):
+            junk = draw(st.sampled_from([[]] * 5 + [["no equals sign"]]))
+            config = "\n".join(lines + junk) + "\n"
+    if draw(st.booleans()):
+        argv += ["--seed", draw(st.sampled_from(["1", "5", "-1"] * 3 + _SMALL))]
+    env = draw(st.sampled_from([None] * 3 + ["7", "abc", ""]))
+    return argv, config, env
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_argv())
+def test_cli_never_escapes_with_a_traceback(case):
+    argv, config, env = case
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.dict(os.environ, {"FANOLAB_SEED": env} if env is not None else {}), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        if env is None:
+            os.environ.pop("FANOLAB_SEED", None)
+        if config is not None:
+            Path(tmp, "run.cfg").write_text(config)
+            argv = argv + ["--config", str(Path(tmp, "run.cfg"))]
+        argv = argv + (["--out", str(Path(tmp, "t.csv"))] if argv[0] == "table"
+                       else ["--out-dir", tmp])
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed flag
+            code = exc.code
+            assert code == 2
+        # verify may also report a failed check (1); only bound exits 3
+        assert code in ({0, 1, 2} if argv[0] == "verify" else
+                        {0, 2, 3} if argv[0] == "bound" else {0, 2})

@@ -47,6 +47,11 @@ def test_ratio_domain():
         ball_volume_ratio_analytic(1.0, 0.0, 3)
 
 
+def test_ratio_overflow_refused():
+    with pytest.raises(DomainError, match="overflow"):
+        ball_volume_ratio_analytic(1e300, 0.25, 12)
+
+
 # -- Monte Carlo volume ratio ----------------------------------------------------
 
 
@@ -124,6 +129,12 @@ def test_continuum_bound_vacuous_and_invalid():
         continuum_fano_bound(math.inf, 0.0)
     with pytest.raises(DomainError):
         continuum_fano_bound(1.0, -0.1)
+
+
+@pytest.mark.parametrize("mi", [math.nan, math.inf])
+def test_continuum_bound_rejects_non_finite_mi(mi):
+    with pytest.raises(DomainError, match=r"\bmi\b"):
+        continuum_fano_bound(2.0, mi)
 
 
 @given(st.floats(min_value=0.01, max_value=20), st.floats(min_value=0, max_value=20),

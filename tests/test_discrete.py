@@ -215,6 +215,26 @@ def test_tail_bound_invalid_when_log_ratio_nonpositive():
     assert not res.valid
 
 
+@pytest.mark.parametrize("mi", [math.nan, math.inf])
+def test_tail_bound_rejects_non_finite_mi(mi):
+    prof = NeighborhoodProfile(t=1.0, n_max=2, n_min=2)
+    with pytest.raises(DomainError, match=r"\bmi\b"):
+        fano_tail_lower_bound(6, prof, mi)
+
+
+def test_profile_rejects_n_max_below_one():
+    with pytest.raises(DomainError, match="n_max"):
+        NeighborhoodProfile(t=0.0, n_max=0, n_min=0)
+
+
+def test_tail_bounds_reject_n_max_above_card():
+    prof = NeighborhoodProfile(t=1.0, n_max=7, n_min=1)
+    with pytest.raises(DomainError, match="n_max"):
+        fano_tail_lower_bound(6, prof, 0.0)
+    with pytest.raises(DomainError, match="n_max"):
+        fano_conditional_form(1.0, 6, prof)
+
+
 @given(st.floats(min_value=0, max_value=5), st.floats(min_value=0, max_value=5))
 @settings(max_examples=100, deadline=None)
 def test_tail_bound_monotone_in_mi(mi1, mi2):
@@ -249,6 +269,13 @@ def test_conditional_form_invalid_denominator():
     res = fano_conditional_form(1.0, 5, prof)  # (5-2)/3 = 1 -> ln = 0
     assert not res.valid
     assert res.value == 0.0
+
+
+@pytest.mark.parametrize("hvx", [math.nan, math.inf])
+def test_conditional_form_rejects_non_finite_hvx(hvx):
+    prof = NeighborhoodProfile(t=0.5, n_max=2, n_min=1)
+    with pytest.raises(DomainError, match="hvx"):
+        fano_conditional_form(hvx, 6, prof)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -390,17 +390,31 @@ def test_matched_bound_rejects_non_finite_value(value):
 
 
 def test_nan_margin_is_a_violation():
-    # sigma2 near the float maximum overflows the losses: the risk CI is NaN
+    # sigma2 near the float maximum overflows the losses: simulate_risk refuses
+    # it, and a report that still carries a NaN CI fails its audit
     cfg = ExperimentConfig(problem="normal-mean", estimator="mean", reps=10,
                            seed=1, d=4, n=1, sigma2=1.7e308, t_list=(1.0,))
     bounds = (MatchedBound("tail", "tail", 0.1, t=1.0), MatchedBound("risk", "risk", 0.1))
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = simulate_risk(cfg, bounds)
-    assert math.isnan(rep.risk_ci[1])
-    assert rep.violations == ("risk",)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match="overflow"):
+        simulate_risk(cfg, bounds)
+    rep = replace(simulate_risk(replace(cfg, sigma2=1.0), bounds),
+                  risk_ci=(math.nan, math.nan))
     audit = check_bounds(rep)
     assert not audit.passed
     assert audit.worst_label == "risk" and math.isnan(audit.worst_margin)
+
+
+@pytest.mark.parametrize("sigma2", [1e152, 1e305])
+def test_simulate_risk_refuses_overflowing_ci(sigma2):
+    """At 1e152 the losses stay finite but their variance overflows (the CI
+    was (-inf, inf) and passed every audit); at 1e305 their sum overflows
+    (risk_mean was inf, the CI NaN)."""
+    cfg = ExperimentConfig(problem="normal-mean", estimator="mean", reps=10_000,
+                           seed=1, d=4, n=1, sigma2=sigma2)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(DomainError, match="sigma2"):
+        simulate_risk(cfg, (MatchedBound("risk", "risk", 0.1),))
 
 
 def test_bound_to_matched_helper():

@@ -1,5 +1,6 @@
 """Separation, reduction, and the four bound pipelines."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ from fanolab.info import DomainError
 from fanolab.minimax import (
     ParamFamily,
     compressed_sensing_bound,
-    default_eps_grid,
     generalized_fano_minimax,
     hinge_integral,
     linear_regression_bound,
@@ -185,10 +185,25 @@ def test_sparse_location_mi_ingredient():
     assert res.mi_bound == pytest.approx(5 * 2 * res.eps**2, rel=1e-12)
 
 
+def sparse_objective(u, t, log_ratio, mi_coeff):
+    """The sparse pipelines' bound at eps^2 = u: ((t v 1)/4) u (1 - (c u + ln 2)/L)_+."""
+    return max(t, 1) / 4.0 * u * max(0.0, 1.0 - (mi_coeff * u + LN2) / log_ratio)
+
+
+def eps_sq_grid(ref_eps_sq, n_points=64, span=1e3):
+    """The 64-point grid of eps^2, log-spaced over six decades around
+    ref_eps_sq, that the closed-form eps is cross-checked against."""
+    return np.logspace(math.log10(ref_eps_sq / span), math.log10(ref_eps_sq * span),
+                       n_points)
+
+
 def test_sparse_location_small_eps_vanishes():
-    res = sparse_location_bound(8, 2, 1.0, 5, eps_grid=np.array([1e-9, 1e-8]))
-    assert res.value <= 1e-14
-    assert res.eps == pytest.approx(1e-8)  # larger eps still wins among the tiny ones
+    res = sparse_location_bound(8, 2, 1.0, 5)
+    tiny = [sparse_objective(eps * eps, res.t, res.log_ratio, 5 * 2 / 1.0)
+            for eps in (1e-9, 1e-8)]
+    assert max(tiny) <= 1e-14
+    assert tiny[1] > tiny[0]  # larger eps still wins among the tiny ones
+    assert res.value > max(tiny)
 
 
 def test_sparse_location_exact_formula_reeval():
@@ -205,23 +220,34 @@ def test_sparse_location_exact_formula_reeval():
     assert res.log_ratio == pytest.approx(L, rel=1e-15)
 
 
+GRID_CONFIGS = [(2, 1, 10, 1.0), (8, 2, 5, 1.0), (12, 6, 30, 0.3), (16, 4, 50, 1.0),
+                (64, 4, 200, 2.5), (80, 8, 100, 1.0)]
+
+
 def test_sparse_location_grid_never_below_grid_points():
-    d, s, n = 16, 4, 50
-    grid = default_eps_grid(math.log(d / s) / n, n_points=32)
-    res = sparse_location_bound(d, s, 1.0, n, eps_grid=grid)
-    t = 1
-    L = res.log_ratio
-    for eps in grid:
-        val = (1 * eps**2 / 4.0) * max(0.0, 1.0 - (n * s * eps**2 + LN2) / L)
-        assert res.value >= val - 1e-15
+    """For both sparse pipelines, the closed-form eps is at least every point
+    of the six-decade grid and within the grid's worst-case half-step loss
+    (1.4%) of its maximum."""
+    for pipeline, (d, s, n, sigma2) in itertools.product(
+            ("sparse-location", "compressed-sensing"), GRID_CONFIGS):
+        if pipeline == "sparse-location":
+            res = sparse_location_bound(d, s, sigma2, n)
+            ref, mi_coeff = sigma2 * math.log(d / s) / n, n * s / sigma2
+        else:
+            X = np.random.Generator(np.random.Philox(key=d * 1000 + n)).standard_normal((n, d))
+            res = compressed_sensing_bound(X, s, sigma2)
+            fro2 = float((X * X).sum())
+            ref, mi_coeff = sigma2 * d * math.log(d / s) / fro2, s * fro2 / (d * sigma2)
+        grid = [sparse_objective(u, res.t, res.log_ratio, mi_coeff) for u in eps_sq_grid(ref)]
+        assert res.value >= max(grid), (d, s, n, sigma2)
+        assert res.value <= 1.014 * max(grid), (d, s, n, sigma2)
 
 
 def test_sparse_location_sigma_rescaling_exact():
-    """bound(sigma2=c, eps-grid scaled by sqrt(c)) == c * bound(sigma2=1), bitwise."""
+    """bound(sigma2=c) == c * bound(sigma2=1) and eps scales by sqrt(c), bitwise."""
     d, s, n, c = 16, 4, 50, 4.0
-    grid = default_eps_grid(math.log(d / s) / n, n_points=32)
-    base = sparse_location_bound(d, s, 1.0, n, eps_grid=grid)
-    scaled = sparse_location_bound(d, s, c, n, eps_grid=2.0 * grid)
+    base = sparse_location_bound(d, s, 1.0, n)
+    scaled = sparse_location_bound(d, s, c, n)
     assert scaled.value == c * base.value
     assert scaled.eps == 2.0 * base.eps
 
@@ -262,6 +288,31 @@ def test_sparse_location_domain():
         sparse_location_bound(8, 5, 1.0, 10)  # needs s <= d/2
     with pytest.raises(DomainError):
         sparse_location_bound(8, 2, 0.0, 10)
+
+
+@pytest.mark.parametrize("sigma2", [math.nan, math.inf])
+def test_pipelines_reject_non_finite_sigma2(sigma2):
+    X = 3.0 * np.eye(9)
+    calls = [lambda: normal_mean_bound(4, sigma2, 10),
+             lambda: sparse_location_bound(8, 2, sigma2, 5),
+             lambda: compressed_sensing_bound(X, 2, sigma2),
+             lambda: linear_regression_bound(X, sigma2)]
+    for call in calls:
+        with pytest.raises(DomainError, match="sigma2"):
+            call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
+def test_design_pipelines_reject_non_finite_design(bad):
+    """A non-finite entry, or entries whose squares overflow, are refused
+    (an infinite design used to end in LinAlgError)."""
+    X = 3.0 * np.eye(9)
+    X[2, 2] = bad
+    with np.errstate(over="ignore"):
+        with pytest.raises(DomainError, match="design"):
+            linear_regression_bound(X, 1.0)
+        with pytest.raises(DomainError, match="design"):
+            compressed_sensing_bound(X, 2, 1.0)
 
 
 # -- compressed sensing -----------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from fanolab.info import DomainError
 from fanolab.results import BoundResult, MinimaxBound
 from fanolab.stats import clopper_pearson, mean_ci, pairwise_sum
 from fanolab.streams import stream
@@ -90,6 +91,16 @@ def test_bound_result_rejects_negative():
         BoundResult(value=-0.1, valid=True)
     with pytest.raises(ValueError):
         MinimaxBound(value=-1e-9, pipeline="x")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_bound_records_reject_non_finite_value(value):
+    """An overflowed formula (say, sigma2 near the float maximum) is refused,
+    not reported as a valid infinite bound."""
+    with pytest.raises(DomainError, match="finite"):
+        BoundResult(value=value, valid=True)
+    with pytest.raises(DomainError, match="finite"):
+        MinimaxBound(value=value, pipeline="x")
 
 
 def test_result_records_are_frozen_with_readonly_maps():
