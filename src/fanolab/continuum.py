@@ -17,11 +17,19 @@ Two deliberate approximations, both reported rather than hidden:
 * Grid-cell occupancy ("intersection of nonzero volume") is decided by a
   fixed 4^d sub-grid per cell plus the cell center, all strictly
   interior, so measure-zero touchings do not count.
+
+Both estimators split their work into fixed-size chunks and run the chunks
+on a pool of threads, one per usable CPU. Each Monte Carlo chunk draws from
+its own stream keyed by (seed, chunk index), and every chunk's count is
+summed exactly, so the results do not depend on the number of workers or
+on the order in which chunks finish.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -44,7 +52,15 @@ __all__ = [
     "continuum_fano_bound",
     "grid_partition_counts",
     "surface_volume_bounds",
+    "VOLUME_CHUNK",
+    "GRID_CHUNK",
 ]
+
+# Points per keyed stream in mc_volume_ratio and cells per job in
+# grid_partition_counts. The volume chunk is part of the stream keying:
+# changing it changes which draws land in which stream, hence the counts.
+VOLUME_CHUNK = 1 << 16
+GRID_CHUNK = 1 << 15
 
 
 class EstimationError(RuntimeError):
@@ -62,6 +78,9 @@ class ContinuumSpace:
     returns an axis-aligned box certain to contain {v' : rho(c, v') <= t};
     it only tightens sampling, never changes semantics. sup_center is a
     declared analytic maximizer of Vol(ball(t, v) & V) over v.
+
+    The estimators call contains and rho concurrently from worker threads,
+    so both must be pure: no shared state that a call mutates.
     """
 
     dim: int
@@ -99,7 +118,7 @@ def _metric(name: str):
     if name == "l2":
         def rho(center, pts):
             diff = pts - center[None, :]
-            return np.sqrt((diff * diff).sum(axis=1))
+            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     elif name == "linf":
         def rho(center, pts):
             return np.abs(pts - center[None, :]).max(axis=1)
@@ -126,7 +145,7 @@ def l2_ball_space(d: int, r: float, *, metric: str = "l2") -> ContinuumSpace:
 
     def contains(pts):
         pts = np.asarray(pts, dtype=np.float64)
-        return (pts * pts).sum(axis=1) <= r2
+        return np.einsum("ij,ij->i", pts, pts) <= r2
 
     box = np.stack([np.full(d, -r), np.full(d, r)])
     return ContinuumSpace(dim=d, contains=contains, bounding_box=box, rho=rho,
@@ -192,9 +211,34 @@ class VolumeRatioEstimate:
         return math.log(self.ratio)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map(fn, n: int) -> list:
+    """[fn(0), ..., fn(n - 1)], run on min(n, usable CPUs) threads.
+
+    With one worker this is a plain in-order loop. fn must call no public
+    fanolab function: perfbench's tracer rebinds those to span recorders
+    that share one stack, which is not thread-local. So whatever fn needs
+    from the library, random streams included, is built by the caller.
+    """
+    workers = min(n, _usable_cpus())
+    if workers <= 1:
+        return [fn(i) for i in range(n)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, range(n)))
+
+
 def _sample_box(g: np.random.Generator, count: int, box: np.ndarray) -> np.ndarray:
     lo, hi = box
-    return g.random((count, lo.size)) * (hi - lo) + lo
+    u = g.random((count, lo.size))
+    u *= hi - lo
+    u += lo
+    return u
 
 
 def _sample_in_space(space: ContinuumSpace, count: int, seed: int, base: int,
@@ -223,42 +267,23 @@ def _intersect_boxes(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 
 def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
-                    points: int = 100_000, seed: int = 0, confidence: float = 0.99,
-                    chunk: int = 1 << 16) -> VolumeRatioEstimate:
+                    points: int = 100_000, seed: int = 0,
+                    confidence: float = 0.99) -> VolumeRatioEstimate:
     """Estimate Vol(V) and sup_v Vol(ball(t, v) & V) by rejection sampling.
 
     Vol(V) uses `points` draws in the bounding box. Each candidate center
     (the declared maximizer, if any, plus `centers` rejection-sampled
     ones) gets its own `points` draws inside the tightest box known to
-    contain its ball. Streams are keyed by (seed, chunk), so results are
-    bit-identical regardless of execution order for a fixed chunk size.
+    contain its ball. The draws come in chunks of VOLUME_CHUNK points,
+    each from the stream keyed by (seed, chunk), and the chunks run on
+    worker threads; the result is bit-identical whatever the number of
+    workers or the order in which the chunks run.
     """
     if points < 1 or centers < 0:
         raise DomainError("need points >= 1 and centers >= 0")
     if not t > 0:
         raise DomainError("need t > 0")
     per_count_conf = 1.0 - (1.0 - confidence) / 2.0  # two counts share the miss budget
-
-    def _count_hits(box, base, predicate):
-        n_hit = 0
-        done = 0
-        i = 0
-        while done < points:
-            take = min(chunk, points - done)
-            u = _sample_box(stream(seed, base + i), take, box)
-            n_hit += int(predicate(u).sum())
-            done += take
-            i += 1
-        return n_hit
-
-    vol_hits = _count_hits(space.bounding_box, VOLUME_STREAM,
-                           lambda u: np.asarray(space.contains(u), dtype=bool))
-    if vol_hits == 0:
-        raise EstimationError("no draw landed in the region; cannot estimate its volume")
-    box_vol = space.box_volume()
-    v_lo, v_hi = clopper_pearson(vol_hits, points, per_count_conf)
-    vol_est = vol_hits / points * box_vol
-    vol_ci = (v_lo * box_vol, v_hi * box_vol)
 
     cand: list[tuple[np.ndarray, str]] = []
     if space.sup_center is not None:
@@ -269,25 +294,57 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
     if not cand:
         raise DomainError("need centers > 0 or a declared sup_center")
 
-    best = None
-    for j, (c, src) in enumerate(cand):
+    def in_region(u):
+        return np.asarray(space.contains(u), dtype=bool)
+
+    # counts[0] is the region; the others are the candidate balls whose box
+    # meets the bounding box, as (box, predicate, candidate).
+    counts = [(space.bounding_box, in_region, None)]
+    for j, (c, _) in enumerate(cand):
         box = space.bounding_box
         if space.ball_bbox is not None:
             box = _intersect_boxes(box, np.asarray(space.ball_bbox(c, t), dtype=np.float64))
         if box is None:
             continue
-        sub_vol = float(np.prod(box[1] - box[0]))
 
         def in_ball(u, c=c):
             ok = np.asarray(space.contains(u), dtype=bool)
             ok &= np.asarray(space.rho(c, u), dtype=np.float64) <= t
             return ok
 
-        hits = _count_hits(box, BALL_STREAM + (j << 20), in_ball)
-        est = hits / points * sub_vol
+        counts.append((box, in_ball, j))
+
+    sizes = [min(VOLUME_CHUNK, points - done) for done in range(0, points, VOLUME_CHUNK)]
+    jobs = []
+    for k, (box, predicate, j) in enumerate(counts):
+        base = VOLUME_STREAM if j is None else BALL_STREAM + (j << 20)
+        jobs.extend((k, box, predicate, stream(seed, base + i), take)
+                    for i, take in enumerate(sizes))
+
+    def run(n):
+        _, box, predicate, g, take = jobs[n]
+        return int(predicate(_sample_box(g, take, box)).sum())
+
+    hits = [0] * len(counts)
+    for (k, *_), h in zip(jobs, _map(run, len(jobs))):
+        hits[k] += h
+
+    vol_hits = hits[0]
+    if vol_hits == 0:
+        raise EstimationError("no draw landed in the region; cannot estimate its volume")
+    box_vol = space.box_volume()
+    v_lo, v_hi = clopper_pearson(vol_hits, points, per_count_conf)
+    vol_est = vol_hits / points * box_vol
+    vol_ci = (v_lo * box_vol, v_hi * box_vol)
+
+    best = None
+    for (box, _, j), n_hit in zip(counts[1:], hits[1:]):
+        sub_vol = float(np.prod(box[1] - box[0]))
+        est = n_hit / points * sub_vol
         if best is None or est > best[0]:
-            b_lo, b_hi = clopper_pearson(hits, points, per_count_conf)
-            best = (est, (b_lo * sub_vol, b_hi * sub_vol), src, c, hits)
+            b_lo, b_hi = clopper_pearson(n_hit, points, per_count_conf)
+            c, src = cand[j]
+            best = (est, (b_lo * sub_vol, b_hi * sub_vol), src, c, n_hit)
 
     if best is None or best[4] == 0:
         raise EstimationError("no draw landed in any candidate ball; cannot estimate the sup")
@@ -351,15 +408,16 @@ def _cell_offsets(d: int) -> np.ndarray:
 
 def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
                           seed: int = 0, centers: int = 4,
-                          max_cells: int = 1 << 22,
-                          cell_chunk: int = 1 << 15) -> GridPartition:
+                          max_cells: int = 1 << 22) -> GridPartition:
     """Count occupied grid cells and the most cells a radius-t ball touches.
 
     Cells are [k*eps, (k+1)*eps)^d with eps = 2^(-level). Occupancy and
     ball-touching are decided on each cell's fixed interior sample points,
     so both counts are deterministic given the seed (which only drives the
     probed centers). The probed centers are the declared maximizer plus
-    `centers` rejection-sampled points of the region.
+    `centers` rejection-sampled points of the region. Cells are examined
+    in chunks of GRID_CHUNK on worker threads; the counts do not depend on
+    the number of workers.
     """
     if level < 0:
         raise DomainError("level must be >= 0")
@@ -381,16 +439,13 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
         base = kvec.astype(np.float64) * eps
         return (base[:, None, :] + offsets[None, :, :]).reshape(-1, d)
 
-    def occupied_mask(kvec: np.ndarray) -> np.ndarray:
-        inside = np.asarray(space.contains(cell_points(kvec)), dtype=bool)
-        return inside.reshape(kvec.shape[0], -1).any(axis=1)
-
-    occ_cells = []
-    for start in range(0, total, cell_chunk):
-        ids = np.arange(start, min(start + cell_chunk, total), dtype=np.int64)
+    def occupied(n):
+        ids = np.arange(n * GRID_CHUNK, min((n + 1) * GRID_CHUNK, total), dtype=np.int64)
         kvec = np.stack(np.unravel_index(ids, shape), axis=1) + k_lo
-        occ_cells.append(kvec[occupied_mask(kvec)])
-    occ = np.concatenate(occ_cells, axis=0)
+        inside = np.asarray(space.contains(cell_points(kvec)), dtype=bool)
+        return kvec[inside.reshape(kvec.shape[0], -1).any(axis=1)]
+
+    occ = np.concatenate(_map(occupied, -(-total // GRID_CHUNK)), axis=0)
     n_cells = int(occ.shape[0])
     if n_cells == 0:
         raise EstimationError("no cell intersects the region; check bounding box and level")
@@ -403,6 +458,8 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     if not probes:
         raise DomainError("need centers > 0 or a declared sup_center")
 
+    # One probe at a time: holding every probe's candidate cells at once
+    # raises the peak memory.
     touched_max = 0
     for c in probes:
         cand = occ
@@ -410,14 +467,15 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
             bb = np.asarray(space.ball_bbox(c, t), dtype=np.float64)
             keep = np.all((cand * eps < bb[1]) & ((cand + 1) * eps > bb[0]), axis=1)
             cand = cand[keep]
-        touched = 0
-        for start in range(0, cand.shape[0], cell_chunk):
-            kvec = cand[start:start + cell_chunk]
+
+        def touched(n, c=c, cand=cand):
+            kvec = cand[n * GRID_CHUNK:(n + 1) * GRID_CHUNK]
             pts = cell_points(kvec)
             ok = np.asarray(space.contains(pts), dtype=bool)
             ok &= np.asarray(space.rho(c, pts), dtype=np.float64) <= t
-            touched += int(ok.reshape(kvec.shape[0], -1).any(axis=1).sum())
-        touched_max = max(touched_max, touched)
+            return int(ok.reshape(kvec.shape[0], -1).any(axis=1).sum())
+
+        touched_max = max(touched_max, sum(_map(touched, -(-cand.shape[0] // GRID_CHUNK))))
     if touched_max == 0:
         raise EstimationError("no cell touched by any probed ball; is t too small for the grid?")
     return GridPartition(level=level, cell_width=eps, cell_count=n_cells,

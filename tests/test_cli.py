@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, output schemas, reproducibility."""
 
+import ast
 import contextlib
 import io
 import json
@@ -193,6 +194,14 @@ def test_verify_reports_byte_identical(tmp_path):
             assert run(argv + ["--out-dir", str(out)]) == want
         name = f"verify-{argv[1]}-seed9.txt"
         assert (a / name).read_bytes() == (b / name).read_bytes()
+
+
+def test_verify_grid_smallest_level_sweeps_two_levels(tmp_path, capsys):
+    run(["verify", "grid-partition", "--seed", "1", "--level", "2",
+         "--out-dir", str(tmp_path)])
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("check log-ratio-convergence:"))
+    assert len(ast.literal_eval(line.split("errs=", 1)[1])) == 2
 
 
 def test_env_seed_override(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 """Volume-ratio machinery against analytic geometry oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanolab import continuum
 from fanolab.continuum import (
     ContinuumSpace,
     EstimationError,
@@ -110,6 +112,77 @@ def test_mc_ratio_estimation_failure():
         mc_volume_ratio(space, 0.1, centers=0, points=1000, seed=0)
 
 
+def hit_counts(est, space, t, points):
+    """(region hits, hits of the winning ball), recovered from an estimate."""
+    lo, hi = space.bounding_box
+    bb = space.ball_bbox(est.center, t) if space.ball_bbox else space.bounding_box
+    sub_vol = float(np.prod(np.minimum(hi, bb[1]) - np.maximum(lo, bb[0])))
+    return (round(est.vol_estimate / space.box_volume() * points),
+            round(est.ball_estimate / sub_vol * points))
+
+
+def plain_disk():
+    """The unit disk built from lambdas, with no ball_bbox and no declared center."""
+    return ContinuumSpace(dim=2, contains=lambda p: (p * p).sum(axis=1) <= 1.0,
+                          bounding_box=np.array([[-1.0, -1.0], [1.0, 1.0]]),
+                          rho=lambda c, p: np.sqrt(((p - c) ** 2).sum(axis=1)))
+
+
+# 200_003 points leave a partial last chunk; centers=3 runs the sampled
+# candidates next to the declared one. The counts were taken from the
+# serial implementation, before chunks ran on threads.
+GOLDEN_MC = [
+    (lambda: l2_ball_space(2, 1.0), 0.5, (157101, 157514), 3.989512043373922),
+    (lambda: l2_ball_space(3, 1.0), 0.5, (104823, 104781), 8.003206688235464),
+    (lambda: l2_ball_space(5, 1.0), 0.5, (33145, 32646), 32.48912577344851),
+    (lambda: box_space(np.zeros(2), np.ones(2)), 0.3, (200003, 200003), 2.7777777777777772),
+    (lambda: box_space(np.zeros(3), np.ones(3)), 0.3, (200003, 200003), 4.629629629629628),
+    (lambda: box_space(np.zeros(5), np.ones(5)), 0.3, (200003, 200003), 12.86008230452674),
+    (lambda: box_space(np.zeros(3), np.ones(3), metric="l2"), 0.3, (200003, 104781),
+     8.836905687241147),
+]
+
+
+@pytest.mark.parametrize("make, t, hits, ratio", GOLDEN_MC)
+def test_mc_ratio_golden_counts(make, t, hits, ratio):
+    space = make()
+    est = mc_volume_ratio(space, t, centers=3, points=200_003, seed=7)
+    assert hit_counts(est, space, t, 200_003) == hits
+    assert est.ratio == ratio
+    assert est.sup_source == "declared"
+
+
+def test_mc_ratio_user_built_space_golden():
+    space = plain_disk()
+    est = mc_volume_ratio(space, 0.5, centers=3, points=200_003, seed=7)
+    assert hit_counts(est, space, 0.5, 200_003) == (157101, 39362)
+    assert est.ratio == 3.991184391037041
+    assert est.sup_source == "sampled"
+    assert est.center.tolist() == [0.3752783223698122, 0.2646387513888435]
+
+
+def assert_same_estimate(a, b):
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y), f.name
+        else:
+            assert x == y, f.name
+
+
+@pytest.mark.parametrize("make", [lambda: l2_ball_space(2, 1.0), plain_disk])
+def test_results_do_not_depend_on_worker_count(make, monkeypatch):
+    space = make()
+    runs = []
+    for workers in (1, 4):
+        monkeypatch.setattr(continuum, "_usable_cpus", lambda: workers)
+        runs.append((mc_volume_ratio(space, 0.5, centers=3, points=200_003, seed=5),
+                     grid_partition_counts(space, 0.5, 8, seed=5, centers=3)))
+    (est1, gp1), (est4, gp4) = runs
+    assert_same_estimate(est1, est4)
+    assert gp1 == gp4
+
+
 # -- the bound itself -------------------------------------------------------------
 
 
@@ -181,6 +254,13 @@ def test_grid_log_ratio_error_shrinks_with_level():
     bound_errs = [abs(continuum_fano_bound(math.log(4.0) - e, 0.0).value
                       - continuum_fano_bound(math.log(4.0), 0.0).value) for e in errs]
     assert bound_errs[-1] < bound_errs[0]
+
+
+def test_grid_golden_counts():
+    disk = grid_partition_counts(l2_ball_space(2, 1.0), 0.5, 8, seed=7, centers=4)
+    assert (disk.cell_count, disk.touched_count) == (206620, 51856)
+    user = grid_partition_counts(plain_disk(), 0.5, 6, seed=7, centers=3)
+    assert (user.cell_count, user.touched_count) == (13056, 3311)
 
 
 def test_grid_memory_guard():
