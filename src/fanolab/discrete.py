@@ -59,7 +59,7 @@ VECTOR_PAIR_CUTOFF = 10**9
 _MATRIX_CACHE_CUTOFF = 10**7          # distance_matrix entries
 _SYMMETRY_EXHAUSTIVE_PAIRS = 250_000  # above this, symmetry is spot-checked
 _SYMMETRY_SAMPLES = 4096
-_UPPER_BOUND_SELFCHECK_POINTS = 200_000
+_NEIGHBORHOOD_BLOCK = 1024            # centers per rho_rows call
 
 
 class DiscreteSpace:
@@ -69,13 +69,14 @@ class DiscreteSpace:
     required: it is validated exhaustively for small spaces and by seeded
     random sampling for large ones, and asymmetric inputs are rejected.
 
-    homogeneous=True asserts that every point sees the same multiset of
-    distances (all neighborhoods are congruent), which lets neighborhood
-    counting scan a single center. Constructors only set it when the
-    symmetry group of the construction guarantees it.
+    The homogeneous attribute records that all neighborhoods are congruent,
+    so neighborhood counting scans a single center. Callers cannot set it:
+    only zero_one and sparse_sign_space do, whose symmetry groups prove it.
     """
 
-    def __init__(self, points: Sequence, rho: Callable, *, homogeneous: bool = False):
+    homogeneous = False
+
+    def __init__(self, points: Sequence, rho: Callable):
         self._points = list(points)
         if len(self._points) < 2:
             raise DomainError("a discrete space needs at least 2 points")
@@ -83,7 +84,6 @@ class DiscreteSpace:
         self._mode = "callable"
         self._vectors = None
         self._matrix = None
-        self.homogeneous = bool(homogeneous)
         self._check_symmetry()
 
     # -- constructors ------------------------------------------------------
@@ -106,16 +106,23 @@ class DiscreteSpace:
         self._vectors = None
         self._rho = None
         self._mode = "matrix"
-        self.homogeneous = False
         return self
 
     @classmethod
-    def hamming(cls, vectors, *, homogeneous: bool = False) -> "DiscreteSpace":
-        """Integer-vector space under Hamming distance (vectorized fast path)."""
+    def hamming(cls, vectors) -> "DiscreteSpace":
+        """Integer-vector space under Hamming distance (vectorized fast path).
+        Points are stored as int8, so entries must be integers in [-128, 127]."""
         v = np.asarray(vectors)
         if v.ndim != 2 or v.shape[0] < 2:
             raise DomainError("need a (n, d) array with n >= 2")
-        v = np.ascontiguousarray(v, dtype=np.int8)
+        if v.dtype.kind not in "biuf":
+            raise DomainError(f"Hamming vectors must be numeric, got dtype {v.dtype}")
+        with np.errstate(invalid="ignore"):  # a lossy cast would merge distinct points
+            v8 = np.ascontiguousarray(v, dtype=np.int8)
+        if np.any(v8 != v):
+            raise DomainError("Hamming vectors must hold integers in [-128, 127], "
+                              f"got {v[v8 != v][0].item()!r}")
+        v = v8
         v.flags.writeable = False
         self = cls.__new__(cls)
         self._points = v
@@ -123,7 +130,6 @@ class DiscreteSpace:
         self._matrix = None
         self._rho = lambda a, b: float((np.asarray(a) != np.asarray(b)).sum())
         self._mode = "hamming"
-        self.homogeneous = bool(homogeneous)
         return self
 
     @classmethod
@@ -248,7 +254,7 @@ class NeighborhoodProfile:
             raise DomainError(f"need 0 <= n_min <= n_max, got {self.n_min}, {self.n_max}")
 
 
-def neighborhood_sizes(space: DiscreteSpace, t: float, *, block: int = 1024) -> NeighborhoodProfile:
+def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
     """Exact max/min over centers v of card{v' : rho(v, v') <= t}.
 
     Enumeration is streamed in blocks of centers; the max/min reduction is
@@ -267,8 +273,8 @@ def neighborhood_sizes(space: DiscreteSpace, t: float, *, block: int = 1024) -> 
             f"{n * n} pairwise evaluations exceed the enumeration budget {budget}; "
             "use a structured formula (e.g. sparse_sign_neighborhood_upper) instead")
     n_max, n_min = 0, n + 1
-    for lo in range(0, n, block):
-        rows = space.rho_rows(np.arange(lo, min(lo + block, n)))
+    for lo in range(0, n, _NEIGHBORHOOD_BLOCK):
+        rows = space.rho_rows(np.arange(lo, min(lo + _NEIGHBORHOOD_BLOCK, n)))
         counts = (rows <= t).sum(axis=1)
         n_max = max(n_max, int(counts.max()))
         n_min = min(n_min, int(counts.min()))
@@ -303,7 +309,9 @@ def sparse_sign_space(d: int, s: int, *, max_points: int = 2_000_000) -> Discret
         for signs in itertools.product((-1, 1), repeat=s):
             out[row, cols] = signs
             row += 1
-    return DiscreteSpace.hamming(out, homogeneous=True)
+    space = DiscreteSpace.hamming(out)
+    space.homogeneous = True  # signed coordinate permutations act transitively
+    return space
 
 
 def sparse_sign_neighborhood_exact(d: int, s: int, t: float) -> int:
@@ -318,6 +326,8 @@ def sparse_sign_neighborhood_exact(d: int, s: int, t: float) -> int:
     """
     if not 1 <= s <= d:
         raise DomainError(f"need 1 <= s <= d, got s={s}, d={d}")
+    if not math.isfinite(t):
+        raise DomainError(f"radius t must be finite, got t={t!r}")
     if t < 0:
         return 0
     radius = int(math.floor(t))
@@ -331,19 +341,18 @@ def sparse_sign_neighborhood_exact(d: int, s: int, t: float) -> int:
 def sparse_sign_neighborhood_upper(d: int, s: int) -> tuple[int, int]:
     """Radius floor(s/4) and the combinatorial ceiling on its max neighborhood size.
 
-    Returns (t, ceil(s/4) * 2^t * C(d, t)) with t = floor(s/4). For small
-    spaces the exact count is recomputed on the spot and a violation of
-    the ceiling raises: the ceiling is asserted, not assumed.
+    Returns (t, ceil(s/4) * 2^t * C(d, t)) with t = floor(s/4). The exact
+    count is recomputed on the spot and a violation of the ceiling raises:
+    the ceiling is asserted, not assumed.
     """
     if s < 1 or d < s:
         raise DomainError(f"need 1 <= s <= d, got s={s}, d={d}")
     t = s // 4
     bound = math.ceil(s / 4) * (2**t) * math.comb(d, t)
-    if sparse_sign_cardinality(d, s) <= _UPPER_BOUND_SELFCHECK_POINTS:
-        exact = neighborhood_sizes(sparse_sign_space(d, s), t).n_max
-        if exact > bound:
-            raise RuntimeError(
-                f"neighborhood ceiling violated at (d={d}, s={s}): exact {exact} > bound {bound}")
+    exact = sparse_sign_neighborhood_exact(d, s, t)
+    if exact > bound:
+        raise RuntimeError(
+            f"neighborhood ceiling violated at (d={d}, s={s}): exact {exact} > bound {bound}")
     return t, bound
 
 

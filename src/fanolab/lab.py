@@ -11,10 +11,9 @@ Reproducibility contract: the replicates of an experiment are split into
 blocks of REPLICATE_BLOCK, and block b draws all of its replicates, as
 arrays, from the Philox stream keyed by (seed, REPLICATE_STREAM + b). A
 full block's draws depend on the seed and b only, so growing reps leaves
-the replicates of the shared full blocks bit-identical, and chunk_size
-never changes a draw. Loss sums accumulate per chunk with a
-fixed-order pairwise reduction, and identical configs (including
-chunking) produce bit-identical reports.
+the replicates of the shared full blocks bit-identical. Loss sums
+accumulate per fixed chunk of _SUM_CHUNK replicates with a fixed-order
+pairwise reduction, so identical configs produce bit-identical reports.
 """
 
 from __future__ import annotations
@@ -54,10 +53,11 @@ __all__ = [
 PROBLEMS = ("sparse-location", "normal-mean", "regression", "discrete-chain")
 ESTIMATORS = ("mean", "hard-threshold", "soft-threshold", "ols", "chain-decoder")
 DECODER_ENUM_CUTOFF = 10**6
-# Replicates drawn from one keyed stream. Fixed by the library, not by
-# chunk_size, so that draws never depend on how the sums are chunked;
-# a block of the widest problem (d = 32) stays near 1 MB per array.
+# Replicates drawn from one keyed stream. Fixed by the library, so that
+# draws never depend on how the sums are chunked; a block of the widest
+# problem (d = 32) stays near 1 MB per array.
 REPLICATE_BLOCK = 4096
+_SUM_CHUNK = 1024  # replicates per partial loss sum, reduced pairwise in order
 
 _CONFIDENCE = 0.99
 
@@ -150,15 +150,14 @@ class ExperimentConfig:
     design: np.ndarray | None = None
     chain: MarkovChainSpec | None = None
     space: DiscreteSpace | None = None
-    chunk_size: int = 1024
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise DomainError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
         if self.estimator not in ESTIMATORS:
             raise DomainError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
-        if self.reps < 1 or self.chunk_size < 1:
-            raise DomainError("reps and chunk_size must be >= 1")
+        if self.reps < 1:
+            raise DomainError("reps must be >= 1")
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise DomainError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
         for key in ("eps", "radius"):
@@ -351,8 +350,9 @@ def simulate_risk(config: ExperimentConfig,
     endpoints and violations are recorded in the report.
     """
     losses, event = _replicate_losses(config)
-    reps, chunk = config.reps, config.chunk_size
-    chunk_sums = [float(losses[lo:lo + chunk].sum()) for lo in range(0, reps, chunk)]
+    reps = config.reps
+    chunk_sums = [float(losses[lo:lo + _SUM_CHUNK].sum())
+                  for lo in range(0, reps, _SUM_CHUNK)]
     # Mean via the fixed-order pairwise reduction; the CI half-width still
     # comes from the per-replicate sample variance.
     risk_mean = pairwise_sum(chunk_sums) / reps

@@ -30,10 +30,8 @@ from .discrete import (
     DiscreteSpace,
     NeighborhoodProfile,
     fano_tail_lower_bound,
-    neighborhood_sizes,
     sparse_sign_cardinality,
     sparse_sign_neighborhood_exact,
-    sparse_sign_space,
 )
 from .info import LN2, DomainError
 from .results import MinimaxBound
@@ -52,13 +50,7 @@ __all__ = [
     "normal_mean_bound",
     "hinge_integral",
     "linear_regression_bound",
-    "SPARSE_EXACT_COUNT_CUTOFF",
 ]
-
-# Materialized-space neighborhood counting for the sparse pipelines is
-# used up to this cardinality; beyond it the (equally exact) local
-# enumeration around a single center takes over.
-SPARSE_EXACT_COUNT_CUTOFF = 10**6
 
 
 def square_loss(x: float) -> float:
@@ -173,25 +165,20 @@ def reduce_estimator_to_test(family: ParamFamily, t: float, theta_hat,
 def _sparse_log_ratio(d: int, s: int, t: int) -> tuple[float, dict]:
     """ln(|V| / N_t^max) for the s-sparse sign family at radius t.
 
-    The family is homogeneous, so the exact neighborhood count comes from
-    local enumeration around one center at any dimension; materialized
-    full-space enumeration (used below the cutoff) must and does agree.
-    The conservative counting relaxation
+    The family is homogeneous, so the exact neighborhood count is the
+    closed-form sum around one center (sparse_sign_neighborhood_exact) at
+    every dimension, with no space materialized; the tests hold it against
+    full enumeration. The conservative counting relaxation
     ln( t! (d-t)! / (s! (d-s)! ) ) is recorded alongside for reference;
     it never exceeds the exact value.
     """
     card = sparse_sign_cardinality(d, s)
     counting = (math.lgamma(t + 1) + math.lgamma(d - t + 1)
                 - math.lgamma(s + 1) - math.lgamma(d - s + 1))
-    if card <= SPARSE_EXACT_COUNT_CUTOFF:
-        n_max = neighborhood_sizes(sparse_sign_space(d, s), t).n_max
-        route = "exact"
-    else:
-        n_max = sparse_sign_neighborhood_exact(d, s, t)
-        route = "exact-neighborhood"
+    n_max = sparse_sign_neighborhood_exact(d, s, t)
     log_ratio = math.log(card) - math.log(n_max)
-    return log_ratio, {"log_ratio_route": route, "card": card, "n_max": n_max,
-                       "log_ratio_counting": counting}
+    return log_ratio, {"log_ratio_route": "exact-neighborhood", "card": card,
+                       "n_max": n_max, "log_ratio_counting": counting}
 
 
 def _best_eps(t: int, log_ratio: float, mi_coeff: float) -> tuple[float, float]:
@@ -374,8 +361,8 @@ def linear_regression_bound(X, sigma2: float) -> MinimaxBound:
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise DomainError(f"need finite sigma2 > 0, got {sigma2!r}")
     fro2 = float((X * X).sum())
-    if not math.isfinite(fro2):
-        raise DomainError(f"design X must have finite entries and norm, got ||X||_F^2={fro2!r}")
+    if not (math.isfinite(fro2) and fro2 > 0):  # 0 once subnormal entries underflow
+        raise DomainError(f"design X needs finite entries and norm > 0, got ||X||_F^2={fro2!r}")
     if np.linalg.matrix_rank(X) < d:
         raise DomainError("X must have full column rank")
     exact = ((d - 1) ** 2 / (d * d)) * (d * (d + 2) * sigma2 * LN2) / (8.0 * fro2)

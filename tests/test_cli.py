@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -147,6 +148,29 @@ def test_table_sparse_location_monotone_in_d(capsys):
     assert vals == sorted(vals)  # grows with log(d/s)
 
 
+@pytest.mark.parametrize("argv", [
+    ["bound", "sparse-location", "--d", "32", "--s", "4", "--n", "200"],
+    ["bound", "compressed-sensing", "--d", "16", "--s", "4", "--n", "8",
+     "--design", "gaussian"],
+    ["table", "sparse-location", "--sweep", "d=16,32", "--s", "4", "--n", "200"],
+], ids=["bound-sparse-location", "bound-compressed-sensing", "table-sparse-location"])
+def test_sparse_commands_never_materialize_the_space(argv, tmp_path, monkeypatch):
+    """The sparse bound path counts neighborhoods in closed form: brute-force
+    enumeration serves the tests and user-built spaces only. The enumeration
+    functions are replaced in fanolab.discrete and wherever a fanolab module
+    imported them by name."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("brute-force enumeration reached the bound path")
+
+    for name, module in list(sys.modules.items()):
+        if name == "fanolab" or name.startswith("fanolab."):
+            for attr in ("sparse_sign_space", "neighborhood_sizes"):
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, refuse)
+    out = ["--out-dir", str(tmp_path)] if argv[0] == "bound" else []
+    assert run(argv + out) == 0
+
+
 def test_table_with_risk(capsys):
     code = run(["table", "normal-mean", "--sweep", "n=50,100", "--d", "5",
                 "--sigma2", "1", "--mode", "integrated", "--with-risk", "400",
@@ -241,6 +265,8 @@ REFUSED = [
     (["bound", "regression", "--d", "9", "--n", "9", "--scale", "inf"], "scale"),
     (["bound", "continuum-tail", "--log-ratio", "2", "--r", "3"], "log_ratio"),
     (["bound", "continuum-tail", "--r", "1e300", "--t", "0.25", "--d", "12"], "r/t"),
+    # a full-rank design whose squared norm underflows to 0
+    (["bound", "regression", "--d", "2", "--n", "2", "--scale", "1e-310"], "||X||_F^2"),
 ]
 
 

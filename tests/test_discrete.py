@@ -16,6 +16,7 @@ from fanolab.discrete import (
     fano_tail_lower_bound,
     neighborhood_sizes,
     sparse_sign_cardinality,
+    sparse_sign_neighborhood_exact,
     sparse_sign_neighborhood_upper,
     sparse_sign_space,
 )
@@ -90,6 +91,33 @@ def test_homogeneous_flag_agrees_with_full_enumeration():
             assert b.n_max == b.n_min  # transitivity claim, checked exhaustively
 
 
+def test_homogeneous_only_from_proving_constructors():
+    vectors = sparse_sign_space(4, 2).vectors
+    assert not DiscreteSpace.hamming(vectors).homogeneous
+    assert not DiscreteSpace([(0,), (1,)], hamming).homogeneous
+    assert DiscreteSpace.zero_one(3).homogeneous
+    with pytest.raises(TypeError):
+        DiscreteSpace.hamming(vectors, homogeneous=True)
+
+
+@pytest.mark.parametrize("vectors", [
+    [[0.5], [0.0]],            # non-integer: would merge with 0
+    [[300], [44]],             # above 127: would wrap to 44
+    [[-129], [0]],             # below -128
+    [[math.nan], [0.0]],
+    [[math.inf], [0.0]],
+], ids=["fraction", "wraps", "below-range", "nan", "inf"])
+def test_hamming_refuses_entries_lost_in_int8(vectors):
+    with pytest.raises(DomainError, match="integers in \\[-128, 127\\]"):
+        DiscreteSpace.hamming(vectors)
+
+
+def test_hamming_keeps_exact_int8_entries():
+    space = DiscreteSpace.hamming([[-128.0, 127.0], [1, 0], [True, False]])
+    assert space.vectors.tolist() == [[-128, 127], [1, 0], [1, 0]]
+    assert space.rho_index(1, 2) == 0.0
+
+
 def test_asymmetric_rho_rejected():
     with pytest.raises(DomainError):
         DiscreteSpace([(0,), (1,)], lambda a, b: float(a[0] - b[0]))
@@ -124,6 +152,24 @@ def test_sparse_sign_invalid():
         sparse_sign_space(3, 0)
     with pytest.raises(DomainError):
         sparse_sign_cardinality(2, 3)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_sparse_neighborhood_exact_refuses_non_finite_t(t):
+    with pytest.raises(DomainError, match="t="):
+        sparse_sign_neighborhood_exact(8, 2, t)
+
+
+def test_neighborhood_upper_checks_ceiling_at_every_size(monkeypatch):
+    """The ceiling is asserted against the exact count even where the space
+    is far too large to materialize."""
+    from fanolab import discrete
+
+    assert sparse_sign_neighborhood_upper(200, 12) == (3, 3 * 8 * math.comb(200, 3))
+    monkeypatch.setattr(discrete, "sparse_sign_neighborhood_exact",
+                        lambda d, s, t: 10**9)
+    with pytest.raises(RuntimeError, match="ceiling violated"):
+        sparse_sign_neighborhood_upper(200, 12)
 
 
 def test_neighborhood_upper_examples():

@@ -276,6 +276,36 @@ def test_pairwise_bound_dominates_exact_mi_discrete(seed):
     assert bound >= exact - 1e-12
 
 
+def oracle_pairwise_kl_discrete(rows, n):
+    """n * (1/M^2) * sum over all ordered row pairs of kl_discrete."""
+    dists = [ProbVector(r) for r in rows]
+    total = sum(kl_discrete(p, q) for p in dists for q in dists)
+    return n * total / len(dists) ** 2
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_mi_pairwise_discrete_matches_double_loop(seed):
+    g = np.random.Generator(np.random.Philox(key=seed))
+    m, k = int(g.integers(2, 40)), int(g.integers(2, 12))
+    rows = g.dirichlet(np.full(k, 0.7), size=m)
+    got = mi_pairwise_kl_bound_discrete(rows, 3)
+    assert got == pytest.approx(oracle_pairwise_kl_discrete(rows, 3), rel=1e-12)
+
+
+def test_mi_pairwise_discrete_support_mismatch_is_infinite():
+    rows = [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5], [0.1, 0.9, 0.0]]
+    assert mi_pairwise_kl_bound_discrete(rows, 2) == math.inf
+    assert oracle_pairwise_kl_discrete(rows, 2) == math.inf
+
+
+def test_mi_pairwise_discrete_all_zero_column_is_finite():
+    rows = [[0.5, 0.0, 0.5], [0.25, 0.0, 0.75], [0.9, 0.0, 0.1]]
+    got = mi_pairwise_kl_bound_discrete(rows, 2)
+    assert math.isfinite(got) and got > 0
+    assert got == pytest.approx(oracle_pairwise_kl_discrete(rows, 2), rel=1e-12)
+    assert mi_pairwise_kl_bound_discrete([[0.0, 1.0], [0.0, 1.0]]) == 0.0
+
+
 def test_kl_discrete_infinite_on_support_mismatch():
     p = ProbVector([0.5, 0.5, 0.0])
     q = ProbVector([1.0, 0.0, 0.0])

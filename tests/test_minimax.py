@@ -216,7 +216,8 @@ def test_sparse_location_exact_formula_reeval():
     eps2 = res.eps**2
     want = (max(t, 1) * eps2 / 4.0) * max(0.0, 1.0 - (200 * 4 * eps2 / 1.0 + LN2) / L)
     assert res.value == pytest.approx(want, rel=1e-12)
-    assert res.extras["log_ratio_route"] == "exact"
+    assert res.extras["log_ratio_route"] == "exact-neighborhood"
+    assert res.extras["n_max"] == n_max
     assert res.log_ratio == pytest.approx(L, rel=1e-15)
 
 
@@ -253,8 +254,8 @@ def test_sparse_location_sigma_rescaling_exact():
 
 
 def test_sparse_location_neighborhood_route_for_large_d():
-    """Beyond the materialization cutoff the exact local count takes over;
-    the counting relaxation is recorded and never exceeds it."""
+    """The exact local count is the one route at every size; the counting
+    relaxation is recorded and never exceeds it."""
     res = sparse_location_bound(80, 8, 1.0, 100)
     assert res.extras["log_ratio_route"] == "exact-neighborhood"
     t = 2
@@ -263,8 +264,23 @@ def test_sparse_location_neighborhood_route_for_large_d():
     assert res.extras["log_ratio_counting"] == pytest.approx(counting, rel=1e-12)
     assert res.log_ratio >= counting
     small_exact = sparse_location_bound(16, 4, 1.0, 100)
-    assert small_exact.extras["log_ratio_route"] == "exact"
+    assert small_exact.extras["log_ratio_route"] == "exact-neighborhood"
+    assert small_exact.extras["n_max"] == neighborhood_sizes(sparse_sign_space(16, 4), 1).n_max
     assert small_exact.log_ratio >= small_exact.extras["log_ratio_counting"]
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_sparse_pipelines_match_materialized_enumeration(d):
+    """Both sparse pipelines' n_max and log-ratio equal those of the
+    enumerated space, for every s with 2s <= d."""
+    for s in range(1, d // 2 + 1):
+        space = sparse_sign_space(d, s)
+        n_max = neighborhood_sizes(space, s // 4).n_max
+        log_ratio = math.log(space.n_points) - math.log(n_max)
+        for res in (sparse_location_bound(d, s, 1.0, 50),
+                    compressed_sensing_bound(np.eye(d), s, 1.0)):
+            assert res.extras["n_max"] == n_max, (res.pipeline, d, s)
+            assert res.log_ratio == log_ratio, (res.pipeline, d, s)
 
 
 def test_sparse_neighborhood_exact_matches_full_enumeration():
