@@ -46,21 +46,16 @@ from .continuum import (
     l2_ball_space,
     mc_volume_ratio,
 )
-from .discrete import (
-    NeighborhoodProfile,
-    fano_conditional_form,
-    fano_inequality_sides,
-    fano_tail_lower_bound,
-    neighborhood_sizes,
-)
-from .info import LN2, DomainError, entropy, mutual_information_exact
+from .discrete import NeighborhoodProfile, fano_tail_lower_bound
+from .info import LN2, DomainError
 from .lab import (
     ExperimentConfig,
     MatchedBound,
     check_bounds,
-    enumerate_decoders_min_tail,
-    random_chain,
-    random_symmetric_space,
+    decoder_bounds_batch,
+    decoder_groups,
+    fano_sides_batch,
+    prop1_groups,
     simulate_risk,
 )
 from .minimax import (
@@ -358,16 +353,10 @@ def cmd_bound(args) -> int:
 
 def _suite_prop1(seed: int, fault: bool, instances: int):
     worst = math.inf
-    for i in range(instances):
-        meta = stream(seed, VERIFY_STREAM + i)
-        nv = int(meta.integers(2, 6))
-        nx = int(meta.integers(2, 6))
-        chain = random_chain(seed, (nv, nx, nv), stream_id=i)
-        space = random_symmetric_space(seed, nv, stream_id=i)
-        t = float(meta.uniform(0.0, 2.2))
-        lhs, rhs = fano_inequality_sides(chain, space, t)
+    for group in prop1_groups(seed, instances):
+        lhs, rhs = fano_sides_batch(group)
         slack = lhs - rhs - (0.1 if fault else 0.0)
-        worst = min(worst, slack)
+        worst = min(worst, float(slack.min()))
     ok = worst >= -1e-9
     lines = [f"check distance-fano-sides: {'PASS' if ok else 'FAIL'} "
              f"instances={instances} min_slack={worst!r}"]
@@ -377,21 +366,10 @@ def _suite_prop1(seed: int, fault: bool, instances: int):
 def _suite_decoder(seed: int, fault: bool, instances: int):
     worst = math.inf
     bump = 0.05 if fault else 0.0
-    for i in range(instances):
-        meta = stream(seed, VERIFY_STREAM + (1 << 20) + i)
-        nv = int(meta.integers(2, 5))
-        nx = int(meta.integers(2, 5))
-        chain = random_chain(seed, (nv, nx, nv), stream_id=(1 << 20) + i,
-                             uniform_prior=True)
-        space = random_symmetric_space(seed, nv, stream_id=(1 << 20) + i)
-        t = float(meta.uniform(0.0, 2.0))
-        min_tail = enumerate_decoders_min_tail(chain.prior, chain.channel, space, t)
-        mi = mutual_information_exact(chain.prior, chain.channel)
-        prof = neighborhood_sizes(space, t)
-        tail = fano_tail_lower_bound(nv, prof, mi)
-        hvx = max(0.0, entropy(chain.prior) - mi)
-        cond = fano_conditional_form(hvx, nv, prof)
-        worst = min(worst, min_tail - (tail.value + bump), min_tail - (cond.value + bump))
+    for group in decoder_groups(seed, instances):
+        min_tail, tail, cond = decoder_bounds_batch(group)
+        margin = np.minimum(min_tail - (tail + bump), min_tail - (cond + bump))
+        worst = min(worst, float(margin.min()))
     ok = worst >= -1e-12
     lines = [f"check decoder-domination: {'PASS' if ok else 'FAIL'} "
              f"instances={instances} worst_margin={worst!r}"]

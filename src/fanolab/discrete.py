@@ -261,23 +261,29 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
     order-independent, so any internal parallelization over blocks would
     give identical results. Spaces beyond the pairwise budget raise and
     point the caller at structured formulas such as
-    sparse_sign_neighborhood_upper.
+    sparse_sign_neighborhood_upper. A non-finite t, or one so small that
+    every neighborhood is empty, is refused.
     """
+    if not math.isfinite(t):
+        raise DomainError(f"radius t must be finite, got t={t!r}")
     n = space.n_points
     if space.homogeneous:
-        count = int((space.rho_rows(np.array([0])) <= t).sum())
-        return NeighborhoodProfile(t=t, n_max=count, n_min=count)
-    budget = PAIR_ENUM_CUTOFF if space._mode == "callable" else VECTOR_PAIR_CUTOFF
-    if n * n > budget:
-        raise EnumerationLimitError(
-            f"{n * n} pairwise evaluations exceed the enumeration budget {budget}; "
-            "use a structured formula (e.g. sparse_sign_neighborhood_upper) instead")
-    n_max, n_min = 0, n + 1
-    for lo in range(0, n, _NEIGHBORHOOD_BLOCK):
-        rows = space.rho_rows(np.arange(lo, min(lo + _NEIGHBORHOOD_BLOCK, n)))
-        counts = (rows <= t).sum(axis=1)
-        n_max = max(n_max, int(counts.max()))
-        n_min = min(n_min, int(counts.min()))
+        n_max = n_min = int((space.rho_rows(np.array([0])) <= t).sum())
+    else:
+        budget = PAIR_ENUM_CUTOFF if space._mode == "callable" else VECTOR_PAIR_CUTOFF
+        if n * n > budget:
+            raise EnumerationLimitError(
+                f"{n * n} pairwise evaluations exceed the enumeration budget {budget}; "
+                "use a structured formula (e.g. sparse_sign_neighborhood_upper) instead")
+        n_max, n_min = 0, n + 1
+        for lo in range(0, n, _NEIGHBORHOOD_BLOCK):
+            rows = space.rho_rows(np.arange(lo, min(lo + _NEIGHBORHOOD_BLOCK, n)))
+            counts = (rows <= t).sum(axis=1)
+            n_max = max(n_max, int(counts.max()))
+            n_min = min(n_min, int(counts.min()))
+    if n_max < 1:
+        raise DomainError(f"every neighborhood is empty at radius t={t!r}: "
+                          "no point lies within t of any center")
     return NeighborhoodProfile(t=t, n_max=n_max, n_min=n_min)
 
 

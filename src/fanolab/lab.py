@@ -14,6 +14,19 @@ full block's draws depend on the seed and b only, so growing reps leaves
 the replicates of the shared full blocks bit-identical. Loss sums
 accumulate per fixed chunk of _SUM_CHUNK replicates with a fixed-order
 pairwise reduction, so identical configs produce bit-identical reports.
+
+The prop1 and decoder oracle suites draw their random instances in keyed
+blocks of ORACLE_BLOCK. Block b of a suite draws everything for its
+instances from the one Philox stream (seed, base + b), with base
+VERIFY_STREAM for prop1 and VERIFY_STREAM + 2^20 for the decoder suite:
+first the arrays of |V|, of |X| and of the radii t, then, for each shape
+(|V|, |X|) in sorted order, the stacked priors and stochastic decoders
+(prop1 only; the decoder suite keeps V uniform), the channels and the
+upper-triangle distances. A full block's instances depend on the seed and
+b only, so growing the instance count leaves the shared full blocks
+unchanged. random_chain, random_symmetric_space and the per-instance
+oracles stay as the references that the batched kernels are tested
+against.
 """
 
 from __future__ import annotations
@@ -25,10 +38,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discrete import DiscreteSpace
-from .info import DomainError, EnumerationLimitError, MarkovChainSpec, ProbVector
+from .info import (
+    LN2,
+    DomainError,
+    EnumerationLimitError,
+    MarkovChainSpec,
+    ProbVector,
+    _validate_rows,
+)
 from .results import MinimaxBound
 from .stats import clopper_pearson, mean_ci, pairwise_sum
-from .streams import CHAIN_STREAM, REPLICATE_STREAM, SPACE_STREAM, stream
+from .streams import CHAIN_STREAM, REPLICATE_STREAM, SPACE_STREAM, VERIFY_STREAM, stream
 
 __all__ = [
     "PROBLEMS",
@@ -41,6 +61,11 @@ __all__ = [
     "random_chain",
     "random_symmetric_space",
     "enumerate_decoders_min_tail",
+    "OracleGroup",
+    "prop1_groups",
+    "decoder_groups",
+    "fano_sides_batch",
+    "decoder_bounds_batch",
     "hard_threshold",
     "soft_threshold",
     "simulate_risk",
@@ -48,6 +73,7 @@ __all__ = [
     "bound_to_matched",
     "DECODER_ENUM_CUTOFF",
     "REPLICATE_BLOCK",
+    "ORACLE_BLOCK",
 ]
 
 PROBLEMS = ("sparse-location", "normal-mean", "regression", "discrete-chain")
@@ -58,6 +84,9 @@ DECODER_ENUM_CUTOFF = 10**6
 # problem (d = 32) stays near 1 MB per array.
 REPLICATE_BLOCK = 4096
 _SUM_CHUNK = 1024  # replicates per partial loss sum, reduced pairwise in order
+# Oracle-suite instances drawn from one keyed stream; it also bounds the
+# stacked arrays of one shape group (at most 4096 x 4^4 decoder tails).
+ORACLE_BLOCK = 4096
 
 _CONFIDENCE = 0.99
 
@@ -112,6 +141,181 @@ def enumerate_decoders_min_tail(prior: ProbVector, channel, space: DiscreteSpace
         if val < best:
             best = val
     return best
+
+
+@dataclass(frozen=True)
+class OracleGroup:
+    """The instances of one oracle block that share a shape, stacked along
+    the first axis: chains V -> X -> Vhat with |V| = |Vhat| = nv and
+    |X| = nx, on matrix-backed spaces over V, each with its radius t.
+
+    Construction checks every instance with the rules of ProbVector,
+    MarkovChainSpec and DiscreteSpace.from_matrix: probability rows with
+    entries in [0, 1] that sum to 1 within PROB_SUM_TOL, and symmetric
+    distances with a zero diagonal. Radii must be finite and >= 0, which on
+    a zero diagonal is neighborhood_sizes' rule that no neighborhood be
+    empty. decoder is None when the instances need no stochastic decoder.
+    """
+
+    block: int
+    index: np.ndarray            # (k,) positions of the instances in their block
+    t: np.ndarray                # (k,)
+    prior: np.ndarray            # (k, nv)
+    channel: np.ndarray          # (k, nv, nx)
+    decoder: np.ndarray | None   # (k, nx, nv)
+    dist: np.ndarray             # (k, nv, nv)
+
+    def __post_init__(self):
+        if np.ndim(self.channel) != 3 or np.shape(self.channel)[1] < 2:
+            raise DomainError("channel must stack (nv, nx) matrices with nv >= 2")
+        k, nv, nx = np.shape(self.channel)
+        shapes = {"index": (k,), "t": (k,), "prior": (k, nv), "dist": (k, nv, nv),
+                  "decoder": None if self.decoder is None else (k, nx, nv)}
+        for name, want in shapes.items():
+            if want is not None and np.shape(getattr(self, name)) != want:
+                raise DomainError(f"{name} has shape {np.shape(getattr(self, name))}, "
+                                  f"expected {want}")
+        _validate_rows(self.prior, "prior")
+        _validate_rows(np.reshape(self.channel, (-1, nx)), "channel")
+        if self.decoder is not None:
+            _validate_rows(np.reshape(self.decoder, (-1, nv)), "decoder")
+        if not np.array_equal(self.dist, np.transpose(self.dist, (0, 2, 1))):
+            raise DomainError("rho must be symmetric; a distance matrix differs from its "
+                              "transpose")
+        if np.any(np.diagonal(self.dist, axis1=1, axis2=2) != 0):
+            raise DomainError("distance matrices must have a zero diagonal")
+        bad = ~(np.isfinite(self.t) & (self.t >= 0))
+        if bad.any():
+            raise DomainError("each radius t must be finite and >= 0, "
+                              f"got t={float(self.t[bad][0])!r}")
+
+    @property
+    def nv(self) -> int:
+        return int(self.prior.shape[1])
+
+    @property
+    def nx(self) -> int:
+        return int(self.channel.shape[2])
+
+
+def _oracle_groups(seed: int, instances: int, base: int, n_hi: int, t_hi: float,
+                   chain: bool):
+    """Yields the shape groups of each block in turn, as the module
+    docstring lays out; nv and nx are drawn from [2, n_hi), t from
+    U[0, t_hi), and chain=False keeps V uniform and draws no decoders."""
+    if instances < 1:
+        raise DomainError(f"need instances >= 1, got {instances}")
+    for block, lo in enumerate(range(0, instances, ORACLE_BLOCK)):
+        m = min(ORACLE_BLOCK, instances - lo)
+        g = stream(seed, base + block)
+        nvs = g.integers(2, n_hi, size=m)
+        nxs = g.integers(2, n_hi, size=m)
+        ts = g.uniform(0.0, t_hi, size=m)
+        for nv, nx in sorted(set(zip(nvs.tolist(), nxs.tolist()))):
+            index = np.flatnonzero((nvs == nv) & (nxs == nx))
+            k = index.size
+            prior = g.dirichlet(np.ones(nv), size=k) if chain else np.full((k, nv), 1.0 / nv)
+            channel = g.dirichlet(np.ones(nx), size=(k, nv))
+            decoder = g.dirichlet(np.ones(nv), size=(k, nx)) if chain else None
+            iu = np.triu_indices(nv, 1)
+            dist = np.zeros((k, nv, nv))
+            dist[:, iu[0], iu[1]] = g.random((k, iu[0].size)) * 2.0
+            dist = dist + dist.transpose(0, 2, 1)
+            yield OracleGroup(block, index, ts[index], prior, channel, decoder, dist)
+
+
+def prop1_groups(seed: int, instances: int):
+    """The prop1 suite's instances, one OracleGroup at a time: a random
+    prior, channel and stochastic decoder with |V|, |X| in {2..5}, on a
+    space with distances U[0, 2), at a radius t ~ U[0, 2.2)."""
+    return _oracle_groups(seed, instances, VERIFY_STREAM, 6, 2.2, chain=True)
+
+
+def decoder_groups(seed: int, instances: int):
+    """The decoder suite's instances, one OracleGroup at a time: V uniform,
+    a random channel with |V|, |X| in {2..4}, on a space with distances
+    U[0, 2), at a radius t ~ U[0, 2)."""
+    return _oracle_groups(seed, instances, VERIFY_STREAM + (1 << 20), 5, 2.0, chain=False)
+
+
+def _xlogx(a: np.ndarray) -> np.ndarray:
+    """a * ln(a) elementwise, with 0 * ln(0) = 0."""
+    pos = a > 0
+    return np.where(pos, a * np.log(np.where(pos, a, 1.0)), 0.0)
+
+
+def _neighborhood_extremes(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Per instance, the largest and smallest card{v' : rho(v, v') <= t}."""
+    counts = (group.dist <= group.t[:, None, None]).sum(axis=2)
+    return counts.max(axis=1), counts.min(axis=1)
+
+
+def fano_sides_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
+    """fano_inequality_sides for every instance of the group, as (lhs, rhs)
+    arrays, with its conventions: the miss event rho(Vhat, V) > t,
+    neighborhoods rho <= t, P_t clipped to [0, 1], the middle term 0 when
+    P_t = 0, and H(V | Vhat) clamped at 0."""
+    if group.decoder is None:
+        raise DomainError("the Fano sides need the group's stochastic decoders")
+    joint = np.einsum("kv,kvx,kxw->kvw", group.prior, group.channel, group.decoder)
+    # joint[k, v, vhat] against the event rho(vhat, v) > t
+    miss = group.dist.transpose(0, 2, 1) > group.t[:, None, None]
+    p_t = np.clip(np.where(miss, joint, 0.0).sum(axis=(1, 2)), 0.0, 1.0)
+    n_max, n_min = _neighborhood_extremes(group)
+    # P_t > 0 forces N_min < |V|, as in fano_inequality_sides
+    hit = p_t > 0
+    middle = np.where(hit, p_t * np.log(np.where(hit, (group.nv - n_min) / n_max, 1.0)), 0.0)
+    inner = hit & (p_t < 1)
+    q = np.where(inner, p_t, 0.5)
+    h2 = np.where(inner, -q * np.log(q) - (1.0 - q) * np.log1p(-q), 0.0)
+    lhs = h2 + middle + np.log(n_max)
+    rhs = np.maximum(0.0, _xlogx(joint.sum(axis=1)).sum(axis=1)
+                     - _xlogx(joint).sum(axis=(1, 2)))
+    return lhs, rhs
+
+
+def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per instance of the group: the exhaustive decoder minimum of
+    P(rho(g(X), V) > t) as enumerate_decoders_min_tail computes it, and the
+    values of fano_tail_lower_bound and fano_conditional_form at card = nv
+    with I(V; X) and H(V | X) = H(V) - I(V; X), each clamped at 0 and set
+    to 0 wherever those functions return 0. The tail form assumes V uniform.
+
+    All nv^nx decoders are enumerated as one index table per shape, and
+    the minimum is taken over the same sums, added in the same order, as
+    in the per-instance loop.
+    """
+    nv, nx = group.nv, group.nx
+    n_decoders = nv**nx
+    if n_decoders > DECODER_ENUM_CUTOFF:
+        raise EnumerationLimitError(
+            f"{n_decoders} decoders exceed the enumeration cutoff {DECODER_ENUM_CUTOFF}")
+    table = np.array(list(itertools.product(range(nv), repeat=nx)))  # (decoders, nx)
+    weight = group.prior[:, :, None] * group.channel                  # P(V=v, X=x)
+    miss = (group.dist.transpose(0, 2, 1) > group.t[:, None, None]).astype(np.float64)
+    cost = np.matmul(miss, weight).transpose(0, 2, 1)  # cost[k, x, vhat] = P(X=x, miss)
+    # each decoder's tail, summed over x in order as the loop's sum does
+    tails = cost[:, 0, table[:, 0]]
+    for x in range(1, nx):
+        tails = tails + cost[:, x, table[:, x]]
+    min_tail = tails.min(axis=1)
+
+    marginal_x = weight.sum(axis=1)
+    prod = group.prior[:, :, None] * marginal_x[:, None, :]
+    pos = weight > 0
+    log_odds = np.log(np.where(pos, weight, 1.0)) - np.log(np.where(pos, prod, 1.0))
+    mi = np.maximum(0.0, np.where(pos, weight * log_odds, 0.0).sum(axis=(1, 2)))
+    n_max, n_min = _neighborhood_extremes(group)
+
+    log_ratio = np.log(nv / n_max)
+    ok = log_ratio > 0
+    tail = np.where(ok, np.maximum(0.0, 1.0 - (mi + LN2) / np.where(ok, log_ratio, 1.0)), 0.0)
+    hvx = np.maximum(0.0, -_xlogx(group.prior).sum(axis=1) - mi)
+    ratio = (nv - n_min) / n_max
+    ok = ratio > 1.0
+    den = np.log(np.where(ok, ratio, 2.0))
+    cond = np.where(ok, np.maximum(0.0, (hvx - np.log(n_max) - LN2) / den), 0.0)
+    return min_tail, tail, cond
 
 
 def hard_threshold(x: np.ndarray, tau: float) -> np.ndarray:

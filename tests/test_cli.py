@@ -206,6 +206,15 @@ def test_verify_inject_fault_detected(tmp_path):
     assert "FAIL" in report
 
 
+@pytest.mark.parametrize("suite", ["prop1-exhaustive", "decoder-oracle"])
+def test_verify_oracle_suite_inject_fault_detected(tmp_path, suite):
+    code = run(["verify", suite, "--seed", "5", "--instances", "50", "--inject-fault",
+                "--out-dir", str(tmp_path)])
+    assert code == 1
+    report = (tmp_path / f"verify-{suite}-seed5.txt").read_text()
+    assert any(ln.startswith("check ") and ": FAIL " in ln for ln in report.splitlines())
+
+
 def test_verify_reports_byte_identical(tmp_path):
     suites = [
         (["verify", "prop1-exhaustive", "--seed", "9", "--instances", "60"], 0),
@@ -395,7 +404,7 @@ def _argv(draw):
     return argv, config, env
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=_argv())
 def test_cli_never_escapes_with_a_traceback(case):
     argv, config, env = case

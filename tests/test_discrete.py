@@ -160,6 +160,24 @@ def test_sparse_neighborhood_exact_refuses_non_finite_t(t):
         sparse_sign_neighborhood_exact(8, 2, t)
 
 
+_TWO_POINT = DiscreteSpace.from_matrix([[0.0, 0.5], [0.5, 0.0]])
+
+
+@pytest.mark.parametrize("space", [DiscreteSpace.zero_one(4), _TWO_POINT],
+                         ids=["zero-one", "matrix"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_neighborhood_sizes_refuses_non_finite_t(space, t):
+    with pytest.raises(DomainError, match=r"t must be finite, got t="):
+        neighborhood_sizes(space, t)
+
+
+@pytest.mark.parametrize("space", [DiscreteSpace.zero_one(4), _TWO_POINT],
+                         ids=["zero-one", "matrix"])
+def test_neighborhood_sizes_refuses_empty_neighborhoods(space):
+    with pytest.raises(DomainError, match=r"empty at radius t=-0\.1"):
+        neighborhood_sizes(space, -0.1)
+
+
 def test_neighborhood_upper_checks_ceiling_at_every_size(monkeypatch):
     """The ceiling is asserted against the exact count even where the space
     is far too large to materialize."""

@@ -1,5 +1,6 @@
 """Harness behavior: generators, the decoder oracle, risk simulation."""
 
+import itertools
 import math
 import warnings
 from dataclasses import replace
@@ -8,15 +9,34 @@ import numpy as np
 import pytest
 
 from fanolab import lab
-from fanolab.discrete import DiscreteSpace
-from fanolab.info import DomainError, EnumerationLimitError, ProbVector
+from fanolab.cli import main
+from fanolab.discrete import (
+    DiscreteSpace,
+    fano_conditional_form,
+    fano_inequality_sides,
+    fano_tail_lower_bound,
+    neighborhood_sizes,
+)
+from fanolab.info import (
+    DomainError,
+    EnumerationLimitError,
+    MarkovChainSpec,
+    ProbVector,
+    entropy,
+    mutual_information_exact,
+)
 from fanolab.lab import (
+    ORACLE_BLOCK,
     REPLICATE_BLOCK,
     ExperimentConfig,
     MatchedBound,
     check_bounds,
+    decoder_bounds_batch,
+    decoder_groups,
     enumerate_decoders_min_tail,
+    fano_sides_batch,
     hard_threshold,
+    prop1_groups,
     random_chain,
     random_symmetric_space,
     simulate_risk,
@@ -97,6 +117,132 @@ def test_decoder_oracle_cutoff():
     with pytest.raises(EnumerationLimitError):
         enumerate_decoders_min_tail(ProbVector.uniform(k), np.full((k, 8), 1 / 8),
                                     space, 0.0)
+
+
+# -- batched oracle blocks --------------------------------------------------------
+
+
+def _looped_sides(group, i):
+    chain = MarkovChainSpec(ProbVector(group.prior[i]), group.channel[i], group.decoder[i])
+    return fano_inequality_sides(chain, DiscreteSpace.from_matrix(group.dist[i]),
+                                 float(group.t[i]))
+
+
+def _looped_decoder_bounds(group, i):
+    prior, channel = ProbVector(group.prior[i]), group.channel[i]
+    space, t = DiscreteSpace.from_matrix(group.dist[i]), float(group.t[i])
+    mi = mutual_information_exact(prior, channel)
+    prof = neighborhood_sizes(space, t)
+    return (enumerate_decoders_min_tail(prior, channel, space, t),
+            fano_tail_lower_bound(group.nv, prof, mi).value,
+            fano_conditional_form(max(0.0, entropy(prior) - mi), group.nv, prof).value)
+
+
+def _assert_sides_match(group):
+    got = np.stack(fano_sides_batch(group), axis=1)
+    want = np.array([_looped_sides(group, i) for i in range(group.index.size)])
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def _assert_decoder_bounds_match(group):
+    got = np.stack(decoder_bounds_batch(group), axis=1)
+    want = np.array([_looped_decoder_bounds(group, i) for i in range(group.index.size)])
+    assert np.array_equal(got[:, 0], want[:, 0])  # the enumerated minimum, exactly
+    assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-12
+
+
+def test_batched_fano_sides_match_looped_oracle():
+    groups = list(prop1_groups(3, 1000))
+    assert [(g.nv, g.nx) for g in groups] == list(itertools.product(range(2, 6), repeat=2))
+    assert sorted(np.concatenate([g.index for g in groups]).tolist()) == list(range(1000))
+    for group in groups:
+        _assert_sides_match(group)
+
+
+def test_batched_decoder_bounds_match_looped_oracle():
+    groups = list(decoder_groups(3, 500))
+    assert [(g.nv, g.nx) for g in groups] == list(itertools.product(range(2, 5), repeat=2))
+    for group in groups:
+        assert np.all(group.prior == 1.0 / group.nv) and group.decoder is None
+        _assert_decoder_bounds_match(group)
+
+
+@pytest.mark.parametrize("draw, check", [(prop1_groups, _assert_sides_match),
+                                         (decoder_groups, _assert_decoder_bounds_match)],
+                         ids=["prop1", "decoder"])
+def test_batched_kernels_keep_the_tie_conventions(draw, check):
+    """Whole distances and radii make rho = t ties common, which continuous
+    draws never do: a tie counts in the neighborhood (rho <= t) and is no
+    miss (rho > t)."""
+    for group in draw(8, 300):
+        check(replace(group, dist=np.round(group.dist), t=np.round(group.t)))
+
+
+def _prop1_slack(group):
+    lhs, rhs = fano_sides_batch(group)
+    return lhs - rhs
+
+
+def _decoder_margin(group):
+    min_tail, tail, cond = decoder_bounds_batch(group)
+    return np.minimum(min_tail - tail, min_tail - cond)
+
+
+def _block_values(groups, value, block):
+    """Per-instance values of one block, in instance order."""
+    out = {}
+    for group in groups:
+        if group.block == block:
+            out.update(zip(group.index.tolist(), value(group).tolist()))
+    return [out[i] for i in range(len(out))]
+
+
+@pytest.mark.parametrize("draw, value", [(prop1_groups, _prop1_slack),
+                                         (decoder_groups, _decoder_margin)],
+                         ids=["prop1", "decoder"])
+def test_growing_instances_keeps_full_oracle_block(draw, value):
+    full = _block_values(list(draw(4, ORACLE_BLOCK)), value, 0)
+    grown = list(draw(4, 5000))
+    assert len(full) == ORACLE_BLOCK
+    assert _block_values(grown, value, 0) == full
+    assert len(_block_values(grown, value, 1)) == 5000 - ORACLE_BLOCK
+
+
+@pytest.mark.parametrize("suite", ["prop1-exhaustive", "decoder-oracle"])
+def test_oracle_suite_partial_last_block_byte_identical(tmp_path, suite):
+    instances = ORACLE_BLOCK + 4
+    reports = []
+    for out in (tmp_path / "a", tmp_path / "b"):
+        assert main(["verify", suite, "--seed", "2", "--instances", str(instances),
+                     "--out-dir", str(out)]) == 0
+        reports.append((out / f"verify-{suite}-seed2.txt").read_bytes())
+    assert reports[0] == reports[1]
+    assert f": PASS instances={instances} ".encode() in reports[0]
+
+
+@pytest.mark.parametrize("field, at, delta, match", [
+    ("prior", (0, 0), 1e-9, "prior rows must sum to 1"),
+    ("channel", (0, 1, 0), 2.0, r"channel entries must lie in \[0, 1\]"),
+    ("decoder", (0, 0, 1), -1e-9, "decoder rows must sum to 1"),
+    ("dist", (0, 0, 1), 0.25, "symmetric"),
+    ("dist", (0, 1, 1), 0.5, "zero diagonal"),
+    ("t", (0,), math.nan, "t=nan"),
+    ("t", (0,), -10.0, "t=-"),
+])
+def test_oracle_group_refuses_a_corrupted_row(field, at, delta, match):
+    group = next(prop1_groups(6, 50))
+    corrupted = getattr(group, field).copy()
+    corrupted[at] += delta
+    with pytest.raises(DomainError, match=match):
+        replace(group, **{field: corrupted})
+
+
+def test_oracle_group_refuses_mismatched_shapes():
+    group = next(prop1_groups(6, 50))
+    with pytest.raises(DomainError, match="decoder has shape"):
+        replace(group, decoder=group.decoder[:, :, :1])
+    with pytest.raises(DomainError, match="channel must stack"):
+        replace(group, channel=group.channel[0])
 
 
 # -- thresholds ----------------------------------------------------------------------
