@@ -36,7 +36,6 @@ from .discrete import (
 from .info import (
     DomainError,
     EnumerationLimitError,
-    GaussianFamilyMember,
     MarkovChainSpec,
     ProbVector,
     binary_entropy,

@@ -247,14 +247,17 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _bound_row(problem: str, result, cfg: dict[str, str]) -> dict[str, str]:
+def _recipe(problem: str, result) -> tuple:
+    """(pipeline, t, eps, mi_bound, log_ratio) of a MinimaxBound or, read
+    from its ingredients, of a tail BoundResult."""
     if isinstance(result, MinimaxBound):
-        pipeline, t, eps = result.pipeline, result.t, result.eps
-        mi, lr = result.mi_bound, result.log_ratio
-    else:
-        ing = result.ingredients
-        pipeline, t, eps = problem, ing.get("t"), None
-        mi, lr = ing.get("mi_bound"), ing.get("log_ratio")
+        return result.pipeline, result.t, result.eps, result.mi_bound, result.log_ratio
+    ing = result.ingredients
+    return problem, ing.get("t"), None, ing.get("mi_bound"), ing.get("log_ratio")
+
+
+def _bound_row(problem: str, result, cfg: dict[str, str]) -> dict[str, str]:
+    pipeline, t, eps, mi, lr = _recipe(problem, result)
     return {
         "pipeline": pipeline,
         "d": cfg.get("d", ""), "s": cfg.get("s", ""), "n": cfg.get("n", ""),
@@ -271,18 +274,19 @@ def _write_bound_outputs(out_dir: Path, problem: str, cfg: dict[str, str], seed:
     chash = _config_hash("bound", problem, cfg, seed)
     detail = (dict(result.extras) if isinstance(result, MinimaxBound)
               else dict(result.ingredients))
+    pipeline, t, eps, mi, lr = _recipe(problem, result)
     payload = {
         "schema": CSV_SCHEMA,
         "manifest": chash,
-        "pipeline": row["pipeline"],
+        "pipeline": pipeline,
         "params": dict(sorted(cfg.items())),
         "seed": seed,
         "value": result.value,
         "valid": result.valid,
-        "t": getattr(result, "t", None),
-        "eps": getattr(result, "eps", None),
-        "mi_bound_nats": getattr(result, "mi_bound", None),
-        "log_ratio_nats": getattr(result, "log_ratio", None),
+        "t": t,
+        "eps": eps,
+        "mi_bound_nats": mi,
+        "log_ratio_nats": lr,
         "detail": detail,
     }
     json_path = out_dir / f"{problem}-{chash}.json"

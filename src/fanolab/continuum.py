@@ -5,7 +5,9 @@ The bound controls P(rho(Vhat, V) >= t) for V uniform on the region: note
 the weak inequality, in contrast with the strict rho > t of the discrete
 tail bound; both APIs preserve their own convention verbatim. rho is not
 required to be symmetric (or even positive) here: "ball" means the
-sublevel set {v' : rho(v, v') <= t}.
+sublevel set {v' : rho(v, v') <= t}. The bound's formula,
+max(0, 1 - (I + ln 2) / L), is the discrete tail bound's: both call
+discrete._fano_tail.
 
 Two deliberate approximations, both reported rather than hidden:
 
@@ -35,7 +37,8 @@ from typing import Callable
 
 import numpy as np
 
-from .info import LN2, DomainError
+from .discrete import _fano_tail
+from .info import DomainError
 from .results import BoundResult
 from .stats import clopper_pearson
 from .streams import BALL_STREAM, CENTER_STREAM, GRID_STREAM, VOLUME_STREAM, stream
@@ -367,11 +370,7 @@ def continuum_fano_bound(log_ratio: float, mi: float) -> BoundResult:
     """
     if not math.isfinite(log_ratio):
         raise DomainError("log_ratio must be finite")
-    if not (math.isfinite(mi) and mi >= 0):
-        raise DomainError(f"mutual information mi must be finite and >= 0, got {mi!r}")
-    valid = log_ratio > 0
-    value = max(0.0, 1.0 - (mi + LN2) / log_ratio) if valid else 0.0
-    return BoundResult(value=value, valid=valid,
+    return BoundResult(value=_fano_tail(mi, log_ratio), valid=log_ratio > 0,
                        ingredients={"mi_bound": mi, "log_ratio": log_ratio})
 
 

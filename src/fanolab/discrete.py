@@ -6,7 +6,9 @@ mismatch event with {rho(Vhat, V) > t} turns the cardinality |V| of the
 alphabet into the ratio |V| / N_t_max, where N_t_max is the largest
 number of points within distance t of any point. This module computes
 those neighborhood counts exactly and evaluates the resulting
-inequalities.
+inequalities. The last step of the mutual-information tail bound,
+max(0, 1 - (I + ln 2) / L), is _fano_tail; the volume-based bound in
+continuum and the sparse pipelines in minimax call it too.
 
 Conventions kept exactly as stated by the inequalities themselves:
 neighborhoods use rho <= t, the error event uses the strict rho > t, and
@@ -392,6 +394,18 @@ def fano_inequality_sides(chain: MarkovChainSpec, space: DiscreteSpace,
     return lhs, rhs
 
 
+def _fano_tail(mi: float, log_ratio: float) -> float:
+    """max(0, 1 - (I + ln 2) / L): the step that both the distance-based and
+    the volume-based tail bound end in, with L the log-ratio in nats.
+
+    A nonpositive L makes the formula inapplicable and gives 0; the caller
+    decides validity. I must be finite and >= 0.
+    """
+    if not (math.isfinite(mi) and mi >= 0):
+        raise DomainError(f"mutual information mi must be finite and >= 0, got {mi!r}")
+    return max(0.0, 1.0 - (mi + LN2) / log_ratio) if log_ratio > 0 else 0.0
+
+
 def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) -> BoundResult:
     """Mutual-information tail bound: P(rho(Vhat, V) > t) >= 1 - (I + ln 2) / ln(card / N_max).
 
@@ -404,12 +418,10 @@ def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) ->
         raise DomainError("need card >= 2")
     if profile.n_max > card:
         raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
-    if not (math.isfinite(mi) and mi >= 0):
-        raise DomainError(f"mutual information mi must be finite and >= 0, got {mi!r}")
     log_ratio = math.log(card / profile.n_max)
+    value = _fano_tail(mi, log_ratio)
     side_ok = (card - profile.n_min) > profile.n_max
     valid = side_ok and log_ratio > 0
-    value = max(0.0, 1.0 - (mi + LN2) / log_ratio) if log_ratio > 0 else 0.0
     return BoundResult(value=value, valid=valid, ingredients={
         "mi_bound": mi, "log_ratio": log_ratio, "t": profile.t,
         "card": card, "n_max": profile.n_max, "n_min": profile.n_min,

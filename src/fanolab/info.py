@@ -22,7 +22,6 @@ __all__ = [
     "EnumerationLimitError",
     "ProbVector",
     "MarkovChainSpec",
-    "GaussianFamilyMember",
     "binary_entropy",
     "entropy",
     "conditional_entropy",
@@ -158,28 +157,6 @@ class MarkovChainSpec:
         return (self.prior.p[:, None] * self.channel) @ self.decoder
 
 
-@dataclass(frozen=True)
-class GaussianFamilyMember:
-    """One member of an isotropic Gaussian location family: N(mean, sigma2*I)."""
-
-    mean: np.ndarray
-    covariance_scale: float
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        if mean.ndim != 1 or mean.size == 0:
-            raise DomainError("mean must be a nonempty vector")
-        if not self.covariance_scale > 0:
-            raise DomainError("covariance scale must be positive")
-        mean = mean.copy()
-        mean.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-
-    @property
-    def dim(self) -> int:
-        return int(self.mean.size)
-
-
 def binary_entropy(p: float) -> float:
     """h2(p) = -p ln p - (1-p) ln(1-p), with h2(0) = h2(1) = 0."""
     if not 0.0 <= p <= 1.0:
@@ -255,14 +232,17 @@ def mi_pairwise_kl_bound(means, sigma2: float, n_samples: int) -> float:
 
     where the second form is the algebraic collapse of the double sum; it
     is what gets evaluated, so million-point families cost O(M d).
+    Non-finite means and a non-finite sigma2 are refused.
     """
     a = np.asarray(means, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or a.shape[0] == 0:
         raise DomainError("means must be a nonempty list of vectors")
-    if not sigma2 > 0:
-        raise DomainError("sigma2 must be positive")
+    if not np.isfinite(a).all():
+        raise DomainError("means must be finite")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise DomainError(f"sigma2 must be finite and positive, got sigma2={sigma2!r}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     mean_sq = float((a * a).sum(axis=1).mean())

@@ -11,6 +11,11 @@ the tail probability. Four concrete pipelines are packaged:
 * normal_mean_bound         -- dense Gaussian mean, volume-ratio route
 * linear_regression_bound   -- fixed-design regression, volume-ratio route
 
+Every tail value computed here, in generalized_fano_minimax and in the
+shared body of the two sparse pipelines, goes through the one formula
+max(0, 1 - (I + ln 2) / L) of discrete._fano_tail; the normal-mean and
+regression pipelines use closed forms of its integral over radii.
+
 Scale parameters that are usually only pinned up to proportionality
 (eps^2 of order log(d/s)/n) are set to the exact maximizer of the bound
 objective, which is concave in eps^2; every returned bound records that
@@ -29,6 +34,7 @@ import numpy as np
 from .discrete import (
     DiscreteSpace,
     NeighborhoodProfile,
+    _fano_tail,
     fano_tail_lower_bound,
     sparse_sign_cardinality,
     sparse_sign_neighborhood_exact,
@@ -88,19 +94,14 @@ def separation_delta(family: ParamFamily, t: float) -> float:
     """Largest delta with rho(theta_v, theta_w) >= delta whenever the index
     distance exceeds t; equivalently the min parameter distance over index
     pairs with rho_index(v, w) > t (strict), +inf when no pair qualifies.
+    A non-finite t is refused.
     """
-    space = family.index_space
-    n = space.n_points
+    if not math.isfinite(t):
+        raise DomainError(f"radius t must be finite, got t={t!r}")
+    far_i, far_j = np.nonzero(np.triu(family.index_space.distance_matrix() > t, 1))
     thetas = family.thetas()
-    best = math.inf
-    for i in range(n):
-        row = space.rho_rows(np.array([i]))[0]
-        for j in range(i + 1, n):
-            if row[j] > t:
-                dist = float(family.param_metric(thetas[i], thetas[j]))
-                if dist < best:
-                    best = dist
-    return best
+    return min((float(family.param_metric(thetas[i], thetas[j]))
+                for i, j in zip(far_i.tolist(), far_j.tolist())), default=math.inf)
 
 
 def generalized_fano_minimax(family: ParamFamily, t: float, mi: float, card: int,
@@ -184,12 +185,31 @@ def _sparse_log_ratio(d: int, s: int, t: int) -> tuple[float, dict]:
 def _best_eps(t: int, log_ratio: float, mi_coeff: float) -> tuple[float, float]:
     """(eps, value) maximizing ((t v 1)/4) * u * (1 - (mi_coeff*u + ln 2)/L)
     over u = eps^2 >= 0. The objective is concave in u, with its maximum
-    at u* = (L - ln 2) / (2 mi_coeff); for L <= ln 2 it is u = 0, value 0."""
+    at u* = (L - ln 2) / (2 mi_coeff); for L <= ln 2 it is u = 0, value 0.
+    A mi_coeff so small or large that u* or I = mi_coeff * u* is not a
+    positive double is refused."""
     if log_ratio <= LN2:
         return 0.0, 0.0
-    u = (log_ratio - LN2) / (2.0 * mi_coeff)
-    value = float(max(t, 1)) / 4.0 * u * (1.0 - (mi_coeff * u + LN2) / log_ratio)
+    u = (log_ratio - LN2) / (2.0 * mi_coeff) if mi_coeff > 0 else math.inf
+    mi = mi_coeff * u
+    if not 0.0 < mi < math.inf:
+        raise DomainError(f"bound value is not finite: eps^2 = (L - ln 2) / (2 * {mi_coeff!r}) "
+                          "is out of range; rescale sigma2 or the design")
+    value = float(max(t, 1)) / 4.0 * u * _fano_tail(mi, log_ratio)
     return math.sqrt(u), value
+
+
+def _sparse_bound(pipeline: str, d: int, s: int, sigma2: float, mi_coeff: float,
+                  rate: float, valid: bool, extras: dict) -> MinimaxBound:
+    """The pipeline both sparse bounds share: the s-sparse sign family at
+    t = floor(s/4), mutual information mi_coeff * eps^2, and eps from
+    _best_eps. The implied constant is value / (sigma2 * rate)."""
+    t = s // 4
+    log_ratio, route = _sparse_log_ratio(d, s, t)
+    eps, value = _best_eps(t, log_ratio, mi_coeff)
+    return MinimaxBound(value=value, pipeline=pipeline, t=t, eps=eps,
+                        mi_bound=mi_coeff * eps * eps, log_ratio=log_ratio, valid=valid,
+                        extras={**route, "implied_c": value / (sigma2 * rate), **extras})
 
 
 def sparse_location_bound(d: int, s: int, sigma2: float, n: int) -> MinimaxBound:
@@ -207,21 +227,9 @@ def sparse_location_bound(d: int, s: int, sigma2: float, n: int) -> MinimaxBound
         raise DomainError(f"need 1 <= s <= d/2 so that log(d/s) > 0; got s={s}, d={d}")
     if not (math.isfinite(sigma2) and sigma2 > 0) or n < 1:
         raise DomainError(f"need finite sigma2 > 0 and n >= 1, got sigma2={sigma2!r}, n={n}")
-    t = s // 4
-    log_ratio, route = _sparse_log_ratio(d, s, t)
-    if log_ratio <= 0:
-        return MinimaxBound(value=0.0, pipeline="sparse-location", t=t, eps=None,
-                            mi_bound=None, log_ratio=log_ratio, valid=False,
-                            extras=route)
-    rate = s * math.log(d / s) / n
-    mi_coeff = n * s / sigma2
-    eps, value = _best_eps(t, log_ratio, mi_coeff)
-    extras = dict(route)
-    extras["implied_c"] = value / (sigma2 * rate) if rate > 0 else math.nan
-    extras["d"], extras["s"], extras["n"], extras["sigma2"] = d, s, n, sigma2
-    return MinimaxBound(value=value, pipeline="sparse-location", t=t, eps=eps,
-                        mi_bound=mi_coeff * eps * eps, log_ratio=log_ratio,
-                        valid=True, extras=extras)
+    return _sparse_bound("sparse-location", d, s, sigma2, mi_coeff=n * s / sigma2,
+                         rate=s * math.log(d / s) / n, valid=True,
+                         extras={"d": d, "s": s, "n": n, "sigma2": sigma2})
 
 
 def compressed_sensing_bound(X, s: int, sigma2: float) -> MinimaxBound:
@@ -249,25 +257,11 @@ def compressed_sensing_bound(X, s: int, sigma2: float) -> MinimaxBound:
     if fro2 == 0.0:
         raise DomainError("X must be nonzero")
     degenerate = bool(np.any(np.all(X == 0.0, axis=0)))
-    t = s // 4
-    log_ratio, route = _sparse_log_ratio(d, s, t)
-    rate = s * d * math.log(d / s) / fro2
-    if log_ratio <= 0:
-        extras = dict(route)
-        extras["degenerate_design"] = degenerate
-        return MinimaxBound(value=0.0, pipeline="compressed-sensing", t=t, eps=None,
-                            mi_bound=None, log_ratio=log_ratio, valid=False,
-                            extras=extras)
-    mi_coeff = s * fro2 / (d * sigma2)
-    eps, value = _best_eps(t, log_ratio, mi_coeff)
-    extras = dict(route)
-    extras["implied_c"] = value / (sigma2 * rate) if rate > 0 else math.nan
-    extras["degenerate_design"] = degenerate
-    extras["fro2"] = fro2
-    extras["d"], extras["s"], extras["sigma2"] = d, s, sigma2
-    return MinimaxBound(value=value, pipeline="compressed-sensing", t=t, eps=eps,
-                        mi_bound=mi_coeff * eps * eps, log_ratio=log_ratio,
-                        valid=not degenerate, extras=extras)
+    return _sparse_bound("compressed-sensing", d, s, sigma2,
+                         mi_coeff=s * fro2 / (d * sigma2),
+                         rate=s * d * math.log(d / s) / fro2, valid=not degenerate,
+                         extras={"degenerate_design": degenerate, "fro2": fro2,
+                                 "d": d, "s": s, "sigma2": sigma2})
 
 
 def normal_mean_tail_integral(d: int, n: int) -> float:
@@ -332,9 +326,12 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
 
 
 def hinge_integral(c1: float, c2: float) -> float:
-    """integral_0^inf max(c1 - c2*t, 0) dt = c1^2 / (2 c2) for c1 > 0, else 0."""
-    if not c2 > 0:
-        raise DomainError("need c2 > 0")
+    """integral_0^inf max(c1 - c2*t, 0) dt = c1^2 / (2 c2) for c1 > 0, else 0.
+    Refuses a non-finite c1 or c2."""
+    if not math.isfinite(c1):
+        raise DomainError(f"need finite c1, got c1={c1!r}")
+    if not (math.isfinite(c2) and c2 > 0):
+        raise DomainError(f"need finite c2 > 0, got c2={c2!r}")
     if c1 <= 0:
         return 0.0
     return c1 * c1 / (2.0 * c2)

@@ -81,6 +81,29 @@ def test_bound_continuum_tail(tmp_path):
     assert js["value"] == 0.5
 
 
+@pytest.mark.parametrize("argv", [
+    ["normal-mean", "--d", "10", "--n", "100", "--mode", "simple"],
+    ["sparse-location", "--d", "32", "--s", "4", "--n", "200"],
+    ["compressed-sensing", "--d", "32", "--s", "4", "--n", "20", "--design", "gaussian"],
+    ["regression", "--d", "9", "--n", "9"],
+    ["discrete-tail", "--card", "6", "--n-max", "2", "--n-min", "2", "--t", "1", "--mi", "0.1"],
+    ["continuum-tail", "--r", "2", "--t", "1", "--d", "2", "--mi", "0.1"],
+], ids=lambda argv: argv[0])
+def test_bound_json_agrees_with_csv(argv, tmp_path):
+    """The result JSON carries the CSV row's values; a column the row leaves
+    empty is null in the JSON."""
+    assert run(["bound", *argv, "--out-dir", str(tmp_path)]) == 0
+    js = json.loads(next(tmp_path.glob(f"{argv[0]}-*.json")).read_text())
+    row = read_csv(next(tmp_path.glob(f"{argv[0]}-*.csv")))[0]
+    assert row["pipeline"] == js["pipeline"]
+    assert row["valid"] == ("true" if js["valid"] else "false")
+    for column, key in [("t", "t"), ("eps", "eps"), ("mi_bound_nats", "mi_bound_nats"),
+                        ("log_ratio_nats", "log_ratio_nats"), ("bound", "value")]:
+        assert js[key] == (None if row[column] == "" else float(row[column])), column
+    if argv[0].endswith("-tail"):
+        assert js["mi_bound_nats"] == 0.1 and js["log_ratio_nats"] > 0
+
+
 def test_bound_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# normal mean config\nd = 10\nn = 50\nsigma2 = 1\nmode = integrated\n")

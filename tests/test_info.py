@@ -267,6 +267,21 @@ def test_mi_pairwise_matches_double_sum(seed):
     assert got == pytest.approx(oracle_pairwise_kl(means, 0.8, 3), rel=1e-11)
 
 
+@pytest.mark.parametrize("means, sigma2, name", [
+    ([[math.inf], [0.0]], 1.0, "means"),
+    ([[math.nan], [0.0]], 1.0, "means"),
+    ([[1.0, -math.inf]], 1.0, "means"),
+    ([[1.0], [0.0]], math.inf, "sigma2"),
+    ([[1.0], [0.0]], math.nan, "sigma2"),
+    ([[1.0], [0.0]], 0.0, "sigma2"),
+])
+def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
+    """inf - inf in the collapsed form is NaN, which the clamp would turn
+    into a silently wrong 0; such input is refused instead."""
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        mi_pairwise_kl_bound(means, sigma2, 1)
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_pairwise_bound_dominates_exact_mi_discrete(seed):
     """Convexity bound >= exact MI on finite channels with uniform prior."""
@@ -319,17 +334,6 @@ def test_chain_validation():
     with pytest.raises(DomainError):
         MarkovChainSpec(prior=ProbVector.uniform(2),
                         channel=np.array([[0.6, 0.5], [0.5, 0.5]]), decoder=np.eye(2))
-
-
-def test_gaussian_family_member():
-    from fanolab.info import GaussianFamilyMember
-
-    m = GaussianFamilyMember(mean=np.array([1.0, -2.0]), covariance_scale=0.5)
-    assert m.dim == 2
-    with pytest.raises(DomainError):
-        GaussianFamilyMember(mean=np.array([1.0]), covariance_scale=0.0)
-    with pytest.raises(DomainError):
-        GaussianFamilyMember(mean=np.zeros((2, 2)), covariance_scale=1.0)
 
 
 def test_joint_enumeration_cutoff():

@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate
 
 from fanolab.discrete import DiscreteSpace, neighborhood_sizes, sparse_sign_space
-from fanolab.info import DomainError
+from fanolab.info import DomainError, mi_pairwise_kl_bound
 from fanolab.minimax import (
     ParamFamily,
     compressed_sensing_bound,
@@ -58,6 +58,12 @@ def test_separation_sparse_d2_s1():
 def test_separation_beyond_diameter_infinite():
     fam = sparse_family(2, 1, 1.0)
     assert separation_delta(fam, 10.0) == math.inf
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_separation_refuses_non_finite_t(t):
+    with pytest.raises(DomainError, match=r"\bt\b"):
+        separation_delta(sparse_family(2, 1, 1.0), t)
 
 
 def test_separation_exhaustive_oracle():
@@ -183,6 +189,13 @@ def test_reduction_monte_carlo_pathwise():
 def test_sparse_location_mi_ingredient():
     res = sparse_location_bound(8, 2, 1.0, 5)
     assert res.mi_bound == pytest.approx(5 * 2 * res.eps**2, rel=1e-12)
+    # the pairwise-KL bound over the materialized means eps*v is the oracle
+    for d in range(2, 9):
+        for s in range(1, d // 2 + 1):
+            res = sparse_location_bound(d, s, 1.3, 5)
+            means = res.eps * sparse_sign_space(d, s).vectors.astype(float)
+            assert res.mi_bound == pytest.approx(mi_pairwise_kl_bound(means, 1.3, 5),
+                                                 rel=1e-12), (d, s)
 
 
 def sparse_objective(u, t, log_ratio, mi_coeff):
@@ -340,6 +353,14 @@ def test_cs_mi_ingredient():
     res = compressed_sensing_bound(X, 2, 1.3)
     fro2 = float((X * X).sum())
     assert res.mi_bound == pytest.approx(2 * res.eps**2 * fro2 / (10 * 1.3), rel=1e-12)
+    # the pairwise-KL bound over the materialized means X*eps*v is the oracle
+    for d in range(2, 9):
+        X = g.normal(size=(5, d))
+        for s in range(1, d // 2 + 1):
+            res = compressed_sensing_bound(X, s, 1.3)
+            means = res.eps * sparse_sign_space(d, s).vectors.astype(float) @ X.T
+            assert res.mi_bound == pytest.approx(mi_pairwise_kl_bound(means, 1.3, 1),
+                                                 rel=1e-12), (d, s)
 
 
 def test_cs_matches_sparse_location_for_scaled_identity():
@@ -362,6 +383,12 @@ def test_cs_degenerate_design_flagged():
 def test_cs_zero_design_rejected():
     with pytest.raises(DomainError):
         compressed_sensing_bound(np.zeros((4, 8)), 2, 1.0)
+
+
+def test_cs_underflowing_mi_coefficient_rejected():
+    """||X||_F^2 / sigma2 below the smallest double leaves no finite eps."""
+    with pytest.raises(DomainError, match="bound value"):
+        compressed_sensing_bound(1e-160 * np.eye(2), 1, 1e10)
 
 
 # -- tail integral ------------------------------------------------------------------------
@@ -464,6 +491,15 @@ def test_hinge_values():
         hinge_integral(1.0, 0.0)
 
 
+@pytest.mark.parametrize("c1, c2, name", [
+    (math.nan, 1.0, "c1"), (math.inf, 1.0, "c1"), (-math.inf, 1.0, "c1"),
+    (1.0, math.nan, "c2"), (1.0, math.inf, "c2"),
+])
+def test_hinge_refuses_non_finite(c1, c2, name):
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        hinge_integral(c1, c2)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_hinge_matches_quadrature(seed):
     g = np.random.Generator(np.random.Philox(key=seed))
@@ -540,3 +576,27 @@ def test_param_family_rejects_decreasing_loss():
     with pytest.raises(DomainError):
         ParamFamily(index_space=space, theta_map=lambda i: np.array([float(i)]),
                     param_metric=l2, loss=lambda x: -x)
+
+
+# -- pinned bits ---------------------------------------------------------------------------------
+
+
+def test_pipeline_bits_pinned():
+    """value, eps and log_ratio compared with ==, so that a change that moves
+    any of them by one ulp fails."""
+    cases = [
+        (normal_mean_bound(10, 1.0, 100, mode="integrated"),
+         (0.01403623040633889, None, 6.931471805599453)),
+        (normal_mean_bound(10, 1.0, 100, mode="simple"),
+         (0.004332169878499658, None, 6.931471805599453)),
+        (sparse_location_bound(32, 4, 1.0, 200),
+         (0.0008053318604450071, 0.08276535400543247, 11.653313298391238)),
+        (sparse_location_bound(80, 8, 1.0, 100),
+         (0.0033108513957159024, 0.11689015727474386, 22.554441368902914)),
+        (compressed_sensing_bound(math.sqrt(25) * np.eye(16), 3, 1.0),
+         (0.0058985254630753575, 0.22677788170879284, 8.40737832540903)),
+        (linear_regression_bound(3.0 * np.eye(9), 1.0),
+         (0.08333333333333333, None, 6.238324625039508)),
+    ]
+    for res, want in cases:
+        assert (res.value, res.eps, res.log_ratio) == want, res.pipeline
