@@ -1,4 +1,5 @@
-"""Command-line front end: bound computation, verification suites, sweeps.
+"""Command-line front end: bound computation, the verification suites of
+fanolab.verify, sweeps.
 
     fanolab bound <problem> [params] [--config FILE] [--out-dir DIR]
     fanolab verify <suite> [params] [--seed N] [--inject-fault] [--out-dir DIR]
@@ -29,49 +30,27 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy import integrate
 
-from . import __version__
-from .continuum import (
-    EstimationError,
-    ball_volume_ratio_analytic,
-    box_space,
-    continuum_fano_bound,
-    grid_partition_counts,
-    l2_ball_space,
-    mc_volume_ratio,
-)
+from . import __version__, verify
+from .continuum import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
 from .discrete import NeighborhoodProfile, fano_tail_lower_bound
-from .info import LN2, DomainError
-from .lab import (
-    ExperimentConfig,
-    MatchedBound,
-    check_bounds,
-    decoder_bounds_batch,
-    decoder_groups,
-    fano_sides_batch,
-    prop1_groups,
-    simulate_risk,
-)
+from .info import DomainError
+from .lab import audit_config, simulate_risk
 from .minimax import (
     compressed_sensing_bound,
-    hinge_integral,
     linear_regression_bound,
     normal_mean_bound,
-    normal_mean_tail_integral,
-    normal_mean_tail_integral_floor,
     sparse_location_bound,
 )
 from .results import MinimaxBound
-from .streams import DESIGN_STREAM, VERIFY_STREAM, stream
+from .streams import DESIGN_STREAM, stream
 
 CSV_SCHEMA = "fanolab-bound-v1"
-VERIFY_SCHEMA = "fanolab-verify-v1"
 CSV_COLUMNS = ("pipeline", "d", "s", "n", "sigma2", "t", "eps",
                "mi_bound_nats", "log_ratio_nats", "bound", "valid")
 DEFAULT_SEED = 1234
@@ -331,13 +310,14 @@ def _compute_bound(problem: str, p: dict, seed: int):
         return fano_tail_lower_bound(p["card"], profile, p["mi"])
     given = [k for k in ("log_ratio", "r", "t", "d") if p[k] is not None]
     if given == ["log_ratio"]:
-        log_ratio = p["log_ratio"]
-    elif given == ["r", "t", "d"]:
-        log_ratio = math.log(ball_volume_ratio_analytic(p["r"], p["t"], p["d"]))
-    else:
+        return continuum_fano_bound(p["log_ratio"], p["mi"])
+    if given != ["r", "t", "d"]:
         raise ConfigError(f"{problem} takes log_ratio, or all of r, t and d; "
                           f"got {', '.join(given) or 'none'}")
-    return continuum_fano_bound(log_ratio, p["mi"])
+    log_ratio = math.log(ball_volume_ratio_analytic(p["r"], p["t"], p["d"]))
+    result = continuum_fano_bound(log_ratio, p["mi"])
+    # the bound is the tail at radius t; record t as the discrete tail does
+    return replace(result, ingredients={**result.ingredients, "t": p["t"]})
 
 
 def cmd_bound(args) -> int:
@@ -355,230 +335,24 @@ def cmd_bound(args) -> int:
 # -- verify suites -----------------------------------------------------------
 
 
-def _suite_prop1(seed: int, fault: bool, instances: int):
-    worst = math.inf
-    for group in prop1_groups(seed, instances):
-        lhs, rhs = fano_sides_batch(group)
-        slack = lhs - rhs - (0.1 if fault else 0.0)
-        worst = min(worst, float(slack.min()))
-    ok = worst >= -1e-9
-    lines = [f"check distance-fano-sides: {'PASS' if ok else 'FAIL'} "
-             f"instances={instances} min_slack={worst!r}"]
-    return lines, ok, worst
-
-
-def _suite_decoder(seed: int, fault: bool, instances: int):
-    worst = math.inf
-    bump = 0.05 if fault else 0.0
-    for group in decoder_groups(seed, instances):
-        min_tail, tail, cond = decoder_bounds_batch(group)
-        margin = np.minimum(min_tail - (tail + bump), min_tail - (cond + bump))
-        worst = min(worst, float(margin.min()))
-    ok = worst >= -1e-12
-    lines = [f"check decoder-domination: {'PASS' if ok else 'FAIL'} "
-             f"instances={instances} worst_margin={worst!r}"]
-    return lines, ok, worst
-
-
-def _quad_hinge_log(d: int, n: int) -> float:
-    """Adaptive quadrature of max(0, (d-1)/d - n*ln(1+t)/(2 d ln2)) on [0, inf)."""
-    c = (d - 1) / d
-
-    def f(t):
-        return c - n * math.log1p(t) / (2 * d * LN2)
-
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2.0
-    # locate the kink, then integrate on log-spaced panels up to it
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-    root = 0.5 * (lo + hi)
-    edges = np.concatenate([[0.0], np.logspace(-6, math.log10(max(root, 1e-6)), 120)])
-    edges = edges[edges <= root]
-    edges = np.append(edges, root)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            val, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
-            total += val
-    return total
-
-
-def _suite_quadrature(seed: int, fault: bool):
-    pairs = [(d, n) for d in (2, 3, 5, 9, 64) for n in (1, 10, 100, 1000)]
-    worst = -math.inf
-    floor_ok = True
-    for d, n in pairs:
-        closed = normal_mean_tail_integral(d, n) + (1e-6 if fault else 0.0)
-        quad = _quad_hinge_log(d, n)
-        rel = abs(closed - quad) / max(1.0, abs(closed))
-        worst = max(worst, rel)
-        if closed < normal_mean_tail_integral_floor(d, n):
-            floor_ok = False
-    g = stream(seed, VERIFY_STREAM + (2 << 20))
-    hinge_worst = 0.0
-    for _ in range(20):
-        c1, c2 = float(g.uniform(0.0, 5.0)), float(g.uniform(0.1, 5.0))
-        # integrand vanishes beyond its root c1/c2; integrate the smooth piece
-        ref = 0.0
-        if c1 > 0:
-            ref, _ = integrate.quad(lambda t: c1 - c2 * t, 0.0, c1 / c2, limit=200)
-        hinge_worst = max(hinge_worst, abs(hinge_integral(c1, c2) - ref))
-    ok = worst <= 1e-8 and floor_ok and hinge_worst <= 1e-10
-    lines = [
-        f"check tail-integral-vs-quadrature: {'PASS' if worst <= 1e-8 else 'FAIL'} "
-        f"pairs={len(pairs)} max_rel_err={worst!r}",
-        f"check tail-integral-floor: {'PASS' if floor_ok else 'FAIL'}",
-        f"check hinge-identity-vs-quadrature: {'PASS' if hinge_worst <= 1e-10 else 'FAIL'} "
-        f"max_abs_err={hinge_worst!r}",
-    ]
-    return lines, ok, min(1e-8 - worst, 1e-10 - hinge_worst)
-
-
-def _suite_volume(seed: int, fault: bool, seeds: int, points: int):
-    lines = []
-    ok = True
-    worst_rel = 0.0
-    for d in (2, 3, 5):
-        space = l2_ball_space(d, 1.0)
-        truth = ball_volume_ratio_analytic(1.0, 0.5, d) * (1.2 if fault else 1.0)
-        fails = 0
-        d_rel = 0.0
-        for k in range(seeds):
-            est = mc_volume_ratio(space, 0.5, centers=0, points=points, seed=seed + k)
-            d_rel = max(d_rel, abs(est.ratio - truth) / truth)
-            if abs(est.ratio - truth) > 0.03 * truth or \
-                    not (est.ci[0] <= truth <= est.ci[1]):
-                fails += 1
-        worst_rel = max(worst_rel, d_rel)
-        good = fails <= 3
-        ok = ok and good
-        lines.append(f"check volume-ratio-d{d}: {'PASS' if good else 'FAIL'} "
-                     f"failures={fails}/{seeds} max_rel_err={d_rel!r}")
-    return lines, ok, 0.03 - worst_rel
-
-
-def _suite_grid(seed: int, fault: bool, level: int):
-    lines = []
-    square = box_space([0.0, 0.0], [1.0, 1.0], metric="linf")
-    sq_ok = all(grid_partition_counts(square, 0.5, lv, seed=seed, centers=2).cell_count == 4**lv
-                for lv in range(1, 5))
-    lines.append(f"check unit-square-cells: {'PASS' if sq_ok else 'FAIL'}")
-
-    disk = l2_ball_space(2, 1.0)
-    errs = []
-    area_err = math.inf
-    for lv in range(max(1, level - 4), level + 1):
-        gp = grid_partition_counts(disk, 0.5, lv, seed=seed, centers=4)
-        errs.append(abs(gp.log_count_ratio() - math.log(4.0)))
-        if lv == level:
-            area = gp.cell_width**2 * gp.cell_count
-            truth = math.pi * (1.05 if fault else 1.0)
-            area_err = abs(area - truth) / truth
-            ratio_err = errs[-1] / math.log(4.0)
-    area_ok = area_err <= 0.02
-    ratio_ok = ratio_err <= 0.05
-    conv_ok = errs[-1] <= errs[0]
-    lines.append(f"check disk-area-level{level}: {'PASS' if area_ok else 'FAIL'} "
-                 f"rel_err={area_err!r}")
-    lines.append(f"check log-ratio-level{level}: {'PASS' if ratio_ok else 'FAIL'} "
-                 f"rel_err={ratio_err!r}")
-    lines.append(f"check log-ratio-convergence: {'PASS' if conv_ok else 'FAIL'} "
-                 f"errs={[repr(e) for e in errs]}")
-    ok = sq_ok and area_ok and ratio_ok and conv_ok
-    return lines, ok, 0.02 - area_err
-
-
-def _suite_estimator(seed: int, fault: bool, reps_scale: float):
-    inflate = 20.0 if fault else 1.0
-    lines = []
-    margins = []
-
-    nm = normal_mean_bound(10, 1.0, 100, mode="integrated")
-    cfg = ExperimentConfig(problem="normal-mean", estimator="mean",
-                           reps=max(100, int(100_000 * reps_scale)), seed=seed,
-                           d=10, n=100, sigma2=1.0, radius=1.0)
-    rep = simulate_risk(cfg, (MatchedBound("normal-mean-integrated", "risk",
-                                           inflate * nm.value),))
-    audit = check_bounds(rep)
-    margins.append(audit.worst_margin)
-    lines.append(f"check normal-mean-risk: {'PASS' if audit.passed else 'FAIL'} "
-                 f"risk={rep.risk_mean!r} bound={inflate * nm.value!r} "
-                 f"margin={audit.worst_margin!r}")
-
-    X = 3.0 * np.eye(9)
-    reg = linear_regression_bound(X, 1.0)
-    cfg = ExperimentConfig(problem="regression", estimator="ols",
-                           reps=max(100, int(10_000 * reps_scale)), seed=seed,
-                           d=9, sigma2=1.0, radius=1.0, design=X)
-    rep = simulate_risk(cfg, (
-        MatchedBound("regression-simplified", "risk", inflate * reg.value),
-        MatchedBound("regression-exact", "risk", inflate * reg.extras["exact_value"]),
-    ))
-    audit = check_bounds(rep)
-    margins.append(audit.worst_margin)
-    lines.append(f"check regression-risk: {'PASS' if audit.passed else 'FAIL'} "
-                 f"risk={rep.risk_mean!r} margin={audit.worst_margin!r}")
-
-    sp = sparse_location_bound(32, 4, 1.0, 200)
-    cfg = ExperimentConfig(problem="sparse-location", estimator="hard-threshold",
-                           reps=max(100, int(10_000 * reps_scale)), seed=seed,
-                           d=32, s=4, n=200, sigma2=1.0, eps=sp.eps)
-    rep = simulate_risk(cfg, (MatchedBound("sparse-location", "risk",
-                                           inflate * sp.value),))
-    audit = check_bounds(rep)
-    margins.append(audit.worst_margin)
-    lines.append(f"check sparse-location-risk: {'PASS' if audit.passed else 'FAIL'} "
-                 f"risk={rep.risk_mean!r} bound={inflate * sp.value!r} "
-                 f"margin={audit.worst_margin!r}")
-
-    # nonvacuous continuum tail at one radius: d=2, one sample, t chosen so
-    # the channel information bound stays below the volume log-ratio
-    t = math.sqrt((math.sqrt(2.0) - 1.0) / 4.0)
-    mi_ub = 0.5 * math.log1p(4.0 * t * t)
-    tail_bound = continuum_fano_bound(2 * LN2, mi_ub)
-    cfg = ExperimentConfig(problem="normal-mean", estimator="mean",
-                           reps=max(100, int(20_000 * reps_scale)), seed=seed,
-                           d=2, n=1, sigma2=1.0, radius=2 * t, t_list=(t,))
-    rep = simulate_risk(cfg, (MatchedBound("continuum-tail", "tail",
-                                           inflate * tail_bound.value, t=t),))
-    audit = check_bounds(rep)
-    margins.append(audit.worst_margin)
-    lines.append(f"check continuum-tail: {'PASS' if audit.passed else 'FAIL'} "
-                 f"tail={rep.tails[0].p_hat!r} bound={inflate * tail_bound.value!r} "
-                 f"margin={audit.worst_margin!r}")
-
-    ok = all(m >= 0 for m in margins)
-    return lines, ok, min(margins)
-
-
-# Each suite's function, and the keys it takes as keyword arguments.
+# Each suite's function in fanolab.verify, and the keys it takes as keyword arguments.
 SUITES = {
-    "prop1-exhaustive": (_suite_prop1, {"instances": Key(int, 1000, ">= 1")}),
-    "decoder-oracle": (_suite_decoder, {"instances": Key(int, 200, ">= 1")}),
-    "quadrature": (_suite_quadrature, {}),
-    "volume": (_suite_volume, {"seeds": Key(int, 100, ">= 1"),
+    "prop1-exhaustive": (verify.prop1_exhaustive, {"instances": Key(int, 1000, ">= 1")}),
+    "decoder-oracle": (verify.decoder_oracle, {"instances": Key(int, 200, ">= 1")}),
+    "quadrature": (verify.quadrature, {}),
+    "volume": (verify.volume, {"seeds": Key(int, 100, ">= 1"),
                                "points": Key(int, 10**6, ">= 1")}),
-    "grid-partition": (_suite_grid, {"level": Key(int, 9, ">= 2")}),
-    "estimator-risk": (_suite_estimator, {"reps_scale": Key(float, 1.0, "finite and > 0")}),
+    "grid-partition": (verify.grid_partition, {"level": Key(int, 9, ">= 2")}),
+    "estimator-risk": (verify.estimator_risk,
+                       {"reps_scale": Key(float, 1.0, "finite and > 0")}),
 }
 
 
 def cmd_verify(args) -> int:
     suite, keys = SUITES[args.suite]
     given, seed = _params(args)
-    lines, ok, worst = suite(seed, args.inject_fault,
-                             **_typed(given, keys, f"suite {args.suite}"))
-    header = f"# fanolab verify suite={args.suite} seed={seed} schema={VERIFY_SCHEMA}"
-    summary = (f"suite {args.suite}: {'PASS' if ok else 'FAIL'} "
-               f"worst_margin={worst!r}")
-    report = "\n".join([header] + lines + [summary]) + "\n"
+    checks = suite(seed, args.inject_fault, **_typed(given, keys, f"suite {args.suite}"))
+    report, ok = verify.report(args.suite, seed, checks)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / f"verify-{args.suite}-seed{seed}.txt").write_text(report)
@@ -619,22 +393,10 @@ def cmd_table(args) -> int:
 
 
 def _risk_columns(problem: str, p: dict, result, seed: int, reps: int) -> dict[str, str]:
-    if problem == "normal-mean":
-        config = ExperimentConfig(problem="normal-mean", estimator="mean", reps=reps,
-                                  seed=seed, d=p["d"], n=p["n"], sigma2=p["sigma2"],
-                                  radius=1.0)
-    elif problem == "sparse-location":
-        config = ExperimentConfig(problem="sparse-location", estimator="hard-threshold",
-                                  reps=reps, seed=seed, d=p["d"], s=p["s"], n=p["n"],
-                                  sigma2=p["sigma2"], eps=result.eps or 0.0)
-    elif problem in ("regression", "compressed-sensing"):
-        X = _design_matrix(p, seed)
-        config = ExperimentConfig(problem="regression", estimator="ols", reps=reps,
-                                  seed=seed, d=X.shape[1], sigma2=p["sigma2"],
-                                  radius=1.0, design=X)
-    else:
+    if not isinstance(result, MinimaxBound):
         raise ConfigError(f"--with-risk is not supported for problem {problem!r}")
-    rep = simulate_risk(config)
+    design = _design_matrix(p, seed) if "design" in p else None
+    rep = simulate_risk(audit_config(result, reps, seed, design))
     return {"risk": repr(rep.risk_mean), "risk_ci_lo": repr(rep.risk_ci[0]),
             "risk_ci_hi": repr(rep.risk_ci[1])}
 

@@ -38,7 +38,7 @@ from typing import Callable
 import numpy as np
 
 from .discrete import _fano_tail
-from .info import DomainError
+from .info import DomainError, _require_finite
 from .results import BoundResult
 from .stats import clopper_pearson
 from .streams import BALL_STREAM, CENTER_STREAM, GRID_STREAM, VOLUME_STREAM, stream
@@ -64,6 +64,11 @@ __all__ = [
 # changing it changes which draws land in which stream, hence the counts.
 VOLUME_CHUNK = 1 << 16
 GRID_CHUNK = 1 << 15
+# Rejection sampling of candidate centers: proposals per keyed stream, and
+# the number of streams tried before the region counts as too thin.
+_SAMPLE_CHUNK = 8192
+_SAMPLE_BUDGET = 1000
+_CONFIDENCE = 0.99  # joint confidence of each volume-ratio interval
 
 
 class EstimationError(RuntimeError):
@@ -244,12 +249,11 @@ def _sample_box(g: np.random.Generator, count: int, box: np.ndarray) -> np.ndarr
     return u
 
 
-def _sample_in_space(space: ContinuumSpace, count: int, seed: int, base: int,
-                     *, chunk: int = 8192, budget_chunks: int = 1000) -> np.ndarray:
+def _sample_in_space(space: ContinuumSpace, count: int, seed: int, base: int) -> np.ndarray:
     got = []
     have = 0
-    for i in range(budget_chunks):
-        u = _sample_box(stream(seed, base + i), chunk, space.bounding_box)
+    for i in range(_SAMPLE_BUDGET):
+        u = _sample_box(stream(seed, base + i), _SAMPLE_CHUNK, space.bounding_box)
         keep = u[np.asarray(space.contains(u), dtype=bool)]
         if keep.size:
             got.append(keep)
@@ -258,7 +262,7 @@ def _sample_in_space(space: ContinuumSpace, count: int, seed: int, base: int,
             return np.concatenate(got, axis=0)[:count]
     raise EstimationError(
         f"rejection sampling accepted {have}/{count} points after "
-        f"{budget_chunks * chunk} proposals; region too thin for its bounding box")
+        f"{_SAMPLE_BUDGET * _SAMPLE_CHUNK} proposals; region too thin for its bounding box")
 
 
 def _intersect_boxes(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -270,8 +274,7 @@ def _intersect_boxes(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 
 def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
-                    points: int = 100_000, seed: int = 0,
-                    confidence: float = 0.99) -> VolumeRatioEstimate:
+                    points: int = 100_000, seed: int = 0) -> VolumeRatioEstimate:
     """Estimate Vol(V) and sup_v Vol(ball(t, v) & V) by rejection sampling.
 
     Vol(V) uses `points` draws in the bounding box. Each candidate center
@@ -286,7 +289,7 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
         raise DomainError("need points >= 1 and centers >= 0")
     if not t > 0:
         raise DomainError("need t > 0")
-    per_count_conf = 1.0 - (1.0 - confidence) / 2.0  # two counts share the miss budget
+    per_count_conf = 1.0 - (1.0 - _CONFIDENCE) / 2.0  # two counts share the miss budget
 
     cand: list[tuple[np.ndarray, str]] = []
     if space.sup_center is not None:
@@ -488,11 +491,15 @@ def surface_volume_bounds(volume: float, surface: float, eps: float,
     Returns (volume - (2 eps)^d * surface, volume + (2 eps)^d * surface):
     the Lebesgue measure of A minus/plus a (2 eps)-cube carried along its
     boundary. Finiteness of the surface area is the caller's assertion;
-    there is no constructive test here.
+    there is no constructive test here. Non-finite arguments are refused.
     """
+    _require_finite(volume=volume, surface=surface, eps=eps, d=d)
     if volume < 0 or surface < 0 or eps < 0:
         raise DomainError("volume, surface and eps must be >= 0")
     if d < 1:
         raise DomainError("need d >= 1")
-    pad = (2.0 * eps) ** d * surface
+    try:
+        pad = (2.0 * eps) ** d * surface
+    except OverflowError:
+        raise DomainError("(2 eps)^d overflows float64: eps or d is too large") from None
     return volume - pad, volume + pad

@@ -62,6 +62,7 @@ _MATRIX_CACHE_CUTOFF = 10**7          # distance_matrix entries
 _SYMMETRY_EXHAUSTIVE_PAIRS = 250_000  # above this, symmetry is spot-checked
 _SYMMETRY_SAMPLES = 4096
 _NEIGHBORHOOD_BLOCK = 1024            # centers per rho_rows call
+_SPARSE_SIGN_MAX_POINTS = 2_000_000   # largest sparse sign space materialized
 
 
 class DiscreteSpace:
@@ -296,19 +297,19 @@ def sparse_sign_cardinality(d: int, s: int) -> int:
     return (2**s) * math.comb(d, s)
 
 
-def sparse_sign_space(d: int, s: int, *, max_points: int = 2_000_000) -> DiscreteSpace:
+def sparse_sign_space(d: int, s: int) -> DiscreteSpace:
     """Materialize the s-sparse sign vectors in {-1,0,1}^d under Hamming distance.
 
     The space is homogeneous: signed coordinate permutations act
     transitively on it and preserve Hamming distance, so every
     neighborhood is congruent and exact counts need only one center scan.
-    For cardinalities beyond max_points, work with
+    For more than 2,000,000 points, work with
     sparse_sign_cardinality and sparse_sign_neighborhood_upper instead.
     """
     card = sparse_sign_cardinality(d, s)
-    if card > max_points:
+    if card > _SPARSE_SIGN_MAX_POINTS:
         raise EnumerationLimitError(
-            f"2^s * C(d, s) = {card} exceeds max_points={max_points}; "
+            f"2^s * C(d, s) = {card} exceeds {_SPARSE_SIGN_MAX_POINTS} points; "
             "use the counting forms instead of materializing")
     out = np.zeros((card, d), dtype=np.int8)
     row = 0

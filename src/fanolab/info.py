@@ -56,6 +56,19 @@ def _xlogx_sum(p: np.ndarray) -> float:
     return float((nz * np.log(nz)).sum())
 
 
+def _require_finite(**values) -> None:
+    """Refuses, naming it, the first value that is not finite as a float64:
+    a NaN or an infinity anywhere in it, or an integer too large to convert."""
+    for name, value in values.items():
+        try:
+            ok = bool(np.isfinite(np.asarray(value, dtype=np.float64)).all())
+        except OverflowError:
+            ok = False
+        if not ok:
+            got = f", got {name}={value!r}" if isinstance(value, float) else ""
+            raise DomainError(f"{name} must be finite{got}")
+
+
 def _validate_rows(mat, name: str) -> np.ndarray:
     m = np.asarray(mat, dtype=np.float64)
     if m.ndim != 2 or m.size == 0:
@@ -211,13 +224,15 @@ def kl_discrete(p: ProbVector, q: ProbVector) -> float:
 
 
 def kl_gaussian_shared_cov(mu1, mu2, sigma2: float) -> float:
-    """KL( N(mu1, sigma2*I) || N(mu2, sigma2*I) ) = ||mu1 - mu2||^2 / (2 sigma2)."""
+    """KL( N(mu1, sigma2*I) || N(mu2, sigma2*I) ) = ||mu1 - mu2||^2 / (2 sigma2).
+    Non-finite means and a non-finite sigma2 are refused."""
     a = np.asarray(mu1, dtype=np.float64)
     b = np.asarray(mu2, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise DomainError(f"mean vectors must be 1-d with equal length; got {a.shape} vs {b.shape}")
-    if not sigma2 > 0:
-        raise DomainError("sigma2 must be positive")
+    _require_finite(mu1=a, mu2=b)
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise DomainError(f"sigma2 must be finite and positive, got sigma2={sigma2!r}")
     diff = a - b
     return float(diff @ diff) / (2.0 * sigma2)
 
@@ -232,23 +247,27 @@ def mi_pairwise_kl_bound(means, sigma2: float, n_samples: int) -> float:
 
     where the second form is the algebraic collapse of the double sum; it
     is what gets evaluated, so million-point families cost O(M d).
-    Non-finite means and a non-finite sigma2 are refused.
+    Non-finite means, means whose squared norms overflow float64, and a
+    non-finite sigma2 are refused.
     """
     a = np.asarray(means, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or a.shape[0] == 0:
         raise DomainError("means must be a nonempty list of vectors")
-    if not np.isfinite(a).all():
-        raise DomainError("means must be finite")
+    _require_finite(means=a)
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise DomainError(f"sigma2 must be finite and positive, got sigma2={sigma2!r}")
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
-    mean_sq = float((a * a).sum(axis=1).mean())
-    centroid = a.mean(axis=0)
-    val = n_samples * (mean_sq - float(centroid @ centroid)) / sigma2
-    return max(0.0, val)
+    with np.errstate(over="ignore"):
+        mean_sq = float((a * a).sum(axis=1).mean())
+        centroid = a.mean(axis=0)
+        spread = mean_sq - float(centroid @ centroid)
+    # inf - inf is NaN, which the clamp below would turn into a silent 0
+    if not math.isfinite(spread):
+        raise DomainError("means are too large: their squared norms overflow float64")
+    return max(0.0, n_samples * spread / sigma2)
 
 
 def mi_pairwise_kl_bound_discrete(rows, n_samples: int = 1) -> float:

@@ -71,6 +71,7 @@ __all__ = [
     "simulate_risk",
     "check_bounds",
     "bound_to_matched",
+    "audit_config",
     "DECODER_ENUM_CUTOFF",
     "REPLICATE_BLOCK",
     "ORACLE_BLOCK",
@@ -103,13 +104,12 @@ def random_chain(seed: int, sizes: tuple[int, int, int], *, stream_id: int = 0,
     return MarkovChainSpec(prior=prior, channel=channel, decoder=decoder)
 
 
-def random_symmetric_space(seed: int, k: int, *, stream_id: int = 0,
-                           high: float = 2.0) -> DiscreteSpace:
-    """Random symmetric distances U[0, high] off the diagonal, zeros on it."""
+def random_symmetric_space(seed: int, k: int, *, stream_id: int = 0) -> DiscreteSpace:
+    """Random symmetric distances U[0, 2) off the diagonal, zeros on it."""
     g = stream(seed, SPACE_STREAM + stream_id)
     m = np.zeros((k, k))
     iu = np.triu_indices(k, 1)
-    m[iu] = g.random(len(iu[0])) * high
+    m[iu] = g.random(len(iu[0])) * 2.0
     m += m.T
     return DiscreteSpace.from_matrix(m)
 
@@ -627,3 +627,27 @@ def check_bounds(report: RiskReport) -> BoundAudit:
 def bound_to_matched(bound: MinimaxBound, label: str | None = None) -> MatchedBound:
     """Match a pipeline risk bound to the empirical mean risk."""
     return MatchedBound(label=label or bound.pipeline, target="risk", value=bound.value)
+
+
+def audit_config(bound: MinimaxBound, reps: int, seed: int,
+                 design: np.ndarray | None = None) -> ExperimentConfig:
+    """The experiment whose estimator audits a pipeline bound: the sample
+    mean on the unit ball for normal-mean, hard thresholding at the bound's
+    eps for sparse-location, and OLS on `design` for linear regression and
+    compressed sensing. d, s, n and sigma2 come from the bound's extras."""
+    x = bound.extras
+    if bound.pipeline in ("normal-mean-simple", "normal-mean-integrated"):
+        return ExperimentConfig(problem="normal-mean", estimator="mean", reps=reps,
+                                seed=seed, d=x["d"], n=x["n"], sigma2=x["sigma2"])
+    if bound.pipeline == "sparse-location":
+        return ExperimentConfig(problem="sparse-location", estimator="hard-threshold",
+                                reps=reps, seed=seed, d=x["d"], s=x["s"], n=x["n"],
+                                sigma2=x["sigma2"], eps=bound.eps)
+    if bound.pipeline in ("linear-regression", "compressed-sensing"):
+        if design is None:
+            raise DomainError(f"pipeline {bound.pipeline!r} is audited by OLS and needs "
+                              "its design")
+        return ExperimentConfig(problem="regression", estimator="ols", reps=reps,
+                                seed=seed, d=np.shape(design)[1], sigma2=x["sigma2"],
+                                design=design)
+    raise DomainError(f"no estimator audits pipeline {bound.pipeline!r}")

@@ -272,16 +272,27 @@ def normal_mean_tail_integral(d: int, n: int) -> float:
     """
     if d < 2 or n < 1:
         raise DomainError("need d >= 2 and n >= 1")
-    a = 2.0 * (d - 1) * LN2 / n
-    # expm1 keeps the small-a cancellation at the ulp level
-    return n / (2.0 * d * LN2) * (math.expm1(a) - a)
+    try:
+        a = 2.0 * (d - 1) * LN2 / n
+        # expm1 keeps the small-a cancellation at the ulp level
+        value = n / (2.0 * d * LN2) * (math.expm1(a) - a)
+    except OverflowError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise DomainError("the tail integral overflows float64: d and n must fit a "
+                          "float64 and keep 2 (d - 1) ln2 / n below about 709.78")
+    return value
 
 
 def normal_mean_tail_integral_floor(d: int, n: int) -> float:
     """Taylor floor (d-1)^2 * ln2 / (d n) of normal_mean_tail_integral."""
     if d < 2 or n < 1:
         raise DomainError("need d >= 2 and n >= 1")
-    return (d - 1) ** 2 * LN2 / (d * n)
+    try:
+        return (d - 1) ** 2 * LN2 / (d * n)
+    except OverflowError:
+        raise DomainError("the tail integral floor overflows float64: d or n is too "
+                          "large") from None
 
 
 def normal_mean_bound(d: int, sigma2: float, n: int,

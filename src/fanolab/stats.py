@@ -7,11 +7,15 @@ import math
 import numpy as np
 from scipy import stats as _st
 
+from .info import DomainError
+
 
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval for k successes in n trials."""
     if not 0 <= k <= n or n < 1:
         raise ValueError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
+    if not 0 < confidence < 1:
+        raise DomainError(f"confidence must lie in (0, 1), got confidence={confidence!r}")
     alpha = 1.0 - confidence
     lo = 0.0 if k == 0 else float(_st.beta.ppf(alpha / 2, k, n - k + 1))
     hi = 1.0 if k == n else float(_st.beta.ppf(1 - alpha / 2, k + 1, n - k))

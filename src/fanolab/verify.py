@@ -1,0 +1,220 @@
+"""Verification suites: each one audits a family of computed quantities
+against an independent reference and returns its findings as Check records.
+
+Every suite takes the seed, whether to inject a fault (corrupt the quantity
+under test, to show that the suite detects it) and its own keys. report()
+turns the records into the text of a verify report: one line per check,
+then the suite's verdict (every check passed) and its worst margin (the
+smallest margin among the checks that carry one, in check order).
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, field
+
+import numpy as np
+from scipy import integrate
+
+from . import continuum, lab, minimax
+from .info import LN2
+from .streams import VERIFY_STREAM, stream
+
+VERIFY_SCHEMA = "fanolab-verify-v1"
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check of a suite: whether it passed, the key=value fields of its
+    report line (floats shown by repr, other values as str), and its margin
+    toward the suite's worst margin, or None when it carries none."""
+
+    name: str
+    ok: bool
+    fields: dict = field(default_factory=dict)
+    margin: float | None = None
+
+
+def report(suite: str, seed: int, checks: list[Check]) -> tuple[str, bool]:
+    """(the report text, whether every check passed)."""
+    ok = all(c.ok for c in checks)
+    worst = min(c.margin for c in checks if c.margin is not None)
+    lines = [f"# fanolab verify suite={suite} seed={seed} schema={VERIFY_SCHEMA}"]
+    for c in checks:
+        lines.append(" ".join([f"check {c.name}: {'PASS' if c.ok else 'FAIL'}"]
+                              + [f"{k}={v!r}" if isinstance(v, float) else f"{k}={v}"
+                                 for k, v in c.fields.items()]))
+    lines.append(f"suite {suite}: {'PASS' if ok else 'FAIL'} worst_margin={worst!r}")
+    return "\n".join(lines) + "\n", ok
+
+
+def prop1_exhaustive(seed: int, fault: bool, instances: int) -> list[Check]:
+    worst = math.inf
+    for group in lab.prop1_groups(seed, instances):
+        lhs, rhs = lab.fano_sides_batch(group)
+        slack = lhs - rhs - (0.1 if fault else 0.0)
+        worst = min(worst, float(slack.min()))
+    return [Check("distance-fano-sides", worst >= -1e-9,
+                  {"instances": instances, "min_slack": worst}, worst)]
+
+
+def decoder_oracle(seed: int, fault: bool, instances: int) -> list[Check]:
+    worst = math.inf
+    bump = 0.05 if fault else 0.0
+    for group in lab.decoder_groups(seed, instances):
+        min_tail, tail, cond = lab.decoder_bounds_batch(group)
+        margin = np.minimum(min_tail - (tail + bump), min_tail - (cond + bump))
+        worst = min(worst, float(margin.min()))
+    return [Check("decoder-domination", worst >= -1e-12,
+                  {"instances": instances, "worst_margin": worst}, worst)]
+
+
+def _quad_hinge_log(d: int, n: int) -> float:
+    """Adaptive quadrature of max(0, (d-1)/d - n*ln(1+t)/(2 d ln2)) on [0, inf)."""
+    c = (d - 1) / d
+
+    def f(t):
+        return c - n * math.log1p(t) / (2 * d * LN2)
+
+    hi = 1.0
+    while f(hi) > 0:
+        hi *= 2.0
+    # locate the kink, then integrate on log-spaced panels up to it
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    root = 0.5 * (lo + hi)
+    edges = np.concatenate([[0.0], np.logspace(-6, math.log10(max(root, 1e-6)), 120)])
+    edges = edges[edges <= root]
+    edges = np.append(edges, root)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b > a:
+            val, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
+            total += val
+    return total
+
+
+def quadrature(seed: int, fault: bool) -> list[Check]:
+    pairs = [(d, n) for d in (2, 3, 5, 9, 64) for n in (1, 10, 100, 1000)]
+    worst = -math.inf
+    floor_ok = True
+    for d, n in pairs:
+        closed = minimax.normal_mean_tail_integral(d, n) + (1e-6 if fault else 0.0)
+        quad = _quad_hinge_log(d, n)
+        worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
+        if closed < minimax.normal_mean_tail_integral_floor(d, n):
+            floor_ok = False
+    g = stream(seed, VERIFY_STREAM + (2 << 20))
+    hinge_worst = 0.0
+    for _ in range(20):
+        c1, c2 = float(g.uniform(0.0, 5.0)), float(g.uniform(0.1, 5.0))
+        # integrand vanishes beyond its root c1/c2; integrate the smooth piece
+        ref = 0.0
+        if c1 > 0:
+            ref, _ = integrate.quad(lambda t: c1 - c2 * t, 0.0, c1 / c2, limit=200)
+        hinge_worst = max(hinge_worst, abs(minimax.hinge_integral(c1, c2) - ref))
+    return [
+        Check("tail-integral-vs-quadrature", worst <= 1e-8,
+              {"pairs": len(pairs), "max_rel_err": worst}, 1e-8 - worst),
+        Check("tail-integral-floor", floor_ok),
+        Check("hinge-identity-vs-quadrature", hinge_worst <= 1e-10,
+              {"max_abs_err": hinge_worst}, 1e-10 - hinge_worst),
+    ]
+
+
+def volume(seed: int, fault: bool, seeds: int, points: int) -> list[Check]:
+    """Per dimension, `seeds` estimates of the ratio of a radius-1/2 ball to
+    the unit ball. A run fails when it is off by more than 3% or its CI
+    misses the truth; the check allows at most 3 such runs, and never all."""
+    checks = []
+    for d in (2, 3, 5):
+        space = continuum.l2_ball_space(d, 1.0)
+        truth = continuum.ball_volume_ratio_analytic(1.0, 0.5, d) * (1.2 if fault else 1.0)
+        fails = 0
+        d_rel = 0.0
+        for k in range(seeds):
+            est = continuum.mc_volume_ratio(space, 0.5, centers=0, points=points,
+                                            seed=seed + k)
+            d_rel = max(d_rel, abs(est.ratio - truth) / truth)
+            if abs(est.ratio - truth) > 0.03 * truth or \
+                    not (est.ci[0] <= truth <= est.ci[1]):
+                fails += 1
+        checks.append(Check(f"volume-ratio-d{d}", fails <= 3 and fails < seeds,
+                            {"failures": f"{fails}/{seeds}", "max_rel_err": d_rel},
+                            0.03 - d_rel))
+    return checks
+
+
+def grid_partition(seed: int, fault: bool, level: int) -> list[Check]:
+    square = continuum.box_space([0.0, 0.0], [1.0, 1.0], metric="linf")
+    sq_ok = all(continuum.grid_partition_counts(square, 0.5, lv, seed=seed,
+                                                centers=2).cell_count == 4**lv
+                for lv in range(1, 5))
+    disk = continuum.l2_ball_space(2, 1.0)
+    errs = []
+    for lv in range(max(1, level - 4), level + 1):
+        gp = continuum.grid_partition_counts(disk, 0.5, lv, seed=seed, centers=4)
+        errs.append(abs(gp.log_count_ratio() - math.log(4.0)))
+    # gp is the partition at `level` now
+    truth = math.pi * (1.05 if fault else 1.0)
+    area_err = abs(gp.cell_width**2 * gp.cell_count - truth) / truth
+    ratio_err = errs[-1] / math.log(4.0)
+    return [
+        Check("unit-square-cells", sq_ok),
+        Check(f"disk-area-level{level}", area_err <= 0.02, {"rel_err": area_err},
+              0.02 - area_err),
+        Check(f"log-ratio-level{level}", ratio_err <= 0.05, {"rel_err": ratio_err}),
+        Check("log-ratio-convergence", errs[-1] <= errs[0],
+              {"errs": [repr(e) for e in errs]}),
+    ]
+
+
+def _risk_check(name: str, config: lab.ExperimentConfig, *bounds: lab.MatchedBound) -> Check:
+    """Simulates `config` and checks that every bound sits below the 99% CI
+    upper endpoint of the risk or tail it is matched to. The report line
+    shows that risk or tail, the bound when there is one, and the margin."""
+    rep = lab.simulate_risk(config, bounds)
+    audit = lab.check_bounds(rep)
+    fields = ({"tail": rep.tails[0].p_hat} if bounds[0].target == "tail"
+              else {"risk": rep.risk_mean})
+    if len(bounds) == 1:
+        fields["bound"] = bounds[0].value
+    return Check(name, audit.passed, {**fields, "margin": audit.worst_margin},
+                 audit.worst_margin)
+
+
+def estimator_risk(seed: int, fault: bool, reps_scale: float) -> list[Check]:
+    inflate = 20.0 if fault else 1.0
+
+    def reps(base: int) -> int:
+        return max(100, int(base * reps_scale))
+
+    nm = minimax.normal_mean_bound(10, 1.0, 100, mode="integrated")
+    X = 3.0 * np.eye(9)
+    reg = minimax.linear_regression_bound(X, 1.0)
+    sp = minimax.sparse_location_bound(32, 4, 1.0, 200)
+    # nonvacuous continuum tail at one radius: d=2, one sample, t chosen so
+    # the channel information bound stays below the volume log-ratio
+    t = math.sqrt((math.sqrt(2.0) - 1.0) / 4.0)
+    mi_ub = 0.5 * math.log1p(4.0 * t * t)
+    tail = continuum.continuum_fano_bound(2 * LN2, mi_ub)
+    tail_config = lab.ExperimentConfig(problem="normal-mean", estimator="mean",
+                                       reps=reps(20_000), seed=seed, d=2, n=1, sigma2=1.0,
+                                       radius=2 * t, t_list=(t,))
+    return [
+        _risk_check("normal-mean-risk", lab.audit_config(nm, reps(100_000), seed),
+                    lab.MatchedBound("normal-mean-integrated", "risk", inflate * nm.value)),
+        _risk_check("regression-risk", lab.audit_config(reg, reps(10_000), seed, X),
+                    lab.MatchedBound("regression-simplified", "risk", inflate * reg.value),
+                    lab.MatchedBound("regression-exact", "risk",
+                                     inflate * reg.extras["exact_value"])),
+        _risk_check("sparse-location-risk", lab.audit_config(sp, reps(10_000), seed),
+                    lab.MatchedBound("sparse-location", "risk", inflate * sp.value)),
+        _risk_check("continuum-tail", tail_config,
+                    lab.MatchedBound("continuum-tail", "tail", inflate * tail.value, t=t)),
+    ]

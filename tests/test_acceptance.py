@@ -6,10 +6,12 @@ criterion. Heavier criteria (volume sweep, 1e5-replicate risk) run in a
 couple of minutes total.
 """
 
+import hashlib
 import math
 import time
 
 import numpy as np
+import pytest
 from scipy import integrate
 
 import fanolab.cli as cli
@@ -269,17 +271,27 @@ def test_criterion_11_sparse_sign_combinatorics():
            f"cardinalities={card_ok}, ceiling={bound_ok}, local count={local_ok}")
 
 
+# The six criterion-12 runs at seed 31, each with the SHA-256 of its report
+# as the suites wrote it before they moved from fanolab.cli to fanolab.verify.
+CRITERION_12_SUITES = [
+    (["verify", "prop1-exhaustive", "--seed", "31", "--instances", "150"],
+     "f8b64a1db566503b81b91b06f239c14495b3ae5ff68d1eb647b1b49d2530ecb3"),
+    (["verify", "decoder-oracle", "--seed", "31", "--instances", "50"],
+     "09a686899b94c44809067648ec488933d2ad2edb9c7c91af0c5c943ca68b3662"),
+    (["verify", "quadrature", "--seed", "31"],
+     "0c02b17c161e0b51f50aa3de99bfe01021e8e60a65f6306547bf0ae77fa9f73b"),
+    (["verify", "volume", "--seed", "31", "--seeds", "3", "--points", "50000"],
+     "6d11a9dc4d5908856a67493ef0b11c2c61ac1badb412276191108aa78314e9fe"),
+    (["verify", "grid-partition", "--seed", "31", "--level", "6"],
+     "406d432f81d1b2c4c1dcfdda778587c04201fc340d6085aeefb55c1dee8301eb"),
+    (["verify", "estimator-risk", "--seed", "31", "--reps-scale", "0.01"],
+     "1f21ed637961d68f8903bec20fc440ceb24788eb55c97da15d3c76d7fc655b82"),
+]
+
+
 def test_criterion_12_verify_suites_byte_identical(tmp_path):
-    suites = [
-        ["verify", "prop1-exhaustive", "--seed", "31", "--instances", "150"],
-        ["verify", "decoder-oracle", "--seed", "31", "--instances", "50"],
-        ["verify", "quadrature", "--seed", "31"],
-        ["verify", "volume", "--seed", "31", "--seeds", "3", "--points", "50000"],
-        ["verify", "grid-partition", "--seed", "31", "--level", "6"],
-        ["verify", "estimator-risk", "--seed", "31", "--reps-scale", "0.01"],
-    ]
     identical = True
-    for argv in suites:
+    for argv, _ in CRITERION_12_SUITES:
         a, b = tmp_path / f"a-{argv[1]}", tmp_path / f"b-{argv[1]}"
         for out in (a, b):
             code = cli.main(argv + ["--out-dir", str(out)])
@@ -288,3 +300,13 @@ def test_criterion_12_verify_suites_byte_identical(tmp_path):
         identical = identical and \
             (a / name).read_bytes() == (b / name).read_bytes()
     report(12, "all six verify suites byte-identical on repeat", identical)
+
+
+@pytest.mark.parametrize("argv, digest", CRITERION_12_SUITES,
+                         ids=[argv[1] for argv, _ in CRITERION_12_SUITES])
+def test_criterion_12_reports_match_pinned_digests(argv, digest, tmp_path):
+    """Repeat-identity cannot show that a refactor kept the bytes; the
+    pinned digests can."""
+    assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 0
+    report_bytes = (tmp_path / f"verify-{argv[1]}-seed31.txt").read_bytes()
+    assert hashlib.sha256(report_bytes).hexdigest() == digest

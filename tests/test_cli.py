@@ -79,6 +79,16 @@ def test_bound_continuum_tail(tmp_path):
     assert code == 0
     js = json.loads(next(tmp_path.glob("continuum-tail-*.json")).read_text())
     assert js["value"] == 0.5
+    # the r/t/d route bounds the tail at radius t, and records it
+    assert js["t"] == js["detail"]["t"] == 1.0
+    assert read_csv(next(tmp_path.glob("continuum-tail-*.csv")))[0]["t"] == "1.0"
+
+
+def test_bound_continuum_tail_log_ratio_route_has_no_t(tmp_path):
+    assert run(["bound", "continuum-tail", "--log-ratio", "1.5", "--mi", "0.1",
+                "--out-dir", str(tmp_path)]) == 0
+    js = json.loads(next(tmp_path.glob("continuum-tail-*.json")).read_text())
+    assert js["t"] is None and "t" not in js["detail"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -221,21 +231,23 @@ def test_verify_quadrature_report(tmp_path, capsys):
     assert report == capsys.readouterr().out
 
 
-def test_verify_inject_fault_detected(tmp_path):
-    code = run(["verify", "quadrature", "--seed", "5", "--inject-fault",
-                "--out-dir", str(tmp_path)])
+@pytest.mark.parametrize("argv", [
+    ["prop1-exhaustive", "--instances", "50"],
+    ["decoder-oracle", "--instances", "50"],
+    ["quadrature"],
+    ["volume", "--seeds", "3", "--points", "50000"],
+    ["grid-partition", "--level", "6"],
+    ["estimator-risk", "--reps-scale", "0.01"],
+], ids=lambda argv: argv[0])
+def test_verify_every_suite_detects_its_injected_fault(argv, tmp_path):
+    """Every suite catches its injected fault: a check fails, so does the
+    suite, and the exit code is 1. At --seeds 3 every volume run misses the
+    corrupted truth, which the volume rule must not forgive."""
+    code = run(["verify", *argv, "--seed", "5", "--inject-fault", "--out-dir", str(tmp_path)])
+    lines = (tmp_path / f"verify-{argv[0]}-seed5.txt").read_text().splitlines()
     assert code == 1
-    report = (tmp_path / "verify-quadrature-seed5.txt").read_text()
-    assert "FAIL" in report
-
-
-@pytest.mark.parametrize("suite", ["prop1-exhaustive", "decoder-oracle"])
-def test_verify_oracle_suite_inject_fault_detected(tmp_path, suite):
-    code = run(["verify", suite, "--seed", "5", "--instances", "50", "--inject-fault",
-                "--out-dir", str(tmp_path)])
-    assert code == 1
-    report = (tmp_path / f"verify-{suite}-seed5.txt").read_text()
-    assert any(ln.startswith("check ") and ": FAIL " in ln for ln in report.splitlines())
+    assert any(ln.startswith("check ") and ": FAIL" in ln for ln in lines)
+    assert lines[-1].startswith(f"suite {argv[0]}: FAIL worst_margin=")
 
 
 def test_verify_reports_byte_identical(tmp_path):

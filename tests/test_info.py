@@ -21,7 +21,10 @@ from fanolab.info import (
     mutual_information_exact,
     mutual_information_v_vhat,
 )
+from fanolab.continuum import surface_volume_bounds
 from fanolab.lab import random_chain
+from fanolab.minimax import normal_mean_tail_integral, normal_mean_tail_integral_floor
+from fanolab.stats import clopper_pearson
 
 LN2 = math.log(2.0)
 
@@ -274,12 +277,42 @@ def test_mi_pairwise_matches_double_sum(seed):
     ([[1.0], [0.0]], math.inf, "sigma2"),
     ([[1.0], [0.0]], math.nan, "sigma2"),
     ([[1.0], [0.0]], 0.0, "sigma2"),
+    ([[1e200], [0.0]], 1.0, "means"),
+    ([[1e160], [0.0]], 1.0, "means"),
 ])
 def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     """inf - inf in the collapsed form is NaN, which the clamp would turn
-    into a silently wrong 0; such input is refused instead."""
+    into a silently wrong 0; such input, or finite means whose squares
+    overflow into it, is refused instead."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         mi_pairwise_kl_bound(means, sigma2, 1)
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (kl_gaussian_shared_cov, ([math.nan], [0.0], 1.0), "mu1"),
+    (kl_gaussian_shared_cov, ([0.0], [math.inf], 1.0), "mu2"),
+    (kl_gaussian_shared_cov, ([1.0], [0.0], math.inf), "sigma2"),
+    (kl_gaussian_shared_cov, ([1.0], [0.0], math.nan), "sigma2"),
+    (clopper_pearson, (1, 2, math.nan), "confidence"),
+    (clopper_pearson, (1, 2, 0.0), "confidence"),
+    (clopper_pearson, (1, 2, 1.0), "confidence"),
+    (clopper_pearson, (0, 2, 1.5), "confidence"),
+    (surface_volume_bounds, (math.nan, 1.0, 0.1, 2), "volume"),
+    (surface_volume_bounds, (1.0, math.inf, 0.1, 2), "surface"),
+    (surface_volume_bounds, (1.0, 1.0, math.nan, 2), "eps"),
+    (surface_volume_bounds, (1.0, 1.0, 0.1, math.inf), "d"),
+    (surface_volume_bounds, (1.0, 1.0, 0.1, 10**400), "d"),
+    (normal_mean_tail_integral, (2, 10**400), "n"),
+    (normal_mean_tail_integral, (10**400, 2), "d"),
+    (normal_mean_tail_integral, (1000, 1), "d"),
+    (normal_mean_tail_integral_floor, (2, 10**400), "n"),
+    (normal_mean_tail_integral_floor, (10**400, 2), "d"),
+], ids=lambda v: v.__name__ if callable(v) else None)
+def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
+    """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), or
+    escaped with an OverflowError."""
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        fn(*args)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -30,6 +30,7 @@ from fanolab.lab import (
     REPLICATE_BLOCK,
     ExperimentConfig,
     MatchedBound,
+    audit_config,
     check_bounds,
     decoder_bounds_batch,
     decoder_groups,
@@ -42,6 +43,13 @@ from fanolab.lab import (
     simulate_risk,
     soft_threshold,
 )
+from fanolab.minimax import (
+    compressed_sensing_bound,
+    linear_regression_bound,
+    normal_mean_bound,
+    sparse_location_bound,
+)
+from fanolab.results import MinimaxBound
 from fanolab.stats import clopper_pearson
 from fanolab.streams import REPLICATE_STREAM, stream
 
@@ -568,3 +576,35 @@ def test_bound_to_matched_helper():
     assert mb.target == "risk"
     assert mb.label == "normal-mean-integrated"
     assert mb.value > 0
+
+
+# -- the estimator that audits each pipeline -----------------------------------
+
+
+@pytest.mark.parametrize("mode", ["simple", "integrated"])
+def test_audit_config_normal_mean_uses_the_sample_mean(mode):
+    cfg = audit_config(normal_mean_bound(10, 2.0, 50, mode=mode), 300, 4)
+    assert (cfg.problem, cfg.estimator, cfg.reps, cfg.seed) == ("normal-mean", "mean", 300, 4)
+    assert (cfg.d, cfg.n, cfg.sigma2, cfg.radius) == (10, 50, 2.0, 1.0)
+
+
+def test_audit_config_sparse_location_thresholds_at_the_bound_eps():
+    bound = sparse_location_bound(32, 4, 1.5, 200)
+    cfg = audit_config(bound, 300, 4)
+    assert (cfg.problem, cfg.estimator) == ("sparse-location", "hard-threshold")
+    assert (cfg.d, cfg.s, cfg.n, cfg.sigma2, cfg.eps) == (32, 4, 200, 1.5, bound.eps)
+
+
+def test_audit_config_linear_pipelines_use_ols_on_their_design():
+    X = stream(3, 0).standard_normal((20, 8))
+    for bound in (linear_regression_bound(X, 1.5), compressed_sensing_bound(X, 2, 1.5)):
+        cfg = audit_config(bound, 300, 4, X)
+        assert (cfg.problem, cfg.estimator, cfg.d, cfg.sigma2) == ("regression", "ols", 8, 1.5)
+        assert np.array_equal(cfg.design, X)
+        with pytest.raises(DomainError, match="design"):
+            audit_config(bound, 300, 4)
+
+
+def test_audit_config_refuses_a_pipeline_without_an_estimator():
+    with pytest.raises(DomainError, match="generalized-fano"):
+        audit_config(MinimaxBound(value=0.1, pipeline="generalized-fano"), 300, 4)
