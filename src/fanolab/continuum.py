@@ -69,6 +69,7 @@ GRID_CHUNK = 1 << 15
 _SAMPLE_CHUNK = 8192
 _SAMPLE_BUDGET = 1000
 _CONFIDENCE = 0.99  # joint confidence of each volume-ratio interval
+_MAX_CELLS = 1 << 22  # candidate cells one grid partition may examine
 
 
 class EstimationError(RuntimeError):
@@ -81,11 +82,11 @@ class ContinuumSpace:
 
     contains maps an (m, d) array to an (m,) boolean array. rho maps a
     (d,) center and an (m, d) array of points to (m,) values, evaluating
-    rho(center, point) for each row. volume records the exact Lebesgue
-    measure when known (None means "estimate it"). ball_bbox, when given,
-    returns an axis-aligned box certain to contain {v' : rho(c, v') <= t};
-    it only tightens sampling, never changes semantics. sup_center is a
-    declared analytic maximizer of Vol(ball(t, v) & V) over v.
+    rho(center, point) for each row. ball_bbox, when given, returns an
+    axis-aligned box certain to contain {v' : rho(c, v') <= t}; it only
+    tightens sampling, never changes semantics. sup_center is a declared
+    analytic maximizer of Vol(ball(t, v) & V) over v. The volume of the
+    region is always estimated, never declared.
 
     The estimators call contains and rho concurrently from worker threads,
     so both must be pure: no shared state that a call mutates.
@@ -95,7 +96,6 @@ class ContinuumSpace:
     contains: Callable[[np.ndarray], np.ndarray]
     bounding_box: np.ndarray
     rho: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    volume: float | None = None
     ball_bbox: Callable[[np.ndarray, float], np.ndarray] | None = None
     sup_center: np.ndarray | None = None
 
@@ -108,8 +108,6 @@ class ContinuumSpace:
         box = box.copy()
         box.flags.writeable = False
         object.__setattr__(self, "bounding_box", box)
-        if self.volume is not None and not self.volume > 0:
-            raise DomainError("declared volume must be positive")
         if self.sup_center is not None:
             c = np.asarray(self.sup_center, dtype=np.float64).copy()
             if c.shape != (self.dim,):
@@ -148,6 +146,7 @@ def l2_ball_space(d: int, r: float, *, metric: str = "l2") -> ContinuumSpace:
     """
     if d < 1 or not r > 0:
         raise DomainError("need d >= 1 and r > 0")
+    _require_finite(r=r)
     rho, bbox = _metric(metric)
     r2 = r * r
 
@@ -157,8 +156,7 @@ def l2_ball_space(d: int, r: float, *, metric: str = "l2") -> ContinuumSpace:
 
     box = np.stack([np.full(d, -r), np.full(d, r)])
     return ContinuumSpace(dim=d, contains=contains, bounding_box=box, rho=rho,
-                          volume=_unit_ball_volume(d) * r**d, ball_bbox=bbox,
-                          sup_center=np.zeros(d))
+                          ball_bbox=bbox, sup_center=np.zeros(d))
 
 
 def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
@@ -167,6 +165,7 @@ def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
     hi = np.asarray(hi, dtype=np.float64)
     if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
         raise DomainError("need matching 1-d lo < hi")
+    _require_finite(lo=lo, hi=hi)
     d = lo.size
     rho, bbox = _metric(metric)
 
@@ -176,12 +175,7 @@ def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
 
     box = np.stack([lo, hi])
     return ContinuumSpace(dim=d, contains=contains, bounding_box=box, rho=rho,
-                          volume=float(np.prod(hi - lo)), ball_bbox=bbox,
-                          sup_center=(lo + hi) / 2.0)
-
-
-def _unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2) / math.gamma(d / 2 + 1)
+                          ball_bbox=bbox, sup_center=(lo + hi) / 2.0)
 
 
 def ball_volume_ratio_analytic(r: float, t: float, d: int) -> float:
@@ -409,8 +403,7 @@ def _cell_offsets(d: int) -> np.ndarray:
 
 
 def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
-                          seed: int = 0, centers: int = 4,
-                          max_cells: int = 1 << 22) -> GridPartition:
+                          seed: int = 0, centers: int = 4) -> GridPartition:
     """Count occupied grid cells and the most cells a radius-t ball touches.
 
     Cells are [k*eps, (k+1)*eps)^d with eps = 2^(-level). Occupancy and
@@ -432,9 +425,9 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     k_hi = np.ceil(hi / eps).astype(np.int64)  # exclusive
     shape = k_hi - k_lo
     total = int(np.prod(shape))
-    if total > max_cells:
+    if total > _MAX_CELLS:
         raise EstimationError(
-            f"grid would have {total} candidate cells (guard {max_cells}); lower the level")
+            f"grid would have {total} candidate cells (guard {_MAX_CELLS}); lower the level")
     offsets = _cell_offsets(d) * eps
 
     def cell_points(kvec: np.ndarray) -> np.ndarray:

@@ -34,7 +34,6 @@ from .info import (
     conditional_entropy,
 )
 from .results import BoundResult
-from .streams import SPACE_STREAM, stream
 
 __all__ = [
     "DiscreteSpace",
@@ -48,29 +47,33 @@ __all__ = [
     "fano_tail_lower_bound",
     "fano_conditional_form",
     "PAIR_ENUM_CUTOFF",
-    "VECTOR_PAIR_CUTOFF",
 ]
 
-# Pairwise-evaluation budgets for exact enumeration. The scalar budget
-# counts Python-level rho calls; the vector budget counts block-processed
-# matrix entries for the built-in Hamming fast path, which is ~100x
-# cheaper per pair (the d=10 sparse sign spaces need 2.4e8 pairs).
-PAIR_ENUM_CUTOFF = 10**8
-VECTOR_PAIR_CUTOFF = 10**9
+# Matrix entries that exact neighborhood counting compares, block by block
+# (the d=10 sparse sign spaces need 2.4e8).
+PAIR_ENUM_CUTOFF = 10**9
 
-_MATRIX_CACHE_CUTOFF = 10**7          # distance_matrix entries
-_SYMMETRY_EXHAUSTIVE_PAIRS = 250_000  # above this, symmetry is spot-checked
-_SYMMETRY_SAMPLES = 4096
+_MATRIX_CACHE_CUTOFF = 10**7          # distance matrix entries (3,162 points)
 _NEIGHBORHOOD_BLOCK = 1024            # centers per rho_rows call
 _SPARSE_SIGN_MAX_POINTS = 2_000_000   # largest sparse sign space materialized
+
+
+def _require_matrix_entries(n: int) -> None:
+    if n * n > _MATRIX_CACHE_CUTOFF:
+        raise EnumerationLimitError(
+            f"a distance matrix over {n} points would have {n * n} entries (cutoff "
+            f"{_MATRIX_CACHE_CUTOFF}); use DiscreteSpace.hamming or a structured "
+            "formula (e.g. sparse_sign_neighborhood_upper) instead")
 
 
 class DiscreteSpace:
     """Finite point set with a symmetric real-valued distance-like function.
 
-    rho needs no positivity and no triangle inequality, but symmetry is
-    required: it is validated exhaustively for small spaces and by seeded
-    random sampling for large ones, and asymmetric inputs are rejected.
+    rho needs no positivity and no triangle inequality, but it must be
+    symmetric. A space holds a read-only float64 distance matrix, checked
+    exactly against its transpose, or read-only int8 vectors under Hamming
+    distance. A callable rho is evaluated once per ordered pair into the
+    matrix, and refused above 3,162 points (10**7 entries) before any call.
 
     The homogeneous attribute records that all neighborhoods are congruent,
     so neighborhood counting scans a single center. Callers cannot set it:
@@ -80,36 +83,34 @@ class DiscreteSpace:
     homogeneous = False
 
     def __init__(self, points: Sequence, rho: Callable):
-        self._points = list(points)
-        if len(self._points) < 2:
-            raise DomainError("a discrete space needs at least 2 points")
-        self._rho = rho
-        self._mode = "callable"
-        self._vectors = None
-        self._matrix = None
-        self._check_symmetry()
+        points = list(points)
+        _require_matrix_entries(len(points))
+        self._set_matrix([[rho(a, b) for b in points] for a in points])
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_matrix(cls, matrix, points: Sequence | None = None) -> "DiscreteSpace":
+    def from_matrix(cls, matrix) -> "DiscreteSpace":
         """Space given by an explicit symmetric distance matrix."""
-        m = np.asarray(matrix, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-            raise DomainError("distance matrix must be square with >= 2 points")
-        if not np.array_equal(m, m.T):
-            raise DomainError("rho must be symmetric; matrix differs from its transpose")
         self = cls.__new__(cls)
-        self._points = list(points) if points is not None else list(range(m.shape[0]))
-        if len(self._points) != m.shape[0]:
-            raise DomainError("points length must match matrix size")
-        m = m.copy()
+        self._set_matrix(matrix)
+        return self
+
+    def _set_matrix(self, matrix) -> None:
+        m = np.array(matrix, dtype=np.float64)
+        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+            raise DomainError("a discrete space needs a square distance matrix over "
+                              ">= 2 points")
+        if np.isnan(m).any():
+            raise DomainError("rho must not be NaN: the distance matrix holds a NaN")
+        bad = np.argwhere(m != m.T)
+        if bad.size:
+            i, j = bad[0].tolist()
+            raise DomainError(f"rho must be symmetric: rho(p{i}, p{j}) = {float(m[i, j])!r} "
+                              f"but rho(p{j}, p{i}) = {float(m[j, i])!r}")
         m.flags.writeable = False
         self._matrix = m
         self._vectors = None
-        self._rho = None
-        self._mode = "matrix"
-        return self
 
     @classmethod
     def hamming(cls, vectors) -> "DiscreteSpace":
@@ -125,14 +126,10 @@ class DiscreteSpace:
         if np.any(v8 != v):
             raise DomainError("Hamming vectors must hold integers in [-128, 127], "
                               f"got {v[v8 != v][0].item()!r}")
-        v = v8
-        v.flags.writeable = False
+        v8.flags.writeable = False
         self = cls.__new__(cls)
-        self._points = v
-        self._vectors = v
         self._matrix = None
-        self._rho = lambda a, b: float((np.asarray(a) != np.asarray(b)).sum())
-        self._mode = "hamming"
+        self._vectors = v8
         return self
 
     @classmethod
@@ -140,8 +137,7 @@ class DiscreteSpace:
         """k labelled points under the 0-1 metric."""
         if k < 2:
             raise DomainError("need k >= 2")
-        mat = 1.0 - np.eye(k)
-        space = cls.from_matrix(mat, points=list(range(k)))
+        space = cls.from_matrix(1.0 - np.eye(k))
         space.homogeneous = True  # every point sees the same distance multiset
         return space
 
@@ -149,43 +145,24 @@ class DiscreteSpace:
 
     @property
     def n_points(self) -> int:
-        return len(self._points)
-
-    @property
-    def points(self):
-        return self._points
+        return len(self._matrix if self._vectors is None else self._vectors)
 
     @property
     def vectors(self) -> np.ndarray | None:
         return self._vectors
 
-    def rho(self, a, b) -> float:
-        """rho between two point values (not indices), for callable/hamming modes."""
-        if self._mode == "matrix":
-            raise DomainError("matrix-backed space: use rho_index")
-        return float(self._rho(a, b))
-
     def rho_index(self, i: int, j: int) -> float:
-        """rho between points[i] and points[j]."""
-        if self._mode == "matrix":
+        """rho between points i and j."""
+        if self._vectors is None:
             return float(self._matrix[i, j])
-        if self._mode == "hamming":
-            return float((self._vectors[i] != self._vectors[j]).sum())
-        return float(self._rho(self._points[i], self._points[j]))
+        return float((self._vectors[i] != self._vectors[j]).sum())
 
     def rho_rows(self, idx: np.ndarray) -> np.ndarray:
         """Rows of the pairwise distance matrix for the given center indices."""
         idx = np.asarray(idx, dtype=np.int64)
-        if self._mode == "matrix":
+        if self._vectors is None:
             return self._matrix[idx]
-        if self._mode == "hamming":
-            return self._hamming_block(idx)
-        n = self.n_points
-        out = np.empty((idx.size, n), dtype=np.float64)
-        for r, i in enumerate(idx):
-            pi = self._points[i]
-            out[r] = [self._rho(pi, pj) for pj in self._points]
-        return out
+        return self._hamming_block(idx)
 
     @cached_property
     def _onehot(self) -> np.ndarray:
@@ -209,37 +186,16 @@ class DiscreteSpace:
         return (d - equal).astype(np.float64)
 
     @cached_property
-    def _distance_matrix(self) -> np.ndarray:
-        n = self.n_points
-        if self._mode == "matrix":
-            return self._matrix
-        if n * n > _MATRIX_CACHE_CUTOFF:
-            raise EnumerationLimitError(
-                f"distance matrix would have {n * n} entries "
-                f"(cutoff {_MATRIX_CACHE_CUTOFF}); stream rho_rows instead")
-        m = self.rho_rows(np.arange(n))
+    def _hamming_matrix(self) -> np.ndarray:
+        _require_matrix_entries(self.n_points)
+        m = self._hamming_block(np.arange(self.n_points))
         m.flags.writeable = False
         return m
 
     def distance_matrix(self) -> np.ndarray:
-        """Full pairwise distance matrix (cached; guarded by an entry cutoff)."""
-        return self._distance_matrix
-
-    def _check_symmetry(self):
-        n = self.n_points
-        if n * n <= _SYMMETRY_EXHAUSTIVE_PAIRS:
-            pairs = itertools.combinations(range(n), 2)
-        else:
-            g = stream(0, SPACE_STREAM)
-            ii = g.integers(0, n, _SYMMETRY_SAMPLES)
-            jj = g.integers(0, n, _SYMMETRY_SAMPLES)
-            pairs = zip(ii.tolist(), jj.tolist())
-        for i, j in pairs:
-            a = self._rho(self._points[i], self._points[j])
-            b = self._rho(self._points[j], self._points[i])
-            if a != b:
-                raise DomainError(
-                    f"rho must be symmetric: rho(p{i}, p{j}) = {a!r} but rho(p{j}, p{i}) = {b!r}")
+        """Full pairwise distance matrix, read-only. A Hamming space builds
+        it once, under the 10**7-entry cutoff."""
+        return self._matrix if self._vectors is None else self._hamming_matrix
 
 
 @dataclass(frozen=True)
@@ -273,10 +229,10 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
     if space.homogeneous:
         n_max = n_min = int((space.rho_rows(np.array([0])) <= t).sum())
     else:
-        budget = PAIR_ENUM_CUTOFF if space._mode == "callable" else VECTOR_PAIR_CUTOFF
-        if n * n > budget:
+        if n * n > PAIR_ENUM_CUTOFF:
             raise EnumerationLimitError(
-                f"{n * n} pairwise evaluations exceed the enumeration budget {budget}; "
+                f"{n * n} pairwise evaluations exceed the enumeration budget "
+                f"{PAIR_ENUM_CUTOFF}; "
                 "use a structured formula (e.g. sparse_sign_neighborhood_upper) instead")
         n_max, n_min = 0, n + 1
         for lo in range(0, n, _NEIGHBORHOOD_BLOCK):

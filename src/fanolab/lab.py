@@ -44,6 +44,7 @@ from .info import (
     EnumerationLimitError,
     MarkovChainSpec,
     ProbVector,
+    _require_finite,
     _validate_rows,
 )
 from .results import MinimaxBound
@@ -320,11 +321,13 @@ def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np
 
 def hard_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     """Keep coordinates with |x_j| > tau, zero the rest."""
+    _require_finite(tau=tau)
     return np.where(np.abs(x) > tau, x, 0.0)
 
 
 def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     """Shrink coordinates toward zero by tau."""
+    _require_finite(tau=tau)
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 

@@ -39,7 +39,7 @@ from .discrete import (
     sparse_sign_cardinality,
     sparse_sign_neighborhood_exact,
 )
-from .info import LN2, DomainError
+from .info import LN2, DomainError, _require_finite
 from .results import MinimaxBound
 
 __all__ = [
@@ -313,6 +313,7 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
         raise DomainError("need d >= 2")
     if not (math.isfinite(sigma2) and sigma2 > 0) or n < 1:
         raise DomainError(f"need finite sigma2 > 0 and n >= 1, got sigma2={sigma2!r}, n={n}")
+    _require_finite(d=d, n=n)
     log_ratio = d * LN2  # radius ratio r/t = 2
     if mode == "simple":
         t_sq = d * sigma2 * LN2 / (4.0 * n)
@@ -324,7 +325,10 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
                                     "mi_log_form": n / 2.0 * math.log1p(4.0 * t_sq / sigma2),
                                     "d": d, "n": n, "sigma2": sigma2})
     if mode == "integrated":
-        value = ((d - 1) ** 2 * LN2 / (4.0 * d * d)) * (sigma2 * d / n)
+        try:
+            value = ((d - 1) ** 2 * LN2 / (4.0 * d * d)) * (sigma2 * d / n)
+        except OverflowError:
+            raise DomainError("d is too large: (d - 1)^2 overflows float64") from None
         integral = normal_mean_tail_integral(d, n)
         return MinimaxBound(value=value, pipeline="normal-mean-integrated",
                             t=None, eps=None, mi_bound=None, log_ratio=log_ratio,

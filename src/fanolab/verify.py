@@ -157,7 +157,7 @@ def grid_partition(seed: int, fault: bool, level: int) -> list[Check]:
                 for lv in range(1, 5))
     disk = continuum.l2_ball_space(2, 1.0)
     errs = []
-    for lv in range(max(1, level - 4), level + 1):
+    for lv in range(level - 4, level + 1):
         gp = continuum.grid_partition_counts(disk, 0.5, lv, seed=seed, centers=4)
         errs.append(abs(gp.log_count_ratio() - math.log(4.0)))
     # gp is the partition at `level` now

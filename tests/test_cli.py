@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanolab import cli
 from fanolab.cli import BOUND_PROBLEMS, SUITES, main
 
 LN2 = math.log(2.0)
@@ -217,6 +218,21 @@ def test_table_with_risk(capsys):
         assert float(row["bound"]) <= float(row["risk_ci_hi"])
 
 
+def test_table_with_risk_builds_each_design_once(tmp_path, monkeypatch, capsys):
+    """The bound and the risk of a row share one design: a CSV design is
+    read once per row, not once for each."""
+    path = tmp_path / "X.csv"
+    path.write_text("\n".join(",".join(str(3.0 * (i == j)) for j in range(3))
+                              for i in range(3)) + "\n")
+    reads = []
+    loadtxt = cli.np.loadtxt
+    monkeypatch.setattr(cli.np, "loadtxt", lambda *a, **k: reads.append(a) or loadtxt(*a, **k))
+    assert run(["table", "regression", "--sweep", "sigma2=1,2", "--d", "3", "--n", "3",
+                "--design", str(path), "--with-risk", "200", "--seed", "3"]) == 0
+    assert len(reads) == 2
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
 def test_verify_unknown_suite_exit2(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["verify", "bogus-suite"])
@@ -264,12 +280,30 @@ def test_verify_reports_byte_identical(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_verify_grid_smallest_level_sweeps_two_levels(tmp_path, capsys):
-    run(["verify", "grid-partition", "--seed", "1", "--level", "2",
-         "--out-dir", str(tmp_path)])
+def test_verify_grid_smallest_level_sweeps_five_levels(tmp_path, capsys):
+    """Level 6 is the smallest level whose disk area is within 2% on
+    correct code; the convergence check compares levels 2 to 6."""
+    assert run(["verify", "grid-partition", "--seed", "1", "--level", "6",
+                "--out-dir", str(tmp_path)]) == 0
     line = next(ln for ln in capsys.readouterr().out.splitlines()
                 if ln.startswith("check log-ratio-convergence:"))
-    assert len(ast.literal_eval(line.split("errs=", 1)[1])) == 2
+    assert len(ast.literal_eval(line.split("errs=", 1)[1])) == 5
+
+
+def test_verify_runs_the_suite_bound_in_fanolab_verify_now(tmp_path, monkeypatch):
+    """A suite is looked up by name when it runs, so a function rebound in
+    fanolab.verify (as a tracer does) is the one that runs."""
+    from fanolab import verify
+
+    calls = []
+
+    def stub(seed, fault):
+        calls.append(seed)
+        return [verify.Check("stub", True, margin=1.0)]
+
+    monkeypatch.setattr(verify, "quadrature", stub)
+    assert run(["verify", "quadrature", "--seed", "4", "--out-dir", str(tmp_path)]) == 0
+    assert calls == [4]
 
 
 def test_env_seed_override(tmp_path, monkeypatch, capsys):
@@ -296,6 +330,7 @@ REFUSED = [
     (["verify", "volume", "--seeds", "-1", "--points", "10"], "seeds"),
     (["verify", "estimator-risk", "--reps-scale", "-1"], "reps_scale"),
     (["verify", "grid-partition", "--level", "-3"], "level"),
+    (["verify", "grid-partition", "--level", "5"], "level"),
     (["verify", "quadrature", "--level", "4"], "level"),
     (["bound", "discrete-tail", "--card", "6", "--n-max", "2", "--n-min", "2",
       "--mi", "nan"], "mi"),
@@ -304,6 +339,7 @@ REFUSED = [
     (["bound", "normal-mean", "--d", "4", "--n", "10", "--sigma2", "inf"], "sigma2"),
     # finite inputs whose bound overflows, or underflows into 0 * inf
     (["bound", "normal-mean", "--d", "10", "--n", "1", "--sigma2", "1.7e308"], "bound value"),
+    (["bound", "normal-mean", "--d", "1" + "0" * 200, "--n", "1"], "d is too large"),
     (["bound", "sparse-location", "--d", "8", "--s", "2", "--n", "5", "--sigma2", "1e-310"],
      "bound value"),
     (["bound", "regression", "--d", "9", "--n", "9", "--scale", "inf"], "scale"),

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from fanolab.discrete import (
     sparse_sign_neighborhood_upper,
     sparse_sign_space,
 )
-from fanolab.info import DomainError, binary_entropy, mutual_information_exact, entropy
+from fanolab.info import (
+    DomainError,
+    EnumerationLimitError,
+    binary_entropy,
+    entropy,
+    mutual_information_exact,
+)
 from fanolab.lab import random_chain, random_symmetric_space
 
 LN2 = math.log(2.0)
@@ -123,6 +130,60 @@ def test_asymmetric_rho_rejected():
         DiscreteSpace([(0,), (1,)], lambda a, b: float(a[0] - b[0]))
     with pytest.raises(DomainError):
         DiscreteSpace.from_matrix(np.array([[0.0, 1.0], [2.0, 0.0]]))
+
+
+@pytest.mark.parametrize("pair", [(0, 1), (597, 599)])
+def test_asymmetric_pair_named_in_a_large_callable_space(pair):
+    """Every pair is checked, not a sample: one asymmetric pair among
+    600 points is found and named, with plain float values."""
+    i, j = pair
+
+    def rho(a, b):
+        return {(i, j): 0.5, (j, i): 1.0}.get((a, b), float(abs(a - b)))
+
+    want = f"rho(p{i}, p{j}) = 0.5 but rho(p{j}, p{i}) = 1.0"
+    with pytest.raises(DomainError, match=re.escape(want)):
+        DiscreteSpace(range(600), rho)
+
+
+def test_callable_rho_evaluated_once_per_pair_into_a_read_only_matrix():
+    calls = []
+
+    def rho(a, b):
+        calls.append((a, b))
+        return float(abs(a - b))
+
+    space = DiscreteSpace(range(7), rho)
+    assert sorted(calls) == [(a, b) for a in range(7) for b in range(7)]
+    neighborhood_sizes(space, 1.0)
+    space.rho_index(2, 5)
+    assert len(calls) == 49
+    m = space.distance_matrix()
+    assert m.dtype == np.float64 and not m.flags.writeable
+    assert m.tolist() == [[float(abs(a - b)) for b in range(7)] for a in range(7)]
+    assert set(vars(space)) == {"_matrix", "_vectors"} and space.vectors is None
+
+
+def test_hamming_space_holds_only_read_only_int8_vectors():
+    space = DiscreteSpace.hamming([[0, 1], [1, 1], [1, 0]])
+    assert space.vectors.dtype == np.int8 and not space.vectors.flags.writeable
+    assert set(vars(space)) == {"_matrix", "_vectors"} and space._matrix is None
+
+
+def test_callable_space_above_matrix_cutoff_refused_before_any_rho_call():
+    calls = []
+    with pytest.raises(EnumerationLimitError, match="3163 points"):
+        DiscreteSpace(range(3163), lambda a, b: calls.append(1) or 0.0)
+    assert not calls
+
+
+@pytest.mark.parametrize("matrix", [
+    [[math.nan, 1.0], [1.0, 0.0]],
+    [[0.0, math.nan], [math.nan, 0.0]],
+], ids=["diagonal", "off-diagonal"])
+def test_nan_distance_refused(matrix):
+    with pytest.raises(DomainError, match="rho must not be NaN"):
+        DiscreteSpace.from_matrix(matrix)
 
 
 def test_monotone_in_t():
@@ -379,11 +440,10 @@ def test_exact_min_decoder_tail_dominates_bounds(seed):
 def test_neighborhood_enumeration_budget():
     from fanolab.info import EnumerationLimitError
 
-    n = 10_100  # n^2 > 1e8 scalar-rho budget
+    n = 10_100  # a callable space this large is refused before any rho call
     pts = list(range(n))
-    space = DiscreteSpace(pts, lambda a, b: float(abs(a - b)))
     with pytest.raises(EnumerationLimitError) as exc:
-        neighborhood_sizes(space, 1.0)
+        neighborhood_sizes(DiscreteSpace(pts, lambda a, b: float(abs(a - b))), 1.0)
     assert "sparse_sign_neighborhood_upper" in str(exc.value)
 
 
@@ -391,9 +451,8 @@ def test_distance_matrix_guard():
     from fanolab.info import EnumerationLimitError
 
     n = 4000  # 1.6e7 matrix entries > the 1e7 cache guard
-    space = DiscreteSpace(list(range(n)), lambda a, b: float(abs(a - b)))
     with pytest.raises(EnumerationLimitError):
-        space.distance_matrix()
+        DiscreteSpace(list(range(n)), lambda a, b: float(abs(a - b))).distance_matrix()
 
 
 def test_sparse_sign_materialization_guard():

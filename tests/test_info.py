@@ -21,9 +21,13 @@ from fanolab.info import (
     mutual_information_exact,
     mutual_information_v_vhat,
 )
-from fanolab.continuum import surface_volume_bounds
-from fanolab.lab import random_chain
-from fanolab.minimax import normal_mean_tail_integral, normal_mean_tail_integral_floor
+from fanolab.continuum import box_space, l2_ball_space, surface_volume_bounds
+from fanolab.lab import hard_threshold, random_chain, soft_threshold
+from fanolab.minimax import (
+    normal_mean_bound,
+    normal_mean_tail_integral,
+    normal_mean_tail_integral_floor,
+)
 from fanolab.stats import clopper_pearson
 
 LN2 = math.log(2.0)
@@ -307,10 +311,21 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (normal_mean_tail_integral, (1000, 1), "d"),
     (normal_mean_tail_integral_floor, (2, 10**400), "n"),
     (normal_mean_tail_integral_floor, (10**400, 2), "d"),
+    (normal_mean_bound, (10**200, 1.0, 1), "d"),
+    (normal_mean_bound, (10**400, 1.0, 1, "simple"), "d"),
+    (normal_mean_bound, (2, 1.0, 10**400, "simple"), "n"),
+    (hard_threshold, (np.array([0.5, -2.0]), math.nan), "tau"),
+    (soft_threshold, (np.array([0.5, -2.0]), math.nan), "tau"),
+    (hard_threshold, (np.array([0.5, -2.0]), math.inf), "tau"),
+    (soft_threshold, (np.array([0.5, -2.0]), -math.inf), "tau"),
+    (l2_ball_space, (2, math.inf), "r"),
+    (box_space, ([0.0, 0.0], [math.inf, 1.0]), "hi"),
+    (box_space, ([-math.inf, 0.0], [1.0, 1.0]), "lo"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
-    """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), or
-    escaped with an OverflowError."""
+    """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
+    every entry, built a space of infinite extent, or escaped with an
+    OverflowError."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
 
