@@ -330,7 +330,6 @@ REFUSED = [
     (["verify", "volume", "--seeds", "-1", "--points", "10"], "seeds"),
     (["verify", "estimator-risk", "--reps-scale", "-1"], "reps_scale"),
     (["verify", "grid-partition", "--level", "-3"], "level"),
-    (["verify", "grid-partition", "--level", "5"], "level"),
     (["verify", "quadrature", "--level", "4"], "level"),
     (["bound", "discrete-tail", "--card", "6", "--n-max", "2", "--n-min", "2",
       "--mi", "nan"], "mi"),
@@ -339,7 +338,6 @@ REFUSED = [
     (["bound", "normal-mean", "--d", "4", "--n", "10", "--sigma2", "inf"], "sigma2"),
     # finite inputs whose bound overflows, or underflows into 0 * inf
     (["bound", "normal-mean", "--d", "10", "--n", "1", "--sigma2", "1.7e308"], "bound value"),
-    (["bound", "normal-mean", "--d", "1" + "0" * 200, "--n", "1"], "d is too large"),
     (["bound", "sparse-location", "--d", "8", "--s", "2", "--n", "5", "--sigma2", "1e-310"],
      "bound value"),
     (["bound", "regression", "--d", "9", "--n", "9", "--scale", "inf"], "scale"),
@@ -347,6 +345,9 @@ REFUSED = [
     (["bound", "continuum-tail", "--r", "1e300", "--t", "0.25", "--d", "12"], "r/t"),
     # a full-rank design whose squared norm underflows to 0
     (["bound", "regression", "--d", "2", "--n", "2", "--scale", "1e-310"], "||X||_F^2"),
+    # a level too coarse for the disk-area check, and a d whose (d - 1)^2 overflows
+    (["verify", "grid-partition", "--level", "5"], "level"),
+    (["bound", "normal-mean", "--d", "1" + "0" * 200, "--n", "1"], "d is too large"),
 ]
 
 
