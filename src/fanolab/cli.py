@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__, verify
 from .continuum import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
@@ -252,6 +251,8 @@ def _bound_row(problem: str, result, cfg: dict[str, str]) -> dict[str, str]:
 
 def _write_bound_outputs(out_dir: Path, problem: str, cfg: dict[str, str], seed: int,
                          result, row: dict[str, str]) -> tuple[Path, Path]:
+    import scipy  # only for its version in the manifest
+
     out_dir.mkdir(parents=True, exist_ok=True)
     chash = _config_hash("bound", problem, cfg, seed)
     detail = (dict(result.extras) if isinstance(result, MinimaxBound)

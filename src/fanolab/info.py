@@ -63,7 +63,7 @@ def _require_finite(**values) -> None:
         try:
             ok = bool(np.isfinite(np.asarray(value, dtype=np.float64)).all())
         except OverflowError:
-            ok = False
+            raise DomainError(f"{name} is too large for float64") from None
         if not ok:
             got = f", got {name}={value!r}" if isinstance(value, float) else ""
             raise DomainError(f"{name} must be finite{got}")

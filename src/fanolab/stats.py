@@ -1,24 +1,42 @@
-"""Confidence intervals and reproducible float accumulation."""
+"""Confidence intervals and reproducible float accumulation.
+
+Importing this module, like ``import fanolab``, does not import scipy. The
+interval functions import ``scipy.special`` on their first call: its
+``betaincinv`` and ``ndtri`` are the functions behind
+``scipy.stats.beta.ppf`` and ``scipy.stats.norm.ppf``, and give the same
+bits without the import cost of ``scipy.stats``.
+"""
 
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
-from scipy import stats as _st
 
 from .info import DomainError
 
 
-def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact two-sided binomial confidence interval for k successes in n trials."""
-    if not 0 <= k <= n or n < 1:
-        raise ValueError(f"need 0 <= k <= n, n >= 1; got k={k}, n={n}")
+def _require_confidence(confidence: float) -> None:
     if not 0 < confidence < 1:
         raise DomainError(f"confidence must lie in (0, 1), got confidence={confidence!r}")
+
+
+def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
+    """Exact two-sided binomial confidence interval for k successes in n trials."""
+    for name, count in (("n", n), ("k", k)):
+        if not isinstance(count, numbers.Integral):
+            raise DomainError(f"{name} must be an integer count, got {name}={count!r}")
+    if n < 1:
+        raise DomainError(f"n must be >= 1, got n={n}")
+    if not 0 <= k <= n:
+        raise DomainError(f"k must lie in [0, n], got k={k}, n={n}")
+    _require_confidence(confidence)
+    from scipy.special import betaincinv
+
     alpha = 1.0 - confidence
-    lo = 0.0 if k == 0 else float(_st.beta.ppf(alpha / 2, k, n - k + 1))
-    hi = 1.0 if k == n else float(_st.beta.ppf(1 - alpha / 2, k + 1, n - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
+    hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
     return lo, hi
 
 
@@ -28,11 +46,14 @@ def mean_ci(values: np.ndarray, confidence: float = 0.99) -> tuple[float, tuple[
     With fewer than two values the variance is undefined and the interval
     degenerates to (0, inf): the caller gets a report, never a crash.
     """
+    _require_confidence(confidence)
     values = np.asarray(values, dtype=np.float64)
     m = float(values.mean())
     if values.size < 2:
         return m, (0.0, math.inf)
-    z = float(_st.norm.ppf(0.5 + confidence / 2))
+    from scipy.special import ndtri
+
+    z = float(ndtri(0.5 + confidence / 2))
     half = z * float(values.std(ddof=1)) / math.sqrt(values.size)
     return m, (m - half, m + half)
 

@@ -6,6 +6,9 @@ under test, to show that the suite detects it) and its own keys. report()
 turns the records into the text of a verify report: one line per check,
 then the suite's verdict (every check passed) and its worst margin (the
 smallest margin among the checks that carry one, in check order).
+
+scipy.integrate is imported by the quadrature suite when it runs, not with
+this module, so that importing the CLI does not pay for it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from . import continuum, lab, minimax
 from .info import LN2
@@ -71,6 +73,8 @@ def decoder_oracle(seed: int, fault: bool, instances: int) -> list[Check]:
 
 def _quad_hinge_log(d: int, n: int) -> float:
     """Adaptive quadrature of max(0, (d-1)/d - n*ln(1+t)/(2 d ln2)) on [0, inf)."""
+    from scipy import integrate
+
     c = (d - 1) / d
 
     def f(t):
@@ -100,6 +104,8 @@ def _quad_hinge_log(d: int, n: int) -> float:
 
 
 def quadrature(seed: int, fault: bool) -> list[Check]:
+    from scipy import integrate
+
     pairs = [(d, n) for d in (2, 3, 5, 9, 64) for n in (1, 10, 100, 1000)]
     worst = -math.inf
     floor_ok = True

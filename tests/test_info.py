@@ -28,7 +28,7 @@ from fanolab.minimax import (
     normal_mean_tail_integral,
     normal_mean_tail_integral_floor,
 )
-from fanolab.stats import clopper_pearson
+from fanolab.stats import clopper_pearson, mean_ci
 
 LN2 = math.log(2.0)
 
@@ -321,13 +321,28 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (l2_ball_space, (2, math.inf), "r"),
     (box_space, ([0.0, 0.0], [math.inf, 1.0]), "hi"),
     (box_space, ([-math.inf, 0.0], [1.0, 1.0]), "lo"),
+    (mean_ci, ([1.0, 2.0], 1.0), "confidence"),
+    (mean_ci, ([1.0, 2.0], math.nan), "confidence"),
+    (clopper_pearson, (1.5, 4), "k"),
+    (clopper_pearson, (1, 4.0), "n"),
+    (clopper_pearson, (5, 4), "k"),
+    (clopper_pearson, (-1, 4), "k"),
+    (clopper_pearson, (0, 0), "n"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
-    every entry, built a space of infinite extent, or escaped with an
-    OverflowError."""
+    every entry, built a space of infinite extent, escaped with an
+    OverflowError or a bare ValueError, or returned an interval for a
+    fractional count."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
+
+
+def test_integer_too_large_for_float64_is_not_called_infinite():
+    with pytest.raises(DomainError, match="d is too large for float64"):
+        normal_mean_bound(10**400, 1.0, 1, "simple")
+    with pytest.raises(DomainError, match="d is too large for float64"):
+        surface_volume_bounds(1.0, 1.0, 0.1, 10**400)
 
 
 @pytest.mark.parametrize("seed", range(20))

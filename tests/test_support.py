@@ -1,10 +1,15 @@
 """Streams, intervals, accumulation, and the result records."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fanolab
 from fanolab.info import DomainError
 from fanolab.results import BoundResult, MinimaxBound
 from fanolab.stats import clopper_pearson, mean_ci, pairwise_sum
@@ -40,6 +45,7 @@ def test_clopper_pearson_edges():
     assert 0.9 < lo < 1 and hi == 1.0
     with pytest.raises(ValueError):
         clopper_pearson(5, 4)
+    assert clopper_pearson(np.int64(3), np.int64(10)) == clopper_pearson(3, 10)
 
 
 def test_clopper_pearson_contains_p_hat():
@@ -71,6 +77,79 @@ def test_mean_ci_degenerate():
     m, ci = mean_ci(np.array([7.0]))
     assert m == 7.0
     assert ci == (0.0, math.inf)
+
+
+CONFIDENCES = (0.9, 0.95, 0.99, 0.995, 0.999)
+# (k, n, confidence) of every interval that `verify volume --seeds 10` and
+# `verify estimator-risk` compute at seed 1
+SUITE_CALLS = [(k, 10**6, 0.995) for k in (
+    163654, 163974, 164027, 164128, 164132, 164232, 164352, 164508, 164584,
+    164614, 164623, 164632, 164751, 164753, 164800, 164851, 164857, 164960,
+    164968, 165246, 522947, 523020, 523115, 523182, 523199, 523322, 523333,
+    523403, 523418, 523441, 523466, 523573, 523647, 523764, 523967, 524025,
+    524027, 524054, 524178, 784762, 784818, 784941, 784949, 785042, 785137,
+    785168, 785170, 785301, 785357, 785376, 785434, 785471, 785539, 785663,
+    785668, 785741, 785753, 785859, 786289)] + [(18986, 20000, 0.99)]
+
+
+def _interval_cases():
+    g = np.random.Generator(np.random.Philox(key=14))
+    cases = list(SUITE_CALLS)
+    for conf in CONFIDENCES:
+        cases += [(k, n, conf) for n in range(1, 61) for k in range(n + 1)]
+        for n in (4096, 10**6, 2 * 10**6):
+            ks = {0, 1, n - 1, n} | set(g.integers(0, n + 1, size=200).tolist())
+            cases += [(k, n, conf) for k in sorted(ks)]
+    return cases
+
+
+def test_clopper_pearson_is_bit_identical_to_beta_ppf():
+    """betaincinv gives the same bits as the scipy.stats.beta.ppf route it
+    replaced, so no interval, and no report built from one, moves."""
+    from scipy import stats as st
+
+    cases = _interval_cases()
+    k, n, conf = (np.array(col) for col in zip(*cases))
+    alpha = 1.0 - conf
+    with np.errstate(invalid="ignore"):
+        lo = np.where(k == 0, 0.0, st.beta.ppf(alpha / 2, k, n - k + 1))
+        hi = np.where(k == n, 1.0, st.beta.ppf(1 - alpha / 2, k + 1, n - k))
+    got = np.array([clopper_pearson(*case) for case in cases])
+    assert np.array_equal(got[:, 0], lo) and np.array_equal(got[:, 1], hi)
+
+
+@pytest.mark.parametrize("conf", CONFIDENCES)
+def test_mean_ci_is_bit_identical_to_norm_ppf(conf):
+    from scipy import stats as st
+
+    g = np.random.Generator(np.random.Philox(key=14))
+    for values in ([-1.0, 1.0], g.standard_normal(7), g.exponential(size=20000)):
+        values = np.asarray(values)
+        m = float(values.mean())
+        half = (float(st.norm.ppf(0.5 + conf / 2)) * float(values.std(ddof=1))
+                / math.sqrt(values.size))
+        assert mean_ci(values, conf) == (m, (m - half, m + half))
+
+
+def test_import_leaves_scipy_out_until_an_interval_is_needed():
+    """import fanolab and fanolab.cli load no scipy module; the intervals
+    then load scipy.special only, never scipy.stats."""
+    code = """
+import sys
+import fanolab, fanolab.cli
+assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
+from fanolab.stats import clopper_pearson, mean_ci
+clopper_pearson(3, 10)
+mean_ci([1.0, 2.0, 4.0])
+assert "scipy.special" in sys.modules
+assert not [m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate"))]
+"""
+    src = str(Path(fanolab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_pairwise_sum_matches_fsum():
