@@ -24,6 +24,7 @@ from .continuum import (
 from .discrete import (
     DiscreteSpace,
     NeighborhoodProfile,
+    chain_tail,
     fano_conditional_form,
     fano_inequality_sides,
     fano_tail_lower_bound,

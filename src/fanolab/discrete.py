@@ -43,6 +43,7 @@ __all__ = [
     "sparse_sign_cardinality",
     "sparse_sign_neighborhood_exact",
     "sparse_sign_neighborhood_upper",
+    "chain_tail",
     "fano_inequality_sides",
     "fano_tail_lower_bound",
     "fano_conditional_form",
@@ -321,27 +322,39 @@ def sparse_sign_neighborhood_upper(d: int, s: int) -> tuple[int, int]:
     return t, bound
 
 
-def fano_inequality_sides(chain: MarkovChainSpec, space: DiscreteSpace,
-                          t: float) -> tuple[float, float]:
-    """Both sides of the distance-based Fano inequality, as (lhs, rhs).
-
-    lhs = h2(P_t) + P_t * ln((|V| - N_min) / N_max) + ln(N_max) with
-    P_t = P(rho(Vhat, V) > t), and rhs = H(V | Vhat). The inequality under
-    test is lhs >= rhs; it comes from conditioning the uncertainty about V
-    on the binary indicator of the event {rho(Vhat, V) <= t}, which is why
-    both extreme neighborhood sizes appear. The chain's V and Vhat
-    alphabets must both be the space's point set, in order.
+def chain_tail(chain: MarkovChainSpec, space: DiscreteSpace, t: float) -> float:
+    """Exact P(rho(Vhat, V) > t) of the chain V -> X -> Vhat, with the strict
+    event: a pair at distance exactly t counts as a success. It is the sum
+    of the joint law of (V, Vhat) over that event, clipped to [0, 1]. The
+    chain's V and Vhat alphabets must both be the space's point set, in
+    order, and t must be finite.
     """
     n = space.n_points
     if chain.n_v != n or chain.n_vhat != n:
         raise DomainError(
             f"alphabet mismatch: space has {n} points, chain has |V|={chain.n_v}, "
             f"|Vhat|={chain.n_vhat}")
-    joint = chain.joint_v_vhat()
-    dmat = space.distance_matrix()
+    if not math.isfinite(t):
+        raise DomainError(f"radius t must be finite, got t={t!r}")
     # joint[v, vhat] against the event rho(vhat, v) > t
-    p_t = float(joint[dmat.T > t].sum())
-    p_t = min(max(p_t, 0.0), 1.0)
+    p_t = float(chain.joint_v_vhat()[space.distance_matrix().T > t].sum())
+    return min(max(p_t, 0.0), 1.0)
+
+
+def fano_inequality_sides(chain: MarkovChainSpec, space: DiscreteSpace,
+                          t: float) -> tuple[float, float]:
+    """Both sides of the distance-based Fano inequality, as (lhs, rhs).
+
+    lhs = h2(P_t) + P_t * ln((|V| - N_min) / N_max) + ln(N_max) with
+    P_t = P(rho(Vhat, V) > t) from chain_tail, and rhs = H(V | Vhat). The
+    inequality under test is lhs >= rhs; it comes from conditioning the
+    uncertainty about V on the binary indicator of the event
+    {rho(Vhat, V) <= t}, which is why both extreme neighborhood sizes
+    appear. The chain's V and Vhat alphabets must both be the space's point
+    set, in order.
+    """
+    n = space.n_points
+    p_t = chain_tail(chain, space, t)
     prof = neighborhood_sizes(space, t)
     # P_t > 0 forces N_min < |V|: some neighborhood misses a point, so the
     # middle term's log argument is positive whenever the term is nonzero.

@@ -7,6 +7,11 @@ estimator we run (up to Monte Carlo confidence). The minimax infimum
 itself is not computable, so passing this audit certifies soundness, not
 sharpness.
 
+Each replicate's loss is the squared error ||theta_hat - theta||^2, and
+every tail is the weak event P(||theta_hat - theta|| >= t). The exact
+discrete tail P(rho(Vhat, V) > t) of a chain is discrete.chain_tail; no
+simulation here estimates it.
+
 Reproducibility contract: the replicates of an experiment are split into
 blocks of REPLICATE_BLOCK, and block b draws all of its replicates, as
 arrays, from the Philox stream keyed by (seed, REPLICATE_STREAM + b). A
@@ -78,8 +83,8 @@ __all__ = [
     "ORACLE_BLOCK",
 ]
 
-PROBLEMS = ("sparse-location", "normal-mean", "regression", "discrete-chain")
-ESTIMATORS = ("mean", "hard-threshold", "soft-threshold", "ols", "chain-decoder")
+PROBLEMS = ("sparse-location", "normal-mean", "regression")
+ESTIMATORS = ("mean", "hard-threshold", "soft-threshold", "ols")
 DECODER_ENUM_CUTOFF = 10**6
 # Replicates drawn from one keyed stream. Fixed by the library, so that
 # draws never depend on how the sums are chunked; a block of the widest
@@ -336,11 +341,10 @@ class ExperimentConfig:
     """Seeded estimator-vs-bound experiment description.
 
     The latent parameter is drawn uniformly per replicate: on the
-    eps-scaled sparse sign set (sparse-location), on the l2-ball of the
-    given radius (normal-mean), or from the chain prior (discrete-chain).
-    The 'mean' and 'ols' errors do not depend on the parameter, so those
-    estimators draw none. t_list are tail radii measured on the parameter
-    error, except for discrete-chain where they act on the index distance.
+    eps-scaled sparse sign set (sparse-location) or on the l2-ball of the
+    given radius (normal-mean). The 'mean' and 'ols' errors do not depend
+    on the parameter, so those estimators draw none. t_list are tail radii
+    on the parameter error: each tail is P(||theta_hat - theta|| >= t).
     """
 
     problem: str
@@ -355,8 +359,6 @@ class ExperimentConfig:
     radius: float = 1.0
     t_list: tuple[float, ...] = ()
     design: np.ndarray | None = None
-    chain: MarkovChainSpec | None = None
-    space: DiscreteSpace | None = None
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
@@ -392,19 +394,11 @@ class ExperimentConfig:
             if X.ndim != 2 or np.linalg.matrix_rank(X) < X.shape[1]:
                 raise DomainError("design must be a full-column-rank matrix")
             object.__setattr__(self, "design", X)
-        if self.problem == "discrete-chain":
-            if self.chain is None or self.space is None:
-                raise DomainError("discrete-chain needs both a chain and a space")
-            if self.estimator != "chain-decoder":
-                raise DomainError("discrete-chain supports the 'chain-decoder' estimator")
-            if self.chain.n_v != self.space.n_points or self.chain.n_vhat != self.space.n_points:
-                raise DomainError("chain alphabets must match the space")
 
 
 @dataclass(frozen=True)
 class TailEstimate:
     t: float
-    event: str              # "ge" for continuum-style tails, "gt" for discrete
     count: int
     reps: int
     p_hat: float
@@ -449,7 +443,7 @@ class RiskReport:
             f"risk_mean={self.risk_mean!r} ci=({self.risk_ci[0]!r},{self.risk_ci[1]!r})",
         ]
         for te in self.tails:
-            lines.append(f"tail t={te.t!r} event={te.event} count={te.count} "
+            lines.append(f"tail t={te.t!r} count={te.count} "
                          f"p_hat={te.p_hat!r} ci=({te.ci[0]!r},{te.ci[1]!r})")
         for mb in self.bounds:
             lines.append(f"bound label={mb.label} target={mb.target} t={mb.t!r} "
@@ -475,22 +469,6 @@ def _sparse_theta(g: np.random.Generator, m: int, d: int, s: int, eps: float) ->
     signs = 2.0 * g.integers(0, 2, size=(m, s)) - 1.0
     np.put_along_axis(theta, support, eps * signs, axis=1)
     return theta
-
-
-def _inverse_cdf(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row-wise index k with cum[k-1] <= u < cum[k]; clipped to the last
-    category, which rounding in the cumulative sums could otherwise pass."""
-    return np.minimum((cum <= u[:, None]).sum(axis=1), cum.shape[-1] - 1)
-
-
-def _chain_draw(chain: MarkovChainSpec, g: np.random.Generator,
-                m: int) -> tuple[np.ndarray, np.ndarray]:
-    """m draws of (V, Vhat) through the chain V -> X -> Vhat."""
-    u = g.random((3, m))
-    v = _inverse_cdf(np.cumsum(chain.prior.p), u[0])
-    x = _inverse_cdf(np.cumsum(chain.channel, axis=1)[v], u[1])
-    vhat = _inverse_cdf(np.cumsum(chain.decoder, axis=1)[x], u[2])
-    return v, vhat
 
 
 def _error_sampler(cfg: ExperimentConfig):
@@ -525,28 +503,17 @@ def _error_sampler(cfg: ExperimentConfig):
     return errors
 
 
-def _replicate_losses(cfg: ExperimentConfig) -> tuple[np.ndarray, str]:
-    """(per-replicate losses, tail event kind), drawn block by block from the
+def _replicate_losses(cfg: ExperimentConfig) -> np.ndarray:
+    """Per-replicate squared-error losses, drawn block by block from the
     streams keyed by (seed, REPLICATE_STREAM + block)."""
-    if cfg.problem == "discrete-chain":
-        dmat = cfg.space.distance_matrix()
-
-        def draw(g, m):
-            v, vhat = _chain_draw(cfg.chain, g, m)
-            return dmat[vhat, v]
-        event = "gt"
-    else:
-        errors = _error_sampler(cfg)
-
-        def draw(g, m):
-            err = errors(g, m)
-            return np.einsum("ij,ij->i", err, err)
-        event = "ge"
+    errors = _error_sampler(cfg)
     losses = np.empty(cfg.reps)
     for block, lo in enumerate(range(0, cfg.reps, REPLICATE_BLOCK)):
         hi = min(lo + REPLICATE_BLOCK, cfg.reps)
-        losses[lo:hi] = draw(stream(cfg.seed, REPLICATE_STREAM + block), hi - lo)
-    return losses, event
+        err = errors(stream(cfg.seed, REPLICATE_STREAM + block), hi - lo)
+        losses[lo:hi] = np.einsum("ij,ij->i", err, err)
+        del err  # free this block's errors before the next block draws its own
+    return losses
 
 
 def simulate_risk(config: ExperimentConfig,
@@ -556,30 +523,30 @@ def simulate_risk(config: ExperimentConfig,
     Matched bounds, when supplied, are audited against the 99% CI upper
     endpoints and violations are recorded in the report.
     """
-    losses, event = _replicate_losses(config)
+    losses = _replicate_losses(config)
     reps = config.reps
     chunk_sums = [float(losses[lo:lo + _SUM_CHUNK].sum())
                   for lo in range(0, reps, _SUM_CHUNK)]
     # Mean via the fixed-order pairwise reduction; the CI half-width still
     # comes from the per-replicate sample variance.
     risk_mean = pairwise_sum(chunk_sums) / reps
+    # a non-finite loss makes risk_mean non-finite, which mean_ci would refuse
+    # under its own name; the CI of finite losses can still overflow
+    overflow = (f"overflows float64: sigma2={config.sigma2!r}, eps, radius or the "
+                "design is too large")
+    if not math.isfinite(risk_mean):
+        raise DomainError(f"risk {risk_mean!r} {overflow}")
     _, ci = mean_ci(losses, _CONFIDENCE)
     if reps >= 2:
         half = (ci[1] - ci[0]) / 2.0
         ci = (risk_mean - half, risk_mean + half)
-    # a non-finite loss makes risk_mean non-finite; with reps >= 2 the CI is checked too
-    if not (math.isfinite(risk_mean) and (reps < 2 or all(map(math.isfinite, ci)))):
-        raise DomainError(f"risk {risk_mean!r} or its CI {ci!r} overflows float64: "
-                          f"sigma2={config.sigma2!r}, eps, radius or the design is too large")
-    # tails act on the error distance: the root of the squared-error loss,
-    # or the chain's index distance itself
-    dists = np.sqrt(losses) if event == "ge" else losses
+        if not all(map(math.isfinite, ci)):
+            raise DomainError(f"risk CI {ci!r} {overflow}")
+    dists = np.sqrt(losses)  # ||theta_hat - theta||, against the weak event >= t
     tails = []
     for t in config.t_list:
-        hit = dists >= t if event == "ge" else dists > t
-        k = int(np.count_nonzero(hit))
-        tails.append(TailEstimate(t=float(t), event=event, count=k, reps=reps,
-                                  p_hat=k / reps,
+        k = int(np.count_nonzero(dists >= t))
+        tails.append(TailEstimate(t=float(t), count=k, reps=reps, p_hat=k / reps,
                                   ci=clopper_pearson(k, reps, _CONFIDENCE)))
     report = RiskReport(problem=config.problem, estimator=config.estimator,
                         reps=reps, seed=config.seed, risk_mean=risk_mean,

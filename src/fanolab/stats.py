@@ -14,7 +14,7 @@ import numbers
 
 import numpy as np
 
-from .info import DomainError
+from .info import DomainError, _require_finite
 
 
 def _require_confidence(confidence: float) -> None:
@@ -27,6 +27,7 @@ def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     for name, count in (("n", n), ("k", k)):
         if not isinstance(count, numbers.Integral):
             raise DomainError(f"{name} must be an integer count, got {name}={count!r}")
+    _require_finite(n=n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got n={n}")
     if not 0 <= k <= n:
@@ -43,11 +44,15 @@ def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
 def mean_ci(values: np.ndarray, confidence: float = 0.99) -> tuple[float, tuple[float, float]]:
     """Sample mean with a normal-approximation confidence interval.
 
-    With fewer than two values the variance is undefined and the interval
-    degenerates to (0, inf): the caller gets a report, never a crash.
+    With a single value the variance is undefined and the interval
+    degenerates to (0, inf): the caller gets a report, never a crash. No
+    values, or a value that is not finite, is refused.
     """
     _require_confidence(confidence)
+    _require_finite(values=values)
     values = np.asarray(values, dtype=np.float64)
+    if values.size == 0:
+        raise DomainError("values must hold at least one value")
     m = float(values.mean())
     if values.size < 2:
         return m, (0.0, math.inf)

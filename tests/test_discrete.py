@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from fanolab.discrete import (
     DiscreteSpace,
     NeighborhoodProfile,
+    chain_tail,
     fano_conditional_form,
     fano_inequality_sides,
     fano_tail_lower_bound,
@@ -306,6 +307,69 @@ def test_sides_alphabet_mismatch():
     chain = random_chain(0, (3, 3, 3))
     with pytest.raises(DomainError):
         fano_inequality_sides(chain, DiscreteSpace.zero_one(4), 0.0)
+
+
+def oracle_chain_tail(chain, space, t):
+    """P(rho(Vhat, V) > t) by a loop over the pairs (v, vhat) and the x between."""
+    k = space.n_points
+    total = 0.0
+    for v, vhat in itertools.product(range(k), repeat=2):
+        if space.rho_index(vhat, v) > t:
+            total += sum(chain.prior.p[v] * chain.channel[v, x] * chain.decoder[x, vhat]
+                         for x in range(chain.n_x))
+    return total
+
+
+@pytest.mark.parametrize("seed, sizes", [(0, (3, 2, 3)), (1, (4, 4, 4)), (2, (5, 3, 5)),
+                                         (3, (2, 5, 2)), (4, (6, 6, 6))])
+def test_chain_tail_matches_pair_loop(seed, sizes):
+    chain = random_chain(seed, sizes)
+    space = random_symmetric_space(seed, sizes[0])
+    # every distance of the space is a radius too, where the strict > matters
+    radii = [0.0, 0.5, 1.0, 2.5] + space.distance_matrix().ravel().tolist()
+    for t in radii:
+        assert chain_tail(chain, space, t) == pytest.approx(
+            oracle_chain_tail(chain, space, t), rel=1e-12, abs=1e-15)
+    # with every distance below 2.5 no pair misses, and at t = -1 every pair does
+    assert chain_tail(chain, space, 2.5) == 0.0
+    assert chain_tail(chain, space, -1.0) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_chain_tail_identity_chain_never_misses():
+    from fanolab.info import MarkovChainSpec, ProbVector
+
+    k = 4
+    chain = MarkovChainSpec(prior=ProbVector(np.array([0.1, 0.2, 0.3, 0.4])),
+                            channel=np.eye(k), decoder=np.eye(k))
+    for space in (DiscreteSpace.zero_one(k), random_symmetric_space(3, k)):
+        for t in (0.0, 1e-300, 0.5, 1.0, 7.0):
+            assert chain_tail(chain, space, t) == 0.0
+
+
+def test_fano_sides_take_the_tail_from_chain_tail(monkeypatch):
+    import fanolab.discrete as discrete
+
+    chain = random_chain(5, (4, 3, 4))
+    space = random_symmetric_space(5, 4)
+    seen = []
+
+    def spy(*args):
+        seen.append(chain_tail(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(discrete, "chain_tail", spy)
+    lhs, _ = fano_inequality_sides(chain, space, 0.7)
+    assert seen == [chain_tail(chain, space, 0.7)]
+    p_t, prof = seen[0], neighborhood_sizes(space, 0.7)
+    assert lhs == (binary_entropy(p_t) + p_t * math.log((4 - prof.n_min) / prof.n_max)
+                   + math.log(prof.n_max))
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_chain_tail_refuses_a_non_finite_radius(t):
+    chain = random_chain(0, (3, 3, 3))
+    with pytest.raises(DomainError, match=r"\bt\b"):
+        chain_tail(chain, random_symmetric_space(0, 3), t)
 
 
 # -- tail and conditional forms ---------------------------------------------------

@@ -328,12 +328,15 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (clopper_pearson, (5, 4), "k"),
     (clopper_pearson, (-1, 4), "k"),
     (clopper_pearson, (0, 0), "n"),
+    (clopper_pearson, (1, 10**400), "n"),
+    (mean_ci, ([],), "values"),
+    (mean_ci, ([1.0, math.inf],), "values"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
     every entry, built a space of infinite extent, escaped with an
-    OverflowError or a bare ValueError, or returned an interval for a
-    fractional count."""
+    OverflowError or a bare ValueError, returned an interval for a
+    fractional count, or returned a mean and interval for no values."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
 

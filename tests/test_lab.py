@@ -50,7 +50,6 @@ from fanolab.minimax import (
     sparse_location_bound,
 )
 from fanolab.results import MinimaxBound
-from fanolab.stats import clopper_pearson
 from fanolab.streams import REPLICATE_STREAM, stream
 
 
@@ -328,16 +327,12 @@ _BLOCK_CONFIGS = {
                        design=np.array([[2.0, 0.0, 1.0], [0.5, 1.0, 0.0],
                                         [0.0, 1.0, 3.0], [1.0, 1.0, 1.0]]),
                        t_list=(1.0,)),
-    "discrete-chain": dict(problem="discrete-chain", estimator="chain-decoder",
-                           chain=random_chain(9, (3, 3, 3)),
-                           space=random_symmetric_space(9, 3), t_list=(0.5,)),
 }
 
 
 # (risk_mean, tail count) of each multi-block config at seed 12: any change
 # to the block draws or to the order of the loss-sum reduction shows here
 _MULTI_BLOCK_GOLDEN = {
-    "discrete-chain": (0.5925078058301547, 3392),
     "normal-mean": (0.2606812052042034, 6800),
     "regression": (1.0798092636901353, 3166),
     "sparse-location": (0.25343976117829514, 8260),
@@ -355,8 +350,8 @@ def test_block_draws_independent_of_chunking(problem):
 def test_growing_reps_keeps_shared_full_blocks(problem):
     short = ExperimentConfig(reps=REPLICATE_BLOCK + 7, seed=12, **_BLOCK_CONFIGS[problem])
     long = replace(short, reps=_MULTI_BLOCK_REPS)
-    a, _ = lab._replicate_losses(short)
-    b, _ = lab._replicate_losses(long)
+    a = lab._replicate_losses(short)
+    b = lab._replicate_losses(long)
     assert np.array_equal(a[:REPLICATE_BLOCK], b[:REPLICATE_BLOCK])
     assert not np.array_equal(b[:REPLICATE_BLOCK], b[REPLICATE_BLOCK:2 * REPLICATE_BLOCK])
 
@@ -423,45 +418,19 @@ def test_uniform_ball_radial_law():
     assert abs(w.mean() - 0.5) <= 5 * math.sqrt(1 / 12 / m)
 
 
-def test_inverse_cdf_clips_to_last_category():
-    cum = np.array([0.5, 0.9999999999999998])  # rounded short of 1
-    u = np.array([0.0, 0.4999, 0.5, 0.9999999999999999])
-    assert lab._inverse_cdf(cum, u).tolist() == [0, 0, 1, 1]
-
-
-def test_chain_draw_joint_matches_chain():
-    chain = random_chain(9, (3, 4, 3))
-    m = 40_000
-    v, vhat = lab._chain_draw(chain, stream(7, REPLICATE_STREAM), m)
-    counts = np.zeros((3, 3), dtype=np.int64)
-    np.add.at(counts, (v, vhat), 1)
-    joint = chain.joint_v_vhat()
-    for cell in np.ndindex(3, 3):
-        lo, hi = clopper_pearson(int(counts[cell]), m, 0.999)
-        assert lo <= joint[cell] <= hi, cell
-
-
-def test_discrete_chain_problem():
-    chain = random_chain(9, (3, 3, 3))
-    space = random_symmetric_space(9, 3)
-    cfg = ExperimentConfig(problem="discrete-chain", estimator="chain-decoder",
-                           reps=2000, seed=2, chain=chain, space=space,
-                           t_list=(0.5, 1.5))
+def test_tail_event_convention_continuum(monkeypatch):
+    """Every tail is the weak event ||theta_hat - theta|| >= t: errors of
+    norm exactly t all count toward the tail at t, and none toward the
+    next float above it."""
+    t = 0.75  # t * t and its square root are exact in float64
+    monkeypatch.setattr(lab, "_error_sampler",
+                        lambda cfg: lambda g, m: np.tile([0.0, t], (m, 1)))
+    cfg = ExperimentConfig(problem="normal-mean", estimator="mean",
+                           reps=REPLICATE_BLOCK + 5, seed=1, d=2, n=4,
+                           t_list=(t, math.nextafter(t, math.inf)))
     rep = simulate_risk(cfg)
-    assert rep.tails[0].event == "gt"
-    assert 0.0 <= rep.tails[0].p_hat <= 1.0
-    # exact tail from the joint for cross-checking, within the 99% CI
-    joint = chain.joint_v_vhat()
-    dmat = space.distance_matrix()
-    exact = float(joint[dmat.T > 0.5].sum())
-    assert rep.tails[0].ci[0] <= exact <= rep.tails[0].ci[1]
-
-
-def test_tail_event_convention_continuum():
-    cfg = ExperimentConfig(problem="normal-mean", estimator="mean", reps=50,
-                           seed=1, d=2, n=4, sigma2=1.0, t_list=(0.2,))
-    rep = simulate_risk(cfg)
-    assert rep.tails[0].event == "ge"
+    assert [te.count for te in rep.tails] == [cfg.reps, 0]
+    assert rep.tails[0].p_hat == 1.0
 
 
 # -- bound auditing ------------------------------------------------------------------------
