@@ -18,7 +18,10 @@ Two deliberate approximations, both reported rather than hidden:
   this package feeds a sampled-only sup into a reported bound.
 * Grid-cell occupancy ("intersection of nonzero volume") is decided by a
   fixed 4^d sub-grid per cell plus the cell center, all strictly
-  interior, so measure-zero touchings do not count.
+  interior, so measure-zero touchings do not count. The centers are
+  tested first, and the 4^d sub-grid points only of the cells whose
+  center failed: the same any() over the same points, so the same
+  counts, while a cell whose center lies in the region costs one test.
 
 Both estimators split their work into fixed-size chunks and run the chunks
 on a pool of threads, one per usable CPU. Each Monte Carlo chunk draws from
@@ -88,8 +91,12 @@ class ContinuumSpace:
     analytic maximizer of Vol(ball(t, v) & V) over v. The volume of the
     region is always estimated, never declared.
 
-    The estimators call contains and rho concurrently from worker threads,
-    so both must be pure: no shared state that a call mutates.
+    contains and rho must be row-wise: output row i depends only on input
+    row i, never on the other rows or on how many there are. The grid
+    partition relies on this when it tests each cell's center apart from,
+    and before, the cell's other sample points. The estimators call
+    contains and rho concurrently from worker threads, so both must be
+    pure: no shared state that a call mutates.
     """
 
     dim: int
@@ -120,14 +127,35 @@ class ContinuumSpace:
         return float(np.prod(hi - lo))
 
 
+def _long_rows(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """An (m, w) array viewed as m/k rows of k*w values, k = gcd(m, 64).
+
+    An elementwise op between an (m, w) array and a (w,) vector spread over
+    its rows runs numpy's inner loop over only w values at a time. The same
+    op between this view and np.tile(v, k) does the same arithmetic on each
+    value, so it gives the same bits, over rows up to 64 times longer. The
+    view shares a's memory when a is C-contiguous.
+    """
+    m, w = a.shape
+    k = math.gcd(m, 64)
+    return a.reshape(m // k, k * w), k
+
+
+def _minus(pts, center) -> np.ndarray:
+    """pts - center[None, :] for (m, d) points, computed on long rows."""
+    pts = np.asarray(pts)
+    rows, k = _long_rows(pts)
+    return (rows - np.tile(center, k)).reshape(pts.shape)
+
+
 def _metric(name: str):
     if name == "l2":
         def rho(center, pts):
-            diff = pts - center[None, :]
+            diff = _minus(pts, center)
             return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     elif name == "linf":
         def rho(center, pts):
-            return np.abs(pts - center[None, :]).max(axis=1)
+            return np.abs(_minus(pts, center)).max(axis=1)
     else:
         raise DomainError(f"unknown metric {name!r}; expected 'l2' or 'linf'")
 
@@ -238,8 +266,9 @@ def _map(fn, n: int) -> list:
 def _sample_box(g: np.random.Generator, count: int, box: np.ndarray) -> np.ndarray:
     lo, hi = box
     u = g.random((count, lo.size))
-    u *= hi - lo
-    u += lo
+    rows, k = _long_rows(u)
+    rows *= np.tile(hi - lo, k)
+    rows += np.tile(lo, k)
     return u
 
 
@@ -265,6 +294,16 @@ def _intersect_boxes(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     if np.any(hi <= lo):
         return None
     return np.stack([lo, hi])
+
+
+def _in_ball(space: ContinuumSpace, c: np.ndarray, t: float):
+    """The predicate of ball(t, c) & region on an (m, d) array of points."""
+    def in_ball(u):
+        ok = np.asarray(space.contains(u), dtype=bool)
+        ok &= np.asarray(space.rho(c, u), dtype=np.float64) <= t
+        return ok
+
+    return in_ball
 
 
 def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
@@ -306,13 +345,7 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
             box = _intersect_boxes(box, np.asarray(space.ball_bbox(c, t), dtype=np.float64))
         if box is None:
             continue
-
-        def in_ball(u, c=c):
-            ok = np.asarray(space.contains(u), dtype=bool)
-            ok &= np.asarray(space.rho(c, u), dtype=np.float64) <= t
-            return ok
-
-        counts.append((box, in_ball, j))
+        counts.append((box, _in_ball(space, c, t), j))
 
     sizes = [min(VOLUME_CHUNK, points - done) for done in range(0, points, VOLUME_CHUNK)]
     jobs = []
@@ -323,7 +356,7 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
 
     def run(n):
         _, box, predicate, g, take = jobs[n]
-        return int(predicate(_sample_box(g, take, box)).sum())
+        return int(np.count_nonzero(predicate(_sample_box(g, take, box))))
 
     hits = [0] * len(counts)
     for (k, *_), h in zip(jobs, _map(run, len(jobs))):
@@ -429,16 +462,31 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
         raise EstimationError(
             f"grid would have {total} candidate cells (guard {_MAX_CELLS}); lower the level")
     offsets = _cell_offsets(d) * eps
+    center, sub_grid = offsets[-1:], offsets[:-1]
 
-    def cell_points(kvec: np.ndarray) -> np.ndarray:
-        base = kvec.astype(np.float64) * eps
-        return (base[:, None, :] + offsets[None, :, :]).reshape(-1, d)
+    def cell_points(kvec: np.ndarray, offs: np.ndarray) -> np.ndarray:
+        # Row c * len(offs) + q is the point kvec[c] * eps + offs[q].
+        rows, k = _long_rows(np.tile(kvec * eps, len(offs)))
+        rows += np.tile(offs.ravel(), k)
+        return rows.reshape(-1, d)
+
+    def any_point(kvec: np.ndarray, pred) -> np.ndarray:
+        # Whether pred holds at any sample point of each cell: the center
+        # first, then the sub-grid of only the cells whose center failed.
+        # pred is row-wise, so this is the any() over all the points at once.
+        hit = np.array(pred(cell_points(kvec, center)), dtype=bool)
+        miss = np.flatnonzero(~hit)
+        if miss.size:
+            sub = np.asarray(pred(cell_points(kvec[miss], sub_grid)), dtype=bool)
+            hit[miss] = sub.reshape(miss.size, -1).any(axis=1)
+        return hit
 
     def occupied(n):
         ids = np.arange(n * GRID_CHUNK, min((n + 1) * GRID_CHUNK, total), dtype=np.int64)
-        kvec = np.stack(np.unravel_index(ids, shape), axis=1) + k_lo
-        inside = np.asarray(space.contains(cell_points(kvec)), dtype=bool)
-        return kvec[inside.reshape(kvec.shape[0], -1).any(axis=1)]
+        kvec = np.empty((ids.size, d), dtype=np.int64)
+        for i, col in enumerate(np.unravel_index(ids, shape)):
+            np.add(col, k_lo[i], out=kvec[:, i])
+        return kvec[any_point(kvec, space.contains)]
 
     occ = np.concatenate(_map(occupied, -(-total // GRID_CHUNK)), axis=0)
     n_cells = int(occ.shape[0])
@@ -460,15 +508,15 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
         cand = occ
         if space.ball_bbox is not None:
             bb = np.asarray(space.ball_bbox(c, t), dtype=np.float64)
-            keep = np.all((cand * eps < bb[1]) & ((cand + 1) * eps > bb[0]), axis=1)
+            keep = np.ones(cand.shape[0], dtype=bool)
+            for i in range(d):
+                col = cand[:, i]
+                keep &= (col * eps < bb[1, i]) & ((col + 1) * eps > bb[0, i])
             cand = cand[keep]
 
-        def touched(n, c=c, cand=cand):
+        def touched(n, cand=cand, in_ball=_in_ball(space, c, t)):
             kvec = cand[n * GRID_CHUNK:(n + 1) * GRID_CHUNK]
-            pts = cell_points(kvec)
-            ok = np.asarray(space.contains(pts), dtype=bool)
-            ok &= np.asarray(space.rho(c, pts), dtype=np.float64) <= t
-            return int(ok.reshape(kvec.shape[0], -1).any(axis=1).sum())
+            return int(np.count_nonzero(any_point(kvec, in_ball)))
 
         touched_max = max(touched_max, sum(_map(touched, -(-cand.shape[0] // GRID_CHUNK))))
     if touched_max == 0:

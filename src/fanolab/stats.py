@@ -38,6 +38,9 @@ def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     alpha = 1.0 - confidence
     lo = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2))
     hi = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1 - alpha / 2))
+    # betaincinv gives NaN once a shape parameter passes about 1e155
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"n is too large for an exact interval, got n={n:.3g}, k={k:.3g}")
     return lo, hi
 
 

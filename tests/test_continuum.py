@@ -21,6 +21,7 @@ from fanolab.continuum import (
     surface_volume_bounds,
 )
 from fanolab.info import DomainError
+from fanolab.streams import GRID_STREAM
 
 LN2 = math.log(2.0)
 
@@ -183,6 +184,26 @@ def test_results_do_not_depend_on_worker_count(make, monkeypatch):
     assert gp1 == gp4
 
 
+@pytest.mark.parametrize("d", range(1, 6))
+def test_sampling_and_metrics_match_row_broadcast_formulas(d):
+    """The box scaling and rho work on long rows; each value must still be
+    bit for bit the one the (m, d) op (d,) row broadcast gives."""
+    lo = np.linspace(-1.5, 0.25, d)
+    hi = lo + np.linspace(0.5, 3.0, d)  # a different width on every axis
+    c = np.linspace(-0.3, 0.6, d)
+    for m in (1, 63, 64, 1001, 16960, 65536):
+        pts = continuum._sample_box(np.random.Generator(np.random.Philox(key=m)), m,
+                                    np.stack([lo, hi]))
+        ref = lo + (hi - lo) * np.random.Generator(np.random.Philox(key=m)).random((m, d))
+        assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
+        for metric, formula in [
+                ("l2", lambda diff: np.sqrt(np.einsum("ij,ij->i", diff, diff))),
+                ("linf", lambda diff: np.abs(diff).max(axis=1))]:
+            got = continuum._metric(metric)[0](c, pts)
+            want = formula(pts - c)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (metric, m)
+
+
 # -- the bound itself -------------------------------------------------------------
 
 
@@ -261,6 +282,74 @@ def test_grid_golden_counts():
     assert (disk.cell_count, disk.touched_count) == (206620, 51856)
     user = grid_partition_counts(plain_disk(), 0.5, 6, seed=7, centers=3)
     assert (user.cell_count, user.touched_count) == (13056, 3311)
+
+
+def brute_grid_counts(space, t, level, probes):
+    """(cell_count, touched_count, cells whose center is in the region),
+    from every one of the 4^d + 1 sample points of every candidate cell,
+    each point built as cell corner plus offset: the cell's 4^d interior
+    sub-grid points and its center."""
+    d = space.dim
+    eps = 2.0 ** (-level)
+    lo, hi = space.bounding_box
+    axes = [np.arange(a, b) for a, b in zip(np.floor(lo / eps).astype(np.int64),
+                                             np.ceil(hi / eps).astype(np.int64))]
+    kvec = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    q = (np.arange(4) + 0.5) / 4.0
+    offsets = np.stack(np.meshgrid(*([q] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    offsets = np.vstack([offsets, np.full((1, d), 0.5)]) * eps
+    pts = (kvec[:, None, :] * eps + offsets[None, :, :]).reshape(-1, d)
+    inside = np.asarray(space.contains(pts), dtype=bool).reshape(len(kvec), -1)
+    touched = 0
+    for c in probes:
+        in_ball = inside & (np.asarray(space.rho(c, pts)).reshape(len(kvec), -1) <= t)
+        touched = max(touched, int(in_ball.any(axis=1).sum()))
+    return int(inside.any(axis=1).sum()), touched, int(inside[:, -1].sum())
+
+
+def annulus(d):
+    """The thin shell 0.55 <= |p| <= 0.6, built by hand, with no declared center."""
+    def contains(p):
+        r2 = (p * p).sum(axis=1)
+        return (r2 >= 0.55**2) & (r2 <= 0.6**2)
+
+    return ContinuumSpace(dim=d, contains=contains,
+                          bounding_box=np.stack([np.full(d, -0.6), np.full(d, 0.6)]),
+                          rho=lambda c, p: np.sqrt(((p - c) ** 2).sum(axis=1)))
+
+
+# (space, t, level, whether some occupied cell has its center outside the
+# region); the off-grid boxes have edges that no level's cell edges meet.
+GRID_ORACLE_CASES = {
+    "ball-l2-d1": (lambda: l2_ball_space(1, 1.0), 0.3, 6, False),
+    "ball-linf-d1": (lambda: l2_ball_space(1, 0.7, metric="linf"), 0.25, 5, True),
+    "ball-l2-d2": (lambda: l2_ball_space(2, 1.0), 0.5, 5, True),
+    "ball-linf-d2": (lambda: l2_ball_space(2, 1.0, metric="linf"), 0.4, 5, True),
+    "ball-l2-d3": (lambda: l2_ball_space(3, 1.0), 0.5, 3, True),
+    "ball-linf-d3": (lambda: l2_ball_space(3, 0.9, metric="linf"), 0.3, 3, True),
+    "plain-disk": (plain_disk, 0.5, 5, True),
+    "annulus-d2": (lambda: annulus(2), 0.3, 5, True),
+    "annulus-d3": (lambda: annulus(3), 0.3, 3, True),
+    "box-off-grid-l2-d1": (lambda: box_space([-0.3], [0.77], metric="l2"), 0.2, 4, True),
+    "box-off-grid-linf-d2": (lambda: box_space([-0.3, 0.1], [0.45, 0.77]), 0.2, 4, True),
+    "box-off-grid-l2-d3": (lambda: box_space([-0.3, 0.1, -0.55], [0.45, 0.77, 0.2],
+                                             metric="l2"), 0.2, 3, True),
+}
+
+
+@pytest.mark.parametrize("case", GRID_ORACLE_CASES)
+def test_grid_counts_match_every_point_oracle(case):
+    make, t, level, center_misses = GRID_ORACLE_CASES[case]
+    space = make()
+    gp = grid_partition_counts(space, t, level, seed=7, centers=3)
+    probes = list(continuum._sample_in_space(space, 3, 7, GRID_STREAM))
+    if space.sup_center is not None:
+        probes.insert(0, space.sup_center)
+    cells, touched, center_hits = brute_grid_counts(space, t, level, probes)
+    assert (gp.cell_count, gp.touched_count) == (cells, touched)
+    # the case reaches the sub-grid points when some cell is occupied only
+    # through them
+    assert (center_hits < cells) == center_misses
 
 
 def test_grid_memory_guard():

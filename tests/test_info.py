@@ -331,6 +331,9 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (clopper_pearson, (1, 10**400), "n"),
     (mean_ci, ([],), "values"),
     (mean_ci, ([1.0, math.inf],), "values"),
+    (clopper_pearson, (1, 10**155), "n"),
+    (clopper_pearson, (5, 10**155), "n"),
+    (clopper_pearson, (5, 10**300), "n"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
