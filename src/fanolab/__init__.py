@@ -55,14 +55,12 @@ from .lab import (
     MatchedBound,
     RiskReport,
     TailEstimate,
-    bound_to_matched,
     check_bounds,
     enumerate_decoders_min_tail,
     hard_threshold,
     random_chain,
     random_symmetric_space,
     simulate_risk,
-    soft_threshold,
 )
 from .minimax import (
     ParamFamily,

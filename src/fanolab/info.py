@@ -13,6 +13,7 @@ concurrent use needs no synchronization.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,6 +68,13 @@ def _require_finite(**values) -> None:
         if not ok:
             got = f", got {name}={value!r}" if isinstance(value, float) else ""
             raise DomainError(f"{name} must be finite{got}")
+
+
+def _require_integer(**values) -> None:
+    """Refuses, naming it, the first value that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise DomainError(f"{name} must be an integer, got {name}={value!r}")
 
 
 def _validate_rows(mat, name: str) -> np.ndarray:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from .info import (
     MarkovChainSpec,
     ProbVector,
     _require_finite,
+    _require_integer,
     _validate_rows,
 )
 from .results import MinimaxBound
@@ -58,7 +59,7 @@ from .streams import CHAIN_STREAM, REPLICATE_STREAM, SPACE_STREAM, VERIFY_STREAM
 
 __all__ = [
     "PROBLEMS",
-    "ESTIMATORS",
+    "ESTIMATOR_OF",
     "ExperimentConfig",
     "TailEstimate",
     "MatchedBound",
@@ -73,24 +74,27 @@ __all__ = [
     "fano_sides_batch",
     "decoder_bounds_batch",
     "hard_threshold",
-    "soft_threshold",
     "simulate_risk",
     "check_bounds",
-    "bound_to_matched",
     "audit_config",
     "DECODER_ENUM_CUTOFF",
     "REPLICATE_BLOCK",
     "ORACLE_BLOCK",
 ]
 
-PROBLEMS = ("sparse-location", "normal-mean", "regression")
-ESTIMATORS = ("mean", "hard-threshold", "soft-threshold", "ols")
+# The estimator that audits each problem's bound: hard thresholding at
+# sigma sqrt(2 ln d / n), the sample mean, and OLS on the design.
+ESTIMATOR_OF = {"sparse-location": "hard-threshold", "normal-mean": "mean",
+                "regression": "ols"}
+PROBLEMS = tuple(ESTIMATOR_OF)
 DECODER_ENUM_CUTOFF = 10**6
 # Replicates drawn from one keyed stream. Fixed by the library, so that
 # draws never depend on how the sums are chunked; a block of the widest
 # problem (d = 32) stays near 1 MB per array.
 REPLICATE_BLOCK = 4096
 _SUM_CHUNK = 1024  # replicates per partial loss sum, reduced pairwise in order
+# the most replicates whose float64 losses numpy can size one array by
+_MAX_REPS = np.iinfo(np.intp).max // 8
 # Oracle-suite instances drawn from one keyed stream; it also bounds the
 # stacked arrays of one shape group (at most 4096 x 4^4 decoder tails).
 ORACLE_BLOCK = 4096
@@ -330,25 +334,19 @@ def hard_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     return np.where(np.abs(x) > tau, x, 0.0)
 
 
-def soft_threshold(x: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink coordinates toward zero by tau."""
-    _require_finite(tau=tau)
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Seeded estimator-vs-bound experiment description.
+    """Seeded estimator-vs-bound experiment description; the problem picks
+    the estimator, as ESTIMATOR_OF lists.
 
-    The latent parameter is drawn uniformly per replicate: on the
-    eps-scaled sparse sign set (sparse-location) or on the l2-ball of the
-    given radius (normal-mean). The 'mean' and 'ols' errors do not depend
-    on the parameter, so those estimators draw none. t_list are tail radii
-    on the parameter error: each tail is P(||theta_hat - theta|| >= t).
+    Only sparse-location draws a latent parameter, uniformly per replicate
+    from the eps-scaled sparse sign set: the errors of the sample mean and
+    of OLS do not depend on the parameter. For regression, d is the
+    design's column count. t_list are tail radii on the parameter error:
+    each tail is P(||theta_hat - theta|| >= t).
     """
 
     problem: str
-    estimator: str
     reps: int
     seed: int
     d: int = 1
@@ -356,43 +354,38 @@ class ExperimentConfig:
     n: int = 1
     sigma2: float = 1.0
     eps: float = 0.0
-    radius: float = 1.0
     t_list: tuple[float, ...] = ()
     design: np.ndarray | None = None
 
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise DomainError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
-        if self.estimator not in ESTIMATORS:
-            raise DomainError(f"unknown estimator {self.estimator!r}; expected one of {ESTIMATORS}")
-        if self.reps < 1:
-            raise DomainError("reps must be >= 1")
+        _require_integer(reps=self.reps, seed=self.seed, d=self.d, s=self.s, n=self.n)
+        if not 1 <= self.reps <= _MAX_REPS:
+            raise DomainError(f"reps must lie in [1, {_MAX_REPS}], got reps={self.reps}")
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise DomainError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
-        for key in ("eps", "radius"):
-            value = getattr(self, key)
-            if not (math.isfinite(value) and value >= 0):
-                raise DomainError(f"{key} must be finite and >= 0, got {value!r}")
+        if not (math.isfinite(self.eps) and self.eps >= 0):
+            raise DomainError(f"eps must be finite and >= 0, got {self.eps!r}")
         for t in self.t_list:
             if not (math.isfinite(t) and t >= 0):
                 raise DomainError(f"each t in t_list must be finite and >= 0, got {t!r}")
-        if self.problem in ("sparse-location", "normal-mean"):
-            if self.d < 1 or self.n < 1:
-                raise DomainError("need d >= 1, n >= 1")
-            if self.estimator not in ("mean", "hard-threshold", "soft-threshold"):
-                raise DomainError(f"estimator {self.estimator!r} does not fit {self.problem!r}")
+        if self.problem != "regression" and (self.d < 1 or self.n < 1):
+            raise DomainError("need d >= 1, n >= 1")
         if self.problem == "sparse-location" and not 1 <= self.s <= self.d:
             raise DomainError("sparse-location needs 1 <= s <= d")
         if self.problem == "regression":
             if self.design is None:
                 raise DomainError("regression needs a design matrix")
-            if self.estimator != "ols":
-                raise DomainError("regression supports the 'ols' estimator")
             X = np.asarray(self.design, dtype=np.float64)
             if not np.all(np.isfinite(X)):
                 raise DomainError("design must have finite entries")
+            if X.ndim == 2 and X.size == 0:
+                raise DomainError(f"design must have rows and columns, got shape {X.shape}")
             if X.ndim != 2 or np.linalg.matrix_rank(X) < X.shape[1]:
                 raise DomainError("design must be a full-column-rank matrix")
+            if self.d != X.shape[1]:
+                raise DomainError(f"d={self.d} must equal the design's {X.shape[1]} columns")
             object.__setattr__(self, "design", X)
 
 
@@ -434,7 +427,6 @@ class RiskReport:
     risk_ci: tuple[float, float]
     tails: tuple[TailEstimate, ...]
     bounds: tuple[MatchedBound, ...] = ()
-    violations: tuple[str, ...] = ()
 
     def to_text(self) -> str:
         """Canonical text form; byte-identical for identical configs."""
@@ -448,18 +440,7 @@ class RiskReport:
         for mb in self.bounds:
             lines.append(f"bound label={mb.label} target={mb.target} t={mb.t!r} "
                          f"value={mb.value!r}")
-        lines.append("violations=" + (",".join(self.violations) if self.violations else "none"))
         return "\n".join(lines) + "\n"
-
-
-def _uniform_ball(g: np.random.Generator, m: int, d: int, radius: float) -> np.ndarray:
-    """m points drawn uniformly from the d-dimensional l2-ball, one per row."""
-    u = g.standard_normal((m, d))
-    norm = np.sqrt(np.einsum("ij,ij->i", u, u))
-    r = radius * g.random(m) ** (1.0 / d)
-    # a zero Gaussian row has no direction; it maps to the center
-    scale = np.divide(r, norm, out=np.zeros(m), where=norm > 0)
-    return u * scale[:, None]
 
 
 def _sparse_theta(g: np.random.Generator, m: int, d: int, s: int, eps: float) -> np.ndarray:
@@ -479,26 +460,20 @@ def _error_sampler(cfg: ExperimentConfig):
     (X^T X)^{-1} X^T noise ~ N(0, sigma2 (X^T X)^{-1}).
     """
     sigma = math.sqrt(cfg.sigma2)
+    d = cfg.d
     if cfg.problem == "regression":
         # X = QR gives L = R^{-1} with L L^T = (X^T X)^{-1}. A Cholesky of
         # the explicit inverse fails on designs the rank check admits.
-        d = cfg.design.shape[1]
         factor_t = sigma * np.linalg.inv(np.linalg.qr(cfg.design, mode="r")).T
         return lambda g, m: g.standard_normal((m, d)) @ factor_t
-    d = cfg.d
     se = sigma / math.sqrt(cfg.n)
-    if cfg.estimator == "mean":
+    if cfg.problem == "normal-mean":
         return lambda g, m: se * g.standard_normal((m, d))
     tau = sigma * math.sqrt(2.0 * math.log(d) / cfg.n)
-    fn = hard_threshold if cfg.estimator == "hard-threshold" else soft_threshold
 
     def errors(g, m):
-        if cfg.problem == "sparse-location":
-            theta = _sparse_theta(g, m, d, cfg.s, cfg.eps)
-        else:
-            theta = _uniform_ball(g, m, d, cfg.radius)
-        xbar = theta + se * g.standard_normal((m, d))
-        return fn(xbar, tau) - theta
+        theta = _sparse_theta(g, m, d, cfg.s, cfg.eps)
+        return hard_threshold(theta + se * g.standard_normal((m, d)), tau) - theta
 
     return errors
 
@@ -520,8 +495,8 @@ def simulate_risk(config: ExperimentConfig,
                   bounds: tuple[MatchedBound, ...] = ()) -> RiskReport:
     """Run the seeded experiment and report empirical risk and tails.
 
-    Matched bounds, when supplied, are audited against the 99% CI upper
-    endpoints and violations are recorded in the report.
+    Matched bounds, when supplied, are carried in the report for
+    check_bounds to audit.
     """
     losses = _replicate_losses(config)
     reps = config.reps
@@ -532,7 +507,7 @@ def simulate_risk(config: ExperimentConfig,
     risk_mean = pairwise_sum(chunk_sums) / reps
     # a non-finite loss makes risk_mean non-finite, which mean_ci would refuse
     # under its own name; the CI of finite losses can still overflow
-    overflow = (f"overflows float64: sigma2={config.sigma2!r}, eps, radius or the "
+    overflow = (f"overflows float64: sigma2={config.sigma2!r}, eps or the "
                 "design is too large")
     if not math.isfinite(risk_mean):
         raise DomainError(f"risk {risk_mean!r} {overflow}")
@@ -548,26 +523,9 @@ def simulate_risk(config: ExperimentConfig,
         k = int(np.count_nonzero(dists >= t))
         tails.append(TailEstimate(t=float(t), count=k, reps=reps, p_hat=k / reps,
                                   ci=clopper_pearson(k, reps, _CONFIDENCE)))
-    report = RiskReport(problem=config.problem, estimator=config.estimator,
-                        reps=reps, seed=config.seed, risk_mean=risk_mean,
-                        risk_ci=ci, tails=tuple(tails), bounds=tuple(bounds))
-    # a NaN margin (say, from an overflowed risk) is a violation, as in check_bounds
-    violations = tuple(label for label, margin in _margins(report) if not margin >= 0)
-    return replace(report, violations=violations)
-
-
-def _margins(report: RiskReport) -> list[tuple[str, float]]:
-    out = []
-    for mb in report.bounds:
-        if mb.target == "risk":
-            out.append((mb.label, report.risk_ci[1] - mb.value))
-        else:
-            match = [te for te in report.tails if te.t == mb.t]
-            if not match:
-                raise DomainError(f"bound {mb.label!r} matched to t={mb.t!r}, "
-                                  "which is not in the report's t_list")
-            out.append((mb.label, match[0].ci[1] - mb.value))
-    return out
+    return RiskReport(problem=config.problem, estimator=ESTIMATOR_OF[config.problem],
+                      reps=reps, seed=config.seed, risk_mean=risk_mean,
+                      risk_ci=ci, tails=tuple(tails), bounds=tuple(bounds))
 
 
 @dataclass(frozen=True)
@@ -584,7 +542,16 @@ def check_bounds(report: RiskReport) -> BoundAudit:
     Margin = CI-upper - bound; negative means the bound claims more than
     the estimator achieved, which a sound lower bound can never do.
     """
-    margins = _margins(report)
+    margins = []
+    for mb in report.bounds:
+        if mb.target == "risk":
+            margins.append((mb.label, report.risk_ci[1] - mb.value))
+        else:
+            match = [te for te in report.tails if te.t == mb.t]
+            if not match:
+                raise DomainError(f"bound {mb.label!r} matched to t={mb.t!r}, "
+                                  "which is not in the report's t_list")
+            margins.append((mb.label, match[0].ci[1] - mb.value))
     if not margins:
         raise DomainError("report carries no matched bounds to audit")
     # a NaN margin fails the audit, so it must also be the one reported
@@ -594,30 +561,24 @@ def check_bounds(report: RiskReport) -> BoundAudit:
                       worst_label=worst[0], worst_margin=worst[1])
 
 
-def bound_to_matched(bound: MinimaxBound, label: str | None = None) -> MatchedBound:
-    """Match a pipeline risk bound to the empirical mean risk."""
-    return MatchedBound(label=label or bound.pipeline, target="risk", value=bound.value)
-
-
 def audit_config(bound: MinimaxBound, reps: int, seed: int,
                  design: np.ndarray | None = None) -> ExperimentConfig:
     """The experiment whose estimator audits a pipeline bound: the sample
-    mean on the unit ball for normal-mean, hard thresholding at the bound's
-    eps for sparse-location, and OLS on `design` for linear regression and
+    mean for normal-mean, hard thresholding at the bound's eps for
+    sparse-location, and OLS on `design` for linear regression and
     compressed sensing. d, s, n and sigma2 come from the bound's extras."""
     x = bound.extras
     if bound.pipeline in ("normal-mean-simple", "normal-mean-integrated"):
-        return ExperimentConfig(problem="normal-mean", estimator="mean", reps=reps,
-                                seed=seed, d=x["d"], n=x["n"], sigma2=x["sigma2"])
+        return ExperimentConfig(problem="normal-mean", reps=reps, seed=seed,
+                                d=x["d"], n=x["n"], sigma2=x["sigma2"])
     if bound.pipeline == "sparse-location":
-        return ExperimentConfig(problem="sparse-location", estimator="hard-threshold",
-                                reps=reps, seed=seed, d=x["d"], s=x["s"], n=x["n"],
-                                sigma2=x["sigma2"], eps=bound.eps)
+        return ExperimentConfig(problem="sparse-location", reps=reps, seed=seed,
+                                d=x["d"], s=x["s"], n=x["n"], sigma2=x["sigma2"],
+                                eps=bound.eps)
     if bound.pipeline in ("linear-regression", "compressed-sensing"):
         if design is None:
             raise DomainError(f"pipeline {bound.pipeline!r} is audited by OLS and needs "
                               "its design")
-        return ExperimentConfig(problem="regression", estimator="ols", reps=reps,
-                                seed=seed, d=np.shape(design)[1], sigma2=x["sigma2"],
-                                design=design)
+        return ExperimentConfig(problem="regression", reps=reps, seed=seed,
+                                d=np.shape(design)[1], sigma2=x["sigma2"], design=design)
     raise DomainError(f"no estimator audits pipeline {bound.pipeline!r}")

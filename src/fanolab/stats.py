@@ -10,11 +10,10 @@ bits without the import cost of ``scipy.stats``.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
-from .info import DomainError, _require_finite
+from .info import DomainError, _require_finite, _require_integer
 
 
 def _require_confidence(confidence: float) -> None:
@@ -24,9 +23,7 @@ def _require_confidence(confidence: float) -> None:
 
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval for k successes in n trials."""
-    for name, count in (("n", n), ("k", k)):
-        if not isinstance(count, numbers.Integral):
-            raise DomainError(f"{name} must be an integer count, got {name}={count!r}")
+    _require_integer(n=n, k=k)
     _require_finite(n=n)
     if n < 1:
         raise DomainError(f"n must be >= 1, got n={n}")

@@ -209,9 +209,8 @@ def estimator_risk(seed: int, fault: bool, reps_scale: float) -> list[Check]:
     t = math.sqrt((math.sqrt(2.0) - 1.0) / 4.0)
     mi_ub = 0.5 * math.log1p(4.0 * t * t)
     tail = continuum.continuum_fano_bound(2 * LN2, mi_ub)
-    tail_config = lab.ExperimentConfig(problem="normal-mean", estimator="mean",
-                                       reps=reps(20_000), seed=seed, d=2, n=1, sigma2=1.0,
-                                       t_list=(t,))
+    tail_config = lab.ExperimentConfig(problem="normal-mean", reps=reps(20_000), seed=seed,
+                                       d=2, n=1, sigma2=1.0, t_list=(t,))
     return [
         _risk_check("normal-mean-risk", lab.audit_config(nm, reps(100_000), seed),
                     lab.MatchedBound("normal-mean-integrated", "risk", inflate * nm.value)),

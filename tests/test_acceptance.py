@@ -36,8 +36,8 @@ from fanolab.discrete import (
 )
 from fanolab.info import binary_entropy, entropy, mutual_information_exact
 from fanolab.lab import (
-    ExperimentConfig,
     MatchedBound,
+    audit_config,
     check_bounds,
     enumerate_decoders_min_tail,
     random_chain,
@@ -170,8 +170,7 @@ def test_criterion_05_normal_mean_constant_and_risk():
     res = normal_mean_bound(10, 1.0, 100, mode="integrated")
     want = (81 * LN2 / 400) * 0.1
     const_ok = abs(res.value - want) <= 1e-12 * want
-    cfg = ExperimentConfig(problem="normal-mean", estimator="mean", reps=100_000,
-                           seed=SEED + 5, d=10, n=100, sigma2=1.0)
+    cfg = audit_config(res, 100_000, SEED + 5)
     rep = simulate_risk(cfg, (MatchedBound("integrated", "risk", res.value),))
     audit = check_bounds(rep)
     elapsed = time.monotonic() - start
@@ -186,8 +185,7 @@ def test_criterion_06_regression_constants_and_risk():
     exact = res.extras["exact_value"]
     simplified_ok = res.value == 9 * 1.0 / (12 * 9)
     dominates = exact >= res.value
-    cfg = ExperimentConfig(problem="regression", estimator="ols", reps=10_000,
-                           seed=SEED + 6, d=9, sigma2=1.0, design=X)
+    cfg = audit_config(res, 10_000, SEED + 6, X)
     rep = simulate_risk(cfg, (MatchedBound("simplified", "risk", res.value),
                               MatchedBound("exact", "risk", exact)))
     audit = check_bounds(rep)
@@ -199,9 +197,7 @@ def test_criterion_06_regression_constants_and_risk():
 def test_criterion_07_sparse_pipeline_soundness():
     res = sparse_location_bound(32, 4, 1.0, 200)
     c = res.extras["implied_c"]
-    cfg = ExperimentConfig(problem="sparse-location", estimator="hard-threshold",
-                           reps=10_000, seed=SEED + 7, d=32, s=4, n=200,
-                           sigma2=1.0, eps=res.eps)
+    cfg = audit_config(res, 10_000, SEED + 7)
     rep = simulate_risk(cfg, (MatchedBound("sparse-location", "risk", res.value),))
     audit = check_bounds(rep)
     report(7, "sparse pipeline bound below thresholding risk with c in (0, 1]",

@@ -348,6 +348,9 @@ REFUSED = [
     # a level too coarse for the disk-area check, and a d whose (d - 1)^2 overflows
     (["verify", "grid-partition", "--level", "5"], "level"),
     (["bound", "normal-mean", "--d", "1" + "0" * 200, "--n", "1"], "d is too large"),
+    # a replicate count that numpy cannot size an array by
+    (["table", "sparse-location", "--sweep", "d=16", "--s", "4", "--n", "200",
+      "--with-risk", "1" + "0" * 30], "reps"),
 ]
 
 

@@ -22,7 +22,7 @@ from fanolab.info import (
     mutual_information_v_vhat,
 )
 from fanolab.continuum import box_space, l2_ball_space, surface_volume_bounds
-from fanolab.lab import hard_threshold, random_chain, soft_threshold
+from fanolab.lab import hard_threshold, random_chain
 from fanolab.minimax import (
     normal_mean_bound,
     normal_mean_tail_integral,
@@ -315,9 +315,9 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (normal_mean_bound, (10**400, 1.0, 1, "simple"), "d"),
     (normal_mean_bound, (2, 1.0, 10**400, "simple"), "n"),
     (hard_threshold, (np.array([0.5, -2.0]), math.nan), "tau"),
-    (soft_threshold, (np.array([0.5, -2.0]), math.nan), "tau"),
+    (hard_threshold, (np.array([0.5, -2.0]), -math.inf), "tau"),
     (hard_threshold, (np.array([0.5, -2.0]), math.inf), "tau"),
-    (soft_threshold, (np.array([0.5, -2.0]), -math.inf), "tau"),
+    (hard_threshold, (np.array([0.5, -2.0]), 10**400), "tau"),
     (l2_ball_space, (2, math.inf), "r"),
     (box_space, ([0.0, 0.0], [math.inf, 1.0]), "hi"),
     (box_space, ([-math.inf, 0.0], [1.0, 1.0]), "lo"),
