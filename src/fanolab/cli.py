@@ -47,7 +47,7 @@ from .minimax import (
     sparse_location_bound,
 )
 from .results import MinimaxBound
-from .streams import DESIGN_STREAM, stream
+from .streams import DESIGN_STREAM, _require_seed, stream
 
 CSV_SCHEMA = "fanolab-bound-v1"
 CSV_COLUMNS = ("pipeline", "d", "s", "n", "sigma2", "t", "eps",
@@ -136,9 +136,10 @@ def _seed(given: str | None) -> int:
     if raw is None:
         name, raw = "FANOLAB_SEED", os.environ.get("FANOLAB_SEED") or str(DEFAULT_SEED)
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    return _require_seed(seed, name)
 
 
 def _params(args) -> tuple[dict[str, str], int]:

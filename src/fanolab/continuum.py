@@ -22,6 +22,8 @@ Two deliberate approximations, both reported rather than hidden:
   tested first, and the 4^d sub-grid points only of the cells whose
   center failed: the same any() over the same points, so the same
   counts, while a cell whose center lies in the region costs one test.
+  Occupancy is stored as one byte per candidate cell, and each probed
+  ball tests only the occupied cells in the index window of its box.
 
 Both estimators split their work into fixed-size chunks and run the chunks
 on a pool of threads, one per usable CPU. Each Monte Carlo chunk draws from
@@ -32,6 +34,7 @@ on the order in which chunks finish.
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -107,6 +110,8 @@ class ContinuumSpace:
     sup_center: np.ndarray | None = None
 
     def __post_init__(self):
+        if not self.dim >= 1:
+            raise DomainError(f"dim must be >= 1, got dim={self.dim!r}")
         box = np.asarray(self.bounding_box, dtype=np.float64)
         if box.shape != (2, self.dim):
             raise DomainError(f"bounding_box must be (2, {self.dim}): row 0 lows, row 1 highs")
@@ -155,7 +160,14 @@ def _metric(name: str):
             return np.sqrt(np.einsum("ij,ij->i", diff, diff))
     elif name == "linf":
         def rho(center, pts):
-            return np.abs(_minus(pts, center)).max(axis=1)
+            # A max over the d columns, not .max(axis=1), whose inner loop
+            # runs over only d values; max is exact, so the bits agree.
+            diff = _minus(pts, center)
+            np.abs(diff, out=diff)
+            out = diff[:, 0].copy()
+            for j in range(1, diff.shape[1]):
+                np.maximum(out, diff[:, j], out=out)
+            return out
     else:
         raise DomainError(f"unknown metric {name!r}; expected 'l2' or 'linf'")
 
@@ -443,7 +455,12 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     ball-touching are decided on each cell's fixed interior sample points,
     so both counts are deterministic given the seed (which only drives the
     probed centers). The probed centers are the declared maximizer plus
-    `centers` rejection-sampled points of the region. Cells are examined
+    `centers` rejection-sampled points of the region.
+
+    Occupancy is kept as one byte per candidate cell of the bounding box's
+    grid, so at most _MAX_CELLS bytes. Each probe scans only the window of
+    cell indices that its ball's box meets, the whole grid when the space
+    has no ball_bbox, and tests the occupied cells in it. Cells are examined
     in chunks of GRID_CHUNK on worker threads; the counts do not depend on
     the number of workers.
     """
@@ -464,6 +481,13 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     offsets = _cell_offsets(d) * eps
     center, sub_grid = offsets[-1:], offsets[:-1]
 
+    def cells(ids: np.ndarray) -> np.ndarray:
+        # The (m, d) integer corners k of the cells with these flat ids.
+        kvec = np.empty((ids.size, d), dtype=np.int64)
+        for i, col in enumerate(np.unravel_index(ids, shape)):
+            np.add(col, k_lo[i], out=kvec[:, i])
+        return kvec
+
     def cell_points(kvec: np.ndarray, offs: np.ndarray) -> np.ndarray:
         # Row c * len(offs) + q is the point kvec[c] * eps + offs[q].
         rows, k = _long_rows(np.tile(kvec * eps, len(offs)))
@@ -483,13 +507,11 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
 
     def occupied(n):
         ids = np.arange(n * GRID_CHUNK, min((n + 1) * GRID_CHUNK, total), dtype=np.int64)
-        kvec = np.empty((ids.size, d), dtype=np.int64)
-        for i, col in enumerate(np.unravel_index(ids, shape)):
-            np.add(col, k_lo[i], out=kvec[:, i])
-        return kvec[any_point(kvec, space.contains)]
+        return any_point(cells(ids), space.contains)
 
-    occ = np.concatenate(_map(occupied, -(-total // GRID_CHUNK)), axis=0)
-    n_cells = int(occ.shape[0])
+    # One byte per candidate cell, indexed by flat cell id.
+    mask = np.concatenate(_map(occupied, -(-total // GRID_CHUNK)))
+    n_cells = int(np.count_nonzero(mask))
     if n_cells == 0:
         raise EstimationError("no cell intersects the region; check bounding box and level")
 
@@ -501,24 +523,33 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     if not probes:
         raise DomainError("need centers > 0 or a declared sup_center")
 
-    # One probe at a time: holding every probe's candidate cells at once
-    # raises the peak memory.
     touched_max = 0
     for c in probes:
-        cand = occ
+        # The window [w_lo, w_hi) of cell indices on each axis whose cells
+        # [k*eps, (k+1)*eps) meet the ball's box: (k+1)*eps > box low holds
+        # on a suffix of the axis and k*eps < box high on a prefix, so the
+        # cells that pass both form one run, found by bisection.
+        w_lo, w_hi = np.zeros(d, dtype=np.int64), shape.copy()
         if space.ball_bbox is not None:
             bb = np.asarray(space.ball_bbox(c, t), dtype=np.float64)
-            keep = np.ones(cand.shape[0], dtype=bool)
-            for i in range(d):
-                col = cand[:, i]
-                keep &= (col * eps < bb[1, i]) & ((col + 1) * eps > bb[0, i])
-            cand = cand[keep]
+            for i, (b_lo, b_hi) in enumerate(zip(bb[0].tolist(), bb[1].tolist())):
+                axis = range(int(k_lo[i]), int(k_hi[i]))
+                w_lo[i] = bisect.bisect_left(axis, True, key=lambda k: (k + 1) * eps > b_lo)
+                w_hi[i] = max(w_lo[i], bisect.bisect_left(
+                    axis, True, key=lambda k: not k * eps < b_hi))
+        w_shape = w_hi - w_lo
+        w_total = int(np.prod(w_shape))
+        if w_total == 0:
+            continue
+        w_start = np.ravel_multi_index(w_lo, shape)
 
-        def touched(n, cand=cand, in_ball=_in_ball(space, c, t)):
-            kvec = cand[n * GRID_CHUNK:(n + 1) * GRID_CHUNK]
-            return int(np.count_nonzero(any_point(kvec, in_ball)))
+        def touched(n, w_shape=w_shape, w_start=w_start, w_total=w_total,
+                    in_ball=_in_ball(space, c, t)):
+            w_ids = np.arange(n * GRID_CHUNK, min((n + 1) * GRID_CHUNK, w_total), dtype=np.int64)
+            ids = np.ravel_multi_index(np.unravel_index(w_ids, w_shape), shape) + w_start
+            return int(np.count_nonzero(any_point(cells(ids[mask[ids]]), in_ball)))
 
-        touched_max = max(touched_max, sum(_map(touched, -(-cand.shape[0] // GRID_CHUNK))))
+        touched_max = max(touched_max, sum(_map(touched, -(-w_total // GRID_CHUNK))))
     if touched_max == 0:
         raise EstimationError("no cell touched by any probed ball; is t too small for the grid?")
     return GridPartition(level=level, cell_width=eps, cell_count=n_cells,

@@ -55,7 +55,14 @@ from .info import (
 )
 from .results import MinimaxBound
 from .stats import clopper_pearson, mean_ci, pairwise_sum
-from .streams import CHAIN_STREAM, REPLICATE_STREAM, SPACE_STREAM, VERIFY_STREAM, stream
+from .streams import (
+    CHAIN_STREAM,
+    REPLICATE_STREAM,
+    SPACE_STREAM,
+    VERIFY_STREAM,
+    _require_seed,
+    stream,
+)
 
 __all__ = [
     "PROBLEMS",
@@ -360,7 +367,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise DomainError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
-        _require_integer(reps=self.reps, seed=self.seed, d=self.d, s=self.s, n=self.n)
+        _require_integer(reps=self.reps, d=self.d, s=self.s, n=self.n)
+        _require_seed(self.seed)
         if not 1 <= self.reps <= _MAX_REPS:
             raise DomainError(f"reps must lie in [1, {_MAX_REPS}], got reps={self.reps}")
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):

@@ -351,6 +351,9 @@ REFUSED = [
     # a replicate count that numpy cannot size an array by
     (["table", "sparse-location", "--sweep", "d=16", "--s", "4", "--n", "200",
       "--with-risk", "1" + "0" * 30], "reps"),
+    # seeds outside the 64-bit word of the Philox key
+    (["bound", "normal-mean", "--d", "4", "--n", "10", "--seed", "-1"], "seed"),
+    (["verify", "quadrature", "--seed", str(2**64)], "seed"),
 ]
 
 
@@ -390,6 +393,13 @@ def test_bad_env_seed_exits_2(argv, tmp_path, monkeypatch, capsys):
     out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "table" else \
         ["--out-dir", str(tmp_path)]
     assert run(argv + out) == 2
+    assert "FANOLAB_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", ["-1", str(2**64)])
+def test_env_seed_outside_64_bits_exits_2(env, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("FANOLAB_SEED", env)
+    assert run(["bound", "normal-mean", "--d", "4", "--n", "10", "--out-dir", str(tmp_path)]) == 2
     assert "FANOLAB_SEED" in capsys.readouterr().err
 
 

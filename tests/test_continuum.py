@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,7 +172,9 @@ def assert_same_estimate(a, b):
             assert x == y, f.name
 
 
-@pytest.mark.parametrize("make", [lambda: l2_ball_space(2, 1.0), plain_disk])
+@pytest.mark.parametrize("make", [
+    lambda: l2_ball_space(2, 1.0), plain_disk,
+    pytest.param(lambda: box_space([0.0, 0.0], [1.0, 1.0]), id="box-linf")])
 def test_results_do_not_depend_on_worker_count(make, monkeypatch):
     space = make()
     runs = []
@@ -334,6 +337,9 @@ GRID_ORACLE_CASES = {
     "box-off-grid-linf-d2": (lambda: box_space([-0.3, 0.1], [0.45, 0.77]), 0.2, 4, True),
     "box-off-grid-l2-d3": (lambda: box_space([-0.3, 0.1, -0.55], [0.45, 0.77, 0.2],
                                              metric="l2"), 0.2, 3, True),
+    # the declared center's ball box overruns the bounding box on every
+    # side, so its window of cells is the whole grid
+    "ball-box-overruns-grid": (lambda: l2_ball_space(2, 1.0), 1.5, 4, True),
 }
 
 
@@ -350,6 +356,31 @@ def test_grid_counts_match_every_point_oracle(case):
     # the case reaches the sub-grid points when some cell is occupied only
     # through them
     assert (center_hits < cells) == center_misses
+
+
+@pytest.mark.parametrize("side", [-1.0, 1.0])
+def test_grid_ball_box_off_the_grid_touches_no_cell(side):
+    """A ball_bbox beyond the grid, below or above it, gives every probe an
+    empty window of cells: no cell is touched, and no index runs off the grid."""
+    disk = l2_ball_space(2, 1.0)
+    space = dataclasses.replace(disk, ball_bbox=lambda c, t: np.stack([c, c + t]) + 3 * side)
+    with pytest.raises(EstimationError, match="no cell touched"):
+        grid_partition_counts(space, 0.5, 4, seed=1, centers=2)
+
+
+def test_grid_occupancy_takes_one_byte_per_cell(monkeypatch):
+    """The level-10 unit square has 2^20 candidate cells, all occupied: an
+    int64 index row per occupied cell alone would take 16 MiB. Each worker
+    holds one chunk's points, so the worker count is pinned."""
+    monkeypatch.setattr(continuum, "_usable_cpus", lambda: 2)
+    space = box_space([0.0, 0.0], [1.0, 1.0])
+    tracemalloc.start()
+    try:
+        grid_partition_counts(space, 0.25, 10, seed=1, centers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
 
 
 def test_grid_memory_guard():

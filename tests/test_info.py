@@ -334,10 +334,11 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (clopper_pearson, (1, 10**155), "n"),
     (clopper_pearson, (5, 10**155), "n"),
     (clopper_pearson, (5, 10**300), "n"),
+    (box_space, ([], []), "dim"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
-    every entry, built a space of infinite extent, escaped with an
+    every entry, built a space of infinite extent or of no axes, escaped with an
     OverflowError or a bare ValueError, returned an interval for a
     fractional count, or returned a mean and interval for no values."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):

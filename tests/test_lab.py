@@ -471,6 +471,9 @@ _DESIGN = np.eye(3)
     (dict(problem="normal-mean", d=3, n=2.5), "n"),
     (dict(problem="regression", d=3, n=2.5, design=_DESIGN), "n"),
     (dict(problem="normal-mean", d=3, n=5, reps=10**30), "reps"),
+    # seeds outside the 64-bit word of the Philox key
+    (dict(problem="normal-mean", d=3, n=5, seed=-1), "seed"),
+    (dict(problem="normal-mean", d=3, n=5, seed=2**64), "seed"),
 ])
 def test_config_rejects_out_of_domain_values(kwargs, key):
     with pytest.raises(DomainError, match=key):

@@ -35,7 +35,20 @@ def test_stream_order_independent():
 
 
 def test_stream_negative_and_huge_ids():
-    assert stream(-1, 2**70 + 3).random() == stream(-1, 2**70 + 3).random()
+    assert stream(1, -1).random() == stream(1, -1).random()
+    assert stream(1, 2**70 + 3).random() == stream(1, 2**70 + 3).random()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
+def test_stream_refuses_seeds_outside_the_key_word(seed):
+    """A seed is one 64-bit word of the Philox key: none is wrapped onto another."""
+    with pytest.raises(DomainError, match=r"\bseed\b"):
+        stream(seed)
+
+
+def test_stream_accepts_every_64_bit_seed():
+    for seed in (0, 2**64 - 1, np.uint64(2**64 - 1)):
+        assert stream(seed).random() == stream(int(seed)).random()
 
 
 def test_clopper_pearson_edges():
