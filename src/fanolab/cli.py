@@ -38,7 +38,7 @@ import numpy as np
 from . import __version__, verify
 from .continuum import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
 from .discrete import NeighborhoodProfile, fano_tail_lower_bound
-from .info import DomainError
+from .info import _DOMAINS, DomainError, _require
 from .lab import audit_config, simulate_risk
 from .minimax import (
     compressed_sensing_bound,
@@ -47,7 +47,7 @@ from .minimax import (
     sparse_location_bound,
 )
 from .results import MinimaxBound
-from .streams import DESIGN_STREAM, _require_seed, stream
+from .streams import DESIGN_STREAM, stream
 
 CSV_SCHEMA = "fanolab-bound-v1"
 CSV_COLUMNS = ("pipeline", "d", "s", "n", "sigma2", "t", "eps",
@@ -62,9 +62,6 @@ class ConfigError(Exception):
 # -- the parameter table -----------------------------------------------------
 
 REQUIRED = "required"
-_DOMAINS = {"any": lambda v: True, "finite": math.isfinite,
-            "finite and > 0": lambda v: math.isfinite(v) and v > 0,
-            ">= 1": lambda v: v >= 1, ">= 6": lambda v: v >= 6}
 
 
 @dataclass(frozen=True)
@@ -139,7 +136,8 @@ def _seed(given: str | None) -> int:
         seed = int(raw)
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
-    return _require_seed(seed, name)
+    _require("an integer in [0, 2**64)", **{name: seed})
+    return seed
 
 
 def _params(args) -> tuple[dict[str, str], int]:

@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .discrete import _fano_tail
-from .info import DomainError, _require_finite
+from .info import DomainError, _require
 from .results import BoundResult
 from .stats import clopper_pearson
 from .streams import BALL_STREAM, CENTER_STREAM, GRID_STREAM, VOLUME_STREAM, stream
@@ -110,13 +110,15 @@ class ContinuumSpace:
     sup_center: np.ndarray | None = None
 
     def __post_init__(self):
-        if not self.dim >= 1:
-            raise DomainError(f"dim must be >= 1, got dim={self.dim!r}")
+        _require("an integer in [1, 2**63)", dim=self.dim)
         box = np.asarray(self.bounding_box, dtype=np.float64)
         if box.shape != (2, self.dim):
             raise DomainError(f"bounding_box must be (2, {self.dim}): row 0 lows, row 1 highs")
-        if not np.all(box[1] > box[0]):
-            raise DomainError("bounding_box must have positive extent on every axis")
+        with np.errstate(over="ignore", under="ignore"):
+            volume = float(np.prod(box[1] - box[0]))
+        if not (np.all(box[1] > box[0]) and 0 < volume < math.inf):
+            raise DomainError("bounding_box must have positive extent on every axis and a "
+                              f"volume in float64 range, got volume {volume!r}")
         box = box.copy()
         box.flags.writeable = False
         object.__setattr__(self, "bounding_box", box)
@@ -184,9 +186,12 @@ def l2_ball_space(d: int, r: float, *, metric: str = "l2") -> ContinuumSpace:
     intersected with the region is at least as large as around any other
     center, for the built-in norms.
     """
-    if d < 1 or not r > 0:
-        raise DomainError("need d >= 1 and r > 0")
-    _require_finite(r=r)
+    _require("an integer in [1, 2**63)", d=d)
+    _require("finite and > 0", r=r)
+    with np.errstate(over="ignore", under="ignore"):
+        if not 0 < np.float64(2.0 * r) ** d < np.inf:
+            raise DomainError(f"r={r!r} does not suit d={d}: the volume (2 r)^d of the "
+                              "bounding box is out of float64 range")
     rho, bbox = _metric(metric)
     r2 = r * r
 
@@ -201,11 +206,11 @@ def l2_ball_space(d: int, r: float, *, metric: str = "l2") -> ContinuumSpace:
 
 def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
     """Axis-aligned box [lo, hi] with its midpoint as declared maximizer."""
+    _require("finite", lo=lo, hi=hi)
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
         raise DomainError("need matching 1-d lo < hi")
-    _require_finite(lo=lo, hi=hi)
     d = lo.size
     rho, bbox = _metric(metric)
 
@@ -219,15 +224,19 @@ def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
 
 
 def ball_volume_ratio_analytic(r: float, t: float, d: int) -> float:
-    """Vol(ball r) / Vol(ball t) = (r/t)^d for a region that is itself a ball."""
-    if not 0 < t <= r:
+    """Vol(ball r) / Vol(ball t) = (r/t)^d for a region that is itself a ball.
+    A ratio that overflows float64 is refused."""
+    _require("finite and > 0", r=r, t=t)
+    _require("finite and >= 1", d=d)
+    if not t <= r:
         raise DomainError(f"need 0 < t <= r, got t={t!r}, r={r!r}")
-    if d < 1:
-        raise DomainError("need d >= 1")
     try:
-        return (r / t) ** d
+        ratio = (r / t) ** d
     except OverflowError:
-        raise DomainError(f"(r/t)^d overflows float64 at r={r!r}, t={t!r}, d={d}") from None
+        ratio = math.inf
+    if not math.isfinite(ratio):
+        raise DomainError(f"(r/t)^d overflows float64 at r={r!r}, t={t!r}, d={d}")
+    return ratio
 
 
 @dataclass(frozen=True)
@@ -330,10 +339,10 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
     worker threads; the result is bit-identical whatever the number of
     workers or the order in which the chunks run.
     """
-    if points < 1 or centers < 0:
-        raise DomainError("need points >= 1 and centers >= 0")
-    if not t > 0:
-        raise DomainError("need t > 0")
+    _require("finite and > 0", t=t)
+    _require("an integer in [0, 2**63)", centers=centers)
+    _require("an integer in [1, 2**63)", points=points)
+    _require("an integer in [0, 2**64)", seed=seed)
     per_count_conf = 1.0 - (1.0 - _CONFIDENCE) / 2.0  # two counts share the miss budget
 
     cand: list[tuple[np.ndarray, str]] = []
@@ -394,6 +403,8 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
     if best is None or best[4] == 0:
         raise EstimationError("no draw landed in any candidate ball; cannot estimate the sup")
     ball_est, ball_ci, src, c, _ = best
+    if ball_ci[0] == 0.0:
+        raise DomainError(f"t={t!r} is too small: the volume of its ball underflows float64")
     return VolumeRatioEstimate(
         ratio=vol_est / ball_est,
         ci=(vol_ci[0] / ball_ci[1], vol_ci[1] / ball_ci[0]),
@@ -410,8 +421,7 @@ def continuum_fano_bound(log_ratio: float, mi: float) -> BoundResult:
     weak inequality rho >= t. A nonpositive log-ratio makes the formula
     inapplicable: valid=False, value 0.
     """
-    if not math.isfinite(log_ratio):
-        raise DomainError("log_ratio must be finite")
+    _require("finite", log_ratio=log_ratio)
     return BoundResult(value=_fano_tail(mi, log_ratio), valid=log_ratio > 0,
                        ingredients={"mi_bound": mi, "log_ratio": log_ratio})
 
@@ -431,8 +441,10 @@ class GridPartition:
     touched_count: int
 
     def __post_init__(self):
-        if self.cell_count < 1 or self.touched_count < 1:
-            raise DomainError("counts must be >= 1")
+        _require("an integer in [0, 2**63)", level=self.level)
+        _require("finite and > 0", cell_width=self.cell_width)
+        _require("an integer in [1, 2**63)", cell_count=self.cell_count,
+                 touched_count=self.touched_count)
 
     def log_count_ratio(self) -> float:
         """ln(cell_count / touched_count), the discrete log-ratio ingredient."""
@@ -464,20 +476,25 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     in chunks of GRID_CHUNK on worker threads; the counts do not depend on
     the number of workers.
     """
-    if level < 0:
-        raise DomainError("level must be >= 0")
-    if not t > 0:
-        raise DomainError("need t > 0")
+    _require("finite and > 0", t=t)
+    _require("an integer in [0, 2**63)", level=level, centers=centers)
+    _require("an integer in [0, 2**64)", seed=seed)
     d = space.dim
     eps = 2.0 ** (-level)
     lo, hi = space.bounding_box
-    k_lo = np.floor(lo / eps).astype(np.int64)
-    k_hi = np.ceil(hi / eps).astype(np.int64)  # exclusive
-    shape = k_hi - k_lo
-    total = int(np.prod(shape))
-    if total > _MAX_CELLS:
+    # The grid's index range in float first: a cast to int64 of an index
+    # that does not fit would give a garbage shape.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        k_lo, k_hi = np.floor(lo / eps), np.ceil(hi / eps)  # k_hi exclusive
+    total = float(np.prod(k_hi - k_lo))
+    if not total <= _MAX_CELLS:
         raise EstimationError(
-            f"grid would have {total} candidate cells (guard {_MAX_CELLS}); lower the level")
+            f"grid would have {total:.0f} candidate cells (guard {_MAX_CELLS}); lower the level")
+    if not np.all((np.abs(k_lo) < 2**63) & (np.abs(k_hi) < 2**63)):
+        raise DomainError(f"the cell indices of the space's bounding box at level={level} "
+                          "do not fit int64: the box lies too far from the origin")
+    k_lo, k_hi = k_lo.astype(np.int64), k_hi.astype(np.int64)
+    shape, total = k_hi - k_lo, int(total)
     offsets = _cell_offsets(d) * eps
     center, sub_grid = offsets[-1:], offsets[:-1]
 
@@ -563,15 +580,16 @@ def surface_volume_bounds(volume: float, surface: float, eps: float,
     Returns (volume - (2 eps)^d * surface, volume + (2 eps)^d * surface):
     the Lebesgue measure of A minus/plus a (2 eps)-cube carried along its
     boundary. Finiteness of the surface area is the caller's assertion;
-    there is no constructive test here. Non-finite arguments are refused.
+    there is no constructive test here. Non-finite arguments, and a sandwich
+    that overflows float64, are refused.
     """
-    _require_finite(volume=volume, surface=surface, eps=eps, d=d)
-    if volume < 0 or surface < 0 or eps < 0:
-        raise DomainError("volume, surface and eps must be >= 0")
-    if d < 1:
-        raise DomainError("need d >= 1")
+    _require("finite and >= 0", volume=volume, surface=surface, eps=eps)
+    _require("finite and >= 1", d=d)
     try:
         pad = (2.0 * eps) ** d * surface
     except OverflowError:
-        raise DomainError("(2 eps)^d overflows float64: eps or d is too large") from None
+        pad = math.inf
+    if not math.isfinite(volume + pad):
+        raise DomainError("volume + (2 eps)^d * surface overflows float64: volume, "
+                          "surface, eps or d is too large")
     return volume - pad, volume + pad

@@ -30,6 +30,7 @@ from .info import (
     DomainError,
     EnumerationLimitError,
     MarkovChainSpec,
+    _require,
     binary_entropy,
     conditional_entropy,
 )
@@ -136,8 +137,7 @@ class DiscreteSpace:
     @classmethod
     def zero_one(cls, k: int) -> "DiscreteSpace":
         """k labelled points under the 0-1 metric."""
-        if k < 2:
-            raise DomainError("need k >= 2")
+        _require("an integer in [2, 2**63)", k=k)
         space = cls.from_matrix(1.0 - np.eye(k))
         space.homogeneous = True  # every point sees the same distance multiset
         return space
@@ -208,9 +208,10 @@ class NeighborhoodProfile:
     n_min: int
 
     def __post_init__(self):
-        if self.n_max < 1:
-            raise DomainError(f"need n_max >= 1, got n_max={self.n_max}")
-        if self.n_min > self.n_max or self.n_min < 0:
+        _require("finite", t=self.t)
+        _require("finite and >= 1", n_max=self.n_max)
+        _require("finite and >= 0", n_min=self.n_min)
+        if self.n_min > self.n_max:
             raise DomainError(f"need 0 <= n_min <= n_max, got {self.n_min}, {self.n_max}")
 
 
@@ -224,8 +225,7 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
     sparse_sign_neighborhood_upper. A non-finite t, or one so small that
     every neighborhood is empty, is refused.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"radius t must be finite, got t={t!r}")
+    _require("finite", t=t)
     n = space.n_points
     if space.homogeneous:
         n_max = n_min = int((space.rho_rows(np.array([0])) <= t).sum())
@@ -247,10 +247,15 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
     return NeighborhoodProfile(t=t, n_max=n_max, n_min=n_min)
 
 
+def _require_sparse(d: int, s: int) -> None:
+    _require("an integer in [1, 2**63)", d=d, s=s)
+    if s > d:
+        raise DomainError(f"need 1 <= s <= d, got s={s}, d={d}")
+
+
 def sparse_sign_cardinality(d: int, s: int) -> int:
     """|{v in {-1,0,1}^d : exactly s nonzeros}| = 2^s * C(d, s), exactly."""
-    if not 1 <= s <= d:
-        raise DomainError(f"need 1 <= s <= d, got s={s}, d={d}")
+    _require_sparse(d, s)
     return (2**s) * math.comb(d, s)
 
 
@@ -290,10 +295,8 @@ def sparse_sign_neighborhood_exact(d: int, s: int, t: float) -> int:
     and activated counts to match); summing the choices enumerates the
     neighborhood without materializing the space.
     """
-    if not 1 <= s <= d:
-        raise DomainError(f"need 1 <= s <= d, got s={s}, d={d}")
-    if not math.isfinite(t):
-        raise DomainError(f"radius t must be finite, got t={t!r}")
+    _require_sparse(d, s)
+    _require("finite", t=t)
     if t < 0:
         return 0
     radius = int(math.floor(t))
@@ -311,8 +314,7 @@ def sparse_sign_neighborhood_upper(d: int, s: int) -> tuple[int, int]:
     count is recomputed on the spot and a violation of the ceiling raises:
     the ceiling is asserted, not assumed.
     """
-    if s < 1 or d < s:
-        raise DomainError(f"need 1 <= s <= d, got s={s}, d={d}")
+    _require_sparse(d, s)
     t = s // 4
     bound = math.ceil(s / 4) * (2**t) * math.comb(d, t)
     exact = sparse_sign_neighborhood_exact(d, s, t)
@@ -334,8 +336,7 @@ def chain_tail(chain: MarkovChainSpec, space: DiscreteSpace, t: float) -> float:
         raise DomainError(
             f"alphabet mismatch: space has {n} points, chain has |V|={chain.n_v}, "
             f"|Vhat|={chain.n_vhat}")
-    if not math.isfinite(t):
-        raise DomainError(f"radius t must be finite, got t={t!r}")
+    _require("finite", t=t)
     # joint[v, vhat] against the event rho(vhat, v) > t
     p_t = float(chain.joint_v_vhat()[space.distance_matrix().T > t].sum())
     return min(max(p_t, 0.0), 1.0)
@@ -371,8 +372,7 @@ def _fano_tail(mi: float, log_ratio: float) -> float:
     A nonpositive L makes the formula inapplicable and gives 0; the caller
     decides validity. I must be finite and >= 0.
     """
-    if not (math.isfinite(mi) and mi >= 0):
-        raise DomainError(f"mutual information mi must be finite and >= 0, got {mi!r}")
+    _require("finite and >= 0", mi=mi)
     return max(0.0, 1.0 - (mi + LN2) / log_ratio) if log_ratio > 0 else 0.0
 
 
@@ -384,8 +384,7 @@ def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) ->
     (or a nonpositive log-ratio) sets valid=False. A merely negative
     value clamps to 0 with valid=True: vacuous but correct.
     """
-    if card < 2:
-        raise DomainError("need card >= 2")
+    _require("finite and >= 2", card=card)
     if profile.n_max > card:
         raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
     log_ratio = math.log(card / profile.n_max)
@@ -404,10 +403,8 @@ def fano_conditional_form(hvx: float, card: int, profile: NeighborhoodProfile) -
     P(rho(Vhat, V) > t) >= (H(V|X) - ln N_max - ln 2) / ln((card - N_min) / N_max),
     provided the denominator is positive (else valid=False, value 0).
     """
-    if not (math.isfinite(hvx) and hvx >= 0):
-        raise DomainError(f"conditional entropy hvx must be finite and >= 0, got {hvx!r}")
-    if card < 2:
-        raise DomainError("need card >= 2")
+    _require("finite and >= 0", hvx=hvx)
+    _require("finite and >= 2", card=card)
     if profile.n_max > card:
         raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
     ratio = (card - profile.n_min) / profile.n_max

@@ -57,24 +57,58 @@ def _xlogx_sum(p: np.ndarray) -> float:
     return float((nz * np.log(nz)).sum())
 
 
-def _require_finite(**values) -> None:
-    """Refuses, naming it, the first value that is not finite as a float64:
-    a NaN or an infinity anywhere in it, or an integer too large to convert."""
+def _reals(test):
+    """A domain of real numbers: test runs elementwise on the value as a
+    float64 array, so an integer too large for float64 raises OverflowError."""
+    return lambda value: test(np.asarray(value, dtype=np.float64))
+
+
+def _integers(lo=-math.inf, hi=math.inf):
+    """A domain of integers in [lo, hi), tested on the value itself."""
+    return lambda value: isinstance(value, numbers.Integral) and lo <= value < hi
+
+
+# Every domain a scalar argument is checked against, by the words that a
+# refusal says the argument must be. The CLI's parameter table names its
+# domains here too: ">= 1" and ">= 6" are its unbounded integer keys.
+_DOMAINS = {
+    "any": lambda value: True,
+    "finite": _reals(np.isfinite),
+    "finite and > 0": _reals(lambda x: np.isfinite(x) & (x > 0)),
+    "finite and >= 0": _reals(lambda x: np.isfinite(x) & (x >= 0)),
+    "finite and >= 1": _reals(lambda x: np.isfinite(x) & (x >= 1)),
+    "finite and >= 2": _reals(lambda x: np.isfinite(x) & (x >= 2)),
+    "in [0, 1]": _reals(lambda x: (x >= 0) & (x <= 1)),
+    "in (0, 1)": _reals(lambda x: (x > 0) & (x < 1)),
+    ">= 1": _integers(1),
+    ">= 6": _integers(6),
+    "an integer": _integers(),
+    "an integer in [0, 2**63)": _integers(0, 2**63),
+    "an integer in [1, 2**63)": _integers(1, 2**63),
+    "an integer in [2, 2**63)": _integers(2, 2**63),
+    "an integer in [0, 2**64)": _integers(0, 2**64),
+}
+
+
+def _require(domain: str, **values) -> None:
+    """Refuses, naming it, the first value outside the named domain of
+    _DOMAINS; an array is refused at its first entry outside it."""
+    test = _DOMAINS[domain]
     for name, value in values.items():
         try:
-            ok = bool(np.isfinite(np.asarray(value, dtype=np.float64)).all())
+            ok = test(value)
         except OverflowError:
             raise DomainError(f"{name} is too large for float64") from None
-        if not ok:
-            got = f", got {name}={value!r}" if isinstance(value, float) else ""
-            raise DomainError(f"{name} must be finite{got}")
-
-
-def _require_integer(**values) -> None:
-    """Refuses, naming it, the first value that is not an integer."""
-    for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise DomainError(f"{name} must be an integer, got {name}={value!r}")
+        except (TypeError, ValueError):  # not a number at all
+            ok = False
+        if ok is True or (ok is not False and ok.all()):
+            continue
+        got = f"{name}={value!r}"
+        if np.ndim(ok):
+            at = np.argwhere(~ok)[0]
+            entry = np.asarray(value, dtype=np.float64)[tuple(at)].item()
+            got = f"{name}={entry!r} at index {', '.join(map(str, at))}"
+        raise DomainError(f"{name} must be {domain}, got {got}")
 
 
 def _validate_rows(mat, name: str) -> np.ndarray:
@@ -121,8 +155,7 @@ class ProbVector:
 
     @staticmethod
     def uniform(k: int) -> "ProbVector":
-        if k < 1:
-            raise DomainError("uniform distribution needs k >= 1")
+        _require("an integer in [1, 2**63)", k=k)
         return ProbVector(np.full(k, 1.0 / k))
 
     def __len__(self) -> int:
@@ -180,8 +213,7 @@ class MarkovChainSpec:
 
 def binary_entropy(p: float) -> float:
     """h2(p) = -p ln p - (1-p) ln(1-p), with h2(0) = h2(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"binary entropy needs p in [0, 1], got {p!r}")
+    _require("in [0, 1]", p=p)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
@@ -233,16 +265,21 @@ def kl_discrete(p: ProbVector, q: ProbVector) -> float:
 
 def kl_gaussian_shared_cov(mu1, mu2, sigma2: float) -> float:
     """KL( N(mu1, sigma2*I) || N(mu2, sigma2*I) ) = ||mu1 - mu2||^2 / (2 sigma2).
-    Non-finite means and a non-finite sigma2 are refused."""
+    Non-finite means, a non-finite sigma2, and means so far apart or a sigma2
+    so small that the KL overflows float64 are refused."""
+    _require("finite", mu1=mu1, mu2=mu2)
+    _require("finite and > 0", sigma2=sigma2)
     a = np.asarray(mu1, dtype=np.float64)
     b = np.asarray(mu2, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise DomainError(f"mean vectors must be 1-d with equal length; got {a.shape} vs {b.shape}")
-    _require_finite(mu1=a, mu2=b)
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise DomainError(f"sigma2 must be finite and positive, got sigma2={sigma2!r}")
-    diff = a - b
-    return float(diff @ diff) / (2.0 * sigma2)
+    with np.errstate(over="ignore"):
+        diff = a - b
+        kl = float(diff @ diff) / (2.0 * sigma2)
+    if not math.isfinite(kl):
+        raise DomainError("the KL overflows float64: mu1 and mu2 are too far apart for "
+                          f"sigma2={sigma2!r}")
+    return kl
 
 
 def mi_pairwise_kl_bound(means, sigma2: float, n_samples: int) -> float:
@@ -255,27 +292,26 @@ def mi_pairwise_kl_bound(means, sigma2: float, n_samples: int) -> float:
 
     where the second form is the algebraic collapse of the double sum; it
     is what gets evaluated, so million-point families cost O(M d).
-    Non-finite means, means whose squared norms overflow float64, and a
-    non-finite sigma2 are refused.
+    Non-finite means, a non-finite sigma2 or n_samples, and a bound that
+    overflows float64 are refused.
     """
+    _require("finite", means=means)
+    _require("finite and > 0", sigma2=sigma2)
+    _require("finite and >= 1", n_samples=n_samples)
     a = np.asarray(means, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or a.shape[0] == 0:
         raise DomainError("means must be a nonempty list of vectors")
-    _require_finite(means=a)
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise DomainError(f"sigma2 must be finite and positive, got sigma2={sigma2!r}")
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
     with np.errstate(over="ignore"):
         mean_sq = float((a * a).sum(axis=1).mean())
         centroid = a.mean(axis=0)
-        spread = mean_sq - float(centroid @ centroid)
+        bound = n_samples * (mean_sq - float(centroid @ centroid)) / sigma2
     # inf - inf is NaN, which the clamp below would turn into a silent 0
-    if not math.isfinite(spread):
-        raise DomainError("means are too large: their squared norms overflow float64")
-    return max(0.0, n_samples * spread / sigma2)
+    if not math.isfinite(bound):
+        raise DomainError("the bound overflows float64: the means are too large, or "
+                          f"sigma2={sigma2!r} too small, for n_samples={n_samples!r}")
+    return max(0.0, bound)
 
 
 def mi_pairwise_kl_bound_discrete(rows, n_samples: int = 1) -> float:
@@ -283,9 +319,8 @@ def mi_pairwise_kl_bound_discrete(rows, n_samples: int = 1) -> float:
     evaluated in O(M K) as n * [(1/M) sum_{v,k} p_vk ln p_vk - sum_k pbar_k (1/M) sum_w ln p_wk]
     with pbar the mean row. It is +inf exactly when a column with pbar_k > 0 has a zero
     entry; all-zero columns drop out."""
+    _require("finite and >= 1", n_samples=n_samples)
     m = _validate_rows(rows, "rows")
-    if n_samples < 1:
-        raise DomainError("n_samples must be >= 1")
     cols = m[:, m.any(axis=0)]
     if not cols.all():
         return math.inf

@@ -49,8 +49,7 @@ from .info import (
     EnumerationLimitError,
     MarkovChainSpec,
     ProbVector,
-    _require_finite,
-    _require_integer,
+    _require,
     _validate_rows,
 )
 from .results import MinimaxBound
@@ -60,7 +59,6 @@ from .streams import (
     REPLICATE_STREAM,
     SPACE_STREAM,
     VERIFY_STREAM,
-    _require_seed,
     stream,
 )
 
@@ -113,6 +111,7 @@ def random_chain(seed: int, sizes: tuple[int, int, int], *, stream_id: int = 0,
                  uniform_prior: bool = False) -> MarkovChainSpec:
     """Random chain with symmetric-Dirichlet(1) rows; deterministic in (seed, stream_id)."""
     nv, nx, nvhat = sizes
+    _require("an integer in [1, 2**63)", nv=nv, nx=nx, nvhat=nvhat)
     g = stream(seed, CHAIN_STREAM + stream_id)
     prior = ProbVector(np.full(nv, 1.0 / nv)) if uniform_prior \
         else ProbVector(g.dirichlet(np.ones(nv)))
@@ -123,6 +122,7 @@ def random_chain(seed: int, sizes: tuple[int, int, int], *, stream_id: int = 0,
 
 def random_symmetric_space(seed: int, k: int, *, stream_id: int = 0) -> DiscreteSpace:
     """Random symmetric distances U[0, 2) off the diagonal, zeros on it."""
+    _require("an integer in [2, 2**63)", k=k)
     g = stream(seed, SPACE_STREAM + stream_id)
     m = np.zeros((k, k))
     iu = np.triu_indices(k, 1)
@@ -137,8 +137,9 @@ def enumerate_decoders_min_tail(prior: ProbVector, channel, space: DiscreteSpace
 
     Brute-force enumeration over all |V|^|X| decoder functions; this is
     the oracle the Fano tail bounds are audited against, so no shortcut
-    replaces the loop. Guarded by DECODER_ENUM_CUTOFF.
+    replaces the loop. Guarded by DECODER_ENUM_CUTOFF. t must be finite.
     """
+    _require("finite", t=t)
     c = np.asarray(channel, dtype=np.float64)
     nv, nx = c.shape
     if nv != len(prior) or nv != space.n_points:
@@ -201,10 +202,8 @@ class OracleGroup:
                               "transpose")
         if np.any(np.diagonal(self.dist, axis1=1, axis2=2) != 0):
             raise DomainError("distance matrices must have a zero diagonal")
-        bad = ~(np.isfinite(self.t) & (self.t >= 0))
-        if bad.any():
-            raise DomainError("each radius t must be finite and >= 0, "
-                              f"got t={float(self.t[bad][0])!r}")
+        _require("an integer in [0, 2**63)", block=self.block)
+        _require("finite and >= 0", t=self.t)
 
     @property
     def nv(self) -> int:
@@ -220,8 +219,7 @@ def _oracle_groups(seed: int, instances: int, base: int, n_hi: int, t_hi: float,
     """Yields the shape groups of each block in turn, as the module
     docstring lays out; nv and nx are drawn from [2, n_hi), t from
     U[0, t_hi), and chain=False keeps V uniform and draws no decoders."""
-    if instances < 1:
-        raise DomainError(f"need instances >= 1, got {instances}")
+    _require("an integer in [1, 2**63)", instances=instances)
     for block, lo in enumerate(range(0, instances, ORACLE_BLOCK)):
         m = min(ORACLE_BLOCK, instances - lo)
         g = stream(seed, base + block)
@@ -337,7 +335,7 @@ def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np
 
 def hard_threshold(x: np.ndarray, tau: float) -> np.ndarray:
     """Keep coordinates with |x_j| > tau, zero the rest."""
-    _require_finite(tau=tau)
+    _require("finite", tau=tau)
     return np.where(np.abs(x) > tau, x, 0.0)
 
 
@@ -367,27 +365,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.problem not in PROBLEMS:
             raise DomainError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
-        _require_integer(reps=self.reps, d=self.d, s=self.s, n=self.n)
-        _require_seed(self.seed)
+        _require("an integer", reps=self.reps, d=self.d, s=self.s, n=self.n)
+        _require("an integer in [0, 2**64)", seed=self.seed)
         if not 1 <= self.reps <= _MAX_REPS:
             raise DomainError(f"reps must lie in [1, {_MAX_REPS}], got reps={self.reps}")
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise DomainError(f"sigma2 must be finite and > 0, got {self.sigma2!r}")
-        if not (math.isfinite(self.eps) and self.eps >= 0):
-            raise DomainError(f"eps must be finite and >= 0, got {self.eps!r}")
-        for t in self.t_list:
-            if not (math.isfinite(t) and t >= 0):
-                raise DomainError(f"each t in t_list must be finite and >= 0, got {t!r}")
-        if self.problem != "regression" and (self.d < 1 or self.n < 1):
-            raise DomainError("need d >= 1, n >= 1")
+        _require("finite and > 0", sigma2=self.sigma2)
+        _require("finite and >= 0", eps=self.eps, t_list=self.t_list)
+        if self.problem != "regression":
+            _require("an integer in [1, 2**63)", d=self.d, n=self.n)
         if self.problem == "sparse-location" and not 1 <= self.s <= self.d:
             raise DomainError("sparse-location needs 1 <= s <= d")
         if self.problem == "regression":
             if self.design is None:
                 raise DomainError("regression needs a design matrix")
+            _require("finite", design=self.design)
             X = np.asarray(self.design, dtype=np.float64)
-            if not np.all(np.isfinite(X)):
-                raise DomainError("design must have finite entries")
             if X.ndim == 2 and X.size == 0:
                 raise DomainError(f"design must have rows and columns, got shape {X.shape}")
             if X.ndim != 2 or np.linalg.matrix_rank(X) < X.shape[1]:
@@ -421,8 +413,9 @@ class MatchedBound:
             raise DomainError("target must be 'risk' or 'tail'")
         if self.target == "tail" and self.t is None:
             raise DomainError("tail-matched bounds need t")
-        if not math.isfinite(self.value):
-            raise DomainError(f"bound {self.label!r} value must be finite, got {self.value!r}")
+        _require("finite", value=self.value)
+        if self.t is not None:
+            _require("finite and >= 0", t=self.t)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ from .discrete import (
     sparse_sign_cardinality,
     sparse_sign_neighborhood_exact,
 )
-from .info import LN2, DomainError, _require_finite
+from .info import LN2, DomainError, _require
 from .results import MinimaxBound
 
 __all__ = [
@@ -60,7 +60,8 @@ __all__ = [
 
 
 def square_loss(x: float) -> float:
-    """Default loss Phi(x) = x^2."""
+    """Default loss Phi(x) = x^2 of a finite x; +inf once x^2 overflows float64."""
+    _require("finite", x=x)
     return x * x
 
 
@@ -96,8 +97,7 @@ def separation_delta(family: ParamFamily, t: float) -> float:
     pairs with rho_index(v, w) > t (strict), +inf when no pair qualifies.
     A non-finite t is refused.
     """
-    if not math.isfinite(t):
-        raise DomainError(f"radius t must be finite, got t={t!r}")
+    _require("finite", t=t)
     far_i, far_j = np.nonzero(np.triu(family.index_space.distance_matrix() > t, 1))
     thetas = family.thetas()
     return min((float(family.param_metric(thetas[i], thetas[j]))
@@ -116,6 +116,9 @@ def generalized_fano_minimax(family: ParamFamily, t: float, mi: float, card: int
     tail = fano_tail_lower_bound(card, profile, mi)
     delta = separation_delta(family, t)
     if tail.value > 0:
+        if delta == math.inf:
+            raise DomainError(f"no index pair is farther apart than t={t!r}, which the "
+                              "profile's nonzero tail bound contradicts")
         value = family.loss(delta / 2.0) * tail.value
     else:
         value = 0.0
@@ -136,6 +139,8 @@ class ReductionCheck:
     holds (strictly), the decoder is guaranteed to land within index
     distance t of the truth; `holds` records that conclusion, and is None
     when the premise fails (nothing is asserted at or beyond the boundary).
+    delta is separation_delta(family, t), +inf when no index pair is
+    farther apart than t.
     """
 
     decoded: int
@@ -152,6 +157,10 @@ def reduce_estimator_to_test(family: ParamFamily, t: float, theta_hat,
                              true_index: int) -> ReductionCheck:
     """Decode theta_hat to its nearest family member and check the
     estimation-to-testing implication at radius t."""
+    _require("an integer in [0, 2**63)", true_index=true_index)
+    if true_index >= family.index_space.n_points:
+        raise DomainError(f"true_index={true_index} is not a point of the "
+                          f"{family.index_space.n_points}-point index space")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     thetas = family.thetas()
     dists = np.array([family.param_metric(th, theta_hat) for th in thetas])
@@ -223,10 +232,10 @@ def sparse_location_bound(d: int, s: int, sigma2: float, n: int) -> MinimaxBound
     The implied universal constant bound/(sigma2*s*log(d/s)/n) is reported
     in the extras, never baked in.
     """
-    if not (1 <= s and 2 * s <= d):
+    _require("an integer in [1, 2**63)", d=d, s=s, n=n)
+    _require("finite and > 0", sigma2=sigma2)
+    if 2 * s > d:
         raise DomainError(f"need 1 <= s <= d/2 so that log(d/s) > 0; got s={s}, d={d}")
-    if not (math.isfinite(sigma2) and sigma2 > 0) or n < 1:
-        raise DomainError(f"need finite sigma2 > 0 and n >= 1, got sigma2={sigma2!r}, n={n}")
     return _sparse_bound("sparse-location", d, s, sigma2, mi_coeff=n * s / sigma2,
                          rate=s * math.log(d / s) / n, valid=True,
                          extras={"d": d, "s": s, "n": n, "sigma2": sigma2})
@@ -243,14 +252,14 @@ def compressed_sensing_bound(X, s: int, sigma2: float) -> MinimaxBound:
     infinite and the eps choice meaningless): the result is flagged
     degenerate and marked invalid, with the formula value still reported.
     """
+    _require("an integer in [1, 2**63)", s=s)
+    _require("finite and > 0", sigma2=sigma2)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise DomainError("X must be a nonempty matrix")
     n_rows, d = X.shape
-    if not (1 <= s and 2 * s <= d):
+    if 2 * s > d:
         raise DomainError(f"need 1 <= s <= d/2; got s={s}, d={d}")
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise DomainError(f"need finite sigma2 > 0, got {sigma2!r}")
     fro2 = float((X * X).sum())
     if not math.isfinite(fro2):
         raise DomainError(f"design X must have finite entries and norm, got ||X||_F^2={fro2!r}")
@@ -270,8 +279,8 @@ def normal_mean_tail_integral(d: int, n: int) -> float:
     Equals (n / (2 d ln2)) * (exp(2(d-1)ln2/n) - 1 - 2(d-1)ln2/n),
     and is never below (d-1)^2 * ln2 / (d n).
     """
-    if d < 2 or n < 1:
-        raise DomainError("need d >= 2 and n >= 1")
+    _require("finite and >= 2", d=d)
+    _require("finite and >= 1", n=n)
     try:
         a = 2.0 * (d - 1) * LN2 / n
         # expm1 keeps the small-a cancellation at the ulp level
@@ -286,8 +295,8 @@ def normal_mean_tail_integral(d: int, n: int) -> float:
 
 def normal_mean_tail_integral_floor(d: int, n: int) -> float:
     """Taylor floor (d-1)^2 * ln2 / (d n) of normal_mean_tail_integral."""
-    if d < 2 or n < 1:
-        raise DomainError("need d >= 2 and n >= 1")
+    _require("finite and >= 2", d=d)
+    _require("finite and >= 1", n=n)
     try:
         return (d - 1) ** 2 * LN2 / (d * n)
     except OverflowError:
@@ -309,11 +318,9 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
     extras carry the exact tail integral and its Taylor floor so the two
     routes can be cross-checked.
     """
-    if d < 2:
-        raise DomainError("need d >= 2")
-    if not (math.isfinite(sigma2) and sigma2 > 0) or n < 1:
-        raise DomainError(f"need finite sigma2 > 0 and n >= 1, got sigma2={sigma2!r}, n={n}")
-    _require_finite(d=d, n=n)
+    _require("finite and >= 2", d=d)
+    _require("finite and > 0", sigma2=sigma2)
+    _require("finite and >= 1", n=n)
     log_ratio = d * LN2  # radius ratio r/t = 2
     if mode == "simple":
         t_sq = d * sigma2 * LN2 / (4.0 * n)
@@ -342,14 +349,16 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
 
 def hinge_integral(c1: float, c2: float) -> float:
     """integral_0^inf max(c1 - c2*t, 0) dt = c1^2 / (2 c2) for c1 > 0, else 0.
-    Refuses a non-finite c1 or c2."""
-    if not math.isfinite(c1):
-        raise DomainError(f"need finite c1, got c1={c1!r}")
-    if not (math.isfinite(c2) and c2 > 0):
-        raise DomainError(f"need finite c2 > 0, got c2={c2!r}")
+    Refuses a non-finite c1 or c2, and a c1 and c2 whose integral overflows
+    float64."""
+    _require("finite", c1=c1)
+    _require("finite and > 0", c2=c2)
     if c1 <= 0:
         return 0.0
-    return c1 * c1 / (2.0 * c2)
+    value = c1 * c1 / (2.0 * c2)
+    if not math.isfinite(value):
+        raise DomainError(f"c1^2 / (2 c2) overflows float64 at c1={c1!r}, c2={c2!r}")
+    return value
 
 
 def linear_regression_bound(X, sigma2: float) -> MinimaxBound:
@@ -364,14 +373,13 @@ def linear_regression_bound(X, sigma2: float) -> MinimaxBound:
     (1/12) * (1/gamma_max^2) * d sigma2 / n, whose constant needs d >= 9:
     below that the exact expression is returned and flagged.
     """
+    _require("finite and > 0", sigma2=sigma2)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise DomainError("X must be a nonempty matrix")
     n_rows, d = X.shape
     if d < 2:
         raise DomainError("need d >= 2")
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise DomainError(f"need finite sigma2 > 0, got {sigma2!r}")
     fro2 = float((X * X).sum())
     if not (math.isfinite(fro2) and fro2 > 0):  # 0 once subnormal entries underflow
         raise DomainError(f"design X needs finite entries and norm > 0, got ||X||_F^2={fro2!r}")
@@ -380,6 +388,9 @@ def linear_regression_bound(X, sigma2: float) -> MinimaxBound:
     exact = ((d - 1) ** 2 / (d * d)) * (d * (d + 2) * sigma2 * LN2) / (8.0 * fro2)
     gamma_max = float(np.linalg.norm(X / math.sqrt(n_rows), 2))
     simplified = (1.0 / 12.0) * (1.0 / (gamma_max * gamma_max)) * (d * sigma2 / n_rows)
+    if simplified == 0.0:
+        raise DomainError(f"the simplified bound underflows to 0: sigma2={sigma2!r} is too small "
+                          "for the design")
     simplified_ok = d >= 9
     value = simplified if simplified_ok else exact
     return MinimaxBound(value=value, pipeline="linear-regression", t=None, eps=None,

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .info import DomainError
+from .info import DomainError, _require
+
+__all__ = ["BoundResult", "MinimaxBound"]
 
 
 @dataclass(frozen=True)
@@ -24,8 +25,7 @@ class BoundResult:
     ingredients: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise DomainError(f"bound value must be finite and >= 0, got {self.value!r}")
+        _require("finite and >= 0", value=self.value)
         if not isinstance(self.ingredients, MappingProxyType):
             object.__setattr__(self, "ingredients", MappingProxyType(dict(self.ingredients)))
 
@@ -49,7 +49,15 @@ class MinimaxBound:
     extras: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
-        if not (math.isfinite(self.value) and self.value >= 0.0):
-            raise DomainError(f"bound value must be finite and >= 0, got {self.value!r}")
+        try:
+            _require("finite and >= 0", value=self.value)
+        except DomainError as exc:  # name the inputs that put the pipeline out of range
+            given = [f"{k}={self.extras[k]!r}" for k in ("d", "s", "n", "sigma2")
+                     if k in self.extras]
+            raise DomainError(f"bound {exc}" + (f" at {', '.join(given)}" if given else "")
+                              ) from None
+        for name in ("t", "eps", "mi_bound", "log_ratio"):
+            if getattr(self, name) is not None:
+                _require("finite", **{name: getattr(self, name)})
         if not isinstance(self.extras, MappingProxyType):
             object.__setattr__(self, "extras", MappingProxyType(dict(self.extras)))

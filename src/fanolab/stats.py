@@ -13,23 +13,18 @@ import math
 
 import numpy as np
 
-from .info import DomainError, _require_finite, _require_integer
+from .info import DomainError, _require
 
-
-def _require_confidence(confidence: float) -> None:
-    if not 0 < confidence < 1:
-        raise DomainError(f"confidence must lie in (0, 1), got confidence={confidence!r}")
+__all__ = ["clopper_pearson", "mean_ci", "pairwise_sum"]
 
 
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval for k successes in n trials."""
-    _require_integer(n=n, k=k)
-    _require_finite(n=n)
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got n={n}")
+    _require("an integer in [1, 2**63)", n=n)
+    _require("an integer", k=k)
     if not 0 <= k <= n:
         raise DomainError(f"k must lie in [0, n], got k={k}, n={n}")
-    _require_confidence(confidence)
+    _require("in (0, 1)", confidence=confidence)
     from scipy.special import betaincinv
 
     alpha = 1.0 - confidence
@@ -48,8 +43,8 @@ def mean_ci(values: np.ndarray, confidence: float = 0.99) -> tuple[float, tuple[
     degenerates to (0, inf): the caller gets a report, never a crash. No
     values, or a value that is not finite, is refused.
     """
-    _require_confidence(confidence)
-    _require_finite(values=values)
+    _require("in (0, 1)", confidence=confidence)
+    _require("finite", values=values)
     values = np.asarray(values, dtype=np.float64)
     if values.size == 0:
         raise DomainError("values must hold at least one value")

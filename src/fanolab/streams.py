@@ -9,11 +9,11 @@ bit-identical whether chunks run serially or concurrently.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
-from .info import DomainError
+from .info import _require
+
+__all__ = ["stream"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -29,21 +29,15 @@ VERIFY_STREAM = 8 << 40
 REPLICATE_STREAM = 9 << 40
 
 
-def _require_seed(seed, name: str = "seed") -> int:
-    """seed as an int, refused unless it is an integer in [0, 2**64).
-
-    The seed is one word of the Philox key, so a seed outside that range
-    would have to be wrapped onto another seed's stream.
-    """
-    if not isinstance(seed, numbers.Integral) or not 0 <= seed <= _MASK64:
-        raise DomainError(f"{name} must be an integer in [0, 2**64), got {name}={seed!r}")
-    return int(seed)
-
-
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Generator for the Philox stream keyed by ``(seed, stream_id)``.
 
-    A seed outside [0, 2**64) is refused with a DomainError.
+    The seed is one word of the Philox key, so a seed outside [0, 2**64),
+    which would have to be wrapped onto another seed's stream, is refused
+    with a DomainError. stream_id may be any integer; it is taken modulo
+    2**64.
     """
-    key = np.array([_require_seed(seed), stream_id & _MASK64], dtype=np.uint64)
+    _require("an integer in [0, 2**64)", seed=seed)
+    _require("an integer", stream_id=stream_id)
+    key = np.array([int(seed), stream_id & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -114,6 +114,12 @@ def test_mc_ratio_estimation_failure():
         mc_volume_ratio(space, 0.1, centers=0, points=1000, seed=0)
 
 
+def test_mc_ratio_refuses_a_ball_whose_volume_underflows():
+    # hits land in the ball's box, whose float64 volume is 0; this divided by zero
+    with pytest.raises(DomainError, match=r"\bt\b"):
+        mc_volume_ratio(l2_ball_space(2, 1.0), 5e-324, centers=0, points=100)
+
+
 def hit_counts(est, space, t, points):
     """(region hits, hits of the winning ball), recovered from an estimate."""
     lo, hi = space.bounding_box
@@ -387,6 +393,14 @@ def test_grid_memory_guard():
     disk = l2_ball_space(2, 1.0)
     with pytest.raises(EstimationError):
         grid_partition_counts(disk, 0.5, 14, seed=0)  # about 1e9 candidate cells
+
+
+def test_grid_refuses_cell_indices_beyond_int64():
+    """A box whose cell indices pass 2**63 is refused before the int64 cast,
+    which warned "invalid value encountered in cast" and built a garbage shape."""
+    far = box_space([1e19], [1e19 + 4096])
+    with pytest.raises(DomainError, match=r"\blevel\b"):
+        grid_partition_counts(far, 100.0, 0, centers=2)
 
 
 # -- surface sandwich ----------------------------------------------------------------

@@ -21,14 +21,28 @@ from fanolab.info import (
     mutual_information_exact,
     mutual_information_v_vhat,
 )
-from fanolab.continuum import box_space, l2_ball_space, surface_volume_bounds
+from fanolab.continuum import (
+    ball_volume_ratio_analytic,
+    box_space,
+    l2_ball_space,
+    surface_volume_bounds,
+)
+from fanolab.discrete import (
+    DiscreteSpace,
+    NeighborhoodProfile,
+    fano_tail_lower_bound,
+    neighborhood_sizes,
+)
 from fanolab.lab import hard_threshold, random_chain
 from fanolab.minimax import (
+    hinge_integral,
     normal_mean_bound,
     normal_mean_tail_integral,
     normal_mean_tail_integral_floor,
+    sparse_location_bound,
 )
 from fanolab.stats import clopper_pearson, mean_ci
+from fanolab.streams import stream
 
 LN2 = math.log(2.0)
 
@@ -335,6 +349,20 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (clopper_pearson, (5, 10**155), "n"),
     (clopper_pearson, (5, 10**300), "n"),
     (box_space, ([], []), "dim"),
+    (ball_volume_ratio_analytic, (2.0, 5e-324, 2), "t"),
+    (ball_volume_ratio_analytic, (math.inf, 1.0, 2), "r"),
+    (hinge_integral, (1e308, 1.0), "c1"),
+    (kl_gaussian_shared_cov, ([0.0], [1.0], 5e-324), "sigma2"),
+    (mi_pairwise_kl_bound, ([[0.0], [1.0]], 1.0, math.inf), "n_samples"),
+    (sparse_location_bound, (math.inf, 2, 1.0, 10), "d"),
+    (normal_mean_bound, (5, 10**400, 10), "sigma2"),
+    (neighborhood_sizes, (DiscreteSpace.zero_one(3), 10**400), "t"),
+    (fano_tail_lower_bound, (10**400, NeighborhoodProfile(0.0, 1, 1), 0.0), "card"),
+    (stream, (1, math.nan), "stream_id"),
+    (box_space, ([-1e200, -1e200], [1e200, 1e200]), "bounding_box"),
+    (box_space, ([0.0, 0.0], [1e-200, 1e-200]), "bounding_box"),
+    (l2_ball_space, (2, 1e308), "r"),
+    (l2_ball_space, (2, 5e-324), "r"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed

@@ -548,6 +548,12 @@ def test_regression_scaling():
         assert scaled.value == pytest.approx(base.value / c**2, rel=1e-12)
 
 
+def test_regression_refuses_a_sigma2_whose_simplified_bound_underflows():
+    # the simplified bound is 0.0, and exact / simplified divided by zero
+    with pytest.raises(DomainError, match=r"\bsigma2\b"):
+        linear_regression_bound(np.eye(4), 5e-324)
+
+
 def test_regression_rank_deficient_rejected():
     X = np.ones((5, 3))
     with pytest.raises(DomainError):
