@@ -5,9 +5,8 @@ volume-based Fano inequalities, minimax risk pipelines for four Gaussian
 estimation problems, and a seeded Monte Carlo lab that audits every
 computed bound against exhaustive oracles and simulated estimators.
 
-__all__ is the union of the __all__ lists of the library modules; the
-command layer (fanolab.cli and the suites of fanolab.verify) exports
-nothing here.
+__all__ is the union of the library modules' __all__ lists; the command
+layer (fanolab.cli, fanolab.verify) exports nothing.
 """
 
 __version__ = "0.1.0"

@@ -317,7 +317,9 @@ def _compute_bound(problem: str, p: dict, design: np.ndarray | None):
     if given != ["r", "t", "d"]:
         raise ConfigError(f"{problem} takes log_ratio, or all of r, t and d; "
                           f"got {', '.join(given) or 'none'}")
-    log_ratio = math.log(ball_volume_ratio_analytic(p["r"], p["t"], p["d"]))
+    # an r/t beyond float64 gives an infinite log-ratio, which continuum_fano_bound refuses
+    log_ratio = (math.inf if math.isinf(p["r"] / p["t"])
+                 else math.log(ball_volume_ratio_analytic(p["r"], p["t"], p["d"])))
     result = continuum_fano_bound(log_ratio, p["mi"])
     # the bound is the tail at radius t; record t as the discrete tail does
     return replace(result, ingredients={**result.ingredients, "t": p["t"]})

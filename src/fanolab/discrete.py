@@ -209,9 +209,8 @@ class NeighborhoodProfile:
 
     def __post_init__(self):
         _require("finite", t=self.t)
-        _require("finite and >= 1", n_max=self.n_max)
-        _require("finite and >= 0", n_min=self.n_min)
-        if self.n_min > self.n_max:
+        _require(">= 1", n_max=self.n_max)
+        if not 0 <= self.n_min <= self.n_max:
             raise DomainError(f"need 0 <= n_min <= n_max, got {self.n_min}, {self.n_max}")
 
 
@@ -248,8 +247,8 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
 
 
 def _require_sparse(d: int, s: int) -> None:
-    _require("an integer in [1, 2**63)", d=d, s=s)
-    if s > d:
+    _require("an integer", d=d, s=s)
+    if not 1 <= s <= d:
         raise DomainError(f"need 1 <= s <= d, got s={s}, d={d}")
 
 
@@ -372,8 +371,18 @@ def _fano_tail(mi: float, log_ratio: float) -> float:
     A nonpositive L makes the formula inapplicable and gives 0; the caller
     decides validity. I must be finite and >= 0.
     """
-    _require("finite and >= 0", mi=mi)
+    _require("finite and >= 0", "mutual information mi must be finite and >= 0, got {value!r}",
+             mi=mi)
     return max(0.0, 1.0 - (mi + LN2) / log_ratio) if log_ratio > 0 else 0.0
+
+
+def _card_ratio(count: int, n_max: int) -> float:
+    """count / n_max, exact for ints of any size; a quotient past float64 is refused."""
+    try:
+        return count / n_max
+    except OverflowError:
+        raise DomainError(f"card is too large: its ratio to n_max={n_max} overflows "
+                          "float64") from None
 
 
 def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) -> BoundResult:
@@ -384,10 +393,10 @@ def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) ->
     (or a nonpositive log-ratio) sets valid=False. A merely negative
     value clamps to 0 with valid=True: vacuous but correct.
     """
-    _require("finite and >= 2", card=card)
+    _require(">= 2", "need card >= 2", card=card)
     if profile.n_max > card:
         raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
-    log_ratio = math.log(card / profile.n_max)
+    log_ratio = math.log(_card_ratio(card, profile.n_max))
     value = _fano_tail(mi, log_ratio)
     side_ok = (card - profile.n_min) > profile.n_max
     valid = side_ok and log_ratio > 0
@@ -404,10 +413,10 @@ def fano_conditional_form(hvx: float, card: int, profile: NeighborhoodProfile) -
     provided the denominator is positive (else valid=False, value 0).
     """
     _require("finite and >= 0", hvx=hvx)
-    _require("finite and >= 2", card=card)
+    _require(">= 2", "need card >= 2", card=card)
     if profile.n_max > card:
         raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
-    ratio = (card - profile.n_min) / profile.n_max
+    ratio = _card_ratio(card - profile.n_min, profile.n_max)
     if ratio <= 1.0:
         den = math.log(ratio) if ratio > 0 else -math.inf
         return BoundResult(value=0.0, valid=False, ingredients={

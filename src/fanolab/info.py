@@ -58,19 +58,24 @@ def _xlogx_sum(p: np.ndarray) -> float:
 
 
 def _reals(test):
-    """A domain of real numbers: test runs elementwise on the value as a
-    float64 array, so an integer too large for float64 raises OverflowError."""
+    """Reals, tested elementwise in float64: an int beyond it raises OverflowError."""
     return lambda value: test(np.asarray(value, dtype=np.float64))
 
 
+def _at_least(lo):
+    """Numbers in [lo, inf), compared exactly: ints of any size; NaN is out."""
+    return lambda value: isinstance(value, numbers.Real) and lo <= value < math.inf
+
+
 def _integers(lo=-math.inf, hi=math.inf):
-    """A domain of integers in [lo, hi), tested on the value itself."""
+    """Integers in [lo, hi), tested on the value itself."""
     return lambda value: isinstance(value, numbers.Integral) and lo <= value < hi
 
 
-# Every domain a scalar argument is checked against, by the words that a
-# refusal says the argument must be. The CLI's parameter table names its
-# domains here too: ">= 1" and ">= 6" are its unbounded integer keys.
+# Every domain of a scalar argument, named by what a refusal says it must be,
+# for the library and the CLI's parameter table: reals that enter float64
+# arithmetic, counts compared exactly (a cardinality may pass float64), and
+# integers, bounded where they size an allocation, index or seed a stream.
 _DOMAINS = {
     "any": lambda value: True,
     "finite": _reals(np.isfinite),
@@ -80,8 +85,9 @@ _DOMAINS = {
     "finite and >= 2": _reals(lambda x: np.isfinite(x) & (x >= 2)),
     "in [0, 1]": _reals(lambda x: (x >= 0) & (x <= 1)),
     "in (0, 1)": _reals(lambda x: (x > 0) & (x < 1)),
-    ">= 1": _integers(1),
-    ">= 6": _integers(6),
+    ">= 1": _at_least(1),
+    ">= 2": _at_least(2),
+    ">= 6": _at_least(6),
     "an integer": _integers(),
     "an integer in [0, 2**63)": _integers(0, 2**63),
     "an integer in [1, 2**63)": _integers(1, 2**63),
@@ -90,9 +96,9 @@ _DOMAINS = {
 }
 
 
-def _require(domain: str, **values) -> None:
-    """Refuses, naming it, the first value outside the named domain of
-    _DOMAINS; an array is refused at its first entry outside it."""
+def _require(domain: str, refusal: str | None = None, /, **values) -> None:
+    """Refuses, naming it, the first value (or array entry) outside the named
+    domain of _DOMAINS; refusal, if given, is the message, formatted with value."""
     test = _DOMAINS[domain]
     for name, value in values.items():
         try:
@@ -103,6 +109,8 @@ def _require(domain: str, **values) -> None:
             ok = False
         if ok is True or (ok is not False and ok.all()):
             continue
+        if refusal is not None:
+            raise DomainError(refusal.format(value=value))
         got = f"{name}={value!r}"
         if np.ndim(ok):
             at = np.argwhere(~ok)[0]
@@ -265,8 +273,7 @@ def kl_discrete(p: ProbVector, q: ProbVector) -> float:
 
 def kl_gaussian_shared_cov(mu1, mu2, sigma2: float) -> float:
     """KL( N(mu1, sigma2*I) || N(mu2, sigma2*I) ) = ||mu1 - mu2||^2 / (2 sigma2).
-    Non-finite means, a non-finite sigma2, and means so far apart or a sigma2
-    so small that the KL overflows float64 are refused."""
+    Non-finite arguments, and a KL that overflows float64, are refused."""
     _require("finite", mu1=mu1, mu2=mu2)
     _require("finite and > 0", sigma2=sigma2)
     a = np.asarray(mu1, dtype=np.float64)
@@ -274,8 +281,7 @@ def kl_gaussian_shared_cov(mu1, mu2, sigma2: float) -> float:
     if a.shape != b.shape or a.ndim != 1:
         raise DomainError(f"mean vectors must be 1-d with equal length; got {a.shape} vs {b.shape}")
     with np.errstate(over="ignore"):
-        diff = a - b
-        kl = float(diff @ diff) / (2.0 * sigma2)
+        kl = float((a - b) @ (a - b)) / (2.0 * sigma2)
     if not math.isfinite(kl):
         raise DomainError("the KL overflows float64: mu1 and mu2 are too far apart for "
                           f"sigma2={sigma2!r}")

@@ -202,7 +202,7 @@ class OracleGroup:
                               "transpose")
         if np.any(np.diagonal(self.dist, axis1=1, axis2=2) != 0):
             raise DomainError("distance matrices must have a zero diagonal")
-        _require("an integer in [0, 2**63)", block=self.block)
+        _require("finite", block=self.block)
         _require("finite and >= 0", t=self.t)
 
     @property
@@ -372,7 +372,7 @@ class ExperimentConfig:
         _require("finite and > 0", sigma2=self.sigma2)
         _require("finite and >= 0", eps=self.eps, t_list=self.t_list)
         if self.problem != "regression":
-            _require("an integer in [1, 2**63)", d=self.d, n=self.n)
+            _require(">= 1", d=self.d, n=self.n)
         if self.problem == "sparse-location" and not 1 <= self.s <= self.d:
             raise DomainError("sparse-location needs 1 <= s <= d")
         if self.problem == "regression":
@@ -415,7 +415,7 @@ class MatchedBound:
             raise DomainError("tail-matched bounds need t")
         _require("finite", value=self.value)
         if self.t is not None:
-            _require("finite and >= 0", t=self.t)
+            _require("finite", t=self.t)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ hard-coded: the implied constant is reported alongside the bound instead.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -117,8 +118,8 @@ def generalized_fano_minimax(family: ParamFamily, t: float, mi: float, card: int
     delta = separation_delta(family, t)
     if tail.value > 0:
         if delta == math.inf:
-            raise DomainError(f"no index pair is farther apart than t={t!r}, which the "
-                              "profile's nonzero tail bound contradicts")
+            raise DomainError(f"no index pair is farther apart than t={t!r}, yet the "
+                              "tail bound is positive")
         value = family.loss(delta / 2.0) * tail.value
     else:
         value = 0.0
@@ -139,8 +140,7 @@ class ReductionCheck:
     holds (strictly), the decoder is guaranteed to land within index
     distance t of the truth; `holds` records that conclusion, and is None
     when the premise fails (nothing is asserted at or beyond the boundary).
-    delta is separation_delta(family, t), +inf when no index pair is
-    farther apart than t.
+    delta is separation_delta(family, t), +inf when no pair is farther than t.
     """
 
     decoded: int
@@ -159,8 +159,7 @@ def reduce_estimator_to_test(family: ParamFamily, t: float, theta_hat,
     estimation-to-testing implication at radius t."""
     _require("an integer in [0, 2**63)", true_index=true_index)
     if true_index >= family.index_space.n_points:
-        raise DomainError(f"true_index={true_index} is not a point of the "
-                          f"{family.index_space.n_points}-point index space")
+        raise DomainError(f"true_index={true_index} is not a point of the index space")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     thetas = family.thetas()
     dists = np.array([family.param_metric(th, theta_hat) for th in thetas])
@@ -232,10 +231,14 @@ def sparse_location_bound(d: int, s: int, sigma2: float, n: int) -> MinimaxBound
     The implied universal constant bound/(sigma2*s*log(d/s)/n) is reported
     in the extras, never baked in.
     """
-    _require("an integer in [1, 2**63)", d=d, s=s, n=n)
-    _require("finite and > 0", sigma2=sigma2)
-    if 2 * s > d:
+    _require("an integer", d=d, s=s)
+    if not (1 <= s and 2 * s <= d):
         raise DomainError(f"need 1 <= s <= d/2 so that log(d/s) > 0; got s={s}, d={d}")
+    _require("finite", d=d)  # log(d/s) is taken in float64
+    _require("finite and > 0", sigma2=sigma2)
+    _require("finite and >= 1", n=n)
+    if n * s > sys.float_info.max:  # the mutual information coefficient n s / sigma2
+        raise DomainError(f"n * s overflows float64 at n={n!r}, s={s}")
     return _sparse_bound("sparse-location", d, s, sigma2, mi_coeff=n * s / sigma2,
                          rate=s * math.log(d / s) / n, valid=True,
                          extras={"d": d, "s": s, "n": n, "sigma2": sigma2})
@@ -252,14 +255,14 @@ def compressed_sensing_bound(X, s: int, sigma2: float) -> MinimaxBound:
     infinite and the eps choice meaningless): the result is flagged
     degenerate and marked invalid, with the formula value still reported.
     """
-    _require("an integer in [1, 2**63)", s=s)
-    _require("finite and > 0", sigma2=sigma2)
+    _require("an integer", s=s)
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.size == 0:
         raise DomainError("X must be a nonempty matrix")
     n_rows, d = X.shape
-    if 2 * s > d:
+    if not (1 <= s and 2 * s <= d):
         raise DomainError(f"need 1 <= s <= d/2; got s={s}, d={d}")
+    _require("finite and > 0", sigma2=sigma2)
     fro2 = float((X * X).sum())
     if not math.isfinite(fro2):
         raise DomainError(f"design X must have finite entries and norm, got ||X||_F^2={fro2!r}")
@@ -318,7 +321,7 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
     extras carry the exact tail integral and its Taylor floor so the two
     routes can be cross-checked.
     """
-    _require("finite and >= 2", d=d)
+    _require("finite and >= 2", "need d >= 2", d=d)
     _require("finite and > 0", sigma2=sigma2)
     _require("finite and >= 1", n=n)
     log_ratio = d * LN2  # radius ratio r/t = 2
@@ -349,8 +352,7 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
 
 def hinge_integral(c1: float, c2: float) -> float:
     """integral_0^inf max(c1 - c2*t, 0) dt = c1^2 / (2 c2) for c1 > 0, else 0.
-    Refuses a non-finite c1 or c2, and a c1 and c2 whose integral overflows
-    float64."""
+    Refuses a non-finite c1 or c2, and an integral that overflows float64."""
     _require("finite", c1=c1)
     _require("finite and > 0", c2=c2)
     if c1 <= 0:
@@ -389,8 +391,7 @@ def linear_regression_bound(X, sigma2: float) -> MinimaxBound:
     gamma_max = float(np.linalg.norm(X / math.sqrt(n_rows), 2))
     simplified = (1.0 / 12.0) * (1.0 / (gamma_max * gamma_max)) * (d * sigma2 / n_rows)
     if simplified == 0.0:
-        raise DomainError(f"the simplified bound underflows to 0: sigma2={sigma2!r} is too small "
-                          "for the design")
+        raise DomainError(f"sigma2={sigma2!r} is too small: the simplified bound underflows")
     simplified_ok = d >= 9
     value = simplified if simplified_ok else exact
     return MinimaxBound(value=value, pipeline="linear-regression", t=None, eps=None,

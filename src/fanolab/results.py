@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
-from .info import DomainError, _require
+from .info import _require
 
 __all__ = ["BoundResult", "MinimaxBound"]
+
+_BOUND_VALUE = "bound value must be finite and >= 0, got {value!r}"
 
 
 @dataclass(frozen=True)
@@ -25,7 +27,7 @@ class BoundResult:
     ingredients: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
-        _require("finite and >= 0", value=self.value)
+        _require("finite and >= 0", _BOUND_VALUE, value=self.value)
         if not isinstance(self.ingredients, MappingProxyType):
             object.__setattr__(self, "ingredients", MappingProxyType(dict(self.ingredients)))
 
@@ -49,13 +51,10 @@ class MinimaxBound:
     extras: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
     def __post_init__(self):
-        try:
-            _require("finite and >= 0", value=self.value)
-        except DomainError as exc:  # name the inputs that put the pipeline out of range
-            given = [f"{k}={self.extras[k]!r}" for k in ("d", "s", "n", "sigma2")
-                     if k in self.extras]
-            raise DomainError(f"bound {exc}" + (f" at {', '.join(given)}" if given else "")
-                              ) from None
+        given = ", ".join(f"{k}={self.extras[k]!r}" for k in ("d", "s", "n", "sigma2")
+                          if k in self.extras)
+        _require("finite and >= 0", _BOUND_VALUE + (f" at {given}" if given else ""),
+                 value=self.value)
         for name in ("t", "eps", "mi_bound", "log_ratio"):
             if getattr(self, name) is not None:
                 _require("finite", **{name: getattr(self, name)})

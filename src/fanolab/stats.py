@@ -20,8 +20,8 @@ __all__ = ["clopper_pearson", "mean_ci", "pairwise_sum"]
 
 def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
     """Exact two-sided binomial confidence interval for k successes in n trials."""
-    _require("an integer in [1, 2**63)", n=n)
-    _require("an integer", k=k)
+    _require("an integer", n=n, k=k)
+    _require("finite and >= 1", n=n)
     if not 0 <= k <= n:
         raise DomainError(f"k must lie in [0, n], got k={k}, n={n}")
     _require("in (0, 1)", confidence=confidence)

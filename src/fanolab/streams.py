@@ -32,10 +32,8 @@ REPLICATE_STREAM = 9 << 40
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Generator for the Philox stream keyed by ``(seed, stream_id)``.
 
-    The seed is one word of the Philox key, so a seed outside [0, 2**64),
-    which would have to be wrapped onto another seed's stream, is refused
-    with a DomainError. stream_id may be any integer; it is taken modulo
-    2**64.
+    The seed is one word of the Philox key: one outside [0, 2**64) is refused
+    rather than wrapped onto another seed's stream. stream_id is taken mod 2**64.
     """
     _require("an integer in [0, 2**64)", seed=seed)
     _require("an integer", stream_id=stream_id)

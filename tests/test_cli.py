@@ -367,6 +367,42 @@ def test_out_of_domain_input_exits_2_naming_the_key(argv, name, tmp_path, capsys
     assert "Traceback" not in err
 
 
+BIG = "1" + "0" * 400  # an integer beyond float64
+# Refusals the library words in full: their text is kept as it reads.
+WORDED = [
+    (["bound", "discrete-tail", "--card", "1", "--n-max", "2", "--n-min", "1"],
+     "need card >= 2"),
+    (["bound", "normal-mean", "--d", "1", "--n", "10"], "need d >= 2"),
+    (["bound", "discrete-tail", "--card", "6", "--n-max", "2", "--n-min", "-1"],
+     "need 0 <= n_min <= n_max, got -1, 2"),
+    (["bound", "continuum-tail", "--log-ratio", "2", "--mi", "-1"],
+     "mutual information mi must be finite and >= 0, got -1.0"),
+    (["bound", "continuum-tail", "--r", "2", "--t", "1e-310", "--d", "2"],
+     "log_ratio must be finite"),
+    (["bound", "discrete-tail", "--card", "6", "--n-max", BIG, "--n-min", "1"],
+     f"neighborhood size n_max={BIG} exceeds card=6"),
+    (["bound", "continuum-tail", "--r", "2", "--t", "1", "--d", BIG],
+     f"(r/t)^d overflows float64 at r=2.0, t=1.0, d={BIG}"),
+    (["bound", "sparse-location", "--d", "8", "--s", str(2**63), "--n", "5"],
+     f"need 1 <= s <= d/2 so that log(d/s) > 0; got s={2**63}, d=8"),
+]
+
+
+@pytest.mark.parametrize("argv,text", WORDED,
+                         ids=["card", "d", "n_min", "mi", "t", "n_max", "big-d", "s"])
+def test_refusal_keeps_its_wording(argv, text, tmp_path, capsys):
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {text}\n"
+
+
+@pytest.mark.parametrize("key", ["d", "n"])
+def test_sparse_location_takes_counts_beyond_int64(key, tmp_path, capsys):
+    counts = {"d": "8", "s": "2", "n": "5", key: str(10**30)}
+    argv = ["bound", "sparse-location"] + [x for k, v in counts.items() for x in (f"--{k}", v)]
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert "valid=true" in capsys.readouterr().out
+
+
 def test_config_file_unknown_key_refused(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("d = 10\nn = 100\nsigmaa2 = 4\n")

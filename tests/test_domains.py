@@ -221,3 +221,37 @@ def test_out_of_domain_scalar_is_refused_naming_it(name, arg, integer):
                 f"{name}({arg}={value!r}): {type(exc).__name__} does not name {arg}: {exc}"
             continue
         assert _finite(out, inf_ok), f"{name}({arg}={value!r}) returned {out!r}"
+
+
+def test_a_cardinality_beyond_float64_is_divided_exactly():
+    # card / n_max = 2**100 in exact integers: L = 100 ln 2, the bound 1 - 1/100
+    bound = fanolab.fano_tail_lower_bound(2**1100, NeighborhoodProfile(1.0, 2**1000, 1), 0.0)
+    assert bound.value == pytest.approx(0.99, rel=1e-12)
+    assert bound.ingredients["card"] == 2**1100
+
+
+def test_counts_beyond_int64_are_taken_exactly():
+    assert fanolab.sparse_sign_cardinality(2**1100, 1) == 2**1101
+    assert fanolab.sparse_location_bound(10**30, 2, 1.0, 10**30).valid
+    lo, hi = fanolab.clopper_pearson(1, 2**63, 0.9)
+    assert 0.0 < lo < hi < 1e-18
+
+
+# (call with an int count, the same call with that count as a float)
+INTEGRAL_FLOATS = {
+    "n": (lambda n: fanolab.sparse_location_bound(8, 2, 1.0, n).value, 5),
+    "card": (lambda c: fanolab.fano_tail_lower_bound(c, _PROFILE, 0.0).value, 6),
+    "n_max": (lambda m: fanolab.fano_tail_lower_bound(6, NeighborhoodProfile(1.0, m, 1),
+                                                      0.0).value, 2),
+    "d": (lambda d: fanolab.ball_volume_ratio_analytic(2.0, 1.0, d), 3),
+    "dim": (lambda d: ContinuumSpace(d, _DISK.contains, _DISK.bounding_box,
+                                     _DISK.rho).bounding_box.tolist(), 2),
+    "level": (lambda lv: dataclasses.astuple(fanolab.grid_partition_counts(
+        _DISK, 0.5, lv, seed=1, centers=1))[1:], 3),
+}
+
+
+@pytest.mark.parametrize("arg", INTEGRAL_FLOATS)
+def test_an_integral_float_count_gives_the_int_result(arg):
+    fn, count = INTEGRAL_FLOATS[arg]
+    assert fn(float(count)) == fn(count)

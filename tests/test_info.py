@@ -25,6 +25,7 @@ from fanolab.continuum import (
     ball_volume_ratio_analytic,
     box_space,
     l2_ball_space,
+    mc_volume_ratio,
     surface_volume_bounds,
 )
 from fanolab.discrete import (
@@ -359,10 +360,10 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (neighborhood_sizes, (DiscreteSpace.zero_one(3), 10**400), "t"),
     (fano_tail_lower_bound, (10**400, NeighborhoodProfile(0.0, 1, 1), 0.0), "card"),
     (stream, (1, math.nan), "stream_id"),
-    (box_space, ([-1e200, -1e200], [1e200, 1e200]), "bounding_box"),
-    (box_space, ([0.0, 0.0], [1e-200, 1e-200]), "bounding_box"),
-    (l2_ball_space, (2, 1e308), "r"),
-    (l2_ball_space, (2, 5e-324), "r"),
+    (mc_volume_ratio, (box_space([-1e200, -1e200], [1e200, 1e200]), 1.0), "space"),
+    (mc_volume_ratio, (box_space([0.0, 0.0], [1e-200, 1e-200]), 1e-201), "space"),
+    (mc_volume_ratio, (l2_ball_space(2, 1e308), 1.0), "space"),
+    (mc_volume_ratio, (l2_ball_space(2, 5e-324), 5e-324), "space"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
