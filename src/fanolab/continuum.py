@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import _fano_tail
+from .discrete import _MI_DOMAIN, _fano_tail
 from .info import DomainError, _require
 from .results import BoundResult
 from .stats import clopper_pearson
@@ -114,6 +114,7 @@ class ContinuumSpace:
         box = np.asarray(self.bounding_box, dtype=np.float64)
         if box.shape != (2, self.dim):
             raise DomainError(f"bounding_box must be (2, dim), lows then highs, at dim={self.dim}")
+        object.__setattr__(self, "dim", box.shape[1])  # an integral float dim as an int
         if not np.all(box[1] > box[0]):
             raise DomainError("bounding_box must have positive extent on every axis")
         box = box.copy()
@@ -416,6 +417,7 @@ def continuum_fano_bound(log_ratio: float, mi: float) -> BoundResult:
     inapplicable: valid=False, value 0.
     """
     _require("finite", "log_ratio must be finite", log_ratio=log_ratio)
+    _require(*_MI_DOMAIN, mi=mi)
     return BoundResult(value=_fano_tail(mi, log_ratio), valid=log_ratio > 0,
                        ingredients={"mi_bound": mi, "log_ratio": log_ratio})
 

@@ -6,9 +6,13 @@ mismatch event with {rho(Vhat, V) > t} turns the cardinality |V| of the
 alphabet into the ratio |V| / N_t_max, where N_t_max is the largest
 number of points within distance t of any point. This module computes
 those neighborhood counts exactly and evaluates the resulting
-inequalities. The last step of the mutual-information tail bound,
-max(0, 1 - (I + ln 2) / L), is _fano_tail; the volume-based bound in
-continuum and the sparse pipelines in minimax call it too.
+inequalities. Each inequality's formula is written once, in an unchecked
+core: _fano_lhs for the sides h2(P_t) + P_t ln((|V| - N_min) / N_max) +
+ln N_max, _fano_conditional for the conditional form, and _fano_tail for
+the tail step max(0, 1 - (I + ln 2) / L). The public functions here check
+their inputs and call them; so do the volume-based bound in continuum and
+the sparse pipelines in minimax (_fano_tail), and the batched oracle
+kernels in lab (all three), once per instance.
 
 Conventions kept exactly as stated by the inequalities themselves:
 neighborhoods use rho <= t, the error event uses the strict rho > t, and
@@ -30,8 +34,8 @@ from .info import (
     DomainError,
     EnumerationLimitError,
     MarkovChainSpec,
+    _h2,
     _require,
-    binary_entropy,
     conditional_entropy,
 )
 from .results import BoundResult
@@ -353,27 +357,43 @@ def fano_inequality_sides(chain: MarkovChainSpec, space: DiscreteSpace,
     appear. The chain's V and Vhat alphabets must both be the space's point
     set, in order.
     """
-    n = space.n_points
     p_t = chain_tail(chain, space, t)
     prof = neighborhood_sizes(space, t)
-    # P_t > 0 forces N_min < |V|: some neighborhood misses a point, so the
+    return _fano_lhs(p_t, space.n_points, prof.n_max, prof.n_min), conditional_entropy(chain)
+
+
+# The domain of a mutual information I, and its refusal, for _require.
+_MI_DOMAIN = ("finite and >= 0", "mutual information mi must be finite and >= 0, got {value!r}")
+
+
+# The three Fano formulas, unchecked: their callers check the inputs first.
+def _fano_lhs(p_t: float, card: int, n_max: int, n_min: int) -> float:
+    """h2(P_t) + P_t * ln((card - N_min) / N_max) + ln N_max, for P_t in [0, 1]."""
+    # P_t > 0 forces N_min < card: some neighborhood misses a point, so the
     # middle term's log argument is positive whenever the term is nonzero.
-    middle = p_t * math.log((n - prof.n_min) / prof.n_max) if p_t > 0 else 0.0
-    lhs = binary_entropy(p_t) + middle + math.log(prof.n_max)
-    rhs = conditional_entropy(chain)
-    return lhs, rhs
+    middle = p_t * math.log((card - n_min) / n_max) if p_t > 0 else 0.0
+    return _h2(p_t) + middle + math.log(n_max)
 
 
 def _fano_tail(mi: float, log_ratio: float) -> float:
     """max(0, 1 - (I + ln 2) / L): the step that both the distance-based and
-    the volume-based tail bound end in, with L the log-ratio in nats.
-
-    A nonpositive L makes the formula inapplicable and gives 0; the caller
-    decides validity. I must be finite and >= 0.
+    the volume-based tail bound end in, with L the log-ratio in nats and I
+    finite and >= 0. A nonpositive L makes the formula inapplicable and
+    gives 0; the caller decides validity.
     """
-    _require("finite and >= 0", "mutual information mi must be finite and >= 0, got {value!r}",
-             mi=mi)
     return max(0.0, 1.0 - (mi + LN2) / log_ratio) if log_ratio > 0 else 0.0
+
+
+def _fano_conditional(hvx: float, card: int, n_max: int, n_min: int) -> tuple[float, float]:
+    """(value, denominator) of the conditional form: the denominator is
+    ln((card - N_min) / N_max), and the value max(0, (H(V|X) - ln N_max -
+    ln 2) / denominator) when the denominator is positive. Otherwise the
+    value is 0, and the denominator is -inf when N_min = card."""
+    ratio = _card_ratio(card - n_min, n_max)
+    if ratio <= 1.0:
+        return 0.0, math.log(ratio) if ratio > 0 else -math.inf
+    den = math.log(ratio)
+    return max(0.0, (hvx - math.log(n_max) - LN2) / den), den
 
 
 def _card_ratio(count: int, n_max: int) -> float:
@@ -396,6 +416,7 @@ def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) ->
     _require(">= 2", "need card >= 2", card=card)
     if profile.n_max > card:
         raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
+    _require(*_MI_DOMAIN, mi=mi)
     log_ratio = math.log(_card_ratio(card, profile.n_max))
     value = _fano_tail(mi, log_ratio)
     side_ok = (card - profile.n_min) > profile.n_max
@@ -416,16 +437,8 @@ def fano_conditional_form(hvx: float, card: int, profile: NeighborhoodProfile) -
     _require(">= 2", "need card >= 2", card=card)
     if profile.n_max > card:
         raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
-    ratio = _card_ratio(card - profile.n_min, profile.n_max)
-    if ratio <= 1.0:
-        den = math.log(ratio) if ratio > 0 else -math.inf
-        return BoundResult(value=0.0, valid=False, ingredients={
-            "hvx": hvx, "denominator": den, "t": profile.t,
-            "card": card, "n_max": profile.n_max, "n_min": profile.n_min,
-        })
-    den = math.log(ratio)
-    value = max(0.0, (hvx - math.log(profile.n_max) - LN2) / den)
-    return BoundResult(value=value, valid=True, ingredients={
+    value, den = _fano_conditional(hvx, card, profile.n_max, profile.n_min)
+    return BoundResult(value=value, valid=den > 0, ingredients={
         "hvx": hvx, "denominator": den, "t": profile.t,
         "card": card, "n_max": profile.n_max, "n_min": profile.n_min,
     })

@@ -222,6 +222,11 @@ class MarkovChainSpec:
 def binary_entropy(p: float) -> float:
     """h2(p) = -p ln p - (1-p) ln(1-p), with h2(0) = h2(1) = 0."""
     _require("in [0, 1]", p=p)
+    return _h2(p)
+
+
+def _h2(p: float) -> float:
+    """binary_entropy without the domain check, for p already in [0, 1]."""
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log(p) - (1.0 - p) * math.log1p(-p)
@@ -324,7 +329,8 @@ def mi_pairwise_kl_bound_discrete(rows, n_samples: int = 1) -> float:
     """Same convexity bound for a finite channel: n * (1/M^2) sum_{v,w} KL(row_v || row_w),
     evaluated in O(M K) as n * [(1/M) sum_{v,k} p_vk ln p_vk - sum_k pbar_k (1/M) sum_w ln p_wk]
     with pbar the mean row. It is +inf exactly when a column with pbar_k > 0 has a zero
-    entry; all-zero columns drop out."""
+    entry; all-zero columns drop out. An n_samples that makes a finite value overflow
+    is refused."""
     _require("finite and >= 1", n_samples=n_samples)
     m = _validate_rows(rows, "rows")
     cols = m[:, m.any(axis=0)]
@@ -332,4 +338,7 @@ def mi_pairwise_kl_bound_discrete(rows, n_samples: int = 1) -> float:
         return math.inf
     logs = np.log(cols)
     val = float((cols * logs).sum()) / m.shape[0] - float(cols.mean(axis=0) @ logs.mean(axis=0))
+    if n_samples * val == math.inf:
+        raise DomainError(f"n_samples={n_samples!r} times the mean KL {val!r} overflows "
+                          "float64")
     return max(0.0, n_samples * val)

@@ -29,9 +29,12 @@ first the arrays of |V|, of |X| and of the radii t, then, for each shape
 (prop1 only; the decoder suite keeps V uniform), the channels and the
 upper-triangle distances. A full block's instances depend on the seed and
 b only, so growing the instance count leaves the shared full blocks
-unchanged. random_chain, random_symmetric_space and the per-instance
-oracles stay as the references that the batched kernels are tested
-against.
+unchanged. The batched kernels do the array work of a whole group (the
+joint law, the miss event, the decoder table, the neighborhood extremes,
+P_t, I and H) and then evaluate each instance's Fano formulas with the
+scalar cores of discrete, the ones the public bound functions use. The
+brute-force references that the kernels are tested against live in the
+tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -42,25 +45,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import DiscreteSpace
-from .info import (
-    LN2,
-    DomainError,
-    EnumerationLimitError,
-    MarkovChainSpec,
-    ProbVector,
-    _require,
-    _validate_rows,
-)
+from .discrete import _fano_conditional, _fano_lhs, _fano_tail
+from .info import DomainError, EnumerationLimitError, _require, _validate_rows
 from .results import MinimaxBound
 from .stats import clopper_pearson, mean_ci, pairwise_sum
-from .streams import (
-    CHAIN_STREAM,
-    REPLICATE_STREAM,
-    SPACE_STREAM,
-    VERIFY_STREAM,
-    stream,
-)
+from .streams import REPLICATE_STREAM, VERIFY_STREAM, stream
 
 __all__ = [
     "PROBLEMS",
@@ -70,9 +59,6 @@ __all__ = [
     "MatchedBound",
     "RiskReport",
     "BoundAudit",
-    "random_chain",
-    "random_symmetric_space",
-    "enumerate_decoders_min_tail",
     "OracleGroup",
     "prop1_groups",
     "decoder_groups",
@@ -105,60 +91,6 @@ _MAX_REPS = np.iinfo(np.intp).max // 8
 ORACLE_BLOCK = 4096
 
 _CONFIDENCE = 0.99
-
-
-def random_chain(seed: int, sizes: tuple[int, int, int], *, stream_id: int = 0,
-                 uniform_prior: bool = False) -> MarkovChainSpec:
-    """Random chain with symmetric-Dirichlet(1) rows; deterministic in (seed, stream_id)."""
-    nv, nx, nvhat = sizes
-    _require("an integer in [1, 2**63)", nv=nv, nx=nx, nvhat=nvhat)
-    g = stream(seed, CHAIN_STREAM + stream_id)
-    prior = ProbVector(np.full(nv, 1.0 / nv)) if uniform_prior \
-        else ProbVector(g.dirichlet(np.ones(nv)))
-    channel = g.dirichlet(np.ones(nx), size=nv)
-    decoder = g.dirichlet(np.ones(nvhat), size=nx)
-    return MarkovChainSpec(prior=prior, channel=channel, decoder=decoder)
-
-
-def random_symmetric_space(seed: int, k: int, *, stream_id: int = 0) -> DiscreteSpace:
-    """Random symmetric distances U[0, 2) off the diagonal, zeros on it."""
-    _require("an integer in [2, 2**63)", k=k)
-    g = stream(seed, SPACE_STREAM + stream_id)
-    m = np.zeros((k, k))
-    iu = np.triu_indices(k, 1)
-    m[iu] = g.random(len(iu[0])) * 2.0
-    m += m.T
-    return DiscreteSpace.from_matrix(m)
-
-
-def enumerate_decoders_min_tail(prior: ProbVector, channel, space: DiscreteSpace,
-                                t: float) -> float:
-    """Exact min over all deterministic decoders g: X -> V of P(rho(g(X), V) > t).
-
-    Brute-force enumeration over all |V|^|X| decoder functions; this is
-    the oracle the Fano tail bounds are audited against, so no shortcut
-    replaces the loop. Guarded by DECODER_ENUM_CUTOFF. t must be finite.
-    """
-    _require("finite", t=t)
-    c = np.asarray(channel, dtype=np.float64)
-    nv, nx = c.shape
-    if nv != len(prior) or nv != space.n_points:
-        raise DomainError("prior, channel and space must agree on |V|")
-    n_decoders = space.n_points**nx
-    if n_decoders > DECODER_ENUM_CUTOFF:
-        raise EnumerationLimitError(
-            f"{n_decoders} decoders exceed the enumeration cutoff {DECODER_ENUM_CUTOFF}")
-    dmat = space.distance_matrix()
-    weight = prior.p[:, None] * c           # (v, x)
-    miss = (dmat.T > t).astype(np.float64)  # miss[vhat, v] = 1{rho(vhat, v) > t}
-    cost = (miss @ weight).T                # cost[x, vhat] = P(X=x, rho(vhat, V) > t)
-    xs = np.arange(nx)
-    best = math.inf
-    for g in itertools.product(range(space.n_points), repeat=nx):
-        val = float(cost[xs, g].sum())
-        if val < best:
-            best = val
-    return best
 
 
 @dataclass(frozen=True)
@@ -268,8 +200,8 @@ def _neighborhood_extremes(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
 def fano_sides_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
     """fano_inequality_sides for every instance of the group, as (lhs, rhs)
     arrays, with its conventions: the miss event rho(Vhat, V) > t,
-    neighborhoods rho <= t, P_t clipped to [0, 1], the middle term 0 when
-    P_t = 0, and H(V | Vhat) clamped at 0."""
+    neighborhoods rho <= t, P_t clipped to [0, 1], the lhs from the same
+    scalar core, and H(V | Vhat) clamped at 0."""
     if group.decoder is None:
         raise DomainError("the Fano sides need the group's stochastic decoders")
     joint = np.einsum("kv,kvx,kxw->kvw", group.prior, group.channel, group.decoder)
@@ -277,13 +209,8 @@ def fano_sides_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
     miss = group.dist.transpose(0, 2, 1) > group.t[:, None, None]
     p_t = np.clip(np.where(miss, joint, 0.0).sum(axis=(1, 2)), 0.0, 1.0)
     n_max, n_min = _neighborhood_extremes(group)
-    # P_t > 0 forces N_min < |V|, as in fano_inequality_sides
-    hit = p_t > 0
-    middle = np.where(hit, p_t * np.log(np.where(hit, (group.nv - n_min) / n_max, 1.0)), 0.0)
-    inner = hit & (p_t < 1)
-    q = np.where(inner, p_t, 0.5)
-    h2 = np.where(inner, -q * np.log(q) - (1.0 - q) * np.log1p(-q), 0.0)
-    lhs = h2 + middle + np.log(n_max)
+    lhs = np.array([_fano_lhs(p, group.nv, hi, lo)
+                    for p, hi, lo in zip(p_t.tolist(), n_max.tolist(), n_min.tolist())])
     rhs = np.maximum(0.0, _xlogx(joint.sum(axis=1)).sum(axis=1)
                      - _xlogx(joint).sum(axis=(1, 2)))
     return lhs, rhs
@@ -291,14 +218,14 @@ def fano_sides_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
 
 def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per instance of the group: the exhaustive decoder minimum of
-    P(rho(g(X), V) > t) as enumerate_decoders_min_tail computes it, and the
-    values of fano_tail_lower_bound and fano_conditional_form at card = nv
-    with I(V; X) and H(V | X) = H(V) - I(V; X), each clamped at 0 and set
-    to 0 wherever those functions return 0. The tail form assumes V uniform.
+    P(rho(g(X), V) > t) over all nv^nx deterministic decoders g: X -> V,
+    and the values of fano_tail_lower_bound and fano_conditional_form at
+    card = nv with I(V; X) and H(V | X) = H(V) - I(V; X), each clamped at
+    0, computed by the same scalar cores. The tail form assumes V uniform.
 
-    All nv^nx decoders are enumerated as one index table per shape, and
-    the minimum is taken over the same sums, added in the same order, as
-    in the per-instance loop.
+    The decoders are enumerated as one index table per shape, and each
+    decoder's tail is summed over x in order, as a loop over the decoders
+    of one instance would add it.
     """
     nv, nx = group.nv, group.nx
     n_decoders = nv**nx
@@ -320,16 +247,12 @@ def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np
     pos = weight > 0
     log_odds = np.log(np.where(pos, weight, 1.0)) - np.log(np.where(pos, prod, 1.0))
     mi = np.maximum(0.0, np.where(pos, weight * log_odds, 0.0).sum(axis=(1, 2)))
-    n_max, n_min = _neighborhood_extremes(group)
-
-    log_ratio = np.log(nv / n_max)
-    ok = log_ratio > 0
-    tail = np.where(ok, np.maximum(0.0, 1.0 - (mi + LN2) / np.where(ok, log_ratio, 1.0)), 0.0)
     hvx = np.maximum(0.0, -_xlogx(group.prior).sum(axis=1) - mi)
-    ratio = (nv - n_min) / n_max
-    ok = ratio > 1.0
-    den = np.log(np.where(ok, ratio, 2.0))
-    cond = np.where(ok, np.maximum(0.0, (hvx - np.log(n_max) - LN2) / den), 0.0)
+    n_max, n_min = _neighborhood_extremes(group)
+    bounds = [(_fano_tail(i, math.log(nv / hi)), _fano_conditional(h, nv, hi, lo)[0])
+              for i, h, hi, lo in zip(mi.tolist(), hvx.tolist(), n_max.tolist(),
+                                      n_min.tolist())]
+    tail, cond = np.array(bounds).reshape(-1, 2).T
     return min_tail, tail, cond
 
 

@@ -17,13 +17,12 @@ __all__ = ["stream"]
 
 _MASK64 = (1 << 64) - 1
 
-# Disjoint stream-id namespaces for the library's internal consumers.
+# Disjoint stream-id namespaces for the library's internal consumers;
+# 5 << 40 and 6 << 40 belong to the random instances of tests/oracles.py.
 VOLUME_STREAM = 1 << 40
 CENTER_STREAM = 2 << 40
 BALL_STREAM = 3 << 40
 GRID_STREAM = 4 << 40
-CHAIN_STREAM = 5 << 40
-SPACE_STREAM = 6 << 40
 DESIGN_STREAM = 7 << 40
 VERIFY_STREAM = 8 << 40
 REPLICATE_STREAM = 9 << 40

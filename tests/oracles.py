@@ -1,0 +1,82 @@
+"""Brute-force references for the tests: random chains and spaces, and the
+exhaustive decoder minimum that the Fano tail bounds are audited against.
+
+No library path calls these. Each random instance is drawn from its own
+Philox stream, keyed by (seed, CHAIN_STREAM or SPACE_STREAM + stream_id),
+namespaces that the library's own stream ids leave free.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+
+import numpy as np
+
+from fanolab.discrete import DiscreteSpace
+from fanolab.info import (
+    DomainError,
+    EnumerationLimitError,
+    MarkovChainSpec,
+    ProbVector,
+    _require,
+)
+from fanolab.lab import DECODER_ENUM_CUTOFF
+from fanolab.streams import stream
+
+CHAIN_STREAM = 5 << 40
+SPACE_STREAM = 6 << 40
+
+
+def random_chain(seed: int, sizes: tuple[int, int, int], *, stream_id: int = 0,
+                 uniform_prior: bool = False) -> MarkovChainSpec:
+    """Random chain with symmetric-Dirichlet(1) rows; deterministic in (seed, stream_id)."""
+    nv, nx, nvhat = sizes
+    _require("an integer in [1, 2**63)", nv=nv, nx=nx, nvhat=nvhat)
+    g = stream(seed, CHAIN_STREAM + stream_id)
+    prior = ProbVector(np.full(nv, 1.0 / nv)) if uniform_prior \
+        else ProbVector(g.dirichlet(np.ones(nv)))
+    channel = g.dirichlet(np.ones(nx), size=nv)
+    decoder = g.dirichlet(np.ones(nvhat), size=nx)
+    return MarkovChainSpec(prior=prior, channel=channel, decoder=decoder)
+
+
+def random_symmetric_space(seed: int, k: int, *, stream_id: int = 0) -> DiscreteSpace:
+    """Random symmetric distances U[0, 2) off the diagonal, zeros on it."""
+    _require("an integer in [2, 2**63)", k=k)
+    g = stream(seed, SPACE_STREAM + stream_id)
+    m = np.zeros((k, k))
+    iu = np.triu_indices(k, 1)
+    m[iu] = g.random(len(iu[0])) * 2.0
+    m += m.T
+    return DiscreteSpace.from_matrix(m)
+
+
+def enumerate_decoders_min_tail(prior: ProbVector, channel, space: DiscreteSpace,
+                                t: float) -> float:
+    """Exact min over all deterministic decoders g: X -> V of P(rho(g(X), V) > t).
+
+    Brute-force enumeration over all |V|^|X| decoder functions, so no
+    shortcut replaces the loop. Guarded by lab.DECODER_ENUM_CUTOFF, the
+    batched kernel's cutoff. t must be finite.
+    """
+    _require("finite", t=t)
+    c = np.asarray(channel, dtype=np.float64)
+    nv, nx = c.shape
+    if nv != len(prior) or nv != space.n_points:
+        raise DomainError("prior, channel and space must agree on |V|")
+    n_decoders = space.n_points**nx
+    if n_decoders > DECODER_ENUM_CUTOFF:
+        raise EnumerationLimitError(
+            f"{n_decoders} decoders exceed the enumeration cutoff {DECODER_ENUM_CUTOFF}")
+    dmat = space.distance_matrix()
+    weight = prior.p[:, None] * c           # (v, x)
+    miss = (dmat.T > t).astype(np.float64)  # miss[vhat, v] = 1{rho(vhat, v) > t}
+    cost = (miss @ weight).T                # cost[x, vhat] = P(X=x, rho(vhat, V) > t)
+    xs = np.arange(nx)
+    best = math.inf
+    for g in itertools.product(range(space.n_points), repeat=nx):
+        val = float(cost[xs, g].sum())
+        if val < best:
+            best = val
+    return best

@@ -35,15 +35,7 @@ from fanolab.discrete import (
     sparse_sign_space,
 )
 from fanolab.info import binary_entropy, entropy, mutual_information_exact
-from fanolab.lab import (
-    MatchedBound,
-    audit_config,
-    check_bounds,
-    enumerate_decoders_min_tail,
-    random_chain,
-    random_symmetric_space,
-    simulate_risk,
-)
+from fanolab.lab import MatchedBound, audit_config, check_bounds, simulate_risk
 from fanolab.minimax import (
     linear_regression_bound,
     normal_mean_bound,
@@ -51,6 +43,7 @@ from fanolab.minimax import (
     normal_mean_tail_integral_floor,
     sparse_location_bound,
 )
+from oracles import enumerate_decoders_min_tail, random_chain, random_symmetric_space
 
 LN2 = math.log(2.0)
 SEED = 20240817

@@ -29,7 +29,7 @@ from fanolab.info import (
     entropy,
     mutual_information_exact,
 )
-from fanolab.lab import random_chain, random_symmetric_space
+from oracles import enumerate_decoders_min_tail, random_chain, random_symmetric_space
 
 LN2 = math.log(2.0)
 
@@ -487,8 +487,6 @@ def test_conditional_form_matches_high_precision(seed):
 @pytest.mark.parametrize("seed", range(40))
 def test_exact_min_decoder_tail_dominates_bounds(seed):
     """Sharpest testable form: best deterministic decoder cannot beat the bounds."""
-    from fanolab.lab import enumerate_decoders_min_tail
-
     chain = random_chain(seed, (4, 3, 4), uniform_prior=True)
     space = random_symmetric_space(seed, 4)
     g = np.random.Generator(np.random.Philox(key=seed + 999))

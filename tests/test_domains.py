@@ -117,10 +117,6 @@ CASES = {
     "ExperimentConfig": _case(ExperimentConfig, problem="sparse-location", reps=10, seed=1,
                               d=4, s=2, n=5, sigma2=1.0, eps=0.1),
     "MatchedBound": _case(fanolab.MatchedBound, "b", "tail", value=0.1, t=0.5),
-    "random_chain": _case(fanolab.random_chain, seed=1, sizes=(2, 2, 2), stream_id=0),
-    "random_symmetric_space": _case(fanolab.random_symmetric_space, seed=1, k=3, stream_id=0),
-    "enumerate_decoders_min_tail": _case(fanolab.enumerate_decoders_min_tail, _CHAIN.prior,
-                                         _CHAIN.channel, _Z3, t=0.5),
     "OracleGroup": _case(fanolab.OracleGroup, block=0, index=_GROUP.index, t=_GROUP.t,
                          prior=_GROUP.prior, channel=_GROUP.channel, decoder=_GROUP.decoder,
                          dist=_GROUP.dist),
@@ -200,17 +196,19 @@ def test_every_callable_with_a_numeric_scalar_has_a_case():
         assert not hasattr(getattr(fanolab, name), "__post_init__"), name
 
 
-def _probes():
-    for name, (fn, args, kwargs, _) in {**CASES, **EXTRA}.items():
+def probes(cases):
+    """One pytest param (name, arg, is an integer) per numeric scalar of each case."""
+    for name, (fn, args, kwargs, _) in cases.items():
         params = _numeric_params(fn)
         for arg in kwargs:
             if arg in params:
                 yield pytest.param(name, arg, params[arg], id=f"{name}-{arg}")
 
 
-@pytest.mark.parametrize("name, arg, integer", list(_probes()))
-def test_out_of_domain_scalar_is_refused_naming_it(name, arg, integer):
-    fn, args, kwargs, inf_ok = {**CASES, **EXTRA}[name]
+def check_refused_naming_it(cases, name, arg, integer):
+    """Every HOSTILE value of arg (and 1.5 for an integer) in the call of
+    cases[name] gives a finite value or a refusal that names arg."""
+    fn, args, kwargs, inf_ok = cases[name]
     for value in HOSTILE + ((1.5,) if integer else ()):
         try:
             out = fn(*args, **{**kwargs, arg: value})
@@ -221,6 +219,11 @@ def test_out_of_domain_scalar_is_refused_naming_it(name, arg, integer):
                 f"{name}({arg}={value!r}): {type(exc).__name__} does not name {arg}: {exc}"
             continue
         assert _finite(out, inf_ok), f"{name}({arg}={value!r}) returned {out!r}"
+
+
+@pytest.mark.parametrize("name, arg, integer", list(probes({**CASES, **EXTRA})))
+def test_out_of_domain_scalar_is_refused_naming_it(name, arg, integer):
+    check_refused_naming_it({**CASES, **EXTRA}, name, arg, integer)
 
 
 def test_a_cardinality_beyond_float64_is_divided_exactly():
@@ -244,8 +247,9 @@ INTEGRAL_FLOATS = {
     "n_max": (lambda m: fanolab.fano_tail_lower_bound(6, NeighborhoodProfile(1.0, m, 1),
                                                       0.0).value, 2),
     "d": (lambda d: fanolab.ball_volume_ratio_analytic(2.0, 1.0, d), 3),
-    "dim": (lambda d: ContinuumSpace(d, _DISK.contains, _DISK.bounding_box,
-                                     _DISK.rho).bounding_box.tolist(), 2),
+    "dim": (lambda d: fanolab.grid_partition_counts(ContinuumSpace(
+        d, _DISK.contains, _DISK.bounding_box, _DISK.rho, _DISK.ball_bbox, _DISK.sup_center),
+        0.5, 3, seed=1), 2),
     "level": (lambda lv: dataclasses.astuple(fanolab.grid_partition_counts(
         _DISK, 0.5, lv, seed=1, centers=1))[1:], 3),
 }

@@ -34,7 +34,7 @@ from fanolab.discrete import (
     fano_tail_lower_bound,
     neighborhood_sizes,
 )
-from fanolab.lab import hard_threshold, random_chain
+from fanolab.lab import hard_threshold
 from fanolab.minimax import (
     hinge_integral,
     normal_mean_bound,
@@ -44,6 +44,7 @@ from fanolab.minimax import (
 )
 from fanolab.stats import clopper_pearson, mean_ci
 from fanolab.streams import stream
+from oracles import random_chain
 
 LN2 = math.log(2.0)
 
@@ -364,6 +365,7 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (mc_volume_ratio, (box_space([0.0, 0.0], [1e-200, 1e-200]), 1e-201), "space"),
     (mc_volume_ratio, (l2_ball_space(2, 1e308), 1.0), "space"),
     (mc_volume_ratio, (l2_ball_space(2, 5e-324), 5e-324), "space"),
+    (mi_pairwise_kl_bound_discrete, ([[0.5, 0.5], [1e-300, 1 - 1e-300]], 1e308), "n_samples"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed

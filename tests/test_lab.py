@@ -33,12 +33,9 @@ from fanolab.lab import (
     check_bounds,
     decoder_bounds_batch,
     decoder_groups,
-    enumerate_decoders_min_tail,
     fano_sides_batch,
     hard_threshold,
     prop1_groups,
-    random_chain,
-    random_symmetric_space,
     simulate_risk,
 )
 from fanolab.minimax import (
@@ -49,6 +46,7 @@ from fanolab.minimax import (
 )
 from fanolab.results import MinimaxBound
 from fanolab.streams import REPLICATE_STREAM, stream
+from oracles import enumerate_decoders_min_tail, random_chain, random_symmetric_space
 
 
 # -- generators ----------------------------------------------------------------
@@ -156,18 +154,32 @@ def _assert_decoder_bounds_match(group):
     assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-12
 
 
+def _edge_group():
+    """Four instances on three points, V uniform, at the edges of the Fano
+    formulas: P_t = 0 under a perfect decoder; P_t = 1 under a decoder that
+    always errs; N_min = |V| at a radius past every distance; and
+    0 < (|V| - N_min) / N_max < 1."""
+    eye, uniform = np.eye(3), np.full((3, 3), 1 / 3)
+    dist = np.array([[0.0, 1.0, 1.5], [1.0, 0.0, 1.0], [1.5, 1.0, 0.0]])
+    return lab.OracleGroup(block=0, index=np.arange(4), t=np.array([0.5, 0.5, 1.5, 1.2]),
+                           prior=np.full((4, 3), 1 / 3),
+                           channel=np.stack([eye, eye, uniform, uniform]),
+                           decoder=np.stack([eye, np.roll(eye, 1, axis=1), uniform, eye]),
+                           dist=np.tile(dist, (4, 1, 1)))
+
+
 def test_batched_fano_sides_match_looped_oracle():
     groups = list(prop1_groups(3, 1000))
     assert [(g.nv, g.nx) for g in groups] == list(itertools.product(range(2, 6), repeat=2))
     assert sorted(np.concatenate([g.index for g in groups]).tolist()) == list(range(1000))
-    for group in groups:
+    for group in groups + [_edge_group()]:
         _assert_sides_match(group)
 
 
 def test_batched_decoder_bounds_match_looped_oracle():
     groups = list(decoder_groups(3, 500))
     assert [(g.nv, g.nx) for g in groups] == list(itertools.product(range(2, 5), repeat=2))
-    for group in groups:
+    for group in groups + [replace(_edge_group(), decoder=None)]:
         assert np.all(group.prior == 1.0 / group.nv) and group.decoder is None
         _assert_decoder_bounds_match(group)
 
