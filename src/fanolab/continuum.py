@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .discrete import _MI_DOMAIN, _fano_tail
-from .info import DomainError, _require
+from .info import DomainError, _budget, _require
 from .results import BoundResult
 from .stats import clopper_pearson
 from .streams import BALL_STREAM, CENTER_STREAM, GRID_STREAM, VOLUME_STREAM, stream
@@ -75,7 +75,6 @@ GRID_CHUNK = 1 << 15
 _SAMPLE_CHUNK = 8192
 _SAMPLE_BUDGET = 1000
 _CONFIDENCE = 0.99  # joint confidence of each volume-ratio interval
-_MAX_CELLS = 1 << 22  # candidate cells one grid partition may examine
 
 
 class EstimationError(RuntimeError):
@@ -302,6 +301,20 @@ def _sample_in_space(space: ContinuumSpace, count: int, seed: int, base: int) ->
         f"{_SAMPLE_BUDGET * _SAMPLE_CHUNK} proposals; region too thin for its bounding box")
 
 
+def _probe_centers(space: ContinuumSpace, centers: int, seed: int,
+                   base: int) -> list[tuple[np.ndarray, str]]:
+    """The declared maximizer, if any, then `centers` points of the region
+    rejection-sampled from the streams (seed, base + i), each with its source."""
+    cand = []
+    if space.sup_center is not None:
+        cand.append((np.asarray(space.sup_center, dtype=np.float64), "declared"))
+    if centers > 0:
+        cand.extend((c, "sampled") for c in _sample_in_space(space, centers, seed, base))
+    if not cand:
+        raise DomainError("need centers > 0 or a declared sup_center")
+    return cand
+
+
 def _intersect_boxes(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     lo = np.maximum(a[0], b[0])
     hi = np.minimum(a[1], b[1])
@@ -335,20 +348,15 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
     _require("finite and > 0", t=t)
     _require("an integer in [0, 2**63)", centers=centers)
     _require("an integer in [1, 2**63)", points=points)
+    # the region and every candidate: at most the declared one plus `centers`
+    _budget("sampled points", (2 + centers) * points, "(2 + centers) * points")
     with np.errstate(over="ignore"):
         box_vol = space.box_volume()
     if not 0 < box_vol < math.inf:
         raise DomainError(f"the volume {box_vol!r} of space's bounding box is out of range")
     per_count_conf = 1.0 - (1.0 - _CONFIDENCE) / 2.0  # two counts share the miss budget
 
-    cand: list[tuple[np.ndarray, str]] = []
-    if space.sup_center is not None:
-        cand.append((np.asarray(space.sup_center, dtype=np.float64), "declared"))
-    if centers > 0:
-        for c in _sample_in_space(space, centers, seed, CENTER_STREAM):
-            cand.append((c, "sampled"))
-    if not cand:
-        raise DomainError("need centers > 0 or a declared sup_center")
+    cand = _probe_centers(space, centers, seed, CENTER_STREAM)
 
     def in_region(u):
         return np.asarray(space.contains(u), dtype=bool)
@@ -464,9 +472,10 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     `centers` rejection-sampled points of the region.
 
     Occupancy is kept as one byte per candidate cell of the bounding box's
-    grid, so at most _MAX_CELLS bytes. Each probe scans only the window of
-    cell indices that its ball's box meets, the whole grid when the space
-    has no ball_bbox, and tests the occupied cells in it. Cells are examined
+    grid, so at most 4 MiB under the "grid cells" row of info._BUDGETS.
+    Each probe scans only the window of cell indices that its ball's box
+    meets, the whole grid when the space has no ball_bbox, and tests the
+    occupied cells in it. Cells are examined
     in chunks of GRID_CHUNK on worker threads; the counts do not depend on
     the number of workers.
     """
@@ -480,9 +489,7 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         k_lo, k_hi = np.floor(lo / eps), np.ceil(hi / eps)  # k_hi exclusive
         total = float(np.prod(k_hi - k_lo))
-    if not total <= _MAX_CELLS:
-        raise EstimationError(
-            f"grid would have {total:.0f} candidate cells (guard {_MAX_CELLS}); lower the level")
+    _budget("grid cells", total, f"the grid at level={level!r}")
     if not np.all((np.abs(k_lo) < 2**63) & (np.abs(k_hi) < 2**63)):
         raise DomainError(f"the cell indices of the space's bounding box at level={level} "
                           "do not fit int64: the box lies too far from the origin")
@@ -525,16 +532,8 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     if n_cells == 0:
         raise EstimationError("no cell intersects the region; check bounding box and level")
 
-    probes = []
-    if space.sup_center is not None:
-        probes.append(np.asarray(space.sup_center, dtype=np.float64))
-    if centers > 0:
-        probes.extend(_sample_in_space(space, centers, seed, GRID_STREAM))
-    if not probes:
-        raise DomainError("need centers > 0 or a declared sup_center")
-
     touched_max = 0
-    for c in probes:
+    for c, _ in _probe_centers(space, centers, seed, GRID_STREAM):
         # The window [w_lo, w_hi) of cell indices on each axis whose cells
         # [k*eps, (k+1)*eps) meet the ball's box: (k+1)*eps > box low holds
         # on a suffix of the axis and k*eps < box high on a prefix, so the

@@ -32,8 +32,8 @@ import numpy as np
 from .info import (
     LN2,
     DomainError,
-    EnumerationLimitError,
     MarkovChainSpec,
+    _budget,
     _h2,
     _require,
     conditional_entropy,
@@ -52,24 +52,9 @@ __all__ = [
     "fano_inequality_sides",
     "fano_tail_lower_bound",
     "fano_conditional_form",
-    "PAIR_ENUM_CUTOFF",
 ]
 
-# Matrix entries that exact neighborhood counting compares, block by block
-# (the d=10 sparse sign spaces need 2.4e8).
-PAIR_ENUM_CUTOFF = 10**9
-
-_MATRIX_CACHE_CUTOFF = 10**7          # distance matrix entries (3,162 points)
-_NEIGHBORHOOD_BLOCK = 1024            # centers per rho_rows call
-_SPARSE_SIGN_MAX_POINTS = 2_000_000   # largest sparse sign space materialized
-
-
-def _require_matrix_entries(n: int) -> None:
-    if n * n > _MATRIX_CACHE_CUTOFF:
-        raise EnumerationLimitError(
-            f"a distance matrix over {n} points would have {n * n} entries (cutoff "
-            f"{_MATRIX_CACHE_CUTOFF}); use DiscreteSpace.hamming or a structured "
-            "formula (e.g. sparse_sign_neighborhood_upper) instead")
+_NEIGHBORHOOD_BLOCK = 1024  # centers per rho_rows call
 
 
 class DiscreteSpace:
@@ -90,7 +75,8 @@ class DiscreteSpace:
 
     def __init__(self, points: Sequence, rho: Callable):
         points = list(points)
-        _require_matrix_entries(len(points))
+        n = len(points)
+        _budget("distance-matrix entries", n * n, f"a distance matrix over {n} points")
         self._set_matrix([[rho(a, b) for b in points] for a in points])
 
     # -- constructors ------------------------------------------------------
@@ -192,14 +178,15 @@ class DiscreteSpace:
 
     @cached_property
     def _hamming_matrix(self) -> np.ndarray:
-        _require_matrix_entries(self.n_points)
-        m = self._hamming_block(np.arange(self.n_points))
+        n = self.n_points
+        _budget("distance-matrix entries", n * n, f"a distance matrix over {n} points")
+        m = self._hamming_block(np.arange(n))
         m.flags.writeable = False
         return m
 
     def distance_matrix(self) -> np.ndarray:
         """Full pairwise distance matrix, read-only. A Hamming space builds
-        it once, under the 10**7-entry cutoff."""
+        it once, within the budget of 10**7 entries."""
         return self._matrix if self._vectors is None else self._hamming_matrix
 
 
@@ -233,11 +220,7 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
     if space.homogeneous:
         n_max = n_min = int((space.rho_rows(np.array([0])) <= t).sum())
     else:
-        if n * n > PAIR_ENUM_CUTOFF:
-            raise EnumerationLimitError(
-                f"{n * n} pairwise evaluations exceed the enumeration budget "
-                f"{PAIR_ENUM_CUTOFF}; "
-                "use a structured formula (e.g. sparse_sign_neighborhood_upper) instead")
+        _budget("pairwise evaluations", n * n, f"a space of {n} points")
         n_max, n_min = 0, n + 1
         for lo in range(0, n, _NEIGHBORHOOD_BLOCK):
             rows = space.rho_rows(np.arange(lo, min(lo + _NEIGHBORHOOD_BLOCK, n)))
@@ -272,10 +255,7 @@ def sparse_sign_space(d: int, s: int) -> DiscreteSpace:
     sparse_sign_cardinality and sparse_sign_neighborhood_upper instead.
     """
     card = sparse_sign_cardinality(d, s)
-    if card > _SPARSE_SIGN_MAX_POINTS:
-        raise EnumerationLimitError(
-            f"2^s * C(d, s) = {card} exceeds {_SPARSE_SIGN_MAX_POINTS} points; "
-            "use the counting forms instead of materializing")
+    _budget("sparse sign points", card, f"2^s * C(d, s) at d={d}, s={s}")
     out = np.zeros((card, d), dtype=np.int8)
     row = 0
     for support in itertools.combinations(range(d), s):

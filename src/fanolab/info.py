@@ -33,12 +33,9 @@ __all__ = [
     "mi_pairwise_kl_bound",
     "mi_pairwise_kl_bound_discrete",
     "PROB_SUM_TOL",
-    "JOINT_ENUM_CUTOFF",
 ]
 
 PROB_SUM_TOL = 1e-12
-# Exact joint enumeration only; larger requests are an error, not an estimate.
-JOINT_ENUM_CUTOFF = 10**7
 
 LN2 = math.log(2.0)
 
@@ -47,14 +44,17 @@ class DomainError(ValueError):
     """Input outside an operation's mathematical domain."""
 
 
-class EnumerationLimitError(RuntimeError):
-    """Exact enumeration would exceed the configured cutoff."""
+class EnumerationLimitError(DomainError):
+    """An input asks for more work than its row of the work budgets allows:
+    an exact enumeration, a table, a sample or a replicate count. Raised
+    before anything is allocated, naming the argument, the amount of work
+    and the budget; an input past its budget is out of domain."""
 
 
-def _xlogx_sum(p: np.ndarray) -> float:
-    """sum p*log(p) over nonzero entries."""
-    nz = p[p > 0]
-    return float((nz * np.log(nz)).sum())
+def _xlogx(a: np.ndarray) -> np.ndarray:
+    """a * ln(a) elementwise, with 0 * ln(0) = 0."""
+    pos = a > 0
+    return np.where(pos, a * np.log(np.where(pos, a, 1.0)), 0.0)
 
 
 def _reals(test):
@@ -117,6 +117,33 @@ def _require(domain: str, refusal: str | None = None, /, **values) -> None:
             entry = np.asarray(value, dtype=np.float64)[tuple(at)].item()
             got = f"{name}={entry!r} at index {', '.join(map(str, at))}"
         raise DomainError(f"{name} must be {domain}, got {got}")
+
+
+# Every work limit, by the kind of work it counts: the most that one call may
+# ask for, and what to use instead where there is something to advise.
+_BUDGETS = {
+    "distance-matrix entries": (10**7, "use DiscreteSpace.hamming or a structured formula "
+                                "(e.g. sparse_sign_neighborhood_upper) instead"),
+    "pairwise evaluations": (10**9, "use a structured formula "
+                             "(e.g. sparse_sign_neighborhood_upper) instead"),
+    "sparse sign points": (2 * 10**6, "use the counting forms instead of materializing"),
+    "joint-table entries": (10**7, None),
+    "decoders": (10**6, None),
+    "grid cells": (1 << 22, "lower the level"),
+    "replicates": (10**8, None),
+    "sampled points": (10**10, None),
+    "oracle instances": (10**8, None),
+}
+
+
+def _budget(work: str, amount, what: str) -> None:
+    """Refuses an amount of work past its row of _BUDGETS, before anything is
+    allocated. amount is an int of any size or a float, inf or NaN included;
+    what names the arguments that ask for the work."""
+    limit, advice = _BUDGETS[work]
+    if not amount <= limit:
+        raise EnumerationLimitError(f"{what}: {amount} {work} exceed the budget of {limit}"
+                                    + (f"; {advice}" if advice else ""))
 
 
 def _validate_rows(mat, name: str) -> np.ndarray:
@@ -207,15 +234,10 @@ class MarkovChainSpec:
     def n_vhat(self) -> int:
         return int(self.decoder.shape[1])
 
-    def _check_enum(self):
-        if self.n_v * self.n_x * self.n_vhat > JOINT_ENUM_CUTOFF:
-            raise EnumerationLimitError(
-                f"|V|*|X|*|Vhat| = {self.n_v * self.n_x * self.n_vhat} exceeds "
-                f"the exact-enumeration cutoff {JOINT_ENUM_CUTOFF}")
-
     def joint_v_vhat(self) -> np.ndarray:
         """Exact joint P(V=v, Vhat=vhat), marginalizing X."""
-        self._check_enum()
+        _budget("joint-table entries", self.n_v * self.n_x * self.n_vhat,
+                f"chain with |V| * |X| * |Vhat| = {self.n_v} * {self.n_x} * {self.n_vhat}")
         return (self.prior.p[:, None] * self.channel) @ self.decoder
 
 
@@ -234,14 +256,14 @@ def _h2(p: float) -> float:
 
 def entropy(dist: ProbVector) -> float:
     """Shannon entropy H(p) in nats."""
-    return -_xlogx_sum(dist.p)
+    return -float(_xlogx(dist.p).sum())
 
 
 def conditional_entropy(chain: MarkovChainSpec) -> float:
     """H(V | Vhat) computed from the exact (V, Vhat) joint."""
     joint = chain.joint_v_vhat()
-    h_joint = -_xlogx_sum(joint.reshape(-1))
-    h_vhat = -_xlogx_sum(joint.sum(axis=0))
+    h_joint = -float(_xlogx(joint).sum())
+    h_vhat = -float(_xlogx(joint.sum(axis=0)).sum())
     return max(0.0, h_joint - h_vhat)
 
 
@@ -250,8 +272,8 @@ def mutual_information_exact(prior: ProbVector, channel) -> float:
     c = _validate_rows(channel, "channel")
     if c.shape[0] != len(prior):
         raise DomainError("channel row count must match prior length")
-    if len(prior) * c.shape[1] > JOINT_ENUM_CUTOFF:
-        raise EnumerationLimitError("joint table exceeds the exact-enumeration cutoff")
+    _budget("joint-table entries", len(prior) * c.shape[1],
+            f"prior and channel with |V| * |X| = {len(prior)} * {c.shape[1]}")
     joint = prior.p[:, None] * c
     marginal_x = joint.sum(axis=0)
     prod = prior.p[:, None] * marginal_x[None, :]

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discrete import _fano_conditional, _fano_lhs, _fano_tail
-from .info import DomainError, EnumerationLimitError, _require, _validate_rows
+from .info import DomainError, _budget, _require, _validate_rows, _xlogx
 from .results import MinimaxBound
 from .stats import clopper_pearson, mean_ci, pairwise_sum
 from .streams import REPLICATE_STREAM, VERIFY_STREAM, stream
@@ -68,7 +68,6 @@ __all__ = [
     "simulate_risk",
     "check_bounds",
     "audit_config",
-    "DECODER_ENUM_CUTOFF",
     "REPLICATE_BLOCK",
     "ORACLE_BLOCK",
 ]
@@ -78,14 +77,11 @@ __all__ = [
 ESTIMATOR_OF = {"sparse-location": "hard-threshold", "normal-mean": "mean",
                 "regression": "ols"}
 PROBLEMS = tuple(ESTIMATOR_OF)
-DECODER_ENUM_CUTOFF = 10**6
 # Replicates drawn from one keyed stream. Fixed by the library, so that
 # draws never depend on how the sums are chunked; a block of the widest
 # problem (d = 32) stays near 1 MB per array.
 REPLICATE_BLOCK = 4096
 _SUM_CHUNK = 1024  # replicates per partial loss sum, reduced pairwise in order
-# the most replicates whose float64 losses numpy can size one array by
-_MAX_REPS = np.iinfo(np.intp).max // 8
 # Oracle-suite instances drawn from one keyed stream; it also bounds the
 # stacked arrays of one shape group (at most 4096 x 4^4 decoder tails).
 ORACLE_BLOCK = 4096
@@ -152,6 +148,7 @@ def _oracle_groups(seed: int, instances: int, base: int, n_hi: int, t_hi: float,
     docstring lays out; nv and nx are drawn from [2, n_hi), t from
     U[0, t_hi), and chain=False keeps V uniform and draws no decoders."""
     _require("an integer in [1, 2**63)", instances=instances)
+    _budget("oracle instances", instances, "instances")
     for block, lo in enumerate(range(0, instances, ORACLE_BLOCK)):
         m = min(ORACLE_BLOCK, instances - lo)
         g = stream(seed, base + block)
@@ -183,12 +180,6 @@ def decoder_groups(seed: int, instances: int):
     a random channel with |V|, |X| in {2..4}, on a space with distances
     U[0, 2), at a radius t ~ U[0, 2)."""
     return _oracle_groups(seed, instances, VERIFY_STREAM + (1 << 20), 5, 2.0, chain=False)
-
-
-def _xlogx(a: np.ndarray) -> np.ndarray:
-    """a * ln(a) elementwise, with 0 * ln(0) = 0."""
-    pos = a > 0
-    return np.where(pos, a * np.log(np.where(pos, a, 1.0)), 0.0)
 
 
 def _neighborhood_extremes(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -228,10 +219,7 @@ def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np
     of one instance would add it.
     """
     nv, nx = group.nv, group.nx
-    n_decoders = nv**nx
-    if n_decoders > DECODER_ENUM_CUTOFF:
-        raise EnumerationLimitError(
-            f"{n_decoders} decoders exceed the enumeration cutoff {DECODER_ENUM_CUTOFF}")
+    _budget("decoders", nv**nx, f"group with |V|^|X| = {nv}^{nx}")
     table = np.array(list(itertools.product(range(nv), repeat=nx)))  # (decoders, nx)
     weight = group.prior[:, :, None] * group.channel                  # P(V=v, X=x)
     miss = (group.dist.transpose(0, 2, 1) > group.t[:, None, None]).astype(np.float64)
@@ -290,8 +278,8 @@ class ExperimentConfig:
             raise DomainError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
         _require("an integer", reps=self.reps, d=self.d, s=self.s, n=self.n)
         _require("an integer in [0, 2**64)", seed=self.seed)
-        if not 1 <= self.reps <= _MAX_REPS:
-            raise DomainError(f"reps must lie in [1, {_MAX_REPS}], got reps={self.reps}")
+        _require(">= 1", reps=self.reps)
+        _budget("replicates", self.reps, "reps")
         _require("finite and > 0", sigma2=self.sigma2)
         _require("finite and >= 0", eps=self.eps, t_list=self.t_list)
         if self.problem != "regression":

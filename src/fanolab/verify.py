@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import continuum, lab, minimax
-from .info import LN2
+from .info import LN2, _budget
 from .streams import VERIFY_STREAM, stream
 
 VERIFY_SCHEMA = "fanolab-verify-v1"
@@ -137,6 +137,8 @@ def volume(seed: int, fault: bool, seeds: int, points: int) -> list[Check]:
     """Per dimension, `seeds` estimates of the ratio of a radius-1/2 ball to
     the unit ball. A run fails when it is off by more than 3% or its CI
     misses the truth; the check allows at most 3 such runs, and never all."""
+    # three dimensions, each run counting the region and the declared ball
+    _budget("sampled points", 6 * seeds * points, "6 * seeds * points")
     checks = []
     for d in (2, 3, 5):
         space = continuum.l2_ball_space(d, 1.0)

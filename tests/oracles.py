@@ -14,14 +14,7 @@ import math
 import numpy as np
 
 from fanolab.discrete import DiscreteSpace
-from fanolab.info import (
-    DomainError,
-    EnumerationLimitError,
-    MarkovChainSpec,
-    ProbVector,
-    _require,
-)
-from fanolab.lab import DECODER_ENUM_CUTOFF
+from fanolab.info import DomainError, MarkovChainSpec, ProbVector, _budget, _require
 from fanolab.streams import stream
 
 CHAIN_STREAM = 5 << 40
@@ -57,18 +50,16 @@ def enumerate_decoders_min_tail(prior: ProbVector, channel, space: DiscreteSpace
     """Exact min over all deterministic decoders g: X -> V of P(rho(g(X), V) > t).
 
     Brute-force enumeration over all |V|^|X| decoder functions, so no
-    shortcut replaces the loop. Guarded by lab.DECODER_ENUM_CUTOFF, the
-    batched kernel's cutoff. t must be finite.
+    shortcut replaces the loop. Guarded by the "decoders" budget of
+    info._BUDGETS, as the batched kernel is. t must be finite.
     """
     _require("finite", t=t)
     c = np.asarray(channel, dtype=np.float64)
     nv, nx = c.shape
     if nv != len(prior) or nv != space.n_points:
         raise DomainError("prior, channel and space must agree on |V|")
-    n_decoders = space.n_points**nx
-    if n_decoders > DECODER_ENUM_CUTOFF:
-        raise EnumerationLimitError(
-            f"{n_decoders} decoders exceed the enumeration cutoff {DECODER_ENUM_CUTOFF}")
+    _budget("decoders", space.n_points**nx,
+            f"space and channel with |V|^|X| = {space.n_points}^{nx}")
     dmat = space.distance_matrix()
     weight = prior.p[:, None] * c           # (v, x)
     miss = (dmat.T > t).astype(np.float64)  # miss[vhat, v] = 1{rho(vhat, v) > t}

@@ -354,6 +354,12 @@ REFUSED = [
     # seeds outside the 64-bit word of the Philox key
     (["bound", "normal-mean", "--d", "4", "--n", "10", "--seed", "-1"], "seed"),
     (["verify", "quadrature", "--seed", str(2**64)], "seed"),
+    # counts past their work budget: sampled points and replicates
+    (["verify", "volume", "--seeds", "1" + "0" * 400, "--points", "10"], "seeds"),
+    (["verify", "volume", "--points", "1000000000000000"], "points"),
+    (["table", "regression", "--sweep", "d=9", "--n", "9", "--with-risk", "1000000000000000"],
+     "reps"),
+    (["verify", "estimator-risk", "--reps-scale", "1e12"], "reps:"),
 ]
 
 

@@ -21,7 +21,7 @@ from fanolab.continuum import (
     mc_volume_ratio,
     surface_volume_bounds,
 )
-from fanolab.info import DomainError
+from fanolab.info import DomainError, EnumerationLimitError
 from fanolab.streams import GRID_STREAM
 
 LN2 = math.log(2.0)
@@ -391,7 +391,7 @@ def test_grid_occupancy_takes_one_byte_per_cell(monkeypatch):
 
 def test_grid_memory_guard():
     disk = l2_ball_space(2, 1.0)
-    with pytest.raises(EstimationError):
+    with pytest.raises(EnumerationLimitError):
         grid_partition_counts(disk, 0.5, 14, seed=0)  # about 1e9 candidate cells
 
 

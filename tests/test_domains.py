@@ -1,4 +1,5 @@
-"""Every public callable either computes a finite value or refuses its input.
+"""Every public callable either computes a finite value or refuses its input,
+and every work budget refuses before it allocates.
 
 For each public callable of the library (fanolab.__all__) that takes a
 numeric scalar, each such argument in turn gets every value of HOSTILE,
@@ -14,6 +15,7 @@ import inspect
 import math
 import numbers
 import re
+import tracemalloc
 import types
 
 import numpy as np
@@ -259,3 +261,45 @@ INTEGRAL_FLOATS = {
 def test_an_integral_float_count_gives_the_int_result(arg):
     fn, count = INTEGRAL_FLOATS[arg]
     assert fn(float(count)) == fn(count)
+
+
+# One call per row of info._BUDGETS, just past the row's limit (at limit + 1
+# where the work can be sized that finely), and the argument its refusal must
+# name. The inputs are built here, so the traced peak is the call's own.
+_WIDE = DiscreteSpace.hamming(np.zeros((31_623, 1), dtype=np.int8))  # 31,623^2 > 10**9
+_CHAIN_216 = MarkovChainSpec(ProbVector.uniform(216), np.full((216, 216), 1 / 216),
+                             np.full((216, 216), 1 / 216))  # 216^3 > 10**7
+_GROUP_2_20 = fanolab.OracleGroup(0, np.array([0]), np.array([0.5]), np.full((1, 2), 0.5),
+                                  np.full((1, 2, 20), 1 / 20), None,
+                                  np.array([[[0.0, 1.0], [1.0, 0.0]]]))  # 2^20 > 10**6
+BUDGET_CASES = {
+    "distance-matrix entries": (lambda: DiscreteSpace(range(3163), lambda a, b: 0.0),
+                                "points"),
+    "pairwise evaluations": (lambda: fanolab.neighborhood_sizes(_WIDE, 0.5), "space"),
+    "sparse sign points": (lambda: fanolab.sparse_sign_space(20, 6), "d"),  # 64 C(20, 6)
+    "joint-table entries": (lambda: fanolab.conditional_entropy(_CHAIN_216), "chain"),
+    "decoders": (lambda: fanolab.decoder_bounds_batch(_GROUP_2_20), "group"),
+    "grid cells": (lambda: fanolab.grid_partition_counts(
+        fanolab.box_space([0.0], [2.0**22 + 1]), 0.5, 0), "level"),
+    "replicates": (lambda: ExperimentConfig(problem="normal-mean", reps=10**8 + 1, seed=0),
+                   "reps"),
+    "sampled points": (lambda: fanolab.mc_volume_ratio(_DISK, 0.5, centers=99,
+                                                       points=99_009_901), "points"),
+    "oracle instances": (lambda: next(prop1_groups(1, 10**8 + 1)), "instances"),
+}
+
+
+@pytest.mark.parametrize("work", info._BUDGETS)
+def test_work_past_its_budget_is_refused_before_allocating(work):
+    call, arg = BUDGET_CASES[work]
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationLimitError) as exc:
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    message = str(exc.value)
+    assert re.search(rf"\b{arg}\b", message) and work in message, message
+    assert f"the budget of {info._BUDGETS[work][0]}" in message
+    assert peak < 1 << 20, f"{work}: {peak} bytes traced"
