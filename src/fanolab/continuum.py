@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .discrete import _MI_DOMAIN, _fano_tail
-from .info import DomainError, _budget, _require
+from .info import DomainError, _budget, _require, _shown
 from .results import BoundResult
 from .stats import clopper_pearson
 from .streams import BALL_STREAM, CENTER_STREAM, GRID_STREAM, VOLUME_STREAM, stream
@@ -112,7 +112,8 @@ class ContinuumSpace:
         _require(">= 1", dim=self.dim)
         box = np.asarray(self.bounding_box, dtype=np.float64)
         if box.shape != (2, self.dim):
-            raise DomainError(f"bounding_box must be (2, dim), lows then highs, at dim={self.dim}")
+            raise DomainError("bounding_box must be (2, dim), lows then highs, at "
+                              f"dim={_shown(self.dim)}")
         object.__setattr__(self, "dim", box.shape[1])  # an integral float dim as an int
         if not np.all(box[1] > box[0]):
             raise DomainError("bounding_box must have positive extent on every axis")
@@ -228,7 +229,7 @@ def ball_volume_ratio_analytic(r: float, t: float, d: int) -> float:
             return (r / t) ** d
     except OverflowError:
         pass
-    raise DomainError(f"(r/t)^d overflows float64 at r={r!r}, t={t!r}, d={d}")
+    raise DomainError(f"(r/t)^d overflows float64 at r={r!r}, t={t!r}, d={_shown(d)}")
 
 
 @dataclass(frozen=True)

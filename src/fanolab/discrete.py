@@ -6,13 +6,14 @@ mismatch event with {rho(Vhat, V) > t} turns the cardinality |V| of the
 alphabet into the ratio |V| / N_t_max, where N_t_max is the largest
 number of points within distance t of any point. This module computes
 those neighborhood counts exactly and evaluates the resulting
-inequalities. Each inequality's formula is written once, in an unchecked
-core: _fano_lhs for the sides h2(P_t) + P_t ln((|V| - N_min) / N_max) +
-ln N_max, _fano_conditional for the conditional form, and _fano_tail for
-the tail step max(0, 1 - (I + ln 2) / L). The public functions here check
-their inputs and call them; so do the volume-based bound in continuum and
-the sparse pipelines in minimax (_fano_tail), and the batched oracle
-kernels in lab (all three), once per instance.
+inequalities. Each formula is written once, in an unchecked core: the
+scalar _fano_lhs (the sides h2(P_t) + P_t ln((|V| - N_min) / N_max) +
+ln N_max), _fano_conditional and _fano_tail (max(0, 1 - (I + ln 2) / L)),
+and, over leading batch axes, _neighborhood_extremes, _miss (the event
+rho(Vhat, V) > t) and _miss_tail (its probability P_t). The public
+functions here check their inputs and call them; so do continuum and
+minimax (_fano_tail) and the batched oracle kernels in lab (all of them).
+Distance matrices are checked by one rule, _check_symmetric.
 
 Conventions kept exactly as stated by the inequalities themselves:
 neighborhoods use rho <= t, the error event uses the strict rho > t, and
@@ -36,6 +37,7 @@ from .info import (
     _budget,
     _h2,
     _require,
+    _shown,
     conditional_entropy,
 )
 from .results import BoundResult
@@ -93,13 +95,7 @@ class DiscreteSpace:
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DomainError("a discrete space needs a square distance matrix over "
                               ">= 2 points")
-        if np.isnan(m).any():
-            raise DomainError("rho must not be NaN: the distance matrix holds a NaN")
-        bad = np.argwhere(m != m.T)
-        if bad.size:
-            i, j = bad[0].tolist()
-            raise DomainError(f"rho must be symmetric: rho(p{i}, p{j}) = {float(m[i, j])!r} "
-                              f"but rho(p{j}, p{i}) = {float(m[j, i])!r}")
+        _check_symmetric(m)
         m.flags.writeable = False
         self._matrix = m
         self._vectors = None
@@ -190,6 +186,21 @@ class DiscreteSpace:
         return self._matrix if self._vectors is None else self._hamming_matrix
 
 
+def _check_symmetric(dist) -> None:
+    """Refuses a distance matrix, or a stack along a leading axis, holding a NaN
+    or differing from its transpose; names the first such pair (and matrix)."""
+    dist = np.asarray(dist, dtype=np.float64)
+    nan = np.isnan(dist)
+    bad = np.argwhere(nan if nan.any() else dist != np.swapaxes(dist, -1, -2))
+    if bad.size:
+        *k, i, j = bad[0].tolist()
+        at, m = (f"in dist[{k[0]}], ", dist[k[0]]) if k else ("", dist)
+        if nan.any():
+            raise DomainError(f"rho must not be NaN: {at}rho(p{i}, p{j}) is NaN")
+        raise DomainError(f"rho must be symmetric: {at}rho(p{i}, p{j}) = {float(m[i, j])!r} "
+                          f"but rho(p{j}, p{i}) = {float(m[j, i])!r}")
+
+
 @dataclass(frozen=True)
 class NeighborhoodProfile:
     """Extreme neighborhood sizes at radius t: counts of {v' : rho(v, v') <= t}."""
@@ -202,7 +213,8 @@ class NeighborhoodProfile:
         _require("finite", t=self.t)
         _require(">= 1", n_max=self.n_max)
         if not 0 <= self.n_min <= self.n_max:
-            raise DomainError(f"need 0 <= n_min <= n_max, got {self.n_min}, {self.n_max}")
+            raise DomainError(
+                f"need 0 <= n_min <= n_max, got {_shown(self.n_min)}, {_shown(self.n_max)}")
 
 
 def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
@@ -217,26 +229,29 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
     """
     _require("finite", t=t)
     n = space.n_points
-    if space.homogeneous:
-        n_max = n_min = int((space.rho_rows(np.array([0])) <= t).sum())
-    else:
+    if not space.homogeneous:
         _budget("pairwise evaluations", n * n, f"a space of {n} points")
-        n_max, n_min = 0, n + 1
-        for lo in range(0, n, _NEIGHBORHOOD_BLOCK):
-            rows = space.rho_rows(np.arange(lo, min(lo + _NEIGHBORHOOD_BLOCK, n)))
-            counts = (rows <= t).sum(axis=1)
-            n_max = max(n_max, int(counts.max()))
-            n_min = min(n_min, int(counts.min()))
+    scan = 1 if space.homogeneous else n  # a homogeneous space needs its first center only
+    blocks = [np.arange(lo, min(lo + _NEIGHBORHOOD_BLOCK, scan))
+              for lo in range(0, scan, _NEIGHBORHOOD_BLOCK)]
+    highs, lows = zip(*(_neighborhood_extremes(space.rho_rows(b), t) for b in blocks))
+    n_max, n_min = int(max(highs)), int(min(lows))
     if n_max < 1:
         raise DomainError(f"every neighborhood is empty at radius t={t!r}: "
                           "no point lies within t of any center")
     return NeighborhoodProfile(t=t, n_max=n_max, n_min=n_min)
 
 
+def _neighborhood_extremes(dist: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The largest and smallest card{v' : rho(v, v') <= t} over the distance rows v."""
+    counts = (dist <= np.asarray(t, dtype=np.float64)[..., None, None]).sum(axis=-1)
+    return counts.max(axis=-1), counts.min(axis=-1)
+
+
 def _require_sparse(d: int, s: int) -> None:
     _require("an integer", d=d, s=s)
     if not 1 <= s <= d:
-        raise DomainError(f"need 1 <= s <= d, got s={s}, d={d}")
+        raise DomainError(f"need 1 <= s <= d, got s={_shown(s)}, d={_shown(d)}")
 
 
 def sparse_sign_cardinality(d: int, s: int) -> int:
@@ -255,7 +270,7 @@ def sparse_sign_space(d: int, s: int) -> DiscreteSpace:
     sparse_sign_cardinality and sparse_sign_neighborhood_upper instead.
     """
     card = sparse_sign_cardinality(d, s)
-    _budget("sparse sign points", card, f"2^s * C(d, s) at d={d}, s={s}")
+    _budget("sparse sign points", card, f"2^s * C(d, s) at d={_shown(d)}, s={_shown(s)}")
     out = np.zeros((card, d), dtype=np.int8)
     row = 0
     for support in itertools.combinations(range(d), s):
@@ -320,9 +335,17 @@ def chain_tail(chain: MarkovChainSpec, space: DiscreteSpace, t: float) -> float:
             f"alphabet mismatch: space has {n} points, chain has |V|={chain.n_v}, "
             f"|Vhat|={chain.n_vhat}")
     _require("finite", t=t)
-    # joint[v, vhat] against the event rho(vhat, v) > t
-    p_t = float(chain.joint_v_vhat()[space.distance_matrix().T > t].sum())
-    return min(max(p_t, 0.0), 1.0)
+    return float(_miss_tail(chain.joint_v_vhat(), space.distance_matrix(), t))
+
+
+def _miss(dist: np.ndarray, t) -> np.ndarray:
+    """miss[..., v, vhat] = rho(vhat, v) > t, from distance matrices and radii."""
+    return np.swapaxes(dist, -1, -2) > np.asarray(t, dtype=np.float64)[..., None, None]
+
+
+def _miss_tail(joint: np.ndarray, dist: np.ndarray, t) -> np.ndarray:
+    """P(rho(Vhat, V) > t): joint laws P(V, Vhat) summed over _miss, clipped to [0, 1]."""
+    return np.clip(np.where(_miss(dist, t), joint, 0.0).sum(axis=(-2, -1)), 0.0, 1.0)
 
 
 def fano_inequality_sides(chain: MarkovChainSpec, space: DiscreteSpace,
@@ -343,7 +366,7 @@ def fano_inequality_sides(chain: MarkovChainSpec, space: DiscreteSpace,
 
 
 # The domain of a mutual information I, and its refusal, for _require.
-_MI_DOMAIN = ("finite and >= 0", "mutual information mi must be finite and >= 0, got {value!r}")
+_MI_DOMAIN = ("finite and >= 0", "mutual information mi must be finite and >= 0, got {value}")
 
 
 # The three Fano formulas, unchecked: their callers check the inputs first.
@@ -381,8 +404,16 @@ def _card_ratio(count: int, n_max: int) -> float:
     try:
         return count / n_max
     except OverflowError:
-        raise DomainError(f"card is too large: its ratio to n_max={n_max} overflows "
+        raise DomainError(f"card is too large: its ratio to n_max={_shown(n_max)} overflows "
                           "float64") from None
+
+
+def _require_card(card: int, profile: NeighborhoodProfile) -> None:
+    """The tail forms' rule on card: at least 2, and no smaller than n_max."""
+    _require(">= 2", "need card >= 2", card=card)
+    if profile.n_max > card:
+        raise DomainError(
+            f"neighborhood size n_max={_shown(profile.n_max)} exceeds card={_shown(card)}")
 
 
 def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) -> BoundResult:
@@ -393,9 +424,7 @@ def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) ->
     (or a nonpositive log-ratio) sets valid=False. A merely negative
     value clamps to 0 with valid=True: vacuous but correct.
     """
-    _require(">= 2", "need card >= 2", card=card)
-    if profile.n_max > card:
-        raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
+    _require_card(card, profile)
     _require(*_MI_DOMAIN, mi=mi)
     log_ratio = math.log(_card_ratio(card, profile.n_max))
     value = _fano_tail(mi, log_ratio)
@@ -414,9 +443,7 @@ def fano_conditional_form(hvx: float, card: int, profile: NeighborhoodProfile) -
     provided the denominator is positive (else valid=False, value 0).
     """
     _require("finite and >= 0", hvx=hvx)
-    _require(">= 2", "need card >= 2", card=card)
-    if profile.n_max > card:
-        raise DomainError(f"neighborhood size n_max={profile.n_max} exceeds card={card}")
+    _require_card(card, profile)
     value, den = _fano_conditional(hvx, card, profile.n_max, profile.n_min)
     return BoundResult(value=value, valid=den > 0, ingredients={
         "hvx": hvx, "denominator": den, "t": profile.t,

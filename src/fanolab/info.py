@@ -3,8 +3,12 @@
 Every entropy, divergence and mutual information here uses natural
 logarithms (the additive constants in the Fano bounds are ln 2, so nats
 keep the formulas literal). The 0*log(0) = 0 convention is enforced by
-branching, not by epsilon-perturbation, so small instances can be checked
-against enumeration oracles exactly.
+masking, not by epsilon-perturbation. The joint law P(V, Vhat), H(V | Vhat)
+and I(V; X) are each written once, as a private core over leading batch
+axes that the public functions and lab's batched oracle kernels both call,
+so a chain gives the same bits either way. Each input rule is one check:
+_require for scalar domains, _budget for work limits and _validate_rows
+for probability rows; refusals print values through _shown.
 
 All functions are pure and all container types are immutable, so
 concurrent use needs no synchronization.
@@ -96,9 +100,18 @@ _DOMAINS = {
 }
 
 
+def _shown(value, text=str) -> str:
+    """text(value) for a refusal, but an int past Python's digit limit as about 10**N."""
+    try:
+        return text(value)
+    except ValueError:
+        return f"about {'-' if value < 0 else ''}10**{math.floor(math.log10(abs(value)))}"
+
+
 def _require(domain: str, refusal: str | None = None, /, **values) -> None:
     """Refuses, naming it, the first value (or array entry) outside the named
-    domain of _DOMAINS; refusal, if given, is the message, formatted with value."""
+    domain of _DOMAINS; refusal, if given, is the message, formatted with the value
+    as _shown(value, repr) prints it."""
     test = _DOMAINS[domain]
     for name, value in values.items():
         try:
@@ -110,8 +123,8 @@ def _require(domain: str, refusal: str | None = None, /, **values) -> None:
         if ok is True or (ok is not False and ok.all()):
             continue
         if refusal is not None:
-            raise DomainError(refusal.format(value=value))
-        got = f"{name}={value!r}"
+            raise DomainError(refusal.format(value=_shown(value, repr)))
+        got = f"{name}={_shown(value, repr)}"
         if np.ndim(ok):
             at = np.argwhere(~ok)[0]
             entry = np.asarray(value, dtype=np.float64)[tuple(at)].item()
@@ -142,22 +155,22 @@ def _budget(work: str, amount, what: str) -> None:
     what names the arguments that ask for the work."""
     limit, advice = _BUDGETS[work]
     if not amount <= limit:
-        raise EnumerationLimitError(f"{what}: {amount} {work} exceed the budget of {limit}"
+        raise EnumerationLimitError(f"{what}: {_shown(amount)} {work} exceed the budget of {limit}"
                                     + (f"; {advice}" if advice else ""))
 
 
-def _validate_rows(mat, name: str) -> np.ndarray:
-    m = np.asarray(mat, dtype=np.float64)
-    if m.ndim != 2 or m.size == 0:
-        raise DomainError(f"{name} must be a nonempty 2-d array")
-    if np.any(m < 0) or np.any(m > 1):
-        raise DomainError(f"{name} entries must lie in [0, 1]")
-    err = float(np.max(np.abs(m.sum(axis=1) - 1.0)))
-    if err > PROB_SUM_TOL:
+def _validate_rows(mat, name: str, ndim: int = 2) -> np.ndarray:
+    """A read-only float64 copy of a nonempty ndim-d array of probability rows:
+    every entry in [0, 1] (NaN is not), every row sum within PROB_SUM_TOL of 1."""
+    m = np.array(mat, dtype=np.float64)
+    if m.ndim != ndim or m.size == 0:
+        raise DomainError(f"{name} must be a nonempty {ndim}-d array")
+    _require("in [0, 1]", f"{name} entries must lie in [0, 1]", **{name: m})
+    err = float(np.max(np.abs(m.sum(axis=-1) - 1.0)))
+    if not err <= PROB_SUM_TOL:
         raise DomainError(
-            f"{name} rows must sum to 1 within {PROB_SUM_TOL}; worst deviation {err:.3e} "
-            "(inputs are rejected, not renormalized)")
-    m = m.copy()
+            f"{name}{' rows' if ndim > 1 else ''} must sum to 1 within {PROB_SUM_TOL}; worst "
+            f"deviation {err:.3e} (inputs are rejected, not renormalized)")
     m.flags.writeable = False
     return m
 
@@ -166,27 +179,14 @@ def _validate_rows(mat, name: str) -> np.ndarray:
 class ProbVector:
     """Probability distribution on a finite, nonempty index set.
 
-    Construction validates; it never renormalizes. Weights outside [0, 1]
-    or a total further than 1e-12 from 1 are rejected so that generator
-    bugs in test harnesses surface immediately.
+    Construction validates with the row rule of _validate_rows; it never
+    renormalizes, so that generator bugs in test harnesses surface immediately.
     """
 
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.ndim != 1 or p.size == 0:
-            raise DomainError("probability vector must be 1-d and nonempty")
-        if np.any(p < 0) or np.any(p > 1):
-            raise DomainError("weights must lie in [0, 1]")
-        total = float(p.sum())
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise DomainError(
-                f"weights sum to {total!r}, not 1 within {PROB_SUM_TOL} "
-                "(inputs are rejected, not renormalized)")
-        p = p.copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _validate_rows(self.p, "p", ndim=1))
 
     @staticmethod
     def uniform(k: int) -> "ProbVector":
@@ -238,7 +238,7 @@ class MarkovChainSpec:
         """Exact joint P(V=v, Vhat=vhat), marginalizing X."""
         _budget("joint-table entries", self.n_v * self.n_x * self.n_vhat,
                 f"chain with |V| * |X| * |Vhat| = {self.n_v} * {self.n_x} * {self.n_vhat}")
-        return (self.prior.p[:, None] * self.channel) @ self.decoder
+        return _joint_law(self.prior.p, self.channel, self.decoder)
 
 
 def binary_entropy(p: float) -> float:
@@ -261,10 +261,7 @@ def entropy(dist: ProbVector) -> float:
 
 def conditional_entropy(chain: MarkovChainSpec) -> float:
     """H(V | Vhat) computed from the exact (V, Vhat) joint."""
-    joint = chain.joint_v_vhat()
-    h_joint = -float(_xlogx(joint).sum())
-    h_vhat = -float(_xlogx(joint.sum(axis=0)).sum())
-    return max(0.0, h_joint - h_vhat)
+    return float(_conditional_entropy(chain.joint_v_vhat()))
 
 
 def mutual_information_exact(prior: ProbVector, channel) -> float:
@@ -274,17 +271,34 @@ def mutual_information_exact(prior: ProbVector, channel) -> float:
         raise DomainError("channel row count must match prior length")
     _budget("joint-table entries", len(prior) * c.shape[1],
             f"prior and channel with |V| * |X| = {len(prior)} * {c.shape[1]}")
-    joint = prior.p[:, None] * c
-    marginal_x = joint.sum(axis=0)
-    prod = prior.p[:, None] * marginal_x[None, :]
-    mask = joint > 0
-    val = float((joint[mask] * (np.log(joint[mask]) - np.log(prod[mask]))).sum())
-    return max(0.0, val)
+    return float(_mutual_information(prior.p, c))
 
 
 def mutual_information_v_vhat(chain: MarkovChainSpec) -> float:
     """I(V; Vhat) for the end-to-end chain, via H(V) - H(V | Vhat)."""
     return max(0.0, entropy(chain.prior) - conditional_entropy(chain))
+
+
+# Each information formula once, over leading batch axes, for the public
+# functions above and lab's batched kernels alike. Unchecked.
+def _joint_law(prior: np.ndarray, channel: np.ndarray, decoder: np.ndarray) -> np.ndarray:
+    """P(V=v, Vhat=w) = sum_x P(v) P(x | v) P(w | x) of chains V -> X -> Vhat."""
+    return np.einsum("...v,...vx,...xw->...vw", prior, channel, decoder)
+
+
+def _conditional_entropy(joint: np.ndarray) -> np.ndarray:
+    """H(V | Vhat) = H(V, Vhat) - H(Vhat) of joint laws P(V, Vhat), clamped at 0."""
+    return np.maximum(0.0, _xlogx(joint.sum(axis=-2)).sum(axis=-1)
+                      - _xlogx(joint).sum(axis=(-2, -1)))
+
+
+def _mutual_information(prior: np.ndarray, channel: np.ndarray) -> np.ndarray:
+    """I(V; X), the sum over P(v, x) > 0 of P(v, x) ln(P(v, x) / (P(v) P(x))), clamped at 0."""
+    joint = prior[..., :, None] * channel
+    prod = prior[..., :, None] * joint.sum(axis=-2)[..., None, :]
+    pos = joint > 0
+    log_odds = np.log(np.where(pos, joint, 1.0)) - np.log(np.where(pos, prod, 1.0))
+    return np.maximum(0.0, np.where(pos, joint * log_odds, 0.0).sum(axis=(-2, -1)))
 
 
 def kl_discrete(p: ProbVector, q: ProbVector) -> float:

@@ -29,12 +29,12 @@ first the arrays of |V|, of |X| and of the radii t, then, for each shape
 (prop1 only; the decoder suite keeps V uniform), the channels and the
 upper-triangle distances. A full block's instances depend on the seed and
 b only, so growing the instance count leaves the shared full blocks
-unchanged. The batched kernels do the array work of a whole group (the
-joint law, the miss event, the decoder table, the neighborhood extremes,
-P_t, I and H) and then evaluate each instance's Fano formulas with the
-scalar cores of discrete, the ones the public bound functions use. The
-brute-force references that the kernels are tested against live in the
-tests (tests/oracles.py).
+unchanged. The batched kernels compute nothing of their own but the
+decoder table: the joint law, the miss event and P_t, the neighborhood
+extremes, I and H come from the array cores of info and discrete, and the
+Fano formulas from discrete's scalar cores, all shared with the public
+single-instance functions, so both give the same bits. The brute-force
+references live in the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
@@ -45,8 +45,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import _fano_conditional, _fano_lhs, _fano_tail
-from .info import DomainError, _budget, _require, _validate_rows, _xlogx
+from .discrete import (_check_symmetric, _fano_conditional, _fano_lhs, _fano_tail, _miss,
+                       _miss_tail, _neighborhood_extremes)
+from .info import (DomainError, _budget, _conditional_entropy, _joint_law, _mutual_information,
+                   _require, _shown, _validate_rows, _xlogx)
 from .results import MinimaxBound
 from .stats import clopper_pearson, mean_ci, pairwise_sum
 from .streams import REPLICATE_STREAM, VERIFY_STREAM, stream
@@ -95,12 +97,12 @@ class OracleGroup:
     the first axis: chains V -> X -> Vhat with |V| = |Vhat| = nv and
     |X| = nx, on matrix-backed spaces over V, each with its radius t.
 
-    Construction checks every instance with the rules of ProbVector,
-    MarkovChainSpec and DiscreteSpace.from_matrix: probability rows with
-    entries in [0, 1] that sum to 1 within PROB_SUM_TOL, and symmetric
-    distances with a zero diagonal. Radii must be finite and >= 0, which on
-    a zero diagonal is neighborhood_sizes' rule that no neighborhood be
-    empty. decoder is None when the instances need no stochastic decoder.
+    Construction checks every instance with the probability-row rule of
+    ProbVector and MarkovChainSpec and the distance rule of DiscreteSpace
+    (no NaN, symmetric), plus a zero diagonal. Radii must be finite and
+    >= 0, which on a zero diagonal is neighborhood_sizes' rule that no
+    neighborhood be empty, and block an index. decoder is None when the
+    instances need no stochastic decoder.
     """
 
     block: int
@@ -125,12 +127,10 @@ class OracleGroup:
         _validate_rows(np.reshape(self.channel, (-1, nx)), "channel")
         if self.decoder is not None:
             _validate_rows(np.reshape(self.decoder, (-1, nv)), "decoder")
-        if not np.array_equal(self.dist, np.transpose(self.dist, (0, 2, 1))):
-            raise DomainError("rho must be symmetric; a distance matrix differs from its "
-                              "transpose")
+        _check_symmetric(self.dist)
         if np.any(np.diagonal(self.dist, axis1=1, axis2=2) != 0):
             raise DomainError("distance matrices must have a zero diagonal")
-        _require("finite", block=self.block)
+        _require("an integer in [0, 2**63)", block=self.block)
         _require("finite and >= 0", t=self.t)
 
     @property
@@ -182,29 +182,17 @@ def decoder_groups(seed: int, instances: int):
     return _oracle_groups(seed, instances, VERIFY_STREAM + (1 << 20), 5, 2.0, chain=False)
 
 
-def _neighborhood_extremes(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
-    """Per instance, the largest and smallest card{v' : rho(v, v') <= t}."""
-    counts = (group.dist <= group.t[:, None, None]).sum(axis=2)
-    return counts.max(axis=1), counts.min(axis=1)
-
-
 def fano_sides_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
     """fano_inequality_sides for every instance of the group, as (lhs, rhs)
-    arrays, with its conventions: the miss event rho(Vhat, V) > t,
-    neighborhoods rho <= t, P_t clipped to [0, 1], the lhs from the same
-    scalar core, and H(V | Vhat) clamped at 0."""
+    arrays, from the same cores and so with the same bits."""
     if group.decoder is None:
         raise DomainError("the Fano sides need the group's stochastic decoders")
-    joint = np.einsum("kv,kvx,kxw->kvw", group.prior, group.channel, group.decoder)
-    # joint[k, v, vhat] against the event rho(vhat, v) > t
-    miss = group.dist.transpose(0, 2, 1) > group.t[:, None, None]
-    p_t = np.clip(np.where(miss, joint, 0.0).sum(axis=(1, 2)), 0.0, 1.0)
-    n_max, n_min = _neighborhood_extremes(group)
+    joint = _joint_law(group.prior, group.channel, group.decoder)
+    p_t = _miss_tail(joint, group.dist, group.t)
+    n_max, n_min = _neighborhood_extremes(group.dist, group.t)
     lhs = np.array([_fano_lhs(p, group.nv, hi, lo)
                     for p, hi, lo in zip(p_t.tolist(), n_max.tolist(), n_min.tolist())])
-    rhs = np.maximum(0.0, _xlogx(joint.sum(axis=1)).sum(axis=1)
-                     - _xlogx(joint).sum(axis=(1, 2)))
-    return lhs, rhs
+    return lhs, _conditional_entropy(joint)
 
 
 def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -212,7 +200,8 @@ def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np
     P(rho(g(X), V) > t) over all nv^nx deterministic decoders g: X -> V,
     and the values of fano_tail_lower_bound and fano_conditional_form at
     card = nv with I(V; X) and H(V | X) = H(V) - I(V; X), each clamped at
-    0, computed by the same scalar cores. The tail form assumes V uniform.
+    0, from the same cores as the public functions. The tail form assumes
+    V uniform.
 
     The decoders are enumerated as one index table per shape, and each
     decoder's tail is summed over x in order, as a loop over the decoders
@@ -222,21 +211,16 @@ def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np
     _budget("decoders", nv**nx, f"group with |V|^|X| = {nv}^{nx}")
     table = np.array(list(itertools.product(range(nv), repeat=nx)))  # (decoders, nx)
     weight = group.prior[:, :, None] * group.channel                  # P(V=v, X=x)
-    miss = (group.dist.transpose(0, 2, 1) > group.t[:, None, None]).astype(np.float64)
+    miss = _miss(group.dist, group.t).astype(np.float64)
     cost = np.matmul(miss, weight).transpose(0, 2, 1)  # cost[k, x, vhat] = P(X=x, miss)
-    # each decoder's tail, summed over x in order as the loop's sum does
     tails = cost[:, 0, table[:, 0]]
     for x in range(1, nx):
         tails = tails + cost[:, x, table[:, x]]
     min_tail = tails.min(axis=1)
 
-    marginal_x = weight.sum(axis=1)
-    prod = group.prior[:, :, None] * marginal_x[:, None, :]
-    pos = weight > 0
-    log_odds = np.log(np.where(pos, weight, 1.0)) - np.log(np.where(pos, prod, 1.0))
-    mi = np.maximum(0.0, np.where(pos, weight * log_odds, 0.0).sum(axis=(1, 2)))
+    mi = _mutual_information(group.prior, group.channel)
     hvx = np.maximum(0.0, -_xlogx(group.prior).sum(axis=1) - mi)
-    n_max, n_min = _neighborhood_extremes(group)
+    n_max, n_min = _neighborhood_extremes(group.dist, group.t)
     bounds = [(_fano_tail(i, math.log(nv / hi)), _fano_conditional(h, nv, hi, lo)[0])
               for i, h, hi, lo in zip(mi.tolist(), hvx.tolist(), n_max.tolist(),
                                       n_min.tolist())]
@@ -296,7 +280,8 @@ class ExperimentConfig:
             if X.ndim != 2 or np.linalg.matrix_rank(X) < X.shape[1]:
                 raise DomainError("design must be a full-column-rank matrix")
             if self.d != X.shape[1]:
-                raise DomainError(f"d={self.d} must equal the design's {X.shape[1]} columns")
+                raise DomainError(
+                    f"d={_shown(self.d)} must equal the design's {X.shape[1]} columns")
             object.__setattr__(self, "design", X)
 
 

@@ -40,7 +40,7 @@ from .discrete import (
     sparse_sign_cardinality,
     sparse_sign_neighborhood_exact,
 )
-from .info import LN2, DomainError, _require
+from .info import LN2, DomainError, _require, _shown
 from .results import MinimaxBound
 
 __all__ = [
@@ -233,7 +233,8 @@ def sparse_location_bound(d: int, s: int, sigma2: float, n: int) -> MinimaxBound
     """
     _require("an integer", d=d, s=s)
     if not (1 <= s and 2 * s <= d):
-        raise DomainError(f"need 1 <= s <= d/2 so that log(d/s) > 0; got s={s}, d={d}")
+        raise DomainError(
+            f"need 1 <= s <= d/2 so that log(d/s) > 0; got s={_shown(s)}, d={_shown(d)}")
     _require("finite", d=d)  # log(d/s) is taken in float64
     _require("finite and > 0", sigma2=sigma2)
     _require("finite and >= 1", n=n)
@@ -242,6 +243,19 @@ def sparse_location_bound(d: int, s: int, sigma2: float, n: int) -> MinimaxBound
     return _sparse_bound("sparse-location", d, s, sigma2, mi_coeff=n * s / sigma2,
                          rate=s * math.log(d / s) / n, valid=True,
                          extras={"d": d, "s": s, "n": n, "sigma2": sigma2})
+
+
+def _design(X) -> tuple[np.ndarray, float]:
+    """(X as a float64 matrix, ||X||_F^2) of a design: nonempty, with finite
+    entries and a finite, nonzero norm (0 once subnormal entries underflow)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.size == 0:
+        raise DomainError("X must be a nonempty matrix")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused just below
+        fro2 = float((X * X).sum())
+    if not (math.isfinite(fro2) and fro2 > 0):
+        raise DomainError(f"design X needs finite entries and norm > 0, got ||X||_F^2={fro2!r}")
+    return X, fro2
 
 
 def compressed_sensing_bound(X, s: int, sigma2: float) -> MinimaxBound:
@@ -256,18 +270,11 @@ def compressed_sensing_bound(X, s: int, sigma2: float) -> MinimaxBound:
     degenerate and marked invalid, with the formula value still reported.
     """
     _require("an integer", s=s)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.size == 0:
-        raise DomainError("X must be a nonempty matrix")
-    n_rows, d = X.shape
+    X, fro2 = _design(X)
+    d = X.shape[1]
     if not (1 <= s and 2 * s <= d):
-        raise DomainError(f"need 1 <= s <= d/2; got s={s}, d={d}")
+        raise DomainError(f"need 1 <= s <= d/2; got s={_shown(s)}, d={d}")
     _require("finite and > 0", sigma2=sigma2)
-    fro2 = float((X * X).sum())
-    if not math.isfinite(fro2):
-        raise DomainError(f"design X must have finite entries and norm, got ||X||_F^2={fro2!r}")
-    if fro2 == 0.0:
-        raise DomainError("X must be nonzero")
     degenerate = bool(np.any(np.all(X == 0.0, axis=0)))
     return _sparse_bound("compressed-sensing", d, s, sigma2,
                          mi_coeff=s * fro2 / (d * sigma2),
@@ -376,15 +383,10 @@ def linear_regression_bound(X, sigma2: float) -> MinimaxBound:
     below that the exact expression is returned and flagged.
     """
     _require("finite and > 0", sigma2=sigma2)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.size == 0:
-        raise DomainError("X must be a nonempty matrix")
+    X, fro2 = _design(X)
     n_rows, d = X.shape
     if d < 2:
         raise DomainError("need d >= 2")
-    fro2 = float((X * X).sum())
-    if not (math.isfinite(fro2) and fro2 > 0):  # 0 once subnormal entries underflow
-        raise DomainError(f"design X needs finite entries and norm > 0, got ||X||_F^2={fro2!r}")
     if np.linalg.matrix_rank(X) < d:
         raise DomainError("X must have full column rank")
     exact = ((d - 1) ** 2 / (d * d)) * (d * (d + 2) * sigma2 * LN2) / (8.0 * fro2)

@@ -9,7 +9,7 @@ from .info import _require
 
 __all__ = ["BoundResult", "MinimaxBound"]
 
-_BOUND_VALUE = "bound value must be finite and >= 0, got {value!r}"
+_BOUND_VALUE = "bound value must be finite and >= 0, got {value}"
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .info import DomainError, _require
+from .info import DomainError, _require, _shown
 
 __all__ = ["clopper_pearson", "mean_ci", "pairwise_sum"]
 
@@ -23,7 +23,7 @@ def clopper_pearson(k: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     _require("an integer", n=n, k=k)
     _require("finite and >= 1", n=n)
     if not 0 <= k <= n:
-        raise DomainError(f"k must lie in [0, n], got k={k}, n={n}")
+        raise DomainError(f"k must lie in [0, n], got k={_shown(k)}, n={n}")
     _require("in (0, 1)", confidence=confidence)
     from scipy.special import betaincinv
 

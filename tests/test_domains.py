@@ -47,7 +47,7 @@ from fanolab import (
 )
 
 MODULES = (info, discrete, continuum, minimax, lab, stats, streams, results)
-HOSTILE = (math.nan, math.inf, -math.inf, 0, -1, 1e308, 10**400, 5e-324)
+HOSTILE = (math.nan, math.inf, -math.inf, 0, -1, 1e308, 10**400, 5e-324, 10**5000)
 REFUSALS = (DomainError, EnumerationLimitError, EstimationError)
 
 _Z3 = DiscreteSpace.zero_one(3)
@@ -226,6 +226,65 @@ def check_refused_naming_it(cases, name, arg, integer):
 @pytest.mark.parametrize("name, arg, integer", list(probes({**CASES, **EXTRA})))
 def test_out_of_domain_scalar_is_refused_naming_it(name, arg, integer):
     check_refused_naming_it({**CASES, **EXTRA}, name, arg, integer)
+
+
+# Each array-valued probability argument, in a valid call: its first entry
+# gets each of BAD_PROBABILITIES in turn.
+BAD_PROBABILITIES = (math.nan, -0.1, 1 + 1e-9)
+_ORACLE = CASES["OracleGroup"][2]
+PROBABILITY_ARRAYS = {
+    "ProbVector-p": (ProbVector, dict(p=[0.5, 0.5])),
+    "MarkovChainSpec-channel": (MarkovChainSpec, dict(prior=_CHAIN.prior, channel=_CHAIN.channel,
+                                                      decoder=_CHAIN.decoder)),
+    "MarkovChainSpec-decoder": (MarkovChainSpec, dict(prior=_CHAIN.prior, channel=_CHAIN.channel,
+                                                      decoder=_CHAIN.decoder)),
+    "mutual_information_exact-channel": (fanolab.mutual_information_exact,
+                                         dict(prior=_CHAIN.prior, channel=_CHAIN.channel)),
+    "mi_pairwise_kl_bound_discrete-rows": (fanolab.mi_pairwise_kl_bound_discrete,
+                                           dict(rows=[[0.5, 0.5], [0.25, 0.75]])),
+    "OracleGroup-prior": (fanolab.OracleGroup, _ORACLE),
+    "OracleGroup-channel": (fanolab.OracleGroup, _ORACLE),
+    "OracleGroup-decoder": (fanolab.OracleGroup, _ORACLE),
+}
+
+
+@pytest.mark.parametrize("case", PROBABILITY_ARRAYS)
+def test_out_of_domain_probability_entry_is_refused_naming_it(case):
+    """The scalar probes above never reach a probability array, which is how
+    NaN probabilities went unrefused."""
+    fn, kwargs = PROBABILITY_ARRAYS[case]
+    arg = case.rsplit("-", 1)[1]
+    fn(**kwargs)
+    for value in BAD_PROBABILITIES:
+        bad = np.array(kwargs[arg], dtype=np.float64)
+        bad.flat[0] = value
+        with pytest.raises(DomainError, match=rf"\b{arg}\b"):
+            fn(**{**kwargs, arg: bad})
+
+
+# Refusals of integers past Python's limit on str() digits (4,300 by default).
+BEYOND_STR = {
+    "sparse_sign_space": (lambda: fanolab.sparse_sign_space(10**2200, 2),
+                          "about 10**4400 sparse sign points"),
+    "stream": (lambda: fanolab.stream(10**5000), "seed=about 10**5000"),
+    "NeighborhoodProfile": (lambda: NeighborhoodProfile(0.0, 1, 10**5000),
+                            "got about 10**5000, 1"),
+    "NeighborhoodProfile-negative": (lambda: NeighborhoodProfile(0.0, 1, -10**5000),
+                                     "got about -10**5000, 1"),
+    "ExperimentConfig": (lambda: ExperimentConfig(problem="normal-mean", reps=10**5000, seed=0),
+                         "reps: about 10**5000 replicates"),
+    "mc_volume_ratio": (lambda: fanolab.mc_volume_ratio(_DISK, 0.5, centers=10**5000),
+                        "centers=about 10**5000"),
+}
+
+
+@pytest.mark.parametrize("case", BEYOND_STR)
+def test_an_integer_past_the_str_digit_limit_is_shown_by_its_size(case):
+    """Each of these escaped as a bare ValueError from str() of the integer."""
+    call, shown = BEYOND_STR[case]
+    with pytest.raises(REFUSALS) as exc:
+        call()
+    assert shown in str(exc.value)
 
 
 def test_a_cardinality_beyond_float64_is_divided_exactly():

@@ -34,7 +34,7 @@ from fanolab.discrete import (
     fano_tail_lower_bound,
     neighborhood_sizes,
 )
-from fanolab.lab import hard_threshold
+from fanolab.lab import OracleGroup, hard_threshold, prop1_groups
 from fanolab.minimax import (
     hinge_integral,
     normal_mean_bound,
@@ -47,6 +47,9 @@ from fanolab.streams import stream
 from oracles import random_chain
 
 LN2 = math.log(2.0)
+_NAN_ROWS = [[math.nan, 0.5], [0.5, 0.5]]
+_G = next(prop1_groups(1, 4))
+_NAN_PRIOR = np.where(np.arange(_G.nv) == 0, math.nan, _G.prior)
 
 
 # -- oracles: plain-Python enumeration, no shared code with the library ------
@@ -366,12 +369,24 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (mc_volume_ratio, (l2_ball_space(2, 1e308), 1.0), "space"),
     (mc_volume_ratio, (l2_ball_space(2, 5e-324), 5e-324), "space"),
     (mi_pairwise_kl_bound_discrete, ([[0.5, 0.5], [1e-300, 1 - 1e-300]], 1e308), "n_samples"),
+    # NaN probabilities, which every rule on probability rows let through
+    (ProbVector, ([math.nan, 0.5],), "p"),
+    (MarkovChainSpec, (ProbVector.uniform(2), _NAN_ROWS, np.eye(2)), "channel"),
+    (MarkovChainSpec, (ProbVector.uniform(2), np.eye(2), _NAN_ROWS), "decoder"),
+    (mutual_information_exact, (ProbVector.uniform(2), _NAN_ROWS), "channel"),
+    (mi_pairwise_kl_bound_discrete, (_NAN_ROWS,), "rows"),
+    (OracleGroup, (0, _G.index, _G.t, _NAN_PRIOR, _G.channel, _G.decoder, _G.dist), "prior"),
+    # a block is an index
+    (OracleGroup, (1.5, _G.index, _G.t, _G.prior, _G.channel, _G.decoder, _G.dist), "block"),
+    (OracleGroup, (-3, _G.index, _G.t, _G.prior, _G.channel, _G.decoder, _G.dist), "block"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
     every entry, built a space of infinite extent or of no axes, escaped with an
     OverflowError or a bare ValueError, returned an interval for a
-    fractional count, or returned a mean and interval for no values."""
+    fractional count, returned a mean and interval for no values, computed
+    on NaN probabilities (ProbVector([nan, 0.5]) had entropy 0.3466), or took
+    a fractional or negative block index."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
 

@@ -144,14 +144,13 @@ def _looped_decoder_bounds(group, i):
 def _assert_sides_match(group):
     got = np.stack(fano_sides_batch(group), axis=1)
     want = np.array([_looped_sides(group, i) for i in range(group.index.size)])
-    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.array_equal(got, want)
 
 
 def _assert_decoder_bounds_match(group):
     got = np.stack(decoder_bounds_batch(group), axis=1)
     want = np.array([_looped_decoder_bounds(group, i) for i in range(group.index.size)])
-    assert np.array_equal(got[:, 0], want[:, 0])  # the enumerated minimum, exactly
-    assert np.max(np.abs(got[:, 1:] - want[:, 1:])) <= 1e-12
+    assert np.array_equal(got, want)
 
 
 def _edge_group():
@@ -245,6 +244,8 @@ def test_oracle_suite_partial_last_block_byte_identical(tmp_path, suite):
     ("dist", (0, 1, 1), 0.5, "zero diagonal"),
     ("t", (0,), math.nan, "t=nan"),
     ("t", (0,), -10.0, "t=-"),
+    ("dist", (0, 0, 1), 0.25, r"in dist\[0\], rho\(p0, p1\) = "),
+    ("dist", (0, 1, 0), math.nan, r"rho must not be NaN: in dist\[0\], rho\(p1, p0\)"),
 ])
 def test_oracle_group_refuses_a_corrupted_row(field, at, delta, match):
     group = next(prop1_groups(6, 50))

@@ -344,6 +344,21 @@ def test_design_pipelines_reject_non_finite_design(bad):
             compressed_sensing_bound(X, 2, 1.0)
 
 
+@pytest.mark.parametrize("X", [np.zeros((0, 8)), np.zeros((4, 8)), 1e-170 * np.eye(8),
+                               np.full((2, 8), math.nan)],
+                         ids=["empty", "zero", "underflowing", "nan"])
+def test_design_pipelines_share_one_design_rule(X):
+    """Both design pipelines refuse an empty design, a zero one (also by
+    underflow) and a non-finite one with the same words."""
+    refusals = []
+    for call in (lambda: compressed_sensing_bound(X, 2, 1.0),
+                 lambda: linear_regression_bound(X, 1.0)):
+        with pytest.raises(DomainError) as exc:
+            call()
+        refusals.append(str(exc.value))
+    assert refusals[0] == refusals[1]
+
+
 # -- compressed sensing -----------------------------------------------------------------
 
 
