@@ -60,7 +60,6 @@ __all__ = [
     "mc_volume_ratio",
     "continuum_fano_bound",
     "grid_partition_counts",
-    "surface_volume_bounds",
     "VOLUME_CHUNK",
     "GRID_CHUNK",
 ]
@@ -564,24 +563,3 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
         raise EstimationError("no cell touched by any probed ball; is t too small for the grid?")
     return GridPartition(level=level, cell_width=eps, cell_count=n_cells,
                          touched_count=touched_max)
-
-
-def surface_volume_bounds(volume: float, surface: float, eps: float,
-                          d: int) -> tuple[float, float]:
-    """Volume sandwich for an eps-thickened/thinned set with finite surface area.
-
-    Returns (volume - (2 eps)^d * surface, volume + (2 eps)^d * surface):
-    the Lebesgue measure of A minus/plus a (2 eps)-cube carried along its
-    boundary. Finiteness of the surface area is the caller's assertion;
-    there is no constructive test here. Non-finite arguments are refused.
-    """
-    _require("finite and >= 0", volume=volume, surface=surface, eps=eps)
-    _require("finite and >= 1", d=d)
-    try:
-        pad = (2.0 * eps) ** d * surface
-    except OverflowError:
-        pad = math.inf
-    if not math.isfinite(volume + pad):
-        raise DomainError("volume + (2 eps)^d * surface overflows float64: volume, "
-                          "surface, eps or d is too large")
-    return volume - pad, volume + pad

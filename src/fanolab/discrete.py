@@ -103,10 +103,14 @@ class DiscreteSpace:
     @classmethod
     def hamming(cls, vectors) -> "DiscreteSpace":
         """Integer-vector space under Hamming distance (vectorized fast path).
-        Points are stored as int8, so entries must be integers in [-128, 127]."""
+        Points are stored as int8, so entries must be integers in [-128, 127],
+        and d is at most 2**24, where float32 coordinate counts stay exact."""
         v = np.asarray(vectors)
         if v.ndim != 2 or v.shape[0] < 2:
             raise DomainError("need a (n, d) array with n >= 2")
+        if v.shape[1] > 2**24:
+            raise DomainError(f"Hamming vectors must have d <= 2**24 coordinates, "
+                              f"got d={v.shape[1]}")
         if v.dtype.kind not in "biuf":
             raise DomainError(f"Hamming vectors must be numeric, got dtype {v.dtype}")
         with np.errstate(invalid="ignore"):  # a lossy cast would merge distinct points

@@ -1,4 +1,4 @@
-"""Verification lab: exhaustive small-instance oracles and seeded Monte
+"""Verification lab: exact small-instance oracles and seeded Monte
 Carlo estimator simulations.
 
 Everything here exists to audit the bounds one-sidedly: a lower bound on
@@ -30,16 +30,16 @@ first the arrays of |V|, of |X| and of the radii t, then, for each shape
 upper-triangle distances. A full block's instances depend on the seed and
 b only, so growing the instance count leaves the shared full blocks
 unchanged. The batched kernels compute nothing of their own but the
-decoder table: the joint law, the miss event and P_t, the neighborhood
-extremes, I and H come from the array cores of info and discrete, and the
-Fano formulas from discrete's scalar cores, all shared with the public
-single-instance functions, so both give the same bits. The brute-force
-references live in the tests (tests/oracles.py).
+decoder minimum, in closed form as the per-x Bayes decoder's tail: the
+joint law, the miss event and P_t, the neighborhood extremes, I and H come
+from the array cores of info and discrete, and the Fano formulas from
+discrete's scalar cores, all shared with the public single-instance
+functions, so both give the same bits. The brute-force references, the
+decoder enumeration among them, live in the tests (tests/oracles.py).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -85,7 +85,8 @@ PROBLEMS = tuple(ESTIMATOR_OF)
 REPLICATE_BLOCK = 4096
 _SUM_CHUNK = 1024  # replicates per partial loss sum, reduced pairwise in order
 # Oracle-suite instances drawn from one keyed stream; it also bounds the
-# stacked arrays of one shape group (at most 4096 x 4^4 decoder tails).
+# stacked arrays of one shape group, the largest of shape (k, nv, nx) or
+# (k, nv, nv): at most 4096 x 5 x 5 entries, in the prop1 suite.
 ORACLE_BLOCK = 4096
 
 _CONFIDENCE = 0.99
@@ -196,27 +197,23 @@ def fano_sides_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decoder_bounds_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per instance of the group: the exhaustive decoder minimum of
-    P(rho(g(X), V) > t) over all nv^nx deterministic decoders g: X -> V,
-    and the values of fano_tail_lower_bound and fano_conditional_form at
-    card = nv with I(V; X) and H(V | X) = H(V) - I(V; X), each clamped at
-    0, from the same cores as the public functions. The tail form assumes
-    V uniform.
+    """Per instance of the group: the minimum of P(rho(g(X), V) > t) over
+    all nv^nx deterministic decoders g: X -> V, and the values of
+    fano_tail_lower_bound and fano_conditional_form at card = nv with
+    I(V; X) and H(V | X) = H(V) - I(V; X), each clamped at 0, from the
+    same cores as the public functions. The tail form assumes V uniform.
 
-    The decoders are enumerated as one index table per shape, and each
-    decoder's tail is summed over x in order, as a loop over the decoders
-    of one instance would add it.
+    The minimum separates over x: it is the sum over x of
+    min_vhat P(X=x, rho(vhat, V) > t), the per-x Bayes decoder's tail.
+    The per-x minima are added in x order, and rounded addition is
+    monotone, so the sum has the bits of the minimum over the decoders'
+    in-order sums, which the tests check against the enumeration.
     """
-    nv, nx = group.nv, group.nx
-    _budget("decoders", nv**nx, f"group with |V|^|X| = {nv}^{nx}")
-    table = np.array(list(itertools.product(range(nv), repeat=nx)))  # (decoders, nx)
-    weight = group.prior[:, :, None] * group.channel                  # P(V=v, X=x)
+    nv = group.nv
+    weight = group.prior[:, :, None] * group.channel  # P(V=v, X=x)
     miss = _miss(group.dist, group.t).astype(np.float64)
-    cost = np.matmul(miss, weight).transpose(0, 2, 1)  # cost[k, x, vhat] = P(X=x, miss)
-    tails = cost[:, 0, table[:, 0]]
-    for x in range(1, nx):
-        tails = tails + cost[:, x, table[:, x]]
-    min_tail = tails.min(axis=1)
+    cost = np.matmul(miss, weight)                    # cost[k, vhat, x] = P(X=x, miss)
+    min_tail = np.cumsum(cost.min(axis=1), axis=1)[:, -1]  # accumulates in x order
 
     mi = _mutual_information(group.prior, group.channel)
     hvx = np.maximum(0.0, -_xlogx(group.prior).sum(axis=1) - mi)

@@ -50,8 +50,9 @@ def enumerate_decoders_min_tail(prior: ProbVector, channel, space: DiscreteSpace
     """Exact min over all deterministic decoders g: X -> V of P(rho(g(X), V) > t).
 
     Brute-force enumeration over all |V|^|X| decoder functions, so no
-    shortcut replaces the loop. Guarded by the "decoders" budget of
-    info._BUDGETS, as the batched kernel is. t must be finite.
+    shortcut replaces the loop: it is the reference for the library's
+    closed-form minimum. Guarded by the "decoders" budget of
+    info._BUDGETS, the one caller of that row. t must be finite.
     """
     _require("finite", t=t)
     c = np.asarray(channel, dtype=np.float64)

@@ -19,7 +19,6 @@ from fanolab.continuum import (
     grid_partition_counts,
     l2_ball_space,
     mc_volume_ratio,
-    surface_volume_bounds,
 )
 from fanolab.info import DomainError, EnumerationLimitError
 from fanolab.streams import GRID_STREAM
@@ -401,33 +400,6 @@ def test_grid_refuses_cell_indices_beyond_int64():
     far = box_space([1e19], [1e19 + 4096])
     with pytest.raises(DomainError, match=r"\blevel\b"):
         grid_partition_counts(far, 100.0, 0, centers=2)
-
-
-# -- surface sandwich ----------------------------------------------------------------
-
-
-def test_surface_bounds_eps_zero():
-    assert surface_volume_bounds(3.0, 7.0, 0.0, 2) == (3.0, 3.0)
-
-
-def test_surface_bounds_unit_square():
-    lo, hi = surface_volume_bounds(1.0, 4.0, 0.1, 2)
-    assert lo == pytest.approx(1 - 0.16, rel=1e-12)
-    assert hi == pytest.approx(1 + 0.16, rel=1e-12)
-
-
-def test_surface_bounds_power_law():
-    for d in (1, 2, 3):
-        lo1, hi1 = surface_volume_bounds(1.0, 1.0, 0.2, d)
-        lo2, hi2 = surface_volume_bounds(1.0, 1.0, 0.1, d)
-        assert (hi1 - 1.0) == pytest.approx((hi2 - 1.0) * 2**d, rel=1e-12)
-
-
-def test_surface_bounds_domain():
-    with pytest.raises(DomainError):
-        surface_volume_bounds(-1.0, 1.0, 0.1, 2)
-    with pytest.raises(DomainError):
-        surface_volume_bounds(1.0, 1.0, 0.1, 0)
 
 
 def test_grid_counts_within_first_order_surface_correction():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,22 @@ def test_homogeneous_only_from_proving_constructors():
 def test_hamming_refuses_entries_lost_in_int8(vectors):
     with pytest.raises(DomainError, match="integers in \\[-128, 127\\]"):
         DiscreteSpace.hamming(vectors)
+
+
+def test_hamming_refuses_more_coordinates_than_float32_counts_exactly():
+    """Past 2**24 coordinates the one-hot float32 counts of equal
+    coordinates round, and distance_matrix() gave 0.0 where rho_index
+    gave 1.0. The refusal comes before the int8 copy, so a zero-strided
+    view allocates nothing."""
+    wide = np.broadcast_to(np.int8(0), (3, 2**24 + 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"\bd=16777217\b"):
+            DiscreteSpace.hamming(wide)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_hamming_keeps_exact_int8_entries():

@@ -45,12 +45,13 @@ from fanolab import (
     stats,
     streams,
 )
+from oracles import enumerate_decoders_min_tail
 
 MODULES = (info, discrete, continuum, minimax, lab, stats, streams, results)
 HOSTILE = (math.nan, math.inf, -math.inf, 0, -1, 1e308, 10**400, 5e-324, 10**5000)
 REFUSALS = (DomainError, EnumerationLimitError, EstimationError)
 
-_Z3 = DiscreteSpace.zero_one(3)
+_Z2, _Z3 = DiscreteSpace.zero_one(2), DiscreteSpace.zero_one(3)
 _CHAIN = MarkovChainSpec(ProbVector.uniform(3), np.full((3, 2), 0.5), np.full((2, 3), 1 / 3))
 _PROFILE = NeighborhoodProfile(1.0, 2, 2)
 _FAMILY = ParamFamily(_Z3, lambda i: np.eye(3)[i], lambda a, b: float(np.linalg.norm(a - b)))
@@ -98,8 +99,6 @@ CASES = {
     "continuum_fano_bound": _case(fanolab.continuum_fano_bound, log_ratio=2.0, mi=0.0),
     "grid_partition_counts": _case(fanolab.grid_partition_counts, _DISK, t=0.5, level=2,
                                    seed=1, centers=1),
-    "surface_volume_bounds": _case(fanolab.surface_volume_bounds, volume=1.0, surface=1.0,
-                                   eps=0.1, d=2),
     "square_loss": _case(fanolab.square_loss, x=1.0, inf_ok=True),
     "separation_delta": _case(fanolab.separation_delta, _FAMILY, t=0.5, inf_ok=True),
     "generalized_fano_minimax": _case(fanolab.generalized_fano_minimax, _FAMILY, t=0.5,
@@ -328,16 +327,16 @@ def test_an_integral_float_count_gives_the_int_result(arg):
 _WIDE = DiscreteSpace.hamming(np.zeros((31_623, 1), dtype=np.int8))  # 31,623^2 > 10**9
 _CHAIN_216 = MarkovChainSpec(ProbVector.uniform(216), np.full((216, 216), 1 / 216),
                              np.full((216, 216), 1 / 216))  # 216^3 > 10**7
-_GROUP_2_20 = fanolab.OracleGroup(0, np.array([0]), np.array([0.5]), np.full((1, 2), 0.5),
-                                  np.full((1, 2, 20), 1 / 20), None,
-                                  np.array([[[0.0, 1.0], [1.0, 0.0]]]))  # 2^20 > 10**6
+_CHANNEL_2_20 = np.full((2, 20), 1 / 20)  # 2^20 decoders > 10**6
 BUDGET_CASES = {
     "distance-matrix entries": (lambda: DiscreteSpace(range(3163), lambda a, b: 0.0),
                                 "points"),
     "pairwise evaluations": (lambda: fanolab.neighborhood_sizes(_WIDE, 0.5), "space"),
     "sparse sign points": (lambda: fanolab.sparse_sign_space(20, 6), "d"),  # 64 C(20, 6)
     "joint-table entries": (lambda: fanolab.conditional_entropy(_CHAIN_216), "chain"),
-    "decoders": (lambda: fanolab.decoder_bounds_batch(_GROUP_2_20), "group"),
+    # the library enumerates no decoders; the row guards the test oracle
+    "decoders": (lambda: enumerate_decoders_min_tail(ProbVector.uniform(2), _CHANNEL_2_20,
+                                                     _Z2, 0.5), "channel"),
     "grid cells": (lambda: fanolab.grid_partition_counts(
         fanolab.box_space([0.0], [2.0**22 + 1]), 0.5, 0), "level"),
     "replicates": (lambda: ExperimentConfig(problem="normal-mean", reps=10**8 + 1, seed=0),

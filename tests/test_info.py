@@ -26,7 +26,6 @@ from fanolab.continuum import (
     box_space,
     l2_ball_space,
     mc_volume_ratio,
-    surface_volume_bounds,
 )
 from fanolab.discrete import (
     DiscreteSpace,
@@ -320,11 +319,12 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (clopper_pearson, (1, 2, 0.0), "confidence"),
     (clopper_pearson, (1, 2, 1.0), "confidence"),
     (clopper_pearson, (0, 2, 1.5), "confidence"),
-    (surface_volume_bounds, (math.nan, 1.0, 0.1, 2), "volume"),
-    (surface_volume_bounds, (1.0, math.inf, 0.1, 2), "surface"),
-    (surface_volume_bounds, (1.0, 1.0, math.nan, 2), "eps"),
-    (surface_volume_bounds, (1.0, 1.0, 0.1, math.inf), "d"),
-    (surface_volume_bounds, (1.0, 1.0, 0.1, 10**400), "d"),
+    # a row's id carries its position (argsN), so removed rows are replaced in place
+    (ball_volume_ratio_analytic, (math.nan, 1.0, 2), "r"),
+    (ball_volume_ratio_analytic, (2.0, math.inf, 2), "t"),
+    (ball_volume_ratio_analytic, (2.0, 1.0, math.inf), "d"),
+    (ball_volume_ratio_analytic, (2.0, 1.0, 10**400), "d"),
+    (DiscreteSpace.hamming, (np.broadcast_to(np.int8(0), (3, 2**24 + 1)),), "d"),
     (normal_mean_tail_integral, (2, 10**400), "n"),
     (normal_mean_tail_integral, (10**400, 2), "d"),
     (normal_mean_tail_integral, (1000, 1), "d"),
@@ -385,8 +385,9 @@ def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     every entry, built a space of infinite extent or of no axes, escaped with an
     OverflowError or a bare ValueError, returned an interval for a
     fractional count, returned a mean and interval for no values, computed
-    on NaN probabilities (ProbVector([nan, 0.5]) had entropy 0.3466), or took
-    a fractional or negative block index."""
+    on NaN probabilities (ProbVector([nan, 0.5]) had entropy 0.3466), took
+    a fractional or negative block index, or gave a Hamming distance matrix
+    past 2**24 coordinates whose float32 counts had rounded."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
 
@@ -395,7 +396,7 @@ def test_integer_too_large_for_float64_is_not_called_infinite():
     with pytest.raises(DomainError, match="d is too large for float64"):
         normal_mean_bound(10**400, 1.0, 1, "simple")
     with pytest.raises(DomainError, match="d is too large for float64"):
-        surface_volume_bounds(1.0, 1.0, 0.1, 10**400)
+        normal_mean_tail_integral(10**400, 1)
 
 
 @pytest.mark.parametrize("seed", range(20))

@@ -183,6 +183,16 @@ def test_batched_decoder_bounds_match_looped_oracle():
         _assert_decoder_bounds_match(group)
 
 
+def test_decoder_minimum_past_the_enumeration_budget():
+    """2^20 decoders, past the oracle's budget of 10**6: the closed form
+    needs none of them. Under a uniform channel every decoder misses half
+    the time."""
+    group = lab.OracleGroup(0, np.array([0]), np.array([0.5]), np.full((1, 2), 0.5),
+                            np.full((1, 2, 20), 1 / 20), None,
+                            np.array([[[0.0, 1.0], [1.0, 0.0]]]))
+    assert decoder_bounds_batch(group)[0] == pytest.approx([0.5], rel=1e-12)
+
+
 @pytest.mark.parametrize("draw, check", [(prop1_groups, _assert_sides_match),
                                          (decoder_groups, _assert_decoder_bounds_match)],
                          ids=["prop1", "decoder"])
