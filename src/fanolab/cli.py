@@ -87,7 +87,7 @@ class Key:
         return value
 
 
-_COUNT = Key(int, REQUIRED, ">= 1")
+_COUNT = Key(int, REQUIRED, "a whole number >= 1")
 _SIGMA2 = Key(float, 1.0, "finite and > 0")
 _DESIGN = Key(str, "identity", "any")  # identity | gaussian | path to a CSV file
 _SCALE = Key(float, 1.0)
@@ -106,7 +106,7 @@ BOUND_PROBLEMS = {
                       "t": Key(float, 0.0), "mi": _MI},
     # log_ratio, or r, t and d for the ratio of a radius-r ball to a radius-t one
     "continuum-tail": {"log_ratio": Key(float, None), "r": _RADIUS, "t": _RADIUS,
-                       "d": Key(int, None, ">= 1"), "mi": _MI},
+                       "d": Key(int, None, "a whole number >= 1"), "mi": _MI},
 }
 
 
@@ -344,12 +344,12 @@ def cmd_bound(args) -> int:
 # suite runs, and the keys it takes as keyword arguments. Below level 6 the
 # grid's disk area is more than 2% off on correct code.
 SUITES = {
-    "prop1-exhaustive": ("prop1_exhaustive", {"instances": Key(int, 1000, ">= 1")}),
-    "decoder-oracle": ("decoder_oracle", {"instances": Key(int, 200, ">= 1")}),
+    "prop1-exhaustive": ("prop1_exhaustive", {"instances": Key(int, 1000, "a whole number >= 1")}),
+    "decoder-oracle": ("decoder_oracle", {"instances": Key(int, 200, "a whole number >= 1")}),
     "quadrature": ("quadrature", {}),
-    "volume": ("volume", {"seeds": Key(int, 100, ">= 1"),
-                          "points": Key(int, 10**6, ">= 1")}),
-    "grid-partition": ("grid_partition", {"level": Key(int, 9, ">= 6")}),
+    "volume": ("volume", {"seeds": Key(int, 100, "a whole number >= 1"),
+                          "points": Key(int, 10**6, "a whole number >= 1")}),
+    "grid-partition": ("grid_partition", {"level": Key(int, 9, "a whole number >= 6")}),
     "estimator-risk": ("estimator_risk", {"reps_scale": Key(float, 1.0, "finite and > 0")}),
 }
 

@@ -108,7 +108,7 @@ class ContinuumSpace:
     sup_center: np.ndarray | None = None
 
     def __post_init__(self):
-        _require(">= 1", dim=self.dim)
+        _require("a whole number >= 1", dim=self.dim)
         box = np.asarray(self.bounding_box, dtype=np.float64)
         if box.shape != (2, self.dim):
             raise DomainError("bounding_box must be (2, dim), lows then highs, at "
@@ -220,7 +220,7 @@ def ball_volume_ratio_analytic(r: float, t: float, d: int) -> float:
     """Vol(ball r) / Vol(ball t) = (r/t)^d for a region that is itself a ball.
     A ratio that overflows float64 is refused."""
     _require("finite and > 0", r=r, t=t)
-    _require(">= 1", d=d)
+    _require("a whole number >= 1", d=d)
     if not t <= r:
         raise DomainError(f"need 0 < t <= r, got t={t!r}, r={r!r}")
     try:
@@ -446,7 +446,8 @@ class GridPartition:
 
     def __post_init__(self):
         _require("finite", level=self.level, cell_width=self.cell_width)
-        _require(">= 1", cell_count=self.cell_count, touched_count=self.touched_count)
+        _require("a whole number >= 1", cell_count=self.cell_count,
+                 touched_count=self.touched_count)
 
     def log_count_ratio(self) -> float:
         """ln(cell_count / touched_count), the discrete log-ratio ingredient."""

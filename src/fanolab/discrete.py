@@ -11,9 +11,10 @@ scalar _fano_lhs (the sides h2(P_t) + P_t ln((|V| - N_min) / N_max) +
 ln N_max), _fano_conditional and _fano_tail (max(0, 1 - (I + ln 2) / L)),
 and, over leading batch axes, _neighborhood_extremes, _miss (the event
 rho(Vhat, V) > t) and _miss_tail (its probability P_t). The public
-functions here check their inputs and call them; so do continuum and
-minimax (_fano_tail) and the batched oracle kernels in lab (all of them).
-Distance matrices are checked by one rule, _check_symmetric.
+functions here check their inputs and call them (neighborhood_sizes through
+DiscreteSpace._counts_within); so do continuum and minimax (_fano_tail) and
+the batched oracle kernels in lab (all of them). Distance matrices are
+checked by one rule, _check_symmetric.
 
 Conventions kept exactly as stated by the inequalities themselves:
 neighborhoods use rho <= t, the error event uses the strict rho > t, and
@@ -56,7 +57,7 @@ __all__ = [
     "fano_conditional_form",
 ]
 
-_NEIGHBORHOOD_BLOCK = 1024  # centers per rho_rows call
+_NEIGHBORHOOD_BLOCK = 1024  # centers per _counts_within call
 
 
 class DiscreteSpace:
@@ -102,9 +103,9 @@ class DiscreteSpace:
 
     @classmethod
     def hamming(cls, vectors) -> "DiscreteSpace":
-        """Integer-vector space under Hamming distance (vectorized fast path).
-        Points are stored as int8, so entries must be integers in [-128, 127],
-        and d is at most 2**24, where float32 coordinate counts stay exact."""
+        """Integer-vector space under Hamming distance, counted from equal
+        coordinates. Points are stored as int8, so entries must be integers in
+        [-128, 127], and d is at most 2**24, where float32 counts stay exact."""
         v = np.asarray(vectors)
         if v.ndim != 2 or v.shape[0] < 2:
             raise DomainError("need a (n, d) array with n >= 2")
@@ -142,45 +143,46 @@ class DiscreteSpace:
     def vectors(self) -> np.ndarray | None:
         return self._vectors
 
+    def _require_points(self, **indices) -> None:
+        _require("an integer in [0, 2**63)", **indices)
+        for name, i in indices.items():
+            if i >= self.n_points:
+                raise DomainError(f"{name}={_shown(i)} is not a point of the space")
+
     def rho_index(self, i: int, j: int) -> float:
-        """rho between points i and j."""
+        """rho between points i and j, each an integer index in [0, n_points)."""
+        self._require_points(i=i, j=j)
         if self._vectors is None:
             return float(self._matrix[i, j])
         return float((self._vectors[i] != self._vectors[j]).sum())
 
-    def rho_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows of the pairwise distance matrix for the given center indices."""
-        idx = np.asarray(idx, dtype=np.int64)
-        if self._vectors is None:
-            return self._matrix[idx]
-        return self._hamming_block(idx)
-
     @cached_property
     def _onehot(self) -> np.ndarray:
-        values = np.unique(self._vectors)
-        return np.concatenate([(self._vectors == v) for v in values],
-                              axis=1).astype(np.float32)
+        one_hot = self._vectors[:, :, None] == np.unique(self._vectors)
+        return one_hot.reshape(self.n_points, -1).astype(np.float32)
 
-    def _hamming_block(self, idx: np.ndarray) -> np.ndarray:
-        """Hamming distances from the indexed centers to every point.
+    def _equal(self, idx: np.ndarray) -> np.ndarray:
+        """Equal-coordinate counts from the indexed centers to every point."""
+        if idx.size == 1:  # one center is compared with every vector directly
+            return np.count_nonzero(self._vectors == self._vectors[idx], axis=1)[None]
+        return self._onehot[idx] @ self._onehot.T  # float32 counts are exact below 2^24
 
-        Small queries broadcast directly; large blocks go through a
-        one-hot matmul (equal-coordinate counts are exact integers below
-        2^24, so float32 is lossless).
-        """
-        n, d = self._vectors.shape
-        if idx.size * n * d <= 2**25:
-            centers = self._vectors[idx]
-            return (centers[:, None, :] != self._vectors[None, :, :]).sum(
-                axis=2).astype(np.float64)
-        equal = self._onehot[idx] @ self._onehot.T
-        return (d - equal).astype(np.float64)
+    def _counts_within(self, idx: np.ndarray, t: float) -> tuple[int, int]:
+        """The largest and smallest card{v' : rho(v, v') <= t} over the indexed centers v."""
+        if self._vectors is None:
+            return _neighborhood_extremes(self._matrix[idx], t)
+        # Hamming distances are integers, so rho <= t exactly when more than
+        # d - 1 - floor(t) coordinates agree; t is clamped to [-1, d] first.
+        d = self._vectors.shape[1]
+        counts = np.count_nonzero(self._equal(idx) > d - 1 - math.floor(min(max(t, -1), d)),
+                                  axis=1)
+        return counts.max(), counts.min()
 
     @cached_property
     def _hamming_matrix(self) -> np.ndarray:
-        n = self.n_points
+        n, d = self._vectors.shape
         _budget("distance-matrix entries", n * n, f"a distance matrix over {n} points")
-        m = self._hamming_block(np.arange(n))
+        m = (d - self._equal(np.arange(n))).astype(np.float64)
         m.flags.writeable = False
         return m
 
@@ -215,30 +217,27 @@ class NeighborhoodProfile:
 
     def __post_init__(self):
         _require("finite", t=self.t)
-        _require(">= 1", n_max=self.n_max)
+        _require("a whole number >= 1", n_max=self.n_max)
         if not 0 <= self.n_min <= self.n_max:
             raise DomainError(
                 f"need 0 <= n_min <= n_max, got {_shown(self.n_min)}, {_shown(self.n_max)}")
+        _require("a whole number >= 0", n_min=self.n_min)
 
 
 def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
-    """Exact max/min over centers v of card{v' : rho(v, v') <= t}.
-
-    Enumeration is streamed in blocks of centers; the max/min reduction is
-    order-independent, so any internal parallelization over blocks would
-    give identical results. Spaces beyond the pairwise budget raise and
-    point the caller at structured formulas such as
+    """Exact max/min over centers v of card{v' : rho(v, v') <= t}, counted in
+    blocks of centers from distance rows, or on Hamming vectors from equal
+    coordinates with no distance built. Spaces beyond the pairwise budget
+    raise and point the caller at structured formulas such as
     sparse_sign_neighborhood_upper. A non-finite t, or one so small that
     every neighborhood is empty, is refused.
     """
     _require("finite", t=t)
     n = space.n_points
-    if not space.homogeneous:
-        _budget("pairwise evaluations", n * n, f"a space of {n} points")
     scan = 1 if space.homogeneous else n  # a homogeneous space needs its first center only
-    blocks = [np.arange(lo, min(lo + _NEIGHBORHOOD_BLOCK, scan))
-              for lo in range(0, scan, _NEIGHBORHOOD_BLOCK)]
-    highs, lows = zip(*(_neighborhood_extremes(space.rho_rows(b), t) for b in blocks))
+    _budget("pairwise evaluations", scan * n, f"a space of {n} points")
+    blocks = np.array_split(np.arange(scan), range(_NEIGHBORHOOD_BLOCK, scan, _NEIGHBORHOOD_BLOCK))
+    highs, lows = zip(*(space._counts_within(b, t) for b in blocks))
     n_max, n_min = int(max(highs)), int(min(lows))
     if n_max < 1:
         raise DomainError(f"every neighborhood is empty at radius t={t!r}: "
@@ -413,8 +412,9 @@ def _card_ratio(count: int, n_max: int) -> float:
 
 
 def _require_card(card: int, profile: NeighborhoodProfile) -> None:
-    """The tail forms' rule on card: at least 2, and no smaller than n_max."""
-    _require(">= 2", "need card >= 2", card=card)
+    """The tail forms' rule on card: a whole number >= 2, and no smaller than n_max."""
+    _require("a whole number >= 0", card=card)  # a fraction is refused as one
+    _require("a whole number >= 2", "need card >= 2", card=card)
     if profile.n_max > card:
         raise DomainError(
             f"neighborhood size n_max={_shown(profile.n_max)} exceeds card={_shown(card)}")

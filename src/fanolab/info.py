@@ -66,9 +66,10 @@ def _reals(test):
     return lambda value: test(np.asarray(value, dtype=np.float64))
 
 
-def _at_least(lo):
-    """Numbers in [lo, inf), compared exactly: ints of any size; NaN is out."""
-    return lambda value: isinstance(value, numbers.Real) and lo <= value < math.inf
+def _whole_at_least(lo):
+    """Whole numbers in [lo, inf), compared exactly: ints of any size, integral floats."""
+    return lambda value: (isinstance(value, numbers.Real) and lo <= value < math.inf
+                          and value == math.floor(value))
 
 
 def _integers(lo=-math.inf, hi=math.inf):
@@ -78,7 +79,7 @@ def _integers(lo=-math.inf, hi=math.inf):
 
 # Every domain of a scalar argument, named by what a refusal says it must be,
 # for the library and the CLI's parameter table: reals that enter float64
-# arithmetic, counts compared exactly (a cardinality may pass float64), and
+# arithmetic, whole-number counts compared exactly (a card may pass float64), and
 # integers, bounded where they size an allocation, index or seed a stream.
 _DOMAINS = {
     "any": lambda value: True,
@@ -89,9 +90,10 @@ _DOMAINS = {
     "finite and >= 2": _reals(lambda x: np.isfinite(x) & (x >= 2)),
     "in [0, 1]": _reals(lambda x: (x >= 0) & (x <= 1)),
     "in (0, 1)": _reals(lambda x: (x > 0) & (x < 1)),
-    ">= 1": _at_least(1),
-    ">= 2": _at_least(2),
-    ">= 6": _at_least(6),
+    "a whole number >= 0": _whole_at_least(0),
+    "a whole number >= 1": _whole_at_least(1),
+    "a whole number >= 2": _whole_at_least(2),
+    "a whole number >= 6": _whole_at_least(6),
     "an integer": _integers(),
     "an integer in [0, 2**63)": _integers(0, 2**63),
     "an integer in [1, 2**63)": _integers(1, 2**63),

@@ -49,6 +49,7 @@ from .discrete import (_check_symmetric, _fano_conditional, _fano_lhs, _fano_tai
                        _miss_tail, _neighborhood_extremes)
 from .info import (DomainError, _budget, _conditional_entropy, _joint_law, _mutual_information,
                    _require, _shown, _validate_rows, _xlogx)
+from .minimax import _design
 from .results import MinimaxBound
 from .stats import clopper_pearson, mean_ci, pairwise_sum
 from .streams import REPLICATE_STREAM, VERIFY_STREAM, stream
@@ -259,23 +260,16 @@ class ExperimentConfig:
             raise DomainError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
         _require("an integer", reps=self.reps, d=self.d, s=self.s, n=self.n)
         _require("an integer in [0, 2**64)", seed=self.seed)
-        _require(">= 1", reps=self.reps)
+        _require("a whole number >= 1", reps=self.reps)
         _budget("replicates", self.reps, "reps")
         _require("finite and > 0", sigma2=self.sigma2)
         _require("finite and >= 0", eps=self.eps, t_list=self.t_list)
         if self.problem != "regression":
-            _require(">= 1", d=self.d, n=self.n)
+            _require("a whole number >= 1", d=self.d, n=self.n)
         if self.problem == "sparse-location" and not 1 <= self.s <= self.d:
             raise DomainError("sparse-location needs 1 <= s <= d")
         if self.problem == "regression":
-            if self.design is None:
-                raise DomainError("regression needs a design matrix")
-            _require("finite", design=self.design)
-            X = np.asarray(self.design, dtype=np.float64)
-            if X.ndim == 2 and X.size == 0:
-                raise DomainError(f"design must have rows and columns, got shape {X.shape}")
-            if X.ndim != 2 or np.linalg.matrix_rank(X) < X.shape[1]:
-                raise DomainError("design must be a full-column-rank matrix")
+            X, _ = _design(self.design, full_rank=True)
             if self.d != X.shape[1]:
                 raise DomainError(
                     f"d={_shown(self.d)} must equal the design's {X.shape[1]} columns")

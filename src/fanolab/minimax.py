@@ -157,9 +157,7 @@ def reduce_estimator_to_test(family: ParamFamily, t: float, theta_hat,
                              true_index: int) -> ReductionCheck:
     """Decode theta_hat to its nearest family member and check the
     estimation-to-testing implication at radius t."""
-    _require("an integer in [0, 2**63)", true_index=true_index)
-    if true_index >= family.index_space.n_points:
-        raise DomainError(f"true_index={true_index} is not a point of the index space")
+    family.index_space._require_points(true_index=true_index)
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     thetas = family.thetas()
     dists = np.array([family.param_metric(th, theta_hat) for th in thetas])
@@ -245,16 +243,22 @@ def sparse_location_bound(d: int, s: int, sigma2: float, n: int) -> MinimaxBound
                          extras={"d": d, "s": s, "n": n, "sigma2": sigma2})
 
 
-def _design(X) -> tuple[np.ndarray, float]:
-    """(X as a float64 matrix, ||X||_F^2) of a design: nonempty, with finite
-    entries and a finite, nonzero norm (0 once subnormal entries underflow)."""
-    X = np.asarray(X, dtype=np.float64)
+def _design(X, full_rank: bool = False) -> tuple[np.ndarray, float]:
+    """(X as a float64 matrix, ||X||_F^2) of a design: nonempty, with finite entries,
+    a finite nonzero norm (0 once subnormal entries underflow) and, if full_rank, full
+    column rank. The one design rule of the bound pipelines and the OLS experiment."""
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except (TypeError, ValueError):  # not real numbers, or ragged rows
+        X = np.empty(0)
     if X.ndim != 2 or X.size == 0:
-        raise DomainError("X must be a nonempty matrix")
+        raise DomainError("design matrix X must be a nonempty 2-d array of real numbers")
     with np.errstate(over="ignore"):  # an overflowing norm is refused just below
         fro2 = float((X * X).sum())
     if not (math.isfinite(fro2) and fro2 > 0):
         raise DomainError(f"design X needs finite entries and norm > 0, got ||X||_F^2={fro2!r}")
+    if full_rank and np.linalg.matrix_rank(X) < X.shape[1]:
+        raise DomainError("design X must be a full-column-rank matrix")
     return X, fro2
 
 
@@ -383,12 +387,10 @@ def linear_regression_bound(X, sigma2: float) -> MinimaxBound:
     below that the exact expression is returned and flagged.
     """
     _require("finite and > 0", sigma2=sigma2)
-    X, fro2 = _design(X)
+    X, fro2 = _design(X, full_rank=True)
     n_rows, d = X.shape
     if d < 2:
         raise DomainError("need d >= 2")
-    if np.linalg.matrix_rank(X) < d:
-        raise DomainError("X must have full column rank")
     exact = ((d - 1) ** 2 / (d * d)) * (d * (d + 2) * sigma2 * LN2) / (8.0 * fro2)
     gamma_max = float(np.linalg.norm(X / math.sqrt(n_rows), 2))
     simplified = (1.0 / 12.0) * (1.0 / (gamma_max * gamma_max)) * (d * sigma2 / n_rows)

@@ -22,6 +22,7 @@ from fanolab.info import (
     mutual_information_v_vhat,
 )
 from fanolab.continuum import (
+    GridPartition,
     ball_volume_ratio_analytic,
     box_space,
     l2_ball_space,
@@ -47,6 +48,7 @@ from oracles import random_chain
 
 LN2 = math.log(2.0)
 _NAN_ROWS = [[math.nan, 0.5], [0.5, 0.5]]
+_HAMMING_3 = DiscreteSpace.hamming([[0, 1], [1, 1], [1, 0]])
 _G = next(prop1_groups(1, 4))
 _NAN_PRIOR = np.where(np.arange(_G.nv) == 0, math.nan, _G.prior)
 
@@ -379,6 +381,19 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     # a block is an index
     (OracleGroup, (1.5, _G.index, _G.t, _G.prior, _G.channel, _G.decoder, _G.dist), "block"),
     (OracleGroup, (-3, _G.index, _G.t, _G.prior, _G.channel, _G.decoder, _G.dist), "block"),
+    # counts are whole numbers
+    (ball_volume_ratio_analytic, (2.0, 1.0, 1.5), "d"),
+    (fano_tail_lower_bound, (6.5, NeighborhoodProfile(0.0, 1, 1), 0.0), "card"),
+    (NeighborhoodProfile, (0.0, 2.5, 1), "n_max"),
+    (NeighborhoodProfile, (0.0, 3, 1.5), "n_min"),
+    (GridPartition, (3, 0.125, 10.5, 2.5), "cell_count"),
+    # a point index lies in [0, n)
+    (DiscreteSpace.zero_one(3).rho_index, (-1, 0), "i"),
+    (DiscreteSpace.zero_one(3).rho_index, (0, 5), "j"),
+    (DiscreteSpace.zero_one(3).rho_index, (0.5, 0), "i"),
+    (_HAMMING_3.rho_index, (-1, 0), "i"),
+    (_HAMMING_3.rho_index, (5, 0), "i"),
+    (_HAMMING_3.rho_index, (0, 0.5), "j"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
@@ -386,8 +401,11 @@ def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     OverflowError or a bare ValueError, returned an interval for a
     fractional count, returned a mean and interval for no values, computed
     on NaN probabilities (ProbVector([nan, 0.5]) had entropy 0.3466), took
-    a fractional or negative block index, or gave a Hamming distance matrix
-    past 2**24 coordinates whose float32 counts had rounded."""
+    a fractional or negative block index, gave a Hamming distance matrix
+    past 2**24 coordinates whose float32 counts had rounded, took a
+    fractional count (ball_volume_ratio_analytic(2.0, 1.0, 1.5) was 2.828),
+    or read a point index outside [0, n) (rho_index(-1, 0) wrapped to the
+    last point)."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
 

@@ -9,6 +9,7 @@ from scipy import integrate
 
 from fanolab.discrete import DiscreteSpace, neighborhood_sizes, sparse_sign_space
 from fanolab.info import DomainError, mi_pairwise_kl_bound
+from fanolab.lab import ExperimentConfig
 from fanolab.minimax import (
     ParamFamily,
     compressed_sensing_bound,
@@ -345,15 +346,33 @@ def test_design_pipelines_reject_non_finite_design(bad):
 
 
 @pytest.mark.parametrize("X", [np.zeros((0, 8)), np.zeros((4, 8)), 1e-170 * np.eye(8),
-                               np.full((2, 8), math.nan)],
-                         ids=["empty", "zero", "underflowing", "nan"])
+                               np.full((2, 8), math.nan), [["a"] * 8], [[1.0] * 8, [1.0]]],
+                         ids=["empty", "zero", "underflowing", "nan", "strings", "ragged"])
 def test_design_pipelines_share_one_design_rule(X):
-    """Both design pipelines refuse an empty design, a zero one (also by
-    underflow) and a non-finite one with the same words."""
+    """Both design pipelines and the OLS experiment refuse an empty design, a
+    zero one (also by underflow), a non-finite one and one that is not an
+    array of real numbers with the same words; the pipelines let the last
+    escape as a bare ValueError."""
     refusals = []
     for call in (lambda: compressed_sensing_bound(X, 2, 1.0),
-                 lambda: linear_regression_bound(X, 1.0)):
+                 lambda: linear_regression_bound(X, 1.0),
+                 lambda: ExperimentConfig(problem="regression", reps=10, seed=0, d=8, design=X)):
         with pytest.raises(DomainError) as exc:
+            call()
+        refusals.append(str(exc.value))
+    assert refusals[0] == refusals[1] == refusals[2]
+
+
+@pytest.mark.parametrize("X", [np.ones((4, 8)), np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]])],
+                         ids=["wide", "tall"])
+def test_least_squares_designs_share_one_rank_rule(X):
+    """The regression bound and the OLS experiment refuse a rank-deficient
+    design with the same words."""
+    refusals = []
+    for call in (lambda: linear_regression_bound(X, 1.0),
+                 lambda: ExperimentConfig(problem="regression", reps=10, seed=0,
+                                          d=X.shape[1], design=X)):
+        with pytest.raises(DomainError, match="full-column-rank") as exc:
             call()
         refusals.append(str(exc.value))
     assert refusals[0] == refusals[1]
