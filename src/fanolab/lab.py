@@ -14,7 +14,7 @@ simulation here estimates it.
 
 Reproducibility contract: the replicates of an experiment are split into
 blocks of REPLICATE_BLOCK, and block b draws all of its replicates, as
-arrays, from the Philox stream keyed by (seed, REPLICATE_STREAM + b). A
+arrays, from the stream keyed by (seed, REPLICATE_STREAM + b). A
 full block's draws depend on the seed and b only, so growing reps leaves
 the replicates of the shared full blocks bit-identical. Loss sums
 accumulate per fixed chunk of _SUM_CHUNK replicates with a fixed-order
@@ -22,7 +22,7 @@ pairwise reduction, so identical configs produce bit-identical reports.
 
 The prop1 and decoder oracle suites draw their random instances in keyed
 blocks of ORACLE_BLOCK. Block b of a suite draws everything for its
-instances from the one Philox stream (seed, base + b), with base
+instances from the one stream (seed, base + b), with base
 VERIFY_STREAM for prop1 and VERIFY_STREAM + 2^20 for the decoder suite:
 first the arrays of |V|, of |X| and of the radii t, then, for each shape
 (|V|, |X|) in sorted order, the stacked priors and stochastic decoders

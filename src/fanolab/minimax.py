@@ -235,7 +235,8 @@ def sparse_location_bound(d: int, s: int, sigma2: float, n: int) -> MinimaxBound
             f"need 1 <= s <= d/2 so that log(d/s) > 0; got s={_shown(s)}, d={_shown(d)}")
     _require("finite", d=d)  # log(d/s) is taken in float64
     _require("finite and > 0", sigma2=sigma2)
-    _require("finite and >= 1", n=n)
+    _require("a whole number >= 1", n=n)
+    _require("finite", n=n)
     if n * s > sys.float_info.max:  # the mutual information coefficient n s / sigma2
         raise DomainError(f"n * s overflows float64 at n={n!r}, s={s}")
     return _sparse_bound("sparse-location", d, s, sigma2, mi_coeff=n * s / sigma2,
@@ -248,9 +249,13 @@ def _design(X, full_rank: bool = False) -> tuple[np.ndarray, float]:
     a finite nonzero norm (0 once subnormal entries underflow) and, if full_rank, full
     column rank. The one design rule of the bound pipelines and the OLS experiment."""
     try:
-        X = np.asarray(X, dtype=np.float64)
+        X = np.asarray(X)
+        # a complex design is not real: the cast would drop its imaginary part
+        X = np.empty(0) if X.dtype.kind == "c" else X.astype(np.float64)
     except (TypeError, ValueError):  # not real numbers, or ragged rows
         X = np.empty(0)
+    except OverflowError:  # an integer entry past float64
+        raise DomainError("design X needs entries that fit a float64") from None
     if X.ndim != 2 or X.size == 0:
         raise DomainError("design matrix X must be a nonempty 2-d array of real numbers")
     with np.errstate(over="ignore"):  # an overflowing norm is refused just below
@@ -293,8 +298,9 @@ def normal_mean_tail_integral(d: int, n: int) -> float:
     Equals (n / (2 d ln2)) * (exp(2(d-1)ln2/n) - 1 - 2(d-1)ln2/n),
     and is never below (d-1)^2 * ln2 / (d n).
     """
-    _require("finite and >= 2", d=d)
-    _require("finite and >= 1", n=n)
+    _require("a whole number >= 2", d=d)
+    _require("a whole number >= 1", n=n)
+    _require("finite", d=d, n=n)
     try:
         a = 2.0 * (d - 1) * LN2 / n
         # expm1 keeps the small-a cancellation at the ulp level
@@ -309,8 +315,9 @@ def normal_mean_tail_integral(d: int, n: int) -> float:
 
 def normal_mean_tail_integral_floor(d: int, n: int) -> float:
     """Taylor floor (d-1)^2 * ln2 / (d n) of normal_mean_tail_integral."""
-    _require("finite and >= 2", d=d)
-    _require("finite and >= 1", n=n)
+    _require("a whole number >= 2", d=d)
+    _require("a whole number >= 1", n=n)
+    _require("finite", d=d, n=n)
     try:
         return (d - 1) ** 2 * LN2 / (d * n)
     except OverflowError:
@@ -332,9 +339,11 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
     extras carry the exact tail integral and its Taylor floor so the two
     routes can be cross-checked.
     """
+    _require("a whole number >= 1", d=d)
     _require("finite and >= 2", "need d >= 2", d=d)
     _require("finite and > 0", sigma2=sigma2)
-    _require("finite and >= 1", n=n)
+    _require("a whole number >= 1", n=n)
+    _require("finite", n=n)
     log_ratio = d * LN2  # radius ratio r/t = 2
     if mode == "simple":
         t_sq = d * sigma2 * LN2 / (4.0 * n)

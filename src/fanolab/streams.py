@@ -1,10 +1,11 @@
-"""Counter-based random streams.
+"""Keyed random streams.
 
-Philox is a counter-based generator: a stream is fully determined by its
-128-bit key, so substreams derived from a (seed, stream-id) pair are
-reproducible and independent of the order in which they are consumed.
-Chunked Monte Carlo loops key each chunk separately, which makes results
-bit-identical whether chunks run serially or concurrently.
+A stream is the SFC64 generator seeded by the SeedSequence of the pair
+(seed, stream-id): SeedSequence hashes the pair into SFC64's 256-bit state,
+so streams of different pairs are statistically independent and each one is
+reproducible from its pair alone, whatever was drawn before. Chunked Monte
+Carlo loops key each chunk separately, which makes results bit-identical
+whether chunks run serially or concurrently.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ _MASK64 = (1 << 64) - 1
 
 # Disjoint stream-id namespaces for the library's internal consumers;
 # 5 << 40 and 6 << 40 belong to the random instances of tests/oracles.py.
+# DESIGN_STREAM keys the CLI's Gaussian design, which keeps its Philox rule.
 VOLUME_STREAM = 1 << 40
 CENTER_STREAM = 2 << 40
 BALL_STREAM = 3 << 40
@@ -29,12 +31,12 @@ REPLICATE_STREAM = 9 << 40
 
 
 def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
-    """Generator for the Philox stream keyed by ``(seed, stream_id)``.
+    """Generator for the SFC64 stream keyed by ``(seed, stream_id)``.
 
-    The seed is one word of the Philox key: one outside [0, 2**64) is refused
+    The seed is one 64-bit word of the key: one outside [0, 2**64) is refused
     rather than wrapped onto another seed's stream. stream_id is taken mod 2**64.
     """
     _require("an integer in [0, 2**64)", seed=seed)
     _require("an integer", stream_id=stream_id)
-    key = np.array([int(seed), stream_id & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    key = np.random.SeedSequence([int(seed), stream_id & _MASK64])
+    return np.random.Generator(np.random.SFC64(key))

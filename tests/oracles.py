@@ -2,8 +2,9 @@
 exhaustive decoder minimum that the Fano tail bounds are audited against.
 
 No library path calls these. Each random instance is drawn from its own
-Philox stream, keyed by (seed, CHAIN_STREAM or SPACE_STREAM + stream_id),
-namespaces that the library's own stream ids leave free.
+stream (streams.stream, SFC64 seeded by SeedSequence), keyed by (seed,
+CHAIN_STREAM or SPACE_STREAM + stream_id), namespaces that the library's
+own stream ids leave free.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,6 +144,16 @@ def test_bound_regression_identity_design(tmp_path):
     assert code == 0
     js = json.loads(next(tmp_path.glob("regression-*.json")).read_text())
     assert js["value"] == pytest.approx(1 / 12, rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2**64 - 1])
+def test_gaussian_design_is_frozen_on_its_philox_rule(seed):
+    """--design gaussian is an input, defined apart from the Monte Carlo
+    streams: the standard normals of Philox keyed by (seed, 7 << 40)."""
+    X = cli._design_matrix({"design": "gaussian", "d": 5, "n": 3, "scale": 1.0}, seed)
+    key = np.array([seed, 7 << 40], dtype=np.uint64)
+    assert np.array_equal(X, np.random.Generator(np.random.Philox(key=key))
+                          .standard_normal((3, 5)))
 
 
 def test_bound_regression_identity_needs_square(tmp_path, capsys):
@@ -351,7 +362,7 @@ REFUSED = [
     # a replicate count that numpy cannot size an array by
     (["table", "sparse-location", "--sweep", "d=16", "--s", "4", "--n", "200",
       "--with-risk", "1" + "0" * 30], "reps"),
-    # seeds outside the 64-bit word of the Philox key
+    # seeds outside the 64-bit seed word of a stream's key
     (["bound", "normal-mean", "--d", "4", "--n", "10", "--seed", "-1"], "seed"),
     (["verify", "quadrature", "--seed", str(2**64)], "seed"),
     # counts past their work budget: sampled points and replicates

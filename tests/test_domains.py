@@ -312,6 +312,11 @@ INTEGRAL_FLOATS = {
         0.5, 3, seed=1), 2),
     "level": (lambda lv: dataclasses.astuple(fanolab.grid_partition_counts(
         _DISK, 0.5, lv, seed=1, centers=1))[1:], 3),
+    "normal_mean_bound-d": (lambda d: normal_mean_bound(d, 1.0, 10).value, 4),
+    "normal_mean_bound-n": (lambda n: normal_mean_bound(4, 1.0, n).value, 10),
+    "normal_mean_tail_integral-d": (lambda d: fanolab.normal_mean_tail_integral(d, 3), 4),
+    "normal_mean_tail_integral_floor-n": (
+        lambda n: fanolab.normal_mean_tail_integral_floor(4, n), 3),
 }
 
 

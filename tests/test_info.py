@@ -394,6 +394,12 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (_HAMMING_3.rho_index, (-1, 0), "i"),
     (_HAMMING_3.rho_index, (5, 0), "i"),
     (_HAMMING_3.rho_index, (0, 0.5), "j"),
+    # the Gaussian-mean pipelines' dimension and sample counts are whole numbers
+    (normal_mean_bound, (2.5, 1.0, 10), "d"),
+    (normal_mean_bound, (3, 1.0, 10.5), "n"),
+    (sparse_location_bound, (8, 2, 1.0, 5.5), "n"),
+    (normal_mean_tail_integral, (2.5, 3), "d"),
+    (normal_mean_tail_integral_floor, (2.5, 3), "d"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
@@ -403,9 +409,9 @@ def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     on NaN probabilities (ProbVector([nan, 0.5]) had entropy 0.3466), took
     a fractional or negative block index, gave a Hamming distance matrix
     past 2**24 coordinates whose float32 counts had rounded, took a
-    fractional count (ball_volume_ratio_analytic(2.0, 1.0, 1.5) was 2.828),
-    or read a point index outside [0, n) (rho_index(-1, 0) wrapped to the
-    last point)."""
+    fractional count (ball_volume_ratio_analytic(2.0, 1.0, 1.5) was 2.828,
+    normal_mean_bound(2.5, 1.0, 10) was 0.0156), or read a point index
+    outside [0, n) (rho_index(-1, 0) wrapped to the last point)."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
 

@@ -346,13 +346,17 @@ def test_design_pipelines_reject_non_finite_design(bad):
 
 
 @pytest.mark.parametrize("X", [np.zeros((0, 8)), np.zeros((4, 8)), 1e-170 * np.eye(8),
-                               np.full((2, 8), math.nan), [["a"] * 8], [[1.0] * 8, [1.0]]],
-                         ids=["empty", "zero", "underflowing", "nan", "strings", "ragged"])
+                               np.full((2, 8), math.nan), [["a"] * 8], [[1.0] * 8, [1.0]],
+                               np.eye(8) * (3 + 4j), [[10**400] * 8]],
+                         ids=["empty", "zero", "underflowing", "nan", "strings", "ragged",
+                              "complex", "past-float64"])
 def test_design_pipelines_share_one_design_rule(X):
     """Both design pipelines and the OLS experiment refuse an empty design, a
-    zero one (also by underflow), a non-finite one and one that is not an
-    array of real numbers with the same words; the pipelines let the last
-    escape as a bare ValueError."""
+    zero one (also by underflow), a non-finite one, one that is not an array
+    of real numbers and one with an entry past float64, with the same words.
+    They used to let a ragged design escape as a bare ValueError, compute a
+    complex one on its real part with only a ComplexWarning, and let an entry
+    past float64 escape as an OverflowError."""
     refusals = []
     for call in (lambda: compressed_sensing_bound(X, 2, 1.0),
                  lambda: linear_regression_bound(X, 1.0),

@@ -35,13 +35,15 @@ def test_stream_order_independent():
 
 
 def test_stream_negative_and_huge_ids():
-    assert stream(1, -1).random() == stream(1, -1).random()
-    assert stream(1, 2**70 + 3).random() == stream(1, 2**70 + 3).random()
+    """A stream is SFC64 seeded by the SeedSequence of (seed, stream_id mod 2**64)."""
+    for stream_id, word in ((-1, 2**64 - 1), (2**70 + 3, 3)):
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence([1, word])))
+        assert np.array_equal(stream(1, stream_id).random(8), want.random(8))
 
 
 @pytest.mark.parametrize("seed", [-1, 2**64, 1.0])
 def test_stream_refuses_seeds_outside_the_key_word(seed):
-    """A seed is one 64-bit word of the Philox key: none is wrapped onto another."""
+    """A seed is one 64-bit word of a stream's key: none is wrapped onto another."""
     with pytest.raises(DomainError, match=r"\bseed\b"):
         stream(seed)
 
@@ -144,10 +146,20 @@ def test_mean_ci_is_bit_identical_to_norm_ppf(conf):
         assert mean_ci(values, conf) == (m, (m - half, m + half))
 
 
+def _run_fresh(code: str) -> None:
+    """Runs code in a fresh interpreter that imports this checkout's fanolab."""
+    src = str(Path(fanolab.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_import_leaves_scipy_out_until_an_interval_is_needed():
     """import fanolab and fanolab.cli load no scipy module; the intervals
     then load scipy.special only, never scipy.stats."""
-    code = """
+    _run_fresh("""
 import sys
 import fanolab, fanolab.cli
 assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
@@ -156,13 +168,31 @@ clopper_pearson(3, 10)
 mean_ci([1.0, 2.0, 4.0])
 assert "scipy.special" in sys.modules
 assert not [m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate"))]
-"""
-    src = str(Path(fanolab.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+""")
+
+
+def test_bound_runs_load_no_scipy(tmp_path):
+    """No bound pipeline calls scipy, so a bound run, its manifest included,
+    loads no scipy module, and the manifest records no scipy version."""
+    _run_fresh(f"""
+import json, pathlib, sys
+from fanolab import cli
+out = pathlib.Path({str(tmp_path)!r})
+for argv in (["normal-mean", "--d", "10", "--n", "100"],
+             ["sparse-location", "--d", "32", "--s", "4", "--n", "200"],
+             ["compressed-sensing", "--d", "32", "--s", "4", "--n", "20",
+              "--design", "gaussian"],
+             ["regression", "--d", "9", "--n", "9", "--design", "identity"],
+             ["discrete-tail", "--card", "6", "--n-max", "2", "--n-min", "2", "--t", "1",
+              "--mi", "0"],
+             ["continuum-tail", "--r", "2", "--t", "1", "--d", "2", "--mi", "0"]):
+    assert cli.main(["bound", *argv, "--out-dir", str(out)]) == 0, argv
+assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
+manifests = list(out.glob("manifest-*.json"))
+assert len(manifests) == 6
+for m in manifests:
+    assert sorted(json.loads(m.read_text())["versions"]) == ["fanolab", "numpy"], m
+""")
 
 
 def test_pairwise_sum_matches_fsum():
