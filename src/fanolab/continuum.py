@@ -29,7 +29,10 @@ Both estimators split their work into fixed-size chunks and run the chunks
 on a pool of threads, one per usable CPU. Each Monte Carlo chunk draws from
 its own stream keyed by (seed, chunk index), and every chunk's count is
 summed exactly, so the results do not depend on the number of workers or
-on the order in which chunks finish.
+on the order in which chunks finish. A chunk of m points is drawn
+coordinate-major: coordinate j of point i is the stream's value j*m + i, so
+each coordinate is one contiguous column, and the built-in predicates work
+column by column. The grid builds its sample points in the same layout.
 """
 
 from __future__ import annotations
@@ -65,10 +68,14 @@ __all__ = [
 ]
 
 # Points per keyed stream in mc_volume_ratio and cells per job in
-# grid_partition_counts. The volume chunk is part of the stream keying:
-# changing it changes which draws land in which stream, hence the counts.
+# grid_partition_counts. The volume chunk is part of the stream keying, and
+# so is the coordinate-major layout of a chunk: changing either changes which
+# draw lands in which stream and coordinate, hence the counts.
 VOLUME_CHUNK = 1 << 16
 GRID_CHUNK = 1 << 15
+# Sample points per predicate call of the grid: a chunk's sub-grid points go
+# in parts, which bounds their memory and that of the predicate's temporaries.
+_GRID_POINTS = 1 << 16
 # Rejection sampling of candidate centers: proposals per keyed stream, and
 # the number of streams tried before the region counts as too thin.
 _SAMPLE_CHUNK = 8192
@@ -86,7 +93,10 @@ class ContinuumSpace:
 
     contains maps an (m, d) array to an (m,) boolean array. rho maps a
     (d,) center and an (m, d) array of points to (m,) values, evaluating
-    rho(center, point) for each row. ball_bbox, when given, returns an
+    rho(center, point) for each row. The estimators pass (m, d) float64
+    arrays whose columns are contiguous (the transpose of a C-ordered
+    (d, m) array): contains and rho must not assume C order, and must not
+    write into the array they get. ball_bbox, when given, returns an
     axis-aligned box certain to contain {v' : rho(c, v') <= t}; it only
     tightens sampling, never changes semantics. sup_center is a declared
     analytic maximizer of Vol(ball(t, v) & V) over v. The volume of the
@@ -131,41 +141,53 @@ class ContinuumSpace:
         return float(np.prod(hi - lo))
 
 
-def _long_rows(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """An (m, w) array viewed as m/k rows of k*w values, k = gcd(m, 64).
+def _column_minus(pts: np.ndarray, center, j: int, out: np.ndarray) -> np.ndarray:
+    """pts[:, j] - center[j] into out, or column j itself when center is None."""
+    return pts[:, j] if center is None else np.subtract(pts[:, j], center[j], out=out)
 
-    An elementwise op between an (m, w) array and a (w,) vector spread over
-    its rows runs numpy's inner loop over only w values at a time. The same
-    op between this view and np.tile(v, k) does the same arithmetic on each
-    value, so it gives the same bits, over rows up to 64 times longer. The
-    view shares a's memory when a is C-contiguous.
+
+def _sum_of_squares(pts: np.ndarray, center=None) -> np.ndarray:
+    """sum_j (pts[:, j] - center[j])**2 for (m, d) points, column by column.
+
+    The order of the additions is fixed: the squares of the even columns
+    in column order, then those of the odd columns in column order, then
+    the even sum plus the odd sum. Each column is read once, through one
+    m-length scratch row; the odd sum takes a row of its own only when it
+    has more than one column.
     """
-    m, w = a.shape
-    k = math.gcd(m, 64)
-    return a.reshape(m // k, k * w), k
+    m, d = pts.shape
+    scratch = np.empty(m)
 
+    def square(j, out):
+        col = _column_minus(pts, center, j, scratch)
+        return np.multiply(col, col, out=out)
 
-def _minus(pts, center) -> np.ndarray:
-    """pts - center[None, :] for (m, d) points, computed on long rows."""
-    pts = np.asarray(pts)
-    rows, k = _long_rows(pts)
-    return (rows - np.tile(center, k)).reshape(pts.shape)
+    total = square(0, np.empty(m))
+    for j in range(2, d, 2):
+        total += square(j, scratch)
+    if d > 1:
+        odd = square(1, np.empty(m) if d > 3 else scratch)
+        for j in range(3, d, 2):
+            odd += square(j, scratch)
+        total += odd
+    return total
 
 
 def _metric(name: str):
     if name == "l2":
         def rho(center, pts):
-            diff = _minus(pts, center)
-            return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+            out = _sum_of_squares(np.asarray(pts, dtype=np.float64), center)
+            return np.sqrt(out, out=out)
     elif name == "linf":
         def rho(center, pts):
-            # A max over the d columns, not .max(axis=1), whose inner loop
-            # runs over only d values; max is exact, so the bits agree.
-            diff = _minus(pts, center)
-            np.abs(diff, out=diff)
-            out = diff[:, 0].copy()
-            for j in range(1, diff.shape[1]):
-                np.maximum(out, diff[:, j], out=out)
+            # A max over the d columns; max is exact, so the order is immaterial.
+            pts = np.asarray(pts, dtype=np.float64)
+            m, d = pts.shape
+            out, scratch = np.empty(m), np.empty(m)
+            np.abs(_column_minus(pts, center, 0, out), out=out)
+            for j in range(1, d):
+                np.maximum(out, np.abs(_column_minus(pts, center, j, scratch), out=scratch),
+                           out=out)
             return out
     else:
         raise DomainError(f"unknown metric {name!r}; expected 'l2' or 'linf'")
@@ -189,8 +211,7 @@ def l2_ball_space(d: int, r: float, *, metric: str = "l2") -> ContinuumSpace:
     r2 = r * r
 
     def contains(pts):
-        pts = np.asarray(pts, dtype=np.float64)
-        return np.einsum("ij,ij->i", pts, pts) <= r2
+        return _sum_of_squares(np.asarray(pts, dtype=np.float64)) <= r2
 
     box = np.stack([np.full(d, -r), np.full(d, r)])
     return ContinuumSpace(dim=d, contains=contains, bounding_box=box, rho=rho,
@@ -209,7 +230,12 @@ def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
 
     def contains(pts):
         pts = np.asarray(pts, dtype=np.float64)
-        return np.all((pts >= lo) & (pts <= hi), axis=1)
+        ok = np.ones(len(pts), dtype=bool)
+        scratch = np.empty_like(ok)
+        for j, (a, b) in enumerate(zip(lo.tolist(), hi.tolist())):
+            ok &= np.greater_equal(pts[:, j], a, out=scratch)
+            ok &= np.less_equal(pts[:, j], b, out=scratch)
+        return ok
 
     box = np.stack([lo, hi])
     return ContinuumSpace(dim=d, contains=contains, bounding_box=box, rho=rho,
@@ -277,12 +303,14 @@ def _map(fn, n: int) -> list:
 
 
 def _sample_box(g: np.random.Generator, count: int, box: np.ndarray) -> np.ndarray:
+    """count points uniform in box, as the (count, d) transpose of a (d, count)
+    draw: coordinate j of point i is the stream's value j * count + i, scaled
+    in place, and each coordinate is a contiguous column."""
     lo, hi = box
-    u = g.random((count, lo.size))
-    rows, k = _long_rows(u)
-    rows *= np.tile(hi - lo, k)
-    rows += np.tile(lo, k)
-    return u
+    u = g.random((lo.size, count))
+    u *= (hi - lo)[:, None]
+    u += lo[:, None]
+    return u.T
 
 
 def _sample_in_space(space: ContinuumSpace, count: int, seed: int, base: int) -> np.ndarray:
@@ -445,6 +473,7 @@ class GridPartition:
     touched_count: int
 
     def __post_init__(self):
+        _require("a whole number >= 0", level=self.level)
         _require("finite", level=self.level, cell_width=self.cell_width)
         _require("a whole number >= 1", cell_count=self.cell_count,
                  touched_count=self.touched_count)
@@ -481,7 +510,8 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     the number of workers.
     """
     _require("finite and > 0", t=t)
-    _require("finite and >= 0", level=level)
+    _require("a whole number >= 0", level=level)
+    _require("finite", level=level)  # 2.0 ** -level is taken in float64
     _require("an integer in [0, 2**63)", centers=centers)
     d = space.dim
     eps = 2.0 ** (-level)
@@ -500,27 +530,33 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     center, sub_grid = offsets[-1:], offsets[:-1]
 
     def cells(ids: np.ndarray) -> np.ndarray:
-        # The (m, d) integer corners k of the cells with these flat ids.
-        kvec = np.empty((ids.size, d), dtype=np.int64)
+        # The integer corners k of the cells with these flat ids, as (d, m).
+        kvec = np.empty((d, ids.size), dtype=np.int64)
         for i, col in enumerate(np.unravel_index(ids, shape)):
-            np.add(col, k_lo[i], out=kvec[:, i])
+            np.add(col, k_lo[i], out=kvec[i])
         return kvec
 
     def cell_points(kvec: np.ndarray, offs: np.ndarray) -> np.ndarray:
-        # Row c * len(offs) + q is the point kvec[c] * eps + offs[q].
-        rows, k = _long_rows(np.tile(kvec * eps, len(offs)))
-        rows += np.tile(offs.ravel(), k)
-        return rows.reshape(-1, d)
+        # Row q * m + c is the point kvec[:, c] * eps + offs[q], stored
+        # coordinate-major like the Monte Carlo draws.
+        pts = np.empty((d, len(offs), kvec.shape[1]))
+        np.multiply(kvec[:, None, :], eps, out=pts)
+        pts += offs.T[:, :, None]
+        return pts.reshape(d, -1).T
 
     def any_point(kvec: np.ndarray, pred) -> np.ndarray:
         # Whether pred holds at any sample point of each cell: the center
         # first, then the sub-grid of only the cells whose center failed.
         # pred is row-wise, so this is the any() over all the points at once.
+        # The sub-grid goes to pred in parts of _GRID_POINTS // 4^d cells
+        # (one at least).
         hit = np.array(pred(cell_points(kvec, center)), dtype=bool)
         miss = np.flatnonzero(~hit)
-        if miss.size:
-            sub = np.asarray(pred(cell_points(kvec[miss], sub_grid)), dtype=bool)
-            hit[miss] = sub.reshape(miss.size, -1).any(axis=1)
+        per = max(1, _GRID_POINTS // len(sub_grid))
+        for start in range(0, miss.size, per):
+            part = miss[start:start + per]
+            sub = np.asarray(pred(cell_points(kvec[:, part], sub_grid)), dtype=bool)
+            hit[part] = sub.reshape(-1, part.size).any(axis=0)
         return hit
 
     def occupied(n):

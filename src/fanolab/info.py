@@ -341,12 +341,13 @@ def mi_pairwise_kl_bound(means, sigma2: float, n_samples: int) -> float:
 
     where the second form is the algebraic collapse of the double sum; it
     is what gets evaluated, so million-point families cost O(M d).
-    Non-finite means, a non-finite sigma2 or n_samples, and a bound that
-    overflows float64 are refused.
+    Non-finite means, a non-finite sigma2, an n_samples that is not a whole
+    number, and a bound that overflows float64 are refused.
     """
     _require("finite", means=means)
     _require("finite and > 0", sigma2=sigma2)
-    _require("finite and >= 1", n_samples=n_samples)
+    _require("a whole number >= 1", n_samples=n_samples)
+    _require("finite", n_samples=n_samples)
     a = np.asarray(means, dtype=np.float64)
     if a.ndim == 1:
         a = a[:, None]
@@ -367,9 +368,10 @@ def mi_pairwise_kl_bound_discrete(rows, n_samples: int = 1) -> float:
     """Same convexity bound for a finite channel: n * (1/M^2) sum_{v,w} KL(row_v || row_w),
     evaluated in O(M K) as n * [(1/M) sum_{v,k} p_vk ln p_vk - sum_k pbar_k (1/M) sum_w ln p_wk]
     with pbar the mean row. It is +inf exactly when a column with pbar_k > 0 has a zero
-    entry; all-zero columns drop out. An n_samples that makes a finite value overflow
-    is refused."""
-    _require("finite and >= 1", n_samples=n_samples)
+    entry; all-zero columns drop out. An n_samples that is not a whole number, or that
+    makes a finite value overflow, is refused."""
+    _require("a whole number >= 1", n_samples=n_samples)
+    _require("finite", n_samples=n_samples)
     m = _validate_rows(rows, "rows")
     cols = m[:, m.any(axis=0)]
     if not cols.all():

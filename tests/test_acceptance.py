@@ -270,9 +270,9 @@ CRITERION_12_SUITES = [
     (["verify", "quadrature", "--seed", "31"],
      "0c02b17c161e0b51f50aa3de99bfe01021e8e60a65f6306547bf0ae77fa9f73b"),
     (["verify", "volume", "--seed", "31", "--seeds", "3", "--points", "50000"],
-     "788149bd03dc68d4f13d56d166a8c0d089bca6d76349a64c69eb14ae1c4c6933"),
+     "70df93db9e0f26ac1c14d5b97e04e3c64450f67b503e126ddffbd604654c8575"),
     (["verify", "grid-partition", "--seed", "31", "--level", "6"],
-     "4c5d05d53e60b846e08c903c84430dc22cd97c686dc78c022d0bd5d79ba4a54a"),
+     "5c2169ae67ed1992dbb49d94dfae1b251bfd73b0495b1bc2a9febd31189f870d"),
     (["verify", "estimator-risk", "--seed", "31", "--reps-scale", "0.01"],
      "32f14c52cbb64788d744be4ef05e10433aaa2155eff0f89f54e452ca79219f57"),
 ]

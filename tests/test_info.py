@@ -25,6 +25,7 @@ from fanolab.continuum import (
     GridPartition,
     ball_volume_ratio_analytic,
     box_space,
+    grid_partition_counts,
     l2_ball_space,
     mc_volume_ratio,
 )
@@ -400,6 +401,11 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (sparse_location_bound, (8, 2, 1.0, 5.5), "n"),
     (normal_mean_tail_integral, (2.5, 3), "d"),
     (normal_mean_tail_integral_floor, (2.5, 3), "d"),
+    # a grid level and a sample count are whole numbers
+    (grid_partition_counts, (l2_ball_space(2, 1.0), 0.5, 1.5), "level"),
+    (GridPartition, (1.5, 0.125, 10, 2), "level"),
+    (mi_pairwise_kl_bound, ([[0.0], [1.0]], 1.0, 1.5), "n_samples"),
+    (mi_pairwise_kl_bound_discrete, ([[0.5, 0.5], [0.25, 0.75]], 1.5), "n_samples"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
@@ -410,7 +416,8 @@ def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     a fractional or negative block index, gave a Hamming distance matrix
     past 2**24 coordinates whose float32 counts had rounded, took a
     fractional count (ball_volume_ratio_analytic(2.0, 1.0, 1.5) was 2.828,
-    normal_mean_bound(2.5, 1.0, 10) was 0.0156), or read a point index
+    normal_mean_bound(2.5, 1.0, 10) was 0.0156, grid_partition_counts at level
+    1.5 counted 32 cells), or read a point index
     outside [0, n) (rho_index(-1, 0) wrapped to the last point)."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
