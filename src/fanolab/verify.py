@@ -7,8 +7,8 @@ turns the records into the text of a verify report: one line per check,
 then the suite's verdict (every check passed) and its worst margin (the
 smallest margin among the checks that carry one, in check order).
 
-scipy.integrate is imported by the quadrature suite when it runs, not with
-this module, so that importing the CLI does not pay for it.
+The quadrature suite's reference is a composite Gauss-Legendre rule from
+numpy, so no suite loads scipy's quadrature module.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .info import LN2, _budget
 from .streams import VERIFY_STREAM, stream
 
 VERIFY_SCHEMA = "fanolab-verify-v1"
+# the (d, n) pairs at which the quadrature suite checks the tail integral
+TAIL_PAIRS = [(d, n) for d in (2, 3, 5, 9, 64) for n in (1, 10, 100, 1000)]
 
 
 @dataclass(frozen=True)
@@ -71,14 +73,23 @@ def decoder_oracle(seed: int, fault: bool, instances: int) -> list[Check]:
                   {"instances": instances, "worst_margin": worst}, worst)]
 
 
-def _quad_hinge_log(d: int, n: int) -> float:
-    """Adaptive quadrature of max(0, (d-1)/d - n*ln(1+t)/(2 d ln2)) on [0, inf)."""
-    from scipy import integrate
+def _gauss_legendre(f, edges: np.ndarray, rule: tuple[np.ndarray, np.ndarray]) -> float:
+    """Composite Gauss-Legendre quadrature: the rule (nodes and weights on
+    [-1, 1], from np.polynomial.legendre.leggauss) applied to f on every
+    panel [edges[i], edges[i+1]]. f takes an array of points."""
+    nodes, weights = rule
+    half = 0.5 * np.diff(edges)
+    mid = edges[:-1] + half
+    return float(half @ (f(mid[:, None] + half[:, None] * nodes) @ weights))
 
+
+def _quad_hinge_log(d: int, n: int, rule: tuple[np.ndarray, np.ndarray]) -> float:
+    """Quadrature of max(0, (d-1)/d - n*ln(1+t)/(2 d ln2)) on [0, inf): the
+    Gauss-Legendre rule on 120 log-spaced panels that end at the kink."""
     c = (d - 1) / d
 
     def f(t):
-        return c - n * math.log1p(t) / (2 * d * LN2)
+        return c - n * np.log1p(t) / (2 * d * LN2)
 
     hi = 1.0
     while f(hi) > 0:
@@ -94,39 +105,37 @@ def _quad_hinge_log(d: int, n: int) -> float:
     root = 0.5 * (lo + hi)
     edges = np.concatenate([[0.0], np.logspace(-6, math.log10(max(root, 1e-6)), 120)])
     edges = edges[edges <= root]
-    edges = np.append(edges, root)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b > a:
-            val, _ = integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)
-            total += val
-    return total
+    return _gauss_legendre(f, np.append(edges, root), rule)
+
+
+def _hinge_draws(seed: int) -> list[tuple[float, float]]:
+    """The quadrature suite's 20 seeded (c1, c2) hinge coefficients."""
+    g = stream(seed, VERIFY_STREAM + (2 << 20))
+    return [(float(g.uniform(0.0, 5.0)), float(g.uniform(0.1, 5.0))) for _ in range(20)]
+
+
+def _quad_hinge(c1: float, c2: float, rule: tuple[np.ndarray, np.ndarray]) -> float:
+    """Quadrature of max(0, c1 - c2*t) on [0, inf) for c1 >= 0: the integrand
+    vanishes beyond its root c1/c2, so the rule covers the smooth piece in
+    one panel."""
+    return _gauss_legendre(lambda t: c1 - c2 * t, np.array([0.0, c1 / c2]), rule)
 
 
 def quadrature(seed: int, fault: bool) -> list[Check]:
-    from scipy import integrate
-
-    pairs = [(d, n) for d in (2, 3, 5, 9, 64) for n in (1, 10, 100, 1000)]
+    rule = np.polynomial.legendre.leggauss(20)
     worst = -math.inf
     floor_ok = True
-    for d, n in pairs:
+    for d, n in TAIL_PAIRS:
         closed = minimax.normal_mean_tail_integral(d, n) + (1e-6 if fault else 0.0)
-        quad = _quad_hinge_log(d, n)
+        quad = _quad_hinge_log(d, n, rule)
         worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
         if closed < minimax.normal_mean_tail_integral_floor(d, n):
             floor_ok = False
-    g = stream(seed, VERIFY_STREAM + (2 << 20))
-    hinge_worst = 0.0
-    for _ in range(20):
-        c1, c2 = float(g.uniform(0.0, 5.0)), float(g.uniform(0.1, 5.0))
-        # integrand vanishes beyond its root c1/c2; integrate the smooth piece
-        ref = 0.0
-        if c1 > 0:
-            ref, _ = integrate.quad(lambda t: c1 - c2 * t, 0.0, c1 / c2, limit=200)
-        hinge_worst = max(hinge_worst, abs(minimax.hinge_integral(c1, c2) - ref))
+    hinge_worst = max(abs(minimax.hinge_integral(c1, c2) - _quad_hinge(c1, c2, rule))
+                      for c1, c2 in _hinge_draws(seed))
     return [
         Check("tail-integral-vs-quadrature", worst <= 1e-8,
-              {"pairs": len(pairs), "max_rel_err": worst}, 1e-8 - worst),
+              {"pairs": len(TAIL_PAIRS), "max_rel_err": worst}, 1e-8 - worst),
         Check("tail-integral-floor", floor_ok),
         Check("hinge-identity-vs-quadrature", hinge_worst <= 1e-10,
               {"max_abs_err": hinge_worst}, 1e-10 - hinge_worst),

@@ -12,7 +12,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate
 
 import fanolab.cli as cli
 from fanolab.continuum import (
@@ -43,7 +42,12 @@ from fanolab.minimax import (
     normal_mean_tail_integral_floor,
     sparse_location_bound,
 )
-from oracles import enumerate_decoders_min_tail, random_chain, random_symmetric_space
+from oracles import (
+    enumerate_decoders_min_tail,
+    quadpack_tail_integral,
+    random_chain,
+    random_symmetric_space,
+)
 
 LN2 = math.log(2.0)
 SEED = 20240817
@@ -124,26 +128,6 @@ def test_criterion_03_decoder_oracle():
            violations == 0, f"violations={violations}, worst margin={worst:.3e}")
 
 
-def quad_tail_integral(d, n):
-    c = (d - 1) / d
-
-    def f(t):
-        return c - n * math.log1p(t) / (2 * d * LN2)
-
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2
-    lo = hi / 2 if hi > 1 else 0.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
-    root = (lo + hi) / 2
-    edges = np.concatenate([[0.0], np.logspace(-6, math.log10(max(root, 1e-6)), 100)])
-    edges = np.append(edges[edges <= root], root)
-    return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-               for a, b in zip(edges[:-1], edges[1:]) if b > a)
-
-
 def test_criterion_04_tail_integral_quadrature():
     pairs = [(d, n) for d in (2, 3, 5, 9, 64) for n in (1, 10, 100, 1000)]
     assert len(pairs) == 20
@@ -151,7 +135,7 @@ def test_criterion_04_tail_integral_quadrature():
     floor_ok = True
     for d, n in pairs:
         closed = normal_mean_tail_integral(d, n)
-        quad = quad_tail_integral(d, n)
+        quad = quadpack_tail_integral(d, n)
         worst = max(worst, abs(closed - quad) / max(1.0, abs(closed)))
         floor_ok = floor_ok and closed >= normal_mean_tail_integral_floor(d, n)
     report(4, "tail integral closed form matches quadrature on 20 (d, n) pairs",
@@ -261,14 +245,16 @@ def test_criterion_11_sparse_sign_combinatorics():
 
 
 # The six criterion-12 runs at seed 31, each with the SHA-256 of its report
-# as the suites wrote it before they moved from fanolab.cli to fanolab.verify.
+# as the suites wrote it before they moved from fanolab.cli to fanolab.verify;
+# quadrature's is re-pinned to its Gauss-Legendre reference, whose errors
+# differ from QUADPACK's in the last bits.
 CRITERION_12_SUITES = [
     (["verify", "prop1-exhaustive", "--seed", "31", "--instances", "150"],
      "962d4dd7aa763c0d64fad33e61430c3800f85c082e1343081a4cdd7d7eb46d37"),
     (["verify", "decoder-oracle", "--seed", "31", "--instances", "50"],
      "09a686899b94c44809067648ec488933d2ad2edb9c7c91af0c5c943ca68b3662"),
     (["verify", "quadrature", "--seed", "31"],
-     "0c02b17c161e0b51f50aa3de99bfe01021e8e60a65f6306547bf0ae77fa9f73b"),
+     "8fc2c021614b033464b3941fbf0dca666dafc412f3b2d4b7426630423c830319"),
     (["verify", "volume", "--seed", "31", "--seeds", "3", "--points", "50000"],
      "70df93db9e0f26ac1c14d5b97e04e3c64450f67b503e126ddffbd604654c8575"),
     (["verify", "grid-partition", "--seed", "31", "--level", "6"],

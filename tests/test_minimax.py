@@ -23,6 +23,7 @@ from fanolab.minimax import (
     separation_delta,
     sparse_location_bound,
 )
+from oracles import quadpack_tail_integral
 
 LN2 = math.log(2.0)
 
@@ -432,26 +433,6 @@ def test_cs_underflowing_mi_coefficient_rejected():
 # -- tail integral ------------------------------------------------------------------------
 
 
-def quad_tail_integral(d, n):
-    c = (d - 1) / d
-
-    def f(t):
-        return c - n * math.log1p(t) / (2 * d * LN2)
-
-    hi = 1.0
-    while f(hi) > 0:
-        hi *= 2
-    lo = hi / 2 if hi > 1 else 0.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
-    root = (lo + hi) / 2
-    edges = np.concatenate([[0.0], np.logspace(-6, math.log10(max(root, 1e-6)), 100)])
-    edges = np.append(edges[edges <= root], root)
-    return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
-               for a, b in zip(edges[:-1], edges[1:]) if b > a)
-
-
 def test_tail_integral_d2_n2():
     # (1 - ln2) / (2 ln2), mpmath at 50 digits
     want = 0.22134752044448170368
@@ -464,7 +445,7 @@ def test_tail_integral_d2_n2():
                                  (64, 1000), (3, 7), (16, 300)])
 def test_tail_integral_matches_quadrature(d, n):
     closed = normal_mean_tail_integral(d, n)
-    quad = quad_tail_integral(d, n)
+    quad = quadpack_tail_integral(d, n)
     assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
 
 

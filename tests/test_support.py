@@ -171,6 +171,21 @@ assert not [m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integr
 """)
 
 
+def test_oracle_verify_suites_load_no_scipy(tmp_path):
+    """The prop1-exhaustive, decoder-oracle and quadrature suites check
+    against enumeration and a numpy Gauss-Legendre rule, so they load no
+    scipy module."""
+    _run_fresh(f"""
+import sys
+from fanolab import cli
+for argv in (["prop1-exhaustive", "--instances", "100"],
+             ["decoder-oracle", "--instances", "50"],
+             ["quadrature"]):
+    assert cli.main(["verify", *argv, "--out-dir", {str(tmp_path)!r}]) == 0, argv
+assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
+""")
+
+
 def test_bound_runs_load_no_scipy(tmp_path):
     """No bound pipeline calls scipy, so a bound run, its manifest included,
     loads no scipy module, and the manifest records no scipy version."""
