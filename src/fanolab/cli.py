@@ -19,6 +19,12 @@ and verify reports never do, so reruns with the same config and seed are
 byte-identical. Monte Carlo volume estimates are verification-only: the
 ``bound`` command never reports a bound whose volume ratio came from a
 sampled-only supremum.
+
+numpy loads only on a path that takes arrays: a design (compressed-sensing,
+regression), --with-risk and the verify suites. The bound and table
+commands of normal-mean, sparse-location, discrete-tail and continuum-tail
+compute on Python numbers and never load it; a bound's manifest records
+numpy's and scipy's versions only when the run loaded them.
 """
 
 from __future__ import annotations
@@ -32,14 +38,12 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import __version__, verify
-from .continuum import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
+from . import __version__
+from ._volume import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
 from .discrete import NeighborhoodProfile, fano_tail_lower_bound
 from .info import _DOMAINS, DomainError, _require
-from .lab import audit_config, simulate_risk
 from .minimax import (
     compressed_sensing_bound,
     linear_regression_bound,
@@ -47,7 +51,9 @@ from .minimax import (
     sparse_location_bound,
 )
 from .results import MinimaxBound
-from .streams import DESIGN_STREAM
+
+if TYPE_CHECKING:
+    import numpy as np
 
 CSV_SCHEMA = "fanolab-bound-v1"
 CSV_COLUMNS = ("pipeline", "d", "s", "n", "sigma2", "t", "eps",
@@ -174,6 +180,10 @@ def _design_matrix(p: dict, seed: int) -> np.ndarray | None:
     """The design of a problem that takes one, else None."""
     if "design" not in p:
         return None
+    import numpy as np
+
+    from .streams import DESIGN_STREAM
+
     kind, d, n = p["design"], p["d"], p["n"]
     if kind == "identity":
         if n != d:
@@ -200,19 +210,19 @@ def _design_matrix(p: dict, seed: int) -> np.ndarray | None:
 
 
 def _jsonable(obj):
+    np = sys.modules.get("numpy")  # a numpy value exists only once numpy is loaded
+    if np is not None and isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()  # Python values, element by element
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in sorted(obj.items())}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):  # before int: bool is an int subclass
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        f = float(obj)
-        return f if math.isfinite(f) else repr(f)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, bool):  # before int: bool is an int subclass
+        return obj
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else repr(obj)
+    if isinstance(obj, int):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
     return obj
 
 
@@ -281,12 +291,14 @@ def _write_bound_outputs(out_dir: Path, problem: str, cfg: dict[str, str], seed:
     manifest = {
         "command": "bound", "problem": problem, "config": dict(sorted(cfg.items())),
         "seed": seed, "config_hash": chash,
-        "versions": {"fanolab": __version__, "numpy": np.__version__},
+        "versions": {"fanolab": __version__},
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": [json_path.name, csv_path.name],
     }
-    if "scipy" in sys.modules:  # no bound path needs scipy, so its import is not paid here
-        manifest["versions"]["scipy"] = sys.modules["scipy"].__version__
+    # the versions of the libraries the run loaded; a manifest loads none of its own
+    for lib in ("numpy", "scipy"):
+        if lib in sys.modules:
+            manifest["versions"][lib] = sys.modules[lib].__version__
     (out_dir / f"manifest-{problem}-{chash}.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return json_path, csv_path
@@ -359,6 +371,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     name, keys = SUITES[args.suite]
     given, seed = _params(args)
     checks = getattr(verify, name)(seed, args.inject_fault,
@@ -408,6 +422,8 @@ def _risk_columns(problem: str, result, design: np.ndarray | None, seed: int,
                   reps: int) -> dict[str, str]:
     if not isinstance(result, MinimaxBound):
         raise ConfigError(f"--with-risk is not supported for problem {problem!r}")
+    from .lab import audit_config, simulate_risk
+
     rep = simulate_risk(audit_config(result, reps, seed, design))
     return {"risk": repr(rep.risk_mean), "risk_ci_lo": repr(rep.risk_ci[0]),
             "risk_ci_hi": repr(rep.risk_ci[1])}

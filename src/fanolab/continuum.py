@@ -7,7 +7,9 @@ tail bound; both APIs preserve their own convention verbatim. rho is not
 required to be symmetric (or even positive) here: "ball" means the
 sublevel set {v' : rho(v, v') <= t}. The bound's formula,
 max(0, 1 - (I + ln 2) / L), is the discrete tail bound's: both call
-discrete._fano_tail.
+discrete._fano_tail. The bound (continuum_fano_bound), the analytic ratio
+of two balls and EstimationError need no arrays: they are defined in
+fanolab._volume, which loads no numpy, and exported from here.
 
 Two deliberate approximations, both reported rather than hidden:
 
@@ -46,9 +48,8 @@ from typing import Callable
 
 import numpy as np
 
-from .discrete import _MI_DOMAIN, _fano_tail
+from ._volume import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
 from .info import DomainError, _budget, _require, _shown
-from .results import BoundResult
 from .stats import clopper_pearson
 from .streams import BALL_STREAM, CENTER_STREAM, GRID_STREAM, VOLUME_STREAM, stream
 
@@ -81,10 +82,6 @@ _GRID_POINTS = 1 << 16
 _SAMPLE_CHUNK = 8192
 _SAMPLE_BUDGET = 1000
 _CONFIDENCE = 0.99  # joint confidence of each volume-ratio interval
-
-
-class EstimationError(RuntimeError):
-    """Monte Carlo estimation failed (e.g. zero acceptance within budget)."""
 
 
 @dataclass(frozen=True)
@@ -240,21 +237,6 @@ def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
     box = np.stack([lo, hi])
     return ContinuumSpace(dim=d, contains=contains, bounding_box=box, rho=rho,
                           ball_bbox=bbox, sup_center=(lo + hi) / 2.0)
-
-
-def ball_volume_ratio_analytic(r: float, t: float, d: int) -> float:
-    """Vol(ball r) / Vol(ball t) = (r/t)^d for a region that is itself a ball.
-    A ratio that overflows float64 is refused."""
-    _require("finite and > 0", r=r, t=t)
-    _require("a whole number >= 1", d=d)
-    if not t <= r:
-        raise DomainError(f"need 0 < t <= r, got t={t!r}, r={r!r}")
-    try:
-        if r / t < math.inf:
-            return (r / t) ** d
-    except OverflowError:
-        pass
-    raise DomainError(f"(r/t)^d overflows float64 at r={r!r}, t={t!r}, d={_shown(d)}")
 
 
 @dataclass(frozen=True)
@@ -442,20 +424,6 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
         vol_estimate=vol_est, vol_ci=vol_ci,
         ball_estimate=ball_est, ball_ci=ball_ci,
         sup_source=src, center=c)
-
-
-def continuum_fano_bound(log_ratio: float, mi: float) -> BoundResult:
-    """Volume-ratio Fano bound: P(rho(Vhat, V) >= t) >= 1 - (I + ln 2) / log_ratio.
-
-    Applies to V uniform on the region, with log_ratio =
-    ln( Vol(V) / sup_v Vol(ball(t, v) & V) ) in nats. The event uses the
-    weak inequality rho >= t. A nonpositive log-ratio makes the formula
-    inapplicable: valid=False, value 0.
-    """
-    _require("finite", "log_ratio must be finite", log_ratio=log_ratio)
-    _require(*_MI_DOMAIN, mi=mi)
-    return BoundResult(value=_fano_tail(mi, log_ratio), valid=log_ratio > 0,
-                       ingredients={"mi_bound": mi, "log_ratio": log_ratio})
 
 
 @dataclass(frozen=True)

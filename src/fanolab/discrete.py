@@ -12,9 +12,11 @@ ln N_max), _fano_conditional and _fano_tail (max(0, 1 - (I + ln 2) / L)),
 and, over leading batch axes, _neighborhood_extremes, _miss (the event
 rho(Vhat, V) > t) and _miss_tail (its probability P_t). The public
 functions here check their inputs and call them (neighborhood_sizes through
-DiscreteSpace._counts_within); so do continuum and minimax (_fano_tail) and
-the batched oracle kernels in lab (all of them). Distance matrices are
-checked by one rule, _check_symmetric.
+DiscreteSpace._counts_within); so do the volume-ratio bound and minimax
+(_fano_tail) and the batched oracle kernels in lab (all of them). Distance
+matrices are checked by one rule, _check_symmetric. The Fano cores, the
+tail forms and the sparse counts run on Python numbers; numpy loads when a
+space or an array core is first used.
 
 Conventions kept exactly as stated by the inequalities themselves:
 neighborhoods use rho <= t, the error event uses the strict rho > t, and
@@ -27,9 +29,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .info import (
     LN2,
@@ -42,6 +42,9 @@ from .info import (
     conditional_entropy,
 )
 from .results import BoundResult
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DiscreteSpace",
@@ -92,6 +95,8 @@ class DiscreteSpace:
         return self
 
     def _set_matrix(self, matrix) -> None:
+        import numpy as np
+
         m = np.array(matrix, dtype=np.float64)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
             raise DomainError("a discrete space needs a square distance matrix over "
@@ -106,6 +111,8 @@ class DiscreteSpace:
         """Integer-vector space under Hamming distance, counted from equal
         coordinates. Points are stored as int8, so entries must be integers in
         [-128, 127], and d is at most 2**24, where float32 counts stay exact."""
+        import numpy as np
+
         v = np.asarray(vectors)
         if v.ndim != 2 or v.shape[0] < 2:
             raise DomainError("need a (n, d) array with n >= 2")
@@ -128,6 +135,8 @@ class DiscreteSpace:
     @classmethod
     def zero_one(cls, k: int) -> "DiscreteSpace":
         """k labelled points under the 0-1 metric."""
+        import numpy as np
+
         _require("an integer in [2, 2**63)", k=k)
         space = cls.from_matrix(1.0 - np.eye(k))
         space.homogeneous = True  # every point sees the same distance multiset
@@ -158,17 +167,23 @@ class DiscreteSpace:
 
     @cached_property
     def _onehot(self) -> np.ndarray:
+        import numpy as np
+
         one_hot = self._vectors[:, :, None] == np.unique(self._vectors)
         return one_hot.reshape(self.n_points, -1).astype(np.float32)
 
     def _equal(self, idx: np.ndarray) -> np.ndarray:
         """Equal-coordinate counts from the indexed centers to every point."""
+        import numpy as np
+
         if idx.size == 1:  # one center is compared with every vector directly
             return np.count_nonzero(self._vectors == self._vectors[idx], axis=1)[None]
         return self._onehot[idx] @ self._onehot.T  # float32 counts are exact below 2^24
 
     def _counts_within(self, idx: np.ndarray, t: float) -> tuple[int, int]:
         """The largest and smallest card{v' : rho(v, v') <= t} over the indexed centers v."""
+        import numpy as np
+
         if self._vectors is None:
             return _neighborhood_extremes(self._matrix[idx], t)
         # Hamming distances are integers, so rho <= t exactly when more than
@@ -180,6 +195,8 @@ class DiscreteSpace:
 
     @cached_property
     def _hamming_matrix(self) -> np.ndarray:
+        import numpy as np
+
         n, d = self._vectors.shape
         _budget("distance-matrix entries", n * n, f"a distance matrix over {n} points")
         m = (d - self._equal(np.arange(n))).astype(np.float64)
@@ -195,6 +212,8 @@ class DiscreteSpace:
 def _check_symmetric(dist) -> None:
     """Refuses a distance matrix, or a stack along a leading axis, holding a NaN
     or differing from its transpose; names the first such pair (and matrix)."""
+    import numpy as np
+
     dist = np.asarray(dist, dtype=np.float64)
     nan = np.isnan(dist)
     bad = np.argwhere(nan if nan.any() else dist != np.swapaxes(dist, -1, -2))
@@ -232,6 +251,8 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
     sparse_sign_neighborhood_upper. A non-finite t, or one so small that
     every neighborhood is empty, is refused.
     """
+    import numpy as np
+
     _require("finite", t=t)
     n = space.n_points
     scan = 1 if space.homogeneous else n  # a homogeneous space needs its first center only
@@ -247,6 +268,8 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
 
 def _neighborhood_extremes(dist: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
     """The largest and smallest card{v' : rho(v, v') <= t} over the distance rows v."""
+    import numpy as np
+
     counts = (dist <= np.asarray(t, dtype=np.float64)[..., None, None]).sum(axis=-1)
     return counts.max(axis=-1), counts.min(axis=-1)
 
@@ -272,6 +295,8 @@ def sparse_sign_space(d: int, s: int) -> DiscreteSpace:
     For more than 2,000,000 points, work with
     sparse_sign_cardinality and sparse_sign_neighborhood_upper instead.
     """
+    import numpy as np
+
     card = sparse_sign_cardinality(d, s)
     _budget("sparse sign points", card, f"2^s * C(d, s) at d={_shown(d)}, s={_shown(s)}")
     out = np.zeros((card, d), dtype=np.int8)
@@ -343,11 +368,15 @@ def chain_tail(chain: MarkovChainSpec, space: DiscreteSpace, t: float) -> float:
 
 def _miss(dist: np.ndarray, t) -> np.ndarray:
     """miss[..., v, vhat] = rho(vhat, v) > t, from distance matrices and radii."""
+    import numpy as np
+
     return np.swapaxes(dist, -1, -2) > np.asarray(t, dtype=np.float64)[..., None, None]
 
 
 def _miss_tail(joint: np.ndarray, dist: np.ndarray, t) -> np.ndarray:
     """P(rho(Vhat, V) > t): joint laws P(V, Vhat) summed over _miss, clipped to [0, 1]."""
+    import numpy as np
+
     return np.clip(np.where(_miss(dist, t), joint, 0.0).sum(axis=(-2, -1)), 0.0, 1.0)
 
 

@@ -8,7 +8,9 @@ and I(V; X) are each written once, as a private core over leading batch
 axes that the public functions and lab's batched oracle kernels both call,
 so a chain gives the same bits either way. Each input rule is one check:
 _require for scalar domains, _budget for work limits and _validate_rows
-for probability rows; refusals print values through _shown.
+for probability rows; refusals print values through _shown. _require tests
+a Python int or float with plain comparisons, so the scalar paths load no
+numpy; the array functions import it when they are called.
 
 All functions are pure and all container types are immutable, so
 concurrent use needs no synchronization.
@@ -19,8 +21,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DomainError",
@@ -57,13 +61,27 @@ class EnumerationLimitError(DomainError):
 
 def _xlogx(a: np.ndarray) -> np.ndarray:
     """a * ln(a) elementwise, with 0 * ln(0) = 0."""
+    import numpy as np
+
     pos = a > 0
     return np.where(pos, a * np.log(np.where(pos, a, 1.0)), 0.0)
 
 
+# The types whose values _reals tests as one Python float, with no numpy.
+_SCALARS = (int, float)
+
+
 def _reals(test):
-    """Reals, tested elementwise in float64: an int beyond it raises OverflowError."""
-    return lambda value: test(np.asarray(value, dtype=np.float64))
+    """Reals, tested in float64: a value of _SCALARS as one float, anything else
+    elementwise as a float64 array. test holds only comparisons, which mean the
+    same on both; an int beyond float64 raises OverflowError either way."""
+    def check(value):
+        if isinstance(value, _SCALARS):
+            return test(float(value))
+        import numpy as np
+
+        return test(np.asarray(value, dtype=np.float64))
+    return check
 
 
 def _whole_at_least(lo):
@@ -83,11 +101,11 @@ def _integers(lo=-math.inf, hi=math.inf):
 # integers, bounded where they size an allocation, index or seed a stream.
 _DOMAINS = {
     "any": lambda value: True,
-    "finite": _reals(np.isfinite),
-    "finite and > 0": _reals(lambda x: np.isfinite(x) & (x > 0)),
-    "finite and >= 0": _reals(lambda x: np.isfinite(x) & (x >= 0)),
-    "finite and >= 1": _reals(lambda x: np.isfinite(x) & (x >= 1)),
-    "finite and >= 2": _reals(lambda x: np.isfinite(x) & (x >= 2)),
+    "finite": _reals(lambda x: abs(x) < math.inf),
+    "finite and > 0": _reals(lambda x: (x > 0) & (x < math.inf)),
+    "finite and >= 0": _reals(lambda x: (x >= 0) & (x < math.inf)),
+    "finite and >= 1": _reals(lambda x: (x >= 1) & (x < math.inf)),
+    "finite and >= 2": _reals(lambda x: (x >= 2) & (x < math.inf)),
     "in [0, 1]": _reals(lambda x: (x >= 0) & (x <= 1)),
     "in (0, 1)": _reals(lambda x: (x > 0) & (x < 1)),
     "a whole number >= 0": _whole_at_least(0),
@@ -127,7 +145,9 @@ def _require(domain: str, refusal: str | None = None, /, **values) -> None:
         if refusal is not None:
             raise DomainError(refusal.format(value=_shown(value, repr)))
         got = f"{name}={_shown(value, repr)}"
-        if np.ndim(ok):
+        if getattr(ok, "ndim", 0):
+            import numpy as np
+
             at = np.argwhere(~ok)[0]
             entry = np.asarray(value, dtype=np.float64)[tuple(at)].item()
             got = f"{name}={entry!r} at index {', '.join(map(str, at))}"
@@ -164,6 +184,8 @@ def _budget(work: str, amount, what: str) -> None:
 def _validate_rows(mat, name: str, ndim: int = 2) -> np.ndarray:
     """A read-only float64 copy of a nonempty ndim-d array of probability rows:
     every entry in [0, 1] (NaN is not), every row sum within PROB_SUM_TOL of 1."""
+    import numpy as np
+
     m = np.array(mat, dtype=np.float64)
     if m.ndim != ndim or m.size == 0:
         raise DomainError(f"{name} must be a nonempty {ndim}-d array")
@@ -192,6 +214,8 @@ class ProbVector:
 
     @staticmethod
     def uniform(k: int) -> "ProbVector":
+        import numpy as np
+
         _require("an integer in [1, 2**63)", k=k)
         return ProbVector(np.full(k, 1.0 / k))
 
@@ -285,17 +309,23 @@ def mutual_information_v_vhat(chain: MarkovChainSpec) -> float:
 # functions above and lab's batched kernels alike. Unchecked.
 def _joint_law(prior: np.ndarray, channel: np.ndarray, decoder: np.ndarray) -> np.ndarray:
     """P(V=v, Vhat=w) = sum_x P(v) P(x | v) P(w | x) of chains V -> X -> Vhat."""
+    import numpy as np
+
     return np.einsum("...v,...vx,...xw->...vw", prior, channel, decoder)
 
 
 def _conditional_entropy(joint: np.ndarray) -> np.ndarray:
     """H(V | Vhat) = H(V, Vhat) - H(Vhat) of joint laws P(V, Vhat), clamped at 0."""
+    import numpy as np
+
     return np.maximum(0.0, _xlogx(joint.sum(axis=-2)).sum(axis=-1)
                       - _xlogx(joint).sum(axis=(-2, -1)))
 
 
 def _mutual_information(prior: np.ndarray, channel: np.ndarray) -> np.ndarray:
     """I(V; X), the sum over P(v, x) > 0 of P(v, x) ln(P(v, x) / (P(v) P(x))), clamped at 0."""
+    import numpy as np
+
     joint = prior[..., :, None] * channel
     prod = prior[..., :, None] * joint.sum(axis=-2)[..., None, :]
     pos = joint > 0
@@ -305,6 +335,8 @@ def _mutual_information(prior: np.ndarray, channel: np.ndarray) -> np.ndarray:
 
 def kl_discrete(p: ProbVector, q: ProbVector) -> float:
     """KL(p || q) in nats; +inf when p puts mass where q has none."""
+    import numpy as np
+
     if len(p) != len(q):
         raise DomainError("distributions must share an index set")
     pp, qq = p.p, q.p
@@ -317,6 +349,8 @@ def kl_discrete(p: ProbVector, q: ProbVector) -> float:
 def kl_gaussian_shared_cov(mu1, mu2, sigma2: float) -> float:
     """KL( N(mu1, sigma2*I) || N(mu2, sigma2*I) ) = ||mu1 - mu2||^2 / (2 sigma2).
     Non-finite arguments, and a KL that overflows float64, are refused."""
+    import numpy as np
+
     _require("finite", mu1=mu1, mu2=mu2)
     _require("finite and > 0", sigma2=sigma2)
     a = np.asarray(mu1, dtype=np.float64)
@@ -344,6 +378,8 @@ def mi_pairwise_kl_bound(means, sigma2: float, n_samples: int) -> float:
     Non-finite means, a non-finite sigma2, an n_samples that is not a whole
     number, and a bound that overflows float64 are refused.
     """
+    import numpy as np
+
     _require("finite", means=means)
     _require("finite and > 0", sigma2=sigma2)
     _require("a whole number >= 1", n_samples=n_samples)
@@ -370,6 +406,8 @@ def mi_pairwise_kl_bound_discrete(rows, n_samples: int = 1) -> float:
     with pbar the mean row. It is +inf exactly when a column with pbar_k > 0 has a zero
     entry; all-zero columns drop out. An n_samples that is not a whole number, or that
     makes a finite value overflow, is refused."""
+    import numpy as np
+
     _require("a whole number >= 1", n_samples=n_samples)
     _require("finite", n_samples=n_samples)
     m = _validate_rows(rows, "rows")

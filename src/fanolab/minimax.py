@@ -11,10 +11,15 @@ the tail probability. Four concrete pipelines are packaged:
 * normal_mean_bound         -- dense Gaussian mean, volume-ratio route
 * linear_regression_bound   -- fixed-design regression, volume-ratio route
 
-Every tail value computed here, in generalized_fano_minimax and in the
-shared body of the two sparse pipelines, goes through the one formula
+The two sparse pipelines share one body, whose tail is the one formula
 max(0, 1 - (I + ln 2) / L) of discrete._fano_tail; the normal-mean and
-regression pipelines use closed forms of its integral over radii.
+regression pipelines use closed forms of its integral over radii. The
+generic reduction over a materialized family, with delta(t) found by
+enumerating index pairs, lives in the tests (tests/oracles.py) as the
+oracle of the sparse pipelines.
+
+The scalar pipelines (sparse location, normal mean) run on Python numbers
+and load no numpy; the design pipelines import it when they are called.
 
 Scale parameters that are usually only pinned up to proportionality
 (eps^2 of order log(d/s)/n) are set to the exact maximizer of the bound
@@ -27,29 +32,16 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .discrete import (
-    DiscreteSpace,
-    NeighborhoodProfile,
-    _fano_tail,
-    fano_tail_lower_bound,
-    sparse_sign_cardinality,
-    sparse_sign_neighborhood_exact,
-)
+from .discrete import _fano_tail, sparse_sign_cardinality, sparse_sign_neighborhood_exact
 from .info import LN2, DomainError, _require, _shown
 from .results import MinimaxBound
 
+if TYPE_CHECKING:
+    import numpy as np
+
 __all__ = [
-    "ParamFamily",
-    "ReductionCheck",
-    "square_loss",
-    "separation_delta",
-    "generalized_fano_minimax",
-    "reduce_estimator_to_test",
     "sparse_location_bound",
     "compressed_sensing_bound",
     "normal_mean_tail_integral",
@@ -58,115 +50,6 @@ __all__ = [
     "hinge_integral",
     "linear_regression_bound",
 ]
-
-
-def square_loss(x: float) -> float:
-    """Default loss Phi(x) = x^2 of a finite x; +inf once x^2 overflows float64."""
-    _require("finite", x=x)
-    return x * x
-
-
-@dataclass(frozen=True)
-class ParamFamily:
-    """Indexed parameter family: theta_map sends an index-space point index
-    to a parameter vector; param_metric measures distances between
-    parameters; loss is a nondecreasing Phi with Phi(0) >= 0 (spot-checked
-    on a small grid at construction).
-    """
-
-    index_space: DiscreteSpace
-    theta_map: Callable[[int], np.ndarray]
-    param_metric: Callable[[np.ndarray, np.ndarray], float]
-    loss: Callable[[float], float] = square_loss
-
-    def __post_init__(self):
-        probe = [0.0, 1e-6, 0.5, 1.0, 2.0, 5.0, 10.0]
-        vals = [self.loss(x) for x in probe]
-        if vals[0] < 0:
-            raise DomainError("loss must satisfy Phi(0) >= 0")
-        if any(b < a for a, b in zip(vals, vals[1:])):
-            raise DomainError("loss must be nondecreasing (failed a grid spot-check)")
-
-    def thetas(self) -> list[np.ndarray]:
-        return [np.asarray(self.theta_map(i), dtype=np.float64)
-                for i in range(self.index_space.n_points)]
-
-
-def separation_delta(family: ParamFamily, t: float) -> float:
-    """Largest delta with rho(theta_v, theta_w) >= delta whenever the index
-    distance exceeds t; equivalently the min parameter distance over index
-    pairs with rho_index(v, w) > t (strict), +inf when no pair qualifies.
-    A non-finite t is refused.
-    """
-    _require("finite", t=t)
-    far_i, far_j = np.nonzero(np.triu(family.index_space.distance_matrix() > t, 1))
-    thetas = family.thetas()
-    return min((float(family.param_metric(thetas[i], thetas[j]))
-                for i, j in zip(far_i.tolist(), far_j.tolist())), default=math.inf)
-
-
-def generalized_fano_minimax(family: ParamFamily, t: float, mi: float, card: int,
-                             profile: NeighborhoodProfile) -> MinimaxBound:
-    """Risk bound Phi(delta(t)/2) * max(0, 1 - (I + ln 2) / ln(card / N_max)).
-
-    With t = 0 and the 0-1 index metric this is the classical Fano minimax
-    bound with packing number card. Validity (the tail bound's side
-    condition) propagates; an invalid or zero tail yields value 0 without
-    evaluating Phi at a possibly infinite separation.
-    """
-    tail = fano_tail_lower_bound(card, profile, mi)
-    delta = separation_delta(family, t)
-    if tail.value > 0:
-        if delta == math.inf:
-            raise DomainError(f"no index pair is farther apart than t={t!r}, yet the "
-                              "tail bound is positive")
-        value = family.loss(delta / 2.0) * tail.value
-    else:
-        value = 0.0
-    return MinimaxBound(value=value, pipeline="generalized-fano", t=t, eps=None,
-                        mi_bound=mi, log_ratio=tail.ingredients["log_ratio"],
-                        valid=tail.valid,
-                        extras={"delta": delta, "tail_bound": tail.value,
-                                "card": card, "n_max": profile.n_max,
-                                "n_min": profile.n_min})
-
-
-@dataclass(frozen=True)
-class ReductionCheck:
-    """Outcome of decoding an estimate back to the index set.
-
-    decoded is argmin_v rho(theta_v, theta_hat) with lowest-index
-    tie-breaking. When the premise rho(theta_hat, theta_true) < delta(t)/2
-    holds (strictly), the decoder is guaranteed to land within index
-    distance t of the truth; `holds` records that conclusion, and is None
-    when the premise fails (nothing is asserted at or beyond the boundary).
-    delta is separation_delta(family, t), +inf when no pair is farther than t.
-    """
-
-    decoded: int
-    premise: bool
-    conclusion: bool
-    delta: float
-
-    @property
-    def holds(self) -> bool | None:
-        return self.conclusion if self.premise else None
-
-
-def reduce_estimator_to_test(family: ParamFamily, t: float, theta_hat,
-                             true_index: int) -> ReductionCheck:
-    """Decode theta_hat to its nearest family member and check the
-    estimation-to-testing implication at radius t."""
-    family.index_space._require_points(true_index=true_index)
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    thetas = family.thetas()
-    dists = np.array([family.param_metric(th, theta_hat) for th in thetas])
-    decoded = int(np.argmin(dists))  # argmin takes the lowest index on ties
-    delta = separation_delta(family, t)
-    premise = float(family.param_metric(thetas[true_index], theta_hat)) < delta / 2.0
-    conclusion = family.index_space.rho_index(decoded, true_index) <= t
-    return ReductionCheck(decoded=decoded, premise=premise, conclusion=conclusion,
-                          delta=delta)
 
 
 def _sparse_log_ratio(d: int, s: int, t: int) -> tuple[float, dict]:
@@ -248,6 +131,8 @@ def _design(X, full_rank: bool = False) -> tuple[np.ndarray, float]:
     """(X as a float64 matrix, ||X||_F^2) of a design: nonempty, with finite entries,
     a finite nonzero norm (0 once subnormal entries underflow) and, if full_rank, full
     column rank. The one design rule of the bound pipelines and the OLS experiment."""
+    import numpy as np
+
     try:
         X = np.asarray(X)
         # a complex design is not real: the cast would drop its imaginary part
@@ -284,12 +169,19 @@ def compressed_sensing_bound(X, s: int, sigma2: float) -> MinimaxBound:
     if not (1 <= s and 2 * s <= d):
         raise DomainError(f"need 1 <= s <= d/2; got s={_shown(s)}, d={d}")
     _require("finite and > 0", sigma2=sigma2)
-    degenerate = bool(np.any(np.all(X == 0.0, axis=0)))
+    degenerate = bool((X == 0.0).all(axis=0).any())
     return _sparse_bound("compressed-sensing", d, s, sigma2,
                          mi_coeff=s * fro2 / (d * sigma2),
                          rate=s * d * math.log(d / s) / fro2, valid=not degenerate,
                          extras={"degenerate_design": degenerate, "fro2": fro2,
                                  "d": d, "s": s, "sigma2": sigma2})
+
+
+# Below this a = 2 (d - 1) ln2 / n the tail integral sums the series of
+# expm1(a) - a, which the difference itself loses to cancellation (a relative
+# error of about 4.4e-16 / a). The series' truncation error is below 1e-18
+# there, and the difference's is below 5e-13 above it.
+_SERIES_CUTOFF = 1e-3
 
 
 def normal_mean_tail_integral(d: int, n: int) -> float:
@@ -303,8 +195,10 @@ def normal_mean_tail_integral(d: int, n: int) -> float:
     _require("finite", d=d, n=n)
     try:
         a = 2.0 * (d - 1) * LN2 / n
-        # expm1 keeps the small-a cancellation at the ulp level
-        value = n / (2.0 * d * LN2) * (math.expm1(a) - a)
+        # a^2/2 (1 + a/3 + a^2/12 + a^3/60 + a^4/360), the series of expm1(a) - a
+        excess = (a * a / 2.0 * (1.0 + a * (1 / 3 + a * (1 / 12 + a * (1 / 60 + a / 360))))
+                  if a < _SERIES_CUTOFF else math.expm1(a) - a)
+        value = n / (2.0 * d * LN2) * excess
     except OverflowError:
         value = math.nan
     if not math.isfinite(value):
@@ -395,6 +289,8 @@ def linear_regression_bound(X, sigma2: float) -> MinimaxBound:
     (1/12) * (1/gamma_max^2) * d sigma2 / n, whose constant needs d >= 9:
     below that the exact expression is returned and flagged.
     """
+    import numpy as np
+
     _require("finite and > 0", sigma2=sigma2)
     X, fro2 = _design(X, full_rank=True)
     n_rows, d = X.shape

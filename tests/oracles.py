@@ -1,6 +1,8 @@
 """Brute-force references for the tests: random chains and spaces, the
 exhaustive decoder minimum that the Fano tail bounds are audited against,
-and QUADPACK quadrature of the normal-mean tail integral.
+QUADPACK quadrature of the normal-mean tail integral, and the generic
+estimation-to-testing reduction over a materialized parameter family,
+which the sparse pipelines are checked against.
 
 No library path calls these. Each random instance is drawn from its own
 stream (streams.stream, SFC64 seeded by SeedSequence), keyed by (seed,
@@ -12,12 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import integrate
 
-from fanolab.discrete import DiscreteSpace
+from fanolab.discrete import DiscreteSpace, NeighborhoodProfile, fano_tail_lower_bound
 from fanolab.info import LN2, DomainError, MarkovChainSpec, ProbVector, _budget, _require
+from fanolab.results import MinimaxBound
 from fanolab.streams import stream
 
 CHAIN_STREAM = 5 << 40
@@ -98,3 +103,115 @@ def quadpack_tail_integral(d: int, n: int) -> float:
     edges = np.append(edges[edges <= root], root)
     return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
                for a, b in zip(edges[:-1], edges[1:]) if b > a)
+
+
+# -- the generic reduction -----------------------------------------------------
+
+
+def square_loss(x: float) -> float:
+    """Default loss Phi(x) = x^2 of a finite x; +inf once x^2 overflows float64."""
+    _require("finite", x=x)
+    return x * x
+
+
+@dataclass(frozen=True)
+class ParamFamily:
+    """Indexed parameter family: theta_map sends an index-space point index
+    to a parameter vector; param_metric measures distances between
+    parameters; loss is a nondecreasing Phi with Phi(0) >= 0 (spot-checked
+    on a small grid at construction).
+    """
+
+    index_space: DiscreteSpace
+    theta_map: Callable[[int], np.ndarray]
+    param_metric: Callable[[np.ndarray, np.ndarray], float]
+    loss: Callable[[float], float] = square_loss
+
+    def __post_init__(self):
+        probe = [0.0, 1e-6, 0.5, 1.0, 2.0, 5.0, 10.0]
+        vals = [self.loss(x) for x in probe]
+        if vals[0] < 0:
+            raise DomainError("loss must satisfy Phi(0) >= 0")
+        if any(b < a for a, b in zip(vals, vals[1:])):
+            raise DomainError("loss must be nondecreasing (failed a grid spot-check)")
+
+    def thetas(self) -> list[np.ndarray]:
+        return [np.asarray(self.theta_map(i), dtype=np.float64)
+                for i in range(self.index_space.n_points)]
+
+
+def separation_delta(family: ParamFamily, t: float) -> float:
+    """Largest delta with rho(theta_v, theta_w) >= delta whenever the index
+    distance exceeds t; equivalently the min parameter distance over index
+    pairs with rho_index(v, w) > t (strict), +inf when no pair qualifies.
+    A non-finite t is refused.
+    """
+    _require("finite", t=t)
+    far_i, far_j = np.nonzero(np.triu(family.index_space.distance_matrix() > t, 1))
+    thetas = family.thetas()
+    return min((float(family.param_metric(thetas[i], thetas[j]))
+                for i, j in zip(far_i.tolist(), far_j.tolist())), default=math.inf)
+
+
+def generalized_fano_minimax(family: ParamFamily, t: float, mi: float, card: int,
+                             profile: NeighborhoodProfile) -> MinimaxBound:
+    """Risk bound Phi(delta(t)/2) * max(0, 1 - (I + ln 2) / ln(card / N_max)).
+
+    With t = 0 and the 0-1 index metric this is the classical Fano minimax
+    bound with packing number card. Validity (the tail bound's side
+    condition) propagates; an invalid or zero tail yields value 0 without
+    evaluating Phi at a possibly infinite separation.
+    """
+    tail = fano_tail_lower_bound(card, profile, mi)
+    delta = separation_delta(family, t)
+    if tail.value > 0:
+        if delta == math.inf:
+            raise DomainError(f"no index pair is farther apart than t={t!r}, yet the "
+                              "tail bound is positive")
+        value = family.loss(delta / 2.0) * tail.value
+    else:
+        value = 0.0
+    return MinimaxBound(value=value, pipeline="generalized-fano", t=t, eps=None,
+                        mi_bound=mi, log_ratio=tail.ingredients["log_ratio"],
+                        valid=tail.valid,
+                        extras={"delta": delta, "tail_bound": tail.value,
+                                "card": card, "n_max": profile.n_max,
+                                "n_min": profile.n_min})
+
+
+@dataclass(frozen=True)
+class ReductionCheck:
+    """Outcome of decoding an estimate back to the index set.
+
+    decoded is argmin_v rho(theta_v, theta_hat) with lowest-index
+    tie-breaking. When the premise rho(theta_hat, theta_true) < delta(t)/2
+    holds (strictly), the decoder is guaranteed to land within index
+    distance t of the truth; `holds` records that conclusion, and is None
+    when the premise fails (nothing is asserted at or beyond the boundary).
+    delta is separation_delta(family, t), +inf when no pair is farther than t.
+    """
+
+    decoded: int
+    premise: bool
+    conclusion: bool
+    delta: float
+
+    @property
+    def holds(self) -> bool | None:
+        return self.conclusion if self.premise else None
+
+
+def reduce_estimator_to_test(family: ParamFamily, t: float, theta_hat,
+                             true_index: int) -> ReductionCheck:
+    """Decode theta_hat to its nearest family member and check the
+    estimation-to-testing implication at radius t."""
+    family.index_space._require_points(true_index=true_index)
+    theta_hat = np.asarray(theta_hat, dtype=np.float64)
+    thetas = family.thetas()
+    dists = np.array([family.param_metric(th, theta_hat) for th in thetas])
+    decoded = int(np.argmin(dists))  # argmin takes the lowest index on ties
+    delta = separation_delta(family, t)
+    premise = float(family.param_metric(thetas[true_index], theta_hat)) < delta / 2.0
+    conclusion = family.index_space.rho_index(decoded, true_index) <= t
+    return ReductionCheck(decoded=decoded, premise=premise, conclusion=conclusion,
+                          delta=delta)

@@ -236,8 +236,8 @@ def test_table_with_risk_builds_each_design_once(tmp_path, monkeypatch, capsys):
     path.write_text("\n".join(",".join(str(3.0 * (i == j)) for j in range(3))
                               for i in range(3)) + "\n")
     reads = []
-    loadtxt = cli.np.loadtxt
-    monkeypatch.setattr(cli.np, "loadtxt", lambda *a, **k: reads.append(a) or loadtxt(*a, **k))
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: reads.append(a) or loadtxt(*a, **k))
     assert run(["table", "regression", "--sweep", "sigma2=1,2", "--d", "3", "--n", "3",
                 "--design", str(path), "--with-risk", "200", "--seed", "3"]) == 0
     assert len(reads) == 2

@@ -31,7 +31,6 @@ from fanolab import (
     ExperimentConfig,
     MarkovChainSpec,
     NeighborhoodProfile,
-    ParamFamily,
     ProbVector,
     continuum,
     discrete,
@@ -54,7 +53,6 @@ REFUSALS = (DomainError, EnumerationLimitError, EstimationError)
 _Z2, _Z3 = DiscreteSpace.zero_one(2), DiscreteSpace.zero_one(3)
 _CHAIN = MarkovChainSpec(ProbVector.uniform(3), np.full((3, 2), 0.5), np.full((2, 3), 1 / 3))
 _PROFILE = NeighborhoodProfile(1.0, 2, 2)
-_FAMILY = ParamFamily(_Z3, lambda i: np.eye(3)[i], lambda a, b: float(np.linalg.norm(a - b)))
 _DISK = l2_ball_space(2, 1.0)
 _BOUND = normal_mean_bound(4, 1.0, 10)
 _GROUP = next(prop1_groups(1, 4))
@@ -99,13 +97,6 @@ CASES = {
     "continuum_fano_bound": _case(fanolab.continuum_fano_bound, log_ratio=2.0, mi=0.0),
     "grid_partition_counts": _case(fanolab.grid_partition_counts, _DISK, t=0.5, level=2,
                                    seed=1, centers=1),
-    "square_loss": _case(fanolab.square_loss, x=1.0, inf_ok=True),
-    "separation_delta": _case(fanolab.separation_delta, _FAMILY, t=0.5, inf_ok=True),
-    "generalized_fano_minimax": _case(fanolab.generalized_fano_minimax, _FAMILY, t=0.5,
-                                      mi=0.0, card=3, profile=NeighborhoodProfile(0.5, 1, 1)),
-    # delta is separation_delta's, +inf when no index pair is farther apart than t
-    "reduce_estimator_to_test": _case(fanolab.reduce_estimator_to_test, _FAMILY, t=0.5,
-                                      theta_hat=[1.0, 0.0, 0.0], true_index=0, inf_ok=True),
     "sparse_location_bound": _case(fanolab.sparse_location_bound, d=8, s=2, sigma2=1.0, n=5),
     "compressed_sensing_bound": _case(fanolab.compressed_sensing_bound, 3.0 * np.eye(8),
                                       s=2, sigma2=1.0),
@@ -133,7 +124,7 @@ CASES = {
                           mi_bound=0.2, log_ratio=2.0),
 }
 # Records the library returns: built from checked values, they check nothing.
-RECORDS = {"VolumeRatioEstimate", "ReductionCheck", "TailEstimate", "RiskReport", "BoundAudit"}
+RECORDS = {"VolumeRatioEstimate", "TailEstimate", "RiskReport", "BoundAudit"}
 # Constructors reached through a class rather than by name in __all__.
 EXTRA = {
     "ProbVector.uniform": _case(ProbVector.uniform, k=3),

@@ -1,12 +1,15 @@
 """Exact information quantities against brute-force enumeration oracles."""
 
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fanolab import info
 from fanolab.info import (
     DomainError,
     MarkovChainSpec,
@@ -421,6 +424,36 @@ def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     outside [0, n) (rho_index(-1, 0) wrapped to the last point)."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
+
+
+# The values both routes of a real domain must agree on: Python, numpy and
+# other real types, signed zeros and infinities, NaN, the largest finite
+# float, and an int past float64, which each route refuses as too large.
+ROUTE_VALUES = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, 2**1024, True,
+                np.float64(0.5), np.int64(3), Fraction(3, 2), Decimal("0.25"))
+REAL_DOMAINS = [name for name, test in info._DOMAINS.items()
+                if test.__qualname__.startswith("_reals")]
+
+
+def _outcome(domain, value):
+    try:
+        info._require(domain, x=value)
+    except DomainError as exc:
+        return str(exc)
+    return "ok"
+
+
+@pytest.mark.parametrize("domain", REAL_DOMAINS)
+def test_scalar_and_array_routes_of_a_real_domain_agree(domain, monkeypatch):
+    """_require tests a Python int or float with plain comparisons and any
+    other value through numpy; forced onto either route, every value gets the
+    same verdict and the same refusal."""
+    monkeypatch.setattr(info, "_SCALARS", (object,))
+    scalar = [_outcome(domain, v) for v in ROUTE_VALUES]
+    monkeypatch.setattr(info, "_SCALARS", ())
+    array = [_outcome(domain, v) for v in ROUTE_VALUES]
+    assert scalar == array
+    assert scalar[ROUTE_VALUES.index(2**1024)] == "x is too large for float64"
 
 
 def test_integer_too_large_for_float64_is_not_called_infinite():

@@ -1,8 +1,10 @@
-"""Separation, reduction, and the four bound pipelines."""
+"""The four bound pipelines, and the generic reduction of tests/oracles.py
+that the sparse pipelines are checked against."""
 
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -11,19 +13,21 @@ from fanolab.discrete import DiscreteSpace, neighborhood_sizes, sparse_sign_spac
 from fanolab.info import DomainError, mi_pairwise_kl_bound
 from fanolab.lab import ExperimentConfig
 from fanolab.minimax import (
-    ParamFamily,
     compressed_sensing_bound,
-    generalized_fano_minimax,
     hinge_integral,
     linear_regression_bound,
     normal_mean_bound,
     normal_mean_tail_integral,
     normal_mean_tail_integral_floor,
-    reduce_estimator_to_test,
-    separation_delta,
     sparse_location_bound,
 )
-from oracles import quadpack_tail_integral
+from oracles import (
+    ParamFamily,
+    generalized_fano_minimax,
+    quadpack_tail_integral,
+    reduce_estimator_to_test,
+    separation_delta,
+)
 
 LN2 = math.log(2.0)
 
@@ -122,6 +126,30 @@ def test_generalized_vacuous_tail_with_infinite_delta():
     got = generalized_fano_minimax(fam, 10.0, 0.0, 4, prof)
     assert got.value == 0.0
     assert not got.valid
+
+
+# Every sparse family with d <= 9 whose pairwise separation the oracle finds in
+# about a second; the largest, (8, 4), is the smallest with t = floor(s/4) = 1.
+ORACLE_FAMILIES = [(d, s) for d in range(2, 10) for s in range(1, d // 2 + 1)
+                   if 2**s * math.comb(d, s) <= 1120]
+
+
+def test_sparse_pipeline_is_below_the_generic_reduction():
+    """sparse_location_bound never exceeds the generic reduction on the family
+    it describes, theta_v = eps v with its own eps, I and t. The two share the
+    tail, so their ratio is the ratio of the separations the pipeline and the
+    family pay: max(t, 1) eps^2 against delta^2."""
+    for k, (d, s) in enumerate(ORACLE_FAMILIES):
+        n = (3, 10, 50, 200)[k % 4]
+        res = sparse_location_bound(d, s, 1.0, n)
+        fam = sparse_family(d, s, res.eps)
+        card = fam.index_space.n_points
+        generic = generalized_fano_minimax(fam, res.t, res.mi_bound, card,
+                                           neighborhood_sizes(fam.index_space, res.t))
+        assert generic.valid and res.value <= generic.value, (d, s, n)
+        delta = generic.extras["delta"]
+        assert res.value / generic.value == pytest.approx(
+            max(res.t, 1) * res.eps**2 / delta**2, rel=1e-12), (d, s, n)
 
 
 # -- estimation-to-testing reduction ------------------------------------------------
@@ -447,6 +475,24 @@ def test_tail_integral_matches_quadrature(d, n):
     closed = normal_mean_tail_integral(d, n)
     quad = quadpack_tail_integral(d, n)
     assert abs(closed - quad) <= 1e-8 * max(1.0, abs(closed))
+
+
+def _mp_tail_integral(d, n):
+    """normal_mean_tail_integral at 50 digits."""
+    with mp.workdps(50):
+        a = 2 * (d - 1) * mp.log(2) / n
+        return n / (2 * d * mp.log(2)) * (mp.expm1(a) - a)
+
+
+# the four pairs where expm1(a) - a cancelled, and a log-spaced grid of n
+TAIL_ACCURACY_PAIRS = [(2, 10**5), (2, 10**7), (2, 10**9), (3, 10**12)] + [
+    (d, round(10 ** (k / 8))) for d in (2, 3, 17, 64) for k in range(0, 97)]
+
+
+def test_tail_integral_within_1e_12_of_mpmath():
+    for d, n in TAIL_ACCURACY_PAIRS:
+        want = _mp_tail_integral(d, n)
+        assert abs(normal_mean_tail_integral(d, n) - want) <= 1e-12 * want, (d, n)
 
 
 def test_tail_integral_floor_holds_on_grid():

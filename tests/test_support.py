@@ -186,27 +186,90 @@ assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules
 """)
 
 
+# The commands whose bound is a closed form on Python numbers, and the two whose
+# pipeline takes a design matrix.
+SCALAR_COMMANDS = [
+    ["bound", "normal-mean", "--d", "10", "--n", "100"],
+    ["bound", "sparse-location", "--d", "32", "--s", "4", "--n", "200"],
+    ["bound", "discrete-tail", "--card", "6", "--n-max", "2", "--n-min", "2", "--t", "1",
+     "--mi", "0"],
+    ["bound", "continuum-tail", "--r", "2", "--t", "1", "--d", "2", "--mi", "0"],
+    ["table", "sparse-location", "--sweep", "d=16,32,64", "--s", "4", "--n", "200"],
+]
+DESIGN_COMMANDS = [
+    ["bound", "compressed-sensing", "--d", "32", "--s", "4", "--n", "20", "--design", "gaussian"],
+    ["bound", "regression", "--d", "9", "--n", "9", "--design", "identity"],
+]
+
+
 def test_bound_runs_load_no_scipy(tmp_path):
     """No bound pipeline calls scipy, so a bound run, its manifest included,
-    loads no scipy module, and the manifest records no scipy version."""
+    loads no scipy module. Each manifest records the versions of what the run
+    had loaded: fanolab alone after the scalar bounds, and numpy too once a
+    design pipeline has run."""
+    bounds = [argv[1:] for argv in SCALAR_COMMANDS + DESIGN_COMMANDS if argv[0] == "bound"]
     _run_fresh(f"""
 import json, pathlib, sys
 from fanolab import cli
 out = pathlib.Path({str(tmp_path)!r})
-for argv in (["normal-mean", "--d", "10", "--n", "100"],
-             ["sparse-location", "--d", "32", "--s", "4", "--n", "200"],
-             ["compressed-sensing", "--d", "32", "--s", "4", "--n", "20",
-              "--design", "gaussian"],
-             ["regression", "--d", "9", "--n", "9", "--design", "identity"],
-             ["discrete-tail", "--card", "6", "--n-max", "2", "--n-min", "2", "--t", "1",
-              "--mi", "0"],
-             ["continuum-tail", "--r", "2", "--t", "1", "--d", "2", "--mi", "0"]):
+for argv in {bounds!r}:
     assert cli.main(["bound", *argv, "--out-dir", str(out)]) == 0, argv
 assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
-manifests = list(out.glob("manifest-*.json"))
+manifests = [json.loads(m.read_text()) for m in out.glob("manifest-*.json")]
 assert len(manifests) == 6
 for m in manifests:
-    assert sorted(json.loads(m.read_text())["versions"]) == ["fanolab", "numpy"], m
+    design = m["problem"] in ("compressed-sensing", "regression")
+    assert sorted(m["versions"]) == ["fanolab", "numpy"] if design else ["fanolab"], m
+""")
+
+
+def test_import_and_scalar_commands_load_no_numpy(tmp_path):
+    """import fanolab, import fanolab.cli and the five scalar commands leave
+    numpy unloaded."""
+    _run_fresh(f"""
+import sys
+import fanolab
+assert "numpy" not in sys.modules
+from fanolab import cli
+assert "numpy" not in sys.modules
+for argv in {SCALAR_COMMANDS!r}:
+    out = ["--out-dir", {str(tmp_path)!r}] if argv[0] == "bound" \
+        else ["--out", {str(tmp_path / "table.csv")!r}]
+    assert cli.main(argv + out) == 0, argv
+    assert "numpy" not in sys.modules, argv
+""")
+
+
+@pytest.mark.parametrize("argv", DESIGN_COMMANDS, ids=lambda argv: argv[1])
+def test_design_commands_load_numpy(argv, tmp_path):
+    _run_fresh(f"""
+import sys
+from fanolab import cli
+assert "numpy" not in sys.modules
+assert cli.main({argv!r} + ["--out-dir", {str(tmp_path)!r}]) == 0
+assert "numpy" in sys.modules
+""")
+
+
+def test_package_attributes_load_on_first_use():
+    """Each name of __all__ is the object its module exports, dir() lists
+    them all, and an unknown name is refused by name."""
+    for module in fanolab._MODULES:
+        mod = getattr(fanolab, module)
+        for name in mod.__all__:
+            assert getattr(fanolab, name) is getattr(mod, name), name
+    assert set(fanolab.__all__) <= set(dir(fanolab))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        fanolab.no_such_name
+
+
+def test_star_import_in_a_fresh_process():
+    _run_fresh("""
+from fanolab import *
+import fanolab
+names = dict(globals())
+assert all(names[n] is getattr(fanolab, n) for n in fanolab.__all__)
+assert "normal_mean_bound" in names and "mc_volume_ratio" in names
 """)
 
 
