@@ -14,10 +14,11 @@ fanolab._volume, which loads no numpy, and exported from here.
 Two deliberate approximations, both reported rather than hidden:
 
 * The supremum over centers of Vol(ball(t, v) & V) is uncomputable in
-  general. It is approximated by sampled centers plus an optional
-  user-declared analytic maximizer; results record which produced the
-  value. Under-estimating the sup over-states the bound, so nothing in
-  this package feeds a sampled-only sup into a reported bound.
+  general. mc_volume_ratio takes it at the space's declared maximizer
+  sup_center and refuses a space that declares none: a sampled center can
+  only under-estimate the sup, which over-states the ratio and the bound.
+  Only the grid partition probes sampled centers, where a probe's count
+  is exact and so can only raise the maximum toward the sup.
 * Grid-cell occupancy ("intersection of nonzero volume") is decided by a
   fixed 4^d sub-grid per cell plus the cell center, all strictly
   interior, so measure-zero touchings do not count. The centers are
@@ -51,7 +52,7 @@ import numpy as np
 from ._volume import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
 from .info import DomainError, _budget, _require, _shown
 from .stats import clopper_pearson
-from .streams import BALL_STREAM, CENTER_STREAM, GRID_STREAM, VOLUME_STREAM, stream
+from .streams import BALL_STREAM, GRID_STREAM, VOLUME_STREAM, stream
 
 __all__ = [
     "EstimationError",
@@ -96,8 +97,9 @@ class ContinuumSpace:
     write into the array they get. ball_bbox, when given, returns an
     axis-aligned box certain to contain {v' : rho(c, v') <= t}; it only
     tightens sampling, never changes semantics. sup_center is a declared
-    analytic maximizer of Vol(ball(t, v) & V) over v. The volume of the
-    region is always estimated, never declared.
+    analytic maximizer of Vol(ball(t, v) & V) over v: mc_volume_ratio
+    needs it, and grid_partition_counts probes it next to its sampled
+    centers. The volume of the region is always estimated, never declared.
 
     contains and rho must be row-wise: output row i depends only on input
     row i, never on the other rows or on how many there are. The grid
@@ -243,10 +245,9 @@ def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
 class VolumeRatioEstimate:
     """Monte Carlo estimate of Vol(V) / sup_v Vol(ball(t, v) & V).
 
-    ci combines one-sided Clopper-Pearson intervals of the two hit counts
+    The sup is the ball at the space's declared sup_center. ci combines
+    one-sided Clopper-Pearson intervals of the two hit counts
     conservatively; joint coverage is at least the requested confidence.
-    A sampled-only sup is biased low (hence the ratio biased high):
-    sup_source records whether a declared maximizer took part.
     """
 
     ratio: float
@@ -255,8 +256,6 @@ class VolumeRatioEstimate:
     vol_ci: tuple[float, float]
     ball_estimate: float
     ball_ci: tuple[float, float]
-    sup_source: str
-    center: np.ndarray
 
     def log_ratio(self) -> float:
         return math.log(self.ratio)
@@ -343,87 +342,76 @@ def _in_ball(space: ContinuumSpace, c: np.ndarray, t: float):
     return in_ball
 
 
-def mc_volume_ratio(space: ContinuumSpace, t: float, *, centers: int = 16,
-                    points: int = 100_000, seed: int = 0) -> VolumeRatioEstimate:
+def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
+                    seed: int = 0) -> VolumeRatioEstimate:
     """Estimate Vol(V) and sup_v Vol(ball(t, v) & V) by rejection sampling.
 
-    Vol(V) uses `points` draws in the bounding box. Each candidate center
-    (the declared maximizer, if any, plus `centers` rejection-sampled
-    ones) gets its own `points` draws inside the tightest box known to
-    contain its ball. The draws come in chunks of VOLUME_CHUNK points,
-    each from the stream keyed by (seed, chunk), and the chunks run on
-    worker threads; the result is bit-identical whatever the number of
-    workers or the order in which the chunks run.
+    Vol(V) uses `points` draws in the bounding box, and the ball around the
+    space's declared sup_center `points` draws inside the tightest box known
+    to contain it. A space that declares no sup_center is refused. The draws
+    come in chunks of VOLUME_CHUNK points, each from the stream keyed by
+    (seed, chunk), and the chunks run on worker threads; the result is
+    bit-identical whatever the number of workers or the order in which the
+    chunks run.
     """
     _require("finite and > 0", t=t)
-    _require("an integer in [0, 2**63)", centers=centers)
     _require("an integer in [1, 2**63)", points=points)
-    # the region and every candidate: at most the declared one plus `centers`
-    _budget("sampled points", (2 + centers) * points, "(2 + centers) * points")
+    _budget("sampled points", 2 * points, "2 * points")  # the region and the ball
+    if space.sup_center is None:
+        raise DomainError("mc_volume_ratio needs the space's declared maximizer sup_center; "
+                          "a sampled center would understate the sup and overstate the ratio")
     with np.errstate(over="ignore"):
         box_vol = space.box_volume()
     if not 0 < box_vol < math.inf:
         raise DomainError(f"the volume {box_vol!r} of space's bounding box is out of range")
     per_count_conf = 1.0 - (1.0 - _CONFIDENCE) / 2.0  # two counts share the miss budget
 
-    cand = _probe_centers(space, centers, seed, CENTER_STREAM)
-
     def in_region(u):
         return np.asarray(space.contains(u), dtype=bool)
 
-    # counts[0] is the region; the others are the candidate balls whose box
-    # meets the bounding box, as (box, predicate, candidate).
-    counts = [(space.bounding_box, in_region, None)]
-    for j, (c, _) in enumerate(cand):
-        box = space.bounding_box
-        if space.ball_bbox is not None:
-            box = _intersect_boxes(box, np.asarray(space.ball_bbox(c, t), dtype=np.float64))
-        if box is None:
-            continue
-        counts.append((box, _in_ball(space, c, t), j))
+    ball_box = space.bounding_box
+    if space.ball_bbox is not None:
+        ball_box = _intersect_boxes(
+            ball_box, np.asarray(space.ball_bbox(space.sup_center, t), dtype=np.float64))
+    if ball_box is None:
+        raise EstimationError("the declared ball misses the bounding box; cannot estimate the sup")
 
+    # (count, box, predicate, stream base): the region, then the ball
+    counts = [(space.bounding_box, in_region, VOLUME_STREAM),
+              (ball_box, _in_ball(space, space.sup_center, t), BALL_STREAM)]
     sizes = [min(VOLUME_CHUNK, points - done) for done in range(0, points, VOLUME_CHUNK)]
-    jobs = []
-    for k, (box, predicate, j) in enumerate(counts):
-        base = VOLUME_STREAM if j is None else BALL_STREAM + (j << 20)
-        jobs.extend((k, box, predicate, stream(seed, base + i), take)
-                    for i, take in enumerate(sizes))
+    jobs = [(k, box, predicate, stream(seed, base + i), take)
+            for k, (box, predicate, base) in enumerate(counts)
+            for i, take in enumerate(sizes)]
 
     def run(n):
         _, box, predicate, g, take = jobs[n]
         return int(np.count_nonzero(predicate(_sample_box(g, take, box))))
 
-    hits = [0] * len(counts)
+    hits = [0, 0]
     for (k, *_), h in zip(jobs, _map(run, len(jobs))):
         hits[k] += h
+    vol_hits, ball_hits = hits
 
-    vol_hits = hits[0]
     if vol_hits == 0:
         raise EstimationError("no draw landed in the region; cannot estimate its volume")
     v_lo, v_hi = clopper_pearson(vol_hits, points, per_count_conf)
     vol_est = vol_hits / points * box_vol
     vol_ci = (v_lo * box_vol, v_hi * box_vol)
 
-    best = None
-    for (box, _, j), n_hit in zip(counts[1:], hits[1:]):
-        sub_vol = float(np.prod(box[1] - box[0]))
-        est = n_hit / points * sub_vol
-        if best is None or est > best[0]:
-            b_lo, b_hi = clopper_pearson(n_hit, points, per_count_conf)
-            c, src = cand[j]
-            best = (est, (b_lo * sub_vol, b_hi * sub_vol), src, c, n_hit)
-
-    if best is None or best[4] == 0:
-        raise EstimationError("no draw landed in any candidate ball; cannot estimate the sup")
-    ball_est, ball_ci, src, c, _ = best
+    if ball_hits == 0:
+        raise EstimationError("no draw landed in the declared ball; cannot estimate the sup")
+    sub_vol = float(np.prod(ball_box[1] - ball_box[0]))
+    b_lo, b_hi = clopper_pearson(ball_hits, points, per_count_conf)
+    ball_est = ball_hits / points * sub_vol
+    ball_ci = (b_lo * sub_vol, b_hi * sub_vol)
     if ball_ci[0] == 0.0:
         raise DomainError(f"t={t!r} is too small: the volume of its ball underflows float64")
     return VolumeRatioEstimate(
         ratio=vol_est / ball_est,
         ci=(vol_ci[0] / ball_ci[1], vol_ci[1] / ball_ci[0]),
         vol_estimate=vol_est, vol_ci=vol_ci,
-        ball_estimate=ball_est, ball_ci=ball_ci,
-        sup_source=src, center=c)
+        ball_estimate=ball_est, ball_ci=ball_ci)
 
 
 @dataclass(frozen=True)

@@ -195,10 +195,14 @@ def normal_mean_tail_integral(d: int, n: int) -> float:
     _require("finite", d=d, n=n)
     try:
         a = 2.0 * (d - 1) * LN2 / n
-        # a^2/2 (1 + a/3 + a^2/12 + a^3/60 + a^4/360), the series of expm1(a) - a
-        excess = (a * a / 2.0 * (1.0 + a * (1 / 3 + a * (1 / 12 + a * (1 / 60 + a / 360))))
-                  if a < _SERIES_CUTOFF else math.expm1(a) - a)
-        value = n / (2.0 * d * LN2) * excess
+        if a < _SERIES_CUTOFF:
+            # n / (2 d ln2) * a^2/2 is exactly the floor, and the series of
+            # expm1(a) - a is a^2/2 (1 + a/3 + a^2/12 + a^3/60 + a^4/360): the
+            # floor's own float times a factor >= 1 never rounds below it
+            value = normal_mean_tail_integral_floor(d, n) * (
+                1.0 + a * (1 / 3 + a * (1 / 12 + a * (1 / 60 + a / 360))))
+        else:
+            value = n / (2.0 * d * LN2) * (math.expm1(a) - a)
     except OverflowError:
         value = math.nan
     if not math.isfinite(value):

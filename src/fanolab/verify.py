@@ -155,8 +155,7 @@ def volume(seed: int, fault: bool, seeds: int, points: int) -> list[Check]:
         fails = 0
         d_rel = 0.0
         for k in range(seeds):
-            est = continuum.mc_volume_ratio(space, 0.5, centers=0, points=points,
-                                            seed=seed + k)
+            est = continuum.mc_volume_ratio(space, 0.5, points=points, seed=seed + k)
             d_rel = max(d_rel, abs(est.ratio - truth) / truth)
             if abs(est.ratio - truth) > 0.03 * truth or \
                     not (est.ci[0] <= truth <= est.ci[1]):

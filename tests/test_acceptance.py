@@ -190,8 +190,7 @@ def test_criterion_08_volume_oracle_sweep():
         truth = ball_volume_ratio_analytic(1.0, 0.5, d)
         fails = 0
         for k in range(100):
-            est = mc_volume_ratio(space, 0.5, centers=0, points=10**6,
-                                  seed=SEED + 8 + k)
+            est = mc_volume_ratio(space, 0.5, points=10**6, seed=SEED + 8 + k)
             if abs(est.ratio - truth) > 0.03 * truth or \
                     not (est.ci[0] <= truth <= est.ci[1]):
                 fails += 1

@@ -92,8 +92,7 @@ CASES = {
                            touched_count=2),
     "l2_ball_space": _case(l2_ball_space, d=2, r=1.0),
     "ball_volume_ratio_analytic": _case(fanolab.ball_volume_ratio_analytic, r=2.0, t=1.0, d=2),
-    "mc_volume_ratio": _case(fanolab.mc_volume_ratio, _DISK, t=0.5, centers=0, points=100,
-                             seed=1),
+    "mc_volume_ratio": _case(fanolab.mc_volume_ratio, _DISK, t=0.5, points=100, seed=1),
     "continuum_fano_bound": _case(fanolab.continuum_fano_bound, log_ratio=2.0, mi=0.0),
     "grid_partition_counts": _case(fanolab.grid_partition_counts, _DISK, t=0.5, level=2,
                                    seed=1, centers=1),
@@ -263,8 +262,8 @@ BEYOND_STR = {
                                      "got about -10**5000, 1"),
     "ExperimentConfig": (lambda: ExperimentConfig(problem="normal-mean", reps=10**5000, seed=0),
                          "reps: about 10**5000 replicates"),
-    "mc_volume_ratio": (lambda: fanolab.mc_volume_ratio(_DISK, 0.5, centers=10**5000),
-                        "centers=about 10**5000"),
+    "mc_volume_ratio": (lambda: fanolab.mc_volume_ratio(_DISK, 0.5, points=10**5000),
+                        "points=about 10**5000"),
 }
 
 
@@ -337,8 +336,8 @@ BUDGET_CASES = {
         fanolab.box_space([0.0], [2.0**22 + 1]), 0.5, 0), "level"),
     "replicates": (lambda: ExperimentConfig(problem="normal-mean", reps=10**8 + 1, seed=0),
                    "reps"),
-    "sampled points": (lambda: fanolab.mc_volume_ratio(_DISK, 0.5, centers=99,
-                                                       points=99_009_901), "points"),
+    "sampled points": (lambda: fanolab.mc_volume_ratio(_DISK, 0.5, points=5_000_000_001),
+                       "points"),
     "oracle instances": (lambda: next(prop1_groups(1, 10**8 + 1)), "instances"),
 }
 

@@ -1,5 +1,6 @@
 """Exact information quantities against brute-force enumeration oracles."""
 
+import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -409,6 +410,9 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     (GridPartition, (1.5, 0.125, 10, 2), "level"),
     (mi_pairwise_kl_bound, ([[0.0], [1.0]], 1.0, 1.5), "n_samples"),
     (mi_pairwise_kl_bound_discrete, ([[0.5, 0.5], [0.25, 0.75]], 1.5), "n_samples"),
+    # a volume ratio's sup comes from a declared maximizer, never a sampled center
+    (mc_volume_ratio, (dataclasses.replace(l2_ball_space(2, 1.0), sup_center=None), 0.5),
+     "sup_center"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
@@ -420,8 +424,9 @@ def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     past 2**24 coordinates whose float32 counts had rounded, took a
     fractional count (ball_volume_ratio_analytic(2.0, 1.0, 1.5) was 2.828,
     normal_mean_bound(2.5, 1.0, 10) was 0.0156, grid_partition_counts at level
-    1.5 counted 32 cells), or read a point index
-    outside [0, n) (rho_index(-1, 0) wrapped to the last point)."""
+    1.5 counted 32 cells), read a point index
+    outside [0, n) (rho_index(-1, 0) wrapped to the last point), or took a
+    volume ratio's sup from sampled centers alone."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
 

@@ -501,6 +501,15 @@ def test_tail_integral_floor_holds_on_grid():
             assert normal_mean_tail_integral(d, n) >= normal_mean_tail_integral_floor(d, n)
 
 
+def test_tail_integral_floor_holds_where_a_is_below_an_ulp():
+    """Down to a = 2 (d - 1) ln2 / n of about 1e-18, where the value and the
+    floor round nearly the same exact number: the value must not round below."""
+    for d in (2, 3, 5, 17, 64, 1000):
+        for n in (m * 10**k for k in range(1, 19) for m in (1, 3)):
+            assert normal_mean_tail_integral(d, n) >= normal_mean_tail_integral_floor(d, n), \
+                (d, n)
+
+
 def test_tail_integral_taylor_limit():
     """n -> inf at fixed d: ratio to the floor tends to 1."""
     d = 6
