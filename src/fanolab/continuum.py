@@ -3,30 +3,29 @@ and grid-partition machinery to estimate and cross-check the ratio.
 
 The bound controls P(rho(Vhat, V) >= t) for V uniform on the region: note
 the weak inequality, in contrast with the strict rho > t of the discrete
-tail bound; both APIs preserve their own convention verbatim. rho is not
-required to be symmetric (or even positive) here: "ball" means the
-sublevel set {v' : rho(v, v') <= t}. The bound's formula,
+tail bound; both APIs preserve their own convention verbatim. rho is the
+distance of the space's declared norm, l2 or linf, and "ball" means the
+closed set {v' : rho(v, v') <= t}. The bound's formula,
 max(0, 1 - (I + ln 2) / L), is the discrete tail bound's: both call
 discrete._fano_tail. The bound (continuum_fano_bound), the analytic ratio
 of two balls and EstimationError need no arrays: they are defined in
 fanolab._volume, which loads no numpy, and exported from here.
 
-Two deliberate approximations, both reported rather than hidden:
+One deliberate approximation, reported rather than hidden: grid-cell
+occupancy ("intersection of nonzero volume") is decided by a fixed 4^d
+sub-grid per cell plus the cell center, all strictly interior, so
+measure-zero touchings do not count. The centers are tested first, and
+the 4^d sub-grid points only of the cells whose center failed: the same
+any() over the same points, so the same counts, while a cell whose center
+lies in the region costs one test. Each chunk of cells returns only its
+count of occupied cells.
 
-* The supremum over centers of Vol(ball(t, v) & V) is uncomputable in
-  general. mc_volume_ratio takes it at the space's declared maximizer
-  sup_center and refuses a space that declares none: a sampled center can
-  only under-estimate the sup, which over-states the ratio and the bound.
-  Only the grid partition probes sampled centers, where a probe's count
-  is exact and so can only raise the maximum toward the sup.
-* Grid-cell occupancy ("intersection of nonzero volume") is decided by a
-  fixed 4^d sub-grid per cell plus the cell center, all strictly
-  interior, so measure-zero touchings do not count. The centers are
-  tested first, and the 4^d sub-grid points only of the cells whose
-  center failed: the same any() over the same points, so the same
-  counts, while a cell whose center lies in the region costs one test.
-  Occupancy is stored as one byte per candidate cell, and each probed
-  ball tests only the occupied cells in the index window of its box.
+The supremum over centers of Vol(ball(t, v) & V) is uncomputable in
+general. mc_volume_ratio takes it at the space's declared maximizer
+sup_center and refuses a space that declares none: a sampled center can
+only under-estimate the sup, which over-states the ratio and the bound.
+The grid needs no center: its touched count is a closed-form lattice count
+that bounds the cells any radius-t ball meets, whatever its center.
 
 Both estimators split their work into fixed-size chunks and run the chunks
 on a pool of threads, one per usable CPU. Each Monte Carlo chunk draws from
@@ -40,9 +39,9 @@ column by column. The grid builds its sample points in the same layout.
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -52,7 +51,7 @@ import numpy as np
 from ._volume import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
 from .info import DomainError, _budget, _require, _shown
 from .stats import clopper_pearson
-from .streams import BALL_STREAM, GRID_STREAM, VOLUME_STREAM, stream
+from .streams import BALL_STREAM, VOLUME_STREAM, stream
 
 __all__ = [
     "EstimationError",
@@ -78,46 +77,40 @@ GRID_CHUNK = 1 << 15
 # Sample points per predicate call of the grid: a chunk's sub-grid points go
 # in parts, which bounds their memory and that of the predicate's temporaries.
 _GRID_POINTS = 1 << 16
-# Rejection sampling of candidate centers: proposals per keyed stream, and
-# the number of streams tried before the region counts as too thin.
-_SAMPLE_CHUNK = 8192
-_SAMPLE_BUDGET = 1000
 _CONFIDENCE = 0.99  # joint confidence of each volume-ratio interval
 
 
 @dataclass(frozen=True)
 class ContinuumSpace:
-    """Bounded region of R^d with membership test, bounding box and rho.
+    """Bounded region of R^d with membership test, bounding box and norm.
 
-    contains maps an (m, d) array to an (m,) boolean array. rho maps a
-    (d,) center and an (m, d) array of points to (m,) values, evaluating
-    rho(center, point) for each row. The estimators pass (m, d) float64
-    arrays whose columns are contiguous (the transpose of a C-ordered
-    (d, m) array): contains and rho must not assume C order, and must not
-    write into the array they get. ball_bbox, when given, returns an
-    axis-aligned box certain to contain {v' : rho(c, v') <= t}; it only
-    tightens sampling, never changes semantics. sup_center is a declared
+    contains maps an (m, d) array to an (m,) boolean array. The estimators
+    pass (m, d) float64 arrays whose columns are contiguous (the transpose
+    of a C-ordered (d, m) array): contains must not assume C order, and
+    must not write into the array it gets. metric names the norm of rho,
+    "l2" or "linf": the Monte Carlo ball and the grid's lattice count both
+    take it from here, so they cannot disagree. sup_center is a declared
     analytic maximizer of Vol(ball(t, v) & V) over v: mc_volume_ratio
-    needs it, and grid_partition_counts probes it next to its sampled
-    centers. The volume of the region is always estimated, never declared.
+    needs it, and the grid does not use it. The volume of the region is
+    always estimated, never declared.
 
-    contains and rho must be row-wise: output row i depends only on input
-    row i, never on the other rows or on how many there are. The grid
-    partition relies on this when it tests each cell's center apart from,
-    and before, the cell's other sample points. The estimators call
-    contains and rho concurrently from worker threads, so both must be
-    pure: no shared state that a call mutates.
+    contains must be row-wise: output row i depends only on input row i,
+    never on the other rows or on how many there are. The grid partition
+    relies on this when it tests each cell's center apart from, and
+    before, the cell's other sample points. The estimators call contains
+    concurrently from worker threads, so it must be pure: no shared state
+    that a call mutates.
     """
 
     dim: int
     contains: Callable[[np.ndarray], np.ndarray]
     bounding_box: np.ndarray
-    rho: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    ball_bbox: Callable[[np.ndarray, float], np.ndarray] | None = None
+    metric: str
     sup_center: np.ndarray | None = None
 
     def __post_init__(self):
         _require("a whole number >= 1", dim=self.dim)
+        _metric(self.metric)
         box = np.asarray(self.bounding_box, dtype=np.float64)
         if box.shape != (2, self.dim):
             raise DomainError("bounding_box must be (2, dim), lows then highs, at "
@@ -130,8 +123,8 @@ class ContinuumSpace:
         object.__setattr__(self, "bounding_box", box)
         if self.sup_center is not None:
             c = np.asarray(self.sup_center, dtype=np.float64).copy()
-            if c.shape != (self.dim,):
-                raise DomainError("sup_center must be a d-vector")
+            if c.shape != (self.dim,) or not np.all(np.isfinite(c)):
+                raise DomainError("sup_center must be a finite d-vector")
             c.flags.writeable = False
             object.__setattr__(self, "sup_center", c)
 
@@ -202,19 +195,18 @@ def l2_ball_space(d: int, r: float, *, metric: str = "l2") -> ContinuumSpace:
 
     The origin is the declared maximizer: any rho-ball around it
     intersected with the region is at least as large as around any other
-    center, for the built-in norms.
+    center, in either norm.
     """
     _require("an integer in [1, 2**63)", d=d)
     _require("finite and > 0", r=r)
-    rho, bbox = _metric(metric)
     r2 = r * r
 
     def contains(pts):
         return _sum_of_squares(np.asarray(pts, dtype=np.float64)) <= r2
 
     box = np.stack([np.full(d, -r), np.full(d, r)])
-    return ContinuumSpace(dim=d, contains=contains, bounding_box=box, rho=rho,
-                          ball_bbox=bbox, sup_center=np.zeros(d))
+    return ContinuumSpace(dim=d, contains=contains, bounding_box=box, metric=metric,
+                          sup_center=np.zeros(d))
 
 
 def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
@@ -225,7 +217,6 @@ def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
     if lo.shape != hi.shape or lo.ndim != 1 or not np.all(hi > lo):
         raise DomainError("need matching 1-d lo < hi")
     d = lo.size
-    rho, bbox = _metric(metric)
 
     def contains(pts):
         pts = np.asarray(pts, dtype=np.float64)
@@ -237,8 +228,8 @@ def box_space(lo, hi, *, metric: str = "linf") -> ContinuumSpace:
         return ok
 
     box = np.stack([lo, hi])
-    return ContinuumSpace(dim=d, contains=contains, bounding_box=box, rho=rho,
-                          ball_bbox=bbox, sup_center=(lo + hi) / 2.0)
+    return ContinuumSpace(dim=d, contains=contains, bounding_box=box, metric=metric,
+                          sup_center=(lo + hi) / 2.0)
 
 
 @dataclass(frozen=True)
@@ -294,36 +285,6 @@ def _sample_box(g: np.random.Generator, count: int, box: np.ndarray) -> np.ndarr
     return u.T
 
 
-def _sample_in_space(space: ContinuumSpace, count: int, seed: int, base: int) -> np.ndarray:
-    got = []
-    have = 0
-    for i in range(_SAMPLE_BUDGET):
-        u = _sample_box(stream(seed, base + i), _SAMPLE_CHUNK, space.bounding_box)
-        keep = u[np.asarray(space.contains(u), dtype=bool)]
-        if keep.size:
-            got.append(keep)
-            have += keep.shape[0]
-        if have >= count:
-            return np.concatenate(got, axis=0)[:count]
-    raise EstimationError(
-        f"rejection sampling accepted {have}/{count} points after "
-        f"{_SAMPLE_BUDGET * _SAMPLE_CHUNK} proposals; region too thin for its bounding box")
-
-
-def _probe_centers(space: ContinuumSpace, centers: int, seed: int,
-                   base: int) -> list[tuple[np.ndarray, str]]:
-    """The declared maximizer, if any, then `centers` points of the region
-    rejection-sampled from the streams (seed, base + i), each with its source."""
-    cand = []
-    if space.sup_center is not None:
-        cand.append((np.asarray(space.sup_center, dtype=np.float64), "declared"))
-    if centers > 0:
-        cand.extend((c, "sampled") for c in _sample_in_space(space, centers, seed, base))
-    if not cand:
-        raise DomainError("need centers > 0 or a declared sup_center")
-    return cand
-
-
 def _intersect_boxes(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     lo = np.maximum(a[0], b[0])
     hi = np.minimum(a[1], b[1])
@@ -332,23 +293,13 @@ def _intersect_boxes(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     return np.stack([lo, hi])
 
 
-def _in_ball(space: ContinuumSpace, c: np.ndarray, t: float):
-    """The predicate of ball(t, c) & region on an (m, d) array of points."""
-    def in_ball(u):
-        ok = np.asarray(space.contains(u), dtype=bool)
-        ok &= np.asarray(space.rho(c, u), dtype=np.float64) <= t
-        return ok
-
-    return in_ball
-
-
 def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
                     seed: int = 0) -> VolumeRatioEstimate:
     """Estimate Vol(V) and sup_v Vol(ball(t, v) & V) by rejection sampling.
 
     Vol(V) uses `points` draws in the bounding box, and the ball around the
-    space's declared sup_center `points` draws inside the tightest box known
-    to contain it. A space that declares no sup_center is refused. The draws
+    space's declared sup_center `points` draws in the box sup_center +- t cut
+    to the bounding box. A space that declares no sup_center is refused. The draws
     come in chunks of VOLUME_CHUNK points, each from the stream keyed by
     (seed, chunk), and the chunks run on worker threads; the result is
     bit-identical whatever the number of workers or the order in which the
@@ -366,19 +317,22 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
         raise DomainError(f"the volume {box_vol!r} of space's bounding box is out of range")
     per_count_conf = 1.0 - (1.0 - _CONFIDENCE) / 2.0  # two counts share the miss budget
 
-    def in_region(u):
-        return np.asarray(space.contains(u), dtype=bool)
-
-    ball_box = space.bounding_box
-    if space.ball_bbox is not None:
-        ball_box = _intersect_boxes(
-            ball_box, np.asarray(space.ball_bbox(space.sup_center, t), dtype=np.float64))
+    rho, bbox = _metric(space.metric)
+    ball_box = _intersect_boxes(space.bounding_box, bbox(space.sup_center, t))
     if ball_box is None:
         raise EstimationError("the declared ball misses the bounding box; cannot estimate the sup")
 
-    # (count, box, predicate, stream base): the region, then the ball
+    def in_region(u):
+        return np.asarray(space.contains(u), dtype=bool)
+
+    def in_ball(u):
+        ok = in_region(u)
+        ok &= rho(space.sup_center, u) <= t
+        return ok
+
+    # (box, predicate, stream base): the region, then the ball
     counts = [(space.bounding_box, in_region, VOLUME_STREAM),
-              (ball_box, _in_ball(space, space.sup_center, t), BALL_STREAM)]
+              (ball_box, in_ball, BALL_STREAM)]
     sizes = [min(VOLUME_CHUNK, points - done) for done in range(0, points, VOLUME_CHUNK)]
     jobs = [(k, box, predicate, stream(seed, base + i), take)
             for k, (box, predicate, base) in enumerate(counts)
@@ -419,8 +373,10 @@ class GridPartition:
     """Dyadic-grid quantization summary at one refinement level.
 
     cell_count is the number of width-2^(-level) cells whose intersection
-    with the region has nonzero volume; touched_count is the largest
-    number of those cells met by a radius-t ball around any probed center.
+    with the region has nonzero volume; touched_count is a sound upper
+    count of the most of those cells that a closed radius-t ball meets,
+    over every center: never below the true sup_v N_t(v), so
+    log_count_ratio never overstates the discrete log-ratio.
     """
 
     level: int
@@ -447,28 +403,55 @@ def _cell_offsets(d: int) -> np.ndarray:
     return np.vstack([pts, np.full((1, d), 0.5)])
 
 
-def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
-                          seed: int = 0, centers: int = 4) -> GridPartition:
-    """Count occupied grid cells and the most cells a radius-t ball touches.
+def _lattice_count(metric: str, reach: list[int], t: float, level: int) -> int:
+    """#{k in Z^d : |k_i| <= reach_i, eps * ||(|k_i| - 1)_+|| <= t} in the
+    metric's norm, with eps = 2^(-level), counted in exact integers.
 
-    Cells are [k*eps, (k+1)*eps)^d with eps = 2^(-level). Occupancy and
-    ball-touching are decided on each cell's fixed interior sample points,
-    so both counts are deterministic given the seed (which only drives the
-    probed centers). The probed centers are the declared maximizer plus
-    `centers` rejection-sampled points of the region.
+    A closed radius-t ball meets at most this many cells of a grid with
+    reach_i + 1 cells on axis i, whatever its center v. If v lies in cell
+    k0 and a point w of the ball in cell k0 + k, then
+    |w_i - v_i| >= (|k_i| - 1)_+ * eps on every axis, and both norms grow
+    with each |coordinate|; both cells lie in the grid, so |k_i| <= reach_i.
+    A v off the grid is no nearer any cell than its nearest point of the
+    grid's box. t / eps is exact, eps being a power of two.
+    """
+    num, den = float(t).as_integer_ratio()
+    num <<= int(level)  # t / eps == num / den
 
-    Occupancy is kept as one byte per candidate cell of the bounding box's
-    grid, so at most 4 MiB under the "grid cells" row of info._BUDGETS.
-    Each probe scans only the window of cell indices that its ball's box
-    meets, the whole grid when the space has no ball_bbox, and tests the
-    occupied cells in it. Cells are examined
-    in chunks of GRID_CHUNK on worker threads; the counts do not depend on
-    the number of workers.
+    def per_axis(m, j):  # the k with |k| <= m and (|k| - 1)_+ <= j
+        return 2 * min(m, j + 1) + 1
+
+    if metric == "linf":
+        return math.prod(per_axis(m, num // den) for m in reach)
+    # l2: the multiplicity of each budget floor((t / eps)^2) - sum j_i^2
+    # left after the first axes, with j_i = (|k_i| - 1)_+; the last axis
+    # takes every j whose square fits in what is left.
+    left = {num * num // (den * den): 1}
+    for m in reach[:-1]:
+        nxt = Counter()
+        for rem, w in left.items():
+            nxt[rem] += w * per_axis(m, 0)
+            for j in range(1, min(m - 1, math.isqrt(rem)) + 1):
+                nxt[rem - j * j] += 2 * w
+        left = nxt
+    return sum(w * per_axis(reach[-1], math.isqrt(rem)) for rem, w in left.items())
+
+
+def grid_partition_counts(space: ContinuumSpace, t: float, level: int) -> GridPartition:
+    """Count the occupied grid cells, and bound the most cells a radius-t
+    ball meets.
+
+    Cells are [k*eps, (k+1)*eps)^d with eps = 2^(-level). Occupancy is
+    decided on each cell's fixed interior sample points, for the candidate
+    cells of the bounding box's grid in chunks of GRID_CHUNK on worker
+    threads; the count does not depend on the number of workers.
+    touched_count is the smaller of cell_count and _lattice_count, a
+    closed form that no center's ball exceeds, so it needs no center.
+    Nothing is drawn: the result depends on the space, t and level alone.
     """
     _require("finite and > 0", t=t)
     _require("a whole number >= 0", level=level)
     _require("finite", level=level)  # 2.0 ** -level is taken in float64
-    _require("an integer in [0, 2**63)", centers=centers)
     d = space.dim
     eps = 2.0 ** (-level)
     lo, hi = space.bounding_box
@@ -484,13 +467,7 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
     shape, total = k_hi - k_lo, int(total)
     offsets = _cell_offsets(d) * eps
     center, sub_grid = offsets[-1:], offsets[:-1]
-
-    def cells(ids: np.ndarray) -> np.ndarray:
-        # The integer corners k of the cells with these flat ids, as (d, m).
-        kvec = np.empty((d, ids.size), dtype=np.int64)
-        for i, col in enumerate(np.unravel_index(ids, shape)):
-            np.add(col, k_lo[i], out=kvec[i])
-        return kvec
+    per = max(1, _GRID_POINTS // len(sub_grid))  # cells per sub-grid call, one at least
 
     def cell_points(kvec: np.ndarray, offs: np.ndarray) -> np.ndarray:
         # Row q * m + c is the point kvec[:, c] * eps + offs[q], stored
@@ -500,59 +477,27 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int, *,
         pts += offs.T[:, :, None]
         return pts.reshape(d, -1).T
 
-    def any_point(kvec: np.ndarray, pred) -> np.ndarray:
-        # Whether pred holds at any sample point of each cell: the center
-        # first, then the sub-grid of only the cells whose center failed.
-        # pred is row-wise, so this is the any() over all the points at once.
-        # The sub-grid goes to pred in parts of _GRID_POINTS // 4^d cells
-        # (one at least).
-        hit = np.array(pred(cell_points(kvec, center)), dtype=bool)
+    def occupied(n):
+        # The integer corners k of the chunk's cells as (d, m), then whether
+        # the region holds any sample point of each cell: the center first,
+        # then the sub-grid of only the cells whose center failed, in parts
+        # of `per` cells. contains is row-wise, so this is the any() over all
+        # the points at once.
+        ids = np.arange(n * GRID_CHUNK, min((n + 1) * GRID_CHUNK, total), dtype=np.int64)
+        kvec = np.empty((d, ids.size), dtype=np.int64)
+        for i, col in enumerate(np.unravel_index(ids, shape)):
+            np.add(col, k_lo[i], out=kvec[i])
+        hit = np.array(space.contains(cell_points(kvec, center)), dtype=bool)
         miss = np.flatnonzero(~hit)
-        per = max(1, _GRID_POINTS // len(sub_grid))
         for start in range(0, miss.size, per):
             part = miss[start:start + per]
-            sub = np.asarray(pred(cell_points(kvec[:, part], sub_grid)), dtype=bool)
+            sub = np.asarray(space.contains(cell_points(kvec[:, part], sub_grid)), dtype=bool)
             hit[part] = sub.reshape(-1, part.size).any(axis=0)
-        return hit
+        return int(np.count_nonzero(hit))
 
-    def occupied(n):
-        ids = np.arange(n * GRID_CHUNK, min((n + 1) * GRID_CHUNK, total), dtype=np.int64)
-        return any_point(cells(ids), space.contains)
-
-    # One byte per candidate cell, indexed by flat cell id.
-    mask = np.concatenate(_map(occupied, -(-total // GRID_CHUNK)))
-    n_cells = int(np.count_nonzero(mask))
+    n_cells = sum(_map(occupied, -(-total // GRID_CHUNK)))
     if n_cells == 0:
         raise EstimationError("no cell intersects the region; check bounding box and level")
-
-    touched_max = 0
-    for c, _ in _probe_centers(space, centers, seed, GRID_STREAM):
-        # The window [w_lo, w_hi) of cell indices on each axis whose cells
-        # [k*eps, (k+1)*eps) meet the ball's box: (k+1)*eps > box low holds
-        # on a suffix of the axis and k*eps < box high on a prefix, so the
-        # cells that pass both form one run, found by bisection.
-        w_lo, w_hi = np.zeros(d, dtype=np.int64), shape.copy()
-        if space.ball_bbox is not None:
-            bb = np.asarray(space.ball_bbox(c, t), dtype=np.float64)
-            for i, (b_lo, b_hi) in enumerate(zip(bb[0].tolist(), bb[1].tolist())):
-                axis = range(int(k_lo[i]), int(k_hi[i]))
-                w_lo[i] = bisect.bisect_left(axis, True, key=lambda k: (k + 1) * eps > b_lo)
-                w_hi[i] = max(w_lo[i], bisect.bisect_left(
-                    axis, True, key=lambda k: not k * eps < b_hi))
-        w_shape = w_hi - w_lo
-        w_total = int(np.prod(w_shape))
-        if w_total == 0:
-            continue
-        w_start = np.ravel_multi_index(w_lo, shape)
-
-        def touched(n, w_shape=w_shape, w_start=w_start, w_total=w_total,
-                    in_ball=_in_ball(space, c, t)):
-            w_ids = np.arange(n * GRID_CHUNK, min((n + 1) * GRID_CHUNK, w_total), dtype=np.int64)
-            ids = np.ravel_multi_index(np.unravel_index(w_ids, w_shape), shape) + w_start
-            return int(np.count_nonzero(any_point(cells(ids[mask[ids]]), in_ball)))
-
-        touched_max = max(touched_max, sum(_map(touched, -(-w_total // GRID_CHUNK))))
-    if touched_max == 0:
-        raise EstimationError("no cell touched by any probed ball; is t too small for the grid?")
+    reach = [int(m) - 1 for m in shape]
     return GridPartition(level=level, cell_width=eps, cell_count=n_cells,
-                         touched_count=touched_max)
+                         touched_count=min(n_cells, _lattice_count(space.metric, reach, t, level)))

@@ -20,12 +20,13 @@ _MASK64 = (1 << 64) - 1
 
 # Disjoint stream-id namespaces for the library's internal consumers;
 # 5 << 40 and 6 << 40 belong to the random instances of tests/oracles.py.
-# 2 << 40 keyed the sampled centers that mc_volume_ratio no longer draws: it
-# is retired, not reused, so that no other stream moves.
+# 2 << 40 keyed the sampled centers that mc_volume_ratio no longer draws,
+# and 4 << 40 the grid partition's probe centers, which its closed-form
+# touched count replaced: both are retired, not reused, so that no other
+# stream moves.
 # DESIGN_STREAM keys the CLI's Gaussian design, which keeps its Philox rule.
 VOLUME_STREAM = 1 << 40
 BALL_STREAM = 3 << 40
-GRID_STREAM = 4 << 40
 DESIGN_STREAM = 7 << 40
 VERIFY_STREAM = 8 << 40
 REPLICATE_STREAM = 9 << 40

@@ -1,8 +1,10 @@
 """Volume-ratio machinery against analytic geometry oracles."""
 
 import dataclasses
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from fanolab.continuum import (
     mc_volume_ratio,
 )
 from fanolab.info import DomainError, EnumerationLimitError
-from fanolab.streams import GRID_STREAM
 
 LN2 = math.log(2.0)
 
@@ -81,8 +82,8 @@ def test_mc_ratio_sampled_centers_match_box_oracle():
     for _ in range(5):
         c = g.random(2)
         sub = ContinuumSpace(dim=2, contains=space.contains,
-                             bounding_box=space.bounding_box, rho=space.rho,
-                             ball_bbox=space.ball_bbox, sup_center=c)
+                             bounding_box=space.bounding_box, metric=space.metric,
+                             sup_center=c)
         est = mc_volume_ratio(sub, 0.3, points=100_000, seed=11)
         assert est.ball_estimate == pytest.approx(
             box_intersection_volume(c, 0.3), rel=0.05)
@@ -105,11 +106,10 @@ def test_mc_ratio_reproducible():
 def test_mc_ratio_estimation_failure():
     # membership never true inside the box: zero acceptance must raise
     space = ContinuumSpace(dim=1, contains=lambda p: np.zeros(len(p), dtype=bool),
-                           bounding_box=np.array([[0.0], [1.0]]),
-                           rho=lambda c, p: np.abs(p - c).ravel(),
+                           bounding_box=np.array([[0.0], [1.0]]), metric="linf",
                            sup_center=np.array([0.5]))
     with pytest.raises(EstimationError):
-        mc_volume_ratio(space, 0.1, points=1000, seed=0)
+        mc_volume_ratio(space, 0.1, points=1000)
 
 
 def test_mc_ratio_refuses_a_ball_whose_volume_underflows():
@@ -121,17 +121,16 @@ def test_mc_ratio_refuses_a_ball_whose_volume_underflows():
 def hit_counts(est, space, t, points):
     """(region hits, hits of the declared ball), recovered from an estimate."""
     lo, hi = space.bounding_box
-    bb = space.ball_bbox(space.sup_center, t) if space.ball_bbox else space.bounding_box
+    bb = np.stack([space.sup_center - t, space.sup_center + t])
     sub_vol = float(np.prod(np.minimum(hi, bb[1]) - np.maximum(lo, bb[0])))
     return (round(est.vol_estimate / space.box_volume() * points),
             round(est.ball_estimate / sub_vol * points))
 
 
 def plain_disk():
-    """The unit disk built from lambdas, with no ball_bbox and no declared center."""
+    """The unit disk built from a lambda, with no declared center."""
     return ContinuumSpace(dim=2, contains=lambda p: (p * p).sum(axis=1) <= 1.0,
-                          bounding_box=np.array([[-1.0, -1.0], [1.0, 1.0]]),
-                          rho=lambda c, p: np.sqrt(((p - c) ** 2).sum(axis=1)))
+                          bounding_box=np.array([[-1.0, -1.0], [1.0, 1.0]]), metric="l2")
 
 
 # 200_003 points leave a partial last chunk. The counts are those of the
@@ -186,14 +185,14 @@ def test_results_do_not_depend_on_worker_count(make, monkeypatch):
     for workers in (1, 4):
         monkeypatch.setattr(continuum, "_usable_cpus", lambda: workers)
         runs.append((mc_volume_ratio(space, 0.5, points=200_003, seed=5),
-                     grid_partition_counts(space, 0.5, level, seed=5, centers=3)))
+                     grid_partition_counts(space, 0.5, level)))
     (est1, gp1), (est4, gp4) = runs
     assert est1 == est4
     assert gp1 == gp4
 
 
 def test_user_predicates_get_float64_points_in_any_layout():
-    """A user-built space's contains and rho get (m, d) float64 arrays, and
+    """A user-built space's contains gets (m, d) float64 arrays, and
     plain_disk counts the same on a C-contiguous copy of each array."""
     disk = plain_disk()
     seen = []
@@ -204,11 +203,11 @@ def test_user_predicates_get_float64_points_in_any_layout():
             return np.ascontiguousarray(p) if copy else p
 
         return ContinuumSpace(dim=2, contains=lambda p: disk.contains(look(p)),
-                              bounding_box=disk.bounding_box,
-                              rho=lambda c, p: disk.rho(c, look(p)), sup_center=np.zeros(2))
+                              bounding_box=disk.bounding_box, metric="l2",
+                              sup_center=np.zeros(2))
 
     runs = [(mc_volume_ratio(space(copy), 0.5, points=200_003, seed=5),
-             grid_partition_counts(space(copy), 0.5, 6, seed=5, centers=3))
+             grid_partition_counts(space(copy), 0.5, 6))
             for copy in (False, True)]
     assert set(seen) == {(2, 2, np.dtype(np.float64))}
     (est, gp), (est_c, gp_c) = runs
@@ -301,28 +300,28 @@ def test_continuum_bound_monotone(log_ratio, mi1, mi2):
 def test_grid_unit_square_exact_counts():
     space = box_space([0.0, 0.0], [1.0, 1.0], metric="linf")
     for level in range(1, 5):
-        gp = grid_partition_counts(space, 0.5, level, seed=0, centers=2)
+        gp = grid_partition_counts(space, 0.5, level)
         assert gp.cell_count == 4**level
         assert gp.cell_width == 2.0 ** (-level)
 
 
 def test_grid_disk_area_converges():
     disk = l2_ball_space(2, 1.0)
-    gp = grid_partition_counts(disk, 0.5, 7, seed=0, centers=2)
+    gp = grid_partition_counts(disk, 0.5, 7)
     area = gp.cell_width**2 * gp.cell_count
     assert area == pytest.approx(math.pi, rel=0.02)
 
 
 def test_grid_ball_in_ball_log_ratio():
     disk = l2_ball_space(2, 1.0)
-    gp = grid_partition_counts(disk, 0.5, 7, seed=0, centers=4)
+    gp = grid_partition_counts(disk, 0.5, 7)
     assert gp.log_count_ratio() == pytest.approx(math.log(4.0), rel=0.05)
 
 
 def test_grid_log_ratio_error_shrinks_with_level():
     """Discrete quotient bound ingredient approaches the continuum one."""
     disk = l2_ball_space(2, 1.0)
-    errs = [abs(grid_partition_counts(disk, 0.5, lv, seed=0, centers=2).log_count_ratio()
+    errs = [abs(grid_partition_counts(disk, 0.5, lv).log_count_ratio()
                 - math.log(4.0)) for lv in (4, 5, 6, 7)]
     assert errs[-1] < errs[0]
     bound_errs = [abs(continuum_fano_bound(math.log(4.0) - e, 0.0).value
@@ -331,17 +330,23 @@ def test_grid_log_ratio_error_shrinks_with_level():
 
 
 def test_grid_golden_counts():
-    disk = grid_partition_counts(l2_ball_space(2, 1.0), 0.5, 8, seed=7, centers=4)
-    assert (disk.cell_count, disk.touched_count) == (206620, 51862)
-    user = grid_partition_counts(plain_disk(), 0.5, 6, seed=7, centers=3)
-    assert (user.cell_count, user.touched_count) == (13056, 3308)
+    disk = grid_partition_counts(l2_ball_space(2, 1.0), 0.5, 8)
+    assert (disk.cell_count, disk.touched_count) == (206620, 52465)
+    user = grid_partition_counts(plain_disk(), 0.5, 6)
+    assert (user.cell_count, user.touched_count) == (13056, 3473)
 
 
-def brute_grid_counts(space, t, level, probes):
-    """(cell_count, touched_count, cells whose center is in the region),
-    from every one of the 4^d + 1 sample points of every candidate cell,
-    each point built as cell corner plus offset: the cell's 4^d interior
-    sub-grid points and its center."""
+def grid_reach(space, level):
+    """The largest |k_i| of an index offset between two cells of the grid."""
+    eps = 2.0 ** (-level)
+    lo, hi = space.bounding_box
+    return [int(math.ceil(b / eps) - math.floor(a / eps)) - 1 for a, b in zip(lo, hi)]
+
+
+def grid_samples(space, level):
+    """The 4^d + 1 sample points of every candidate cell, as (cells, 4^d + 1, d),
+    and whether the region holds each: each point is built as cell corner plus
+    offset, the cell's 4^d interior sub-grid points and then its center."""
     d = space.dim
     eps = 2.0 ** (-level)
     lo, hi = space.bounding_box
@@ -351,13 +356,41 @@ def brute_grid_counts(space, t, level, probes):
     q = (np.arange(4) + 0.5) / 4.0
     offsets = np.stack(np.meshgrid(*([q] * d), indexing="ij"), axis=-1).reshape(-1, d)
     offsets = np.vstack([offsets, np.full((1, d), 0.5)]) * eps
-    pts = (kvec[:, None, :] * eps + offsets[None, :, :]).reshape(-1, d)
-    inside = np.asarray(space.contains(pts), dtype=bool).reshape(len(kvec), -1)
-    touched = 0
-    for c in probes:
-        in_ball = inside & (np.asarray(space.rho(c, pts)).reshape(len(kvec), -1) <= t)
-        touched = max(touched, int(in_ball.any(axis=1).sum()))
-    return int(inside.any(axis=1).sum()), touched, int(inside[:, -1].sum())
+    pts = kvec[:, None, :] * eps + offsets[None, :, :]
+    inside = np.asarray(space.contains(pts.reshape(-1, d)), dtype=bool).reshape(len(kvec), -1)
+    return pts, inside
+
+
+def every_point_touched(space, t, pts, inside, c):
+    """The cells with a sample point in the region within t of c, in the
+    space's norm as numpy.linalg.norm computes it."""
+    near = np.linalg.norm(pts - c, ord=2 if space.metric == "l2" else np.inf, axis=-1) <= t
+    return int((inside & near).any(axis=1).sum())
+
+
+def lattice_oracle(metric, reach, t, level):
+    """#{k : |k_i| <= reach_i, ||(|k_i| - 1)_+|| * 2^(-level) <= t}, every k
+    enumerated and compared in exact rationals."""
+    q = Fraction(t) * 2**level
+    count = 0
+    for k in itertools.product(*(range(-m, m + 1) for m in reach)):
+        j = [max(abs(x) - 1, 0) for x in k]
+        count += (sum(x * x for x in j) <= q * q) if metric == "l2" else (max(j) <= q)
+    return count
+
+
+@pytest.mark.parametrize("metric, reach, t, level", [
+    ("l2", [0], 0.3, 2), ("linf", [9], 0.3, 2), ("l2", [9], 0.3, 2),
+    ("linf", [0, 5], 0.5, 1), ("l2", [3, 0, 4], 0.74, 2),
+    ("l2", [7, 9], 1.3, 2), ("linf", [4, 6, 3], 0.6, 2), ("l2", [3, 2, 4, 3], 0.8, 2),
+    # norms of exactly t: (3, 4) at q = 5 in l2, and j = 2 at q = 2 in linf
+    ("l2", [6, 6], 1.25, 2), ("linf", [6, 6], 0.5, 2),
+    # every offset, then only |k_i| <= 1
+    ("l2", [5, 5], 1e300, 3), ("linf", [5, 5], 1e300, 3),
+    ("l2", [5, 5], 5e-324, 10), ("linf", [5, 5], 5e-324, 10)])
+def test_lattice_count_matches_enumeration(metric, reach, t, level):
+    assert continuum._lattice_count(metric, reach, t, level) == \
+        lattice_oracle(metric, reach, t, level)
 
 
 def annulus(d):
@@ -368,7 +401,7 @@ def annulus(d):
 
     return ContinuumSpace(dim=d, contains=contains,
                           bounding_box=np.stack([np.full(d, -0.6), np.full(d, 0.6)]),
-                          rho=lambda c, p: np.sqrt(((p - c) ** 2).sum(axis=1)))
+                          metric="l2")
 
 
 # (space, t, level, whether some occupied cell has its center outside the
@@ -387,8 +420,8 @@ GRID_ORACLE_CASES = {
     "box-off-grid-linf-d2": (lambda: box_space([-0.3, 0.1], [0.45, 0.77]), 0.2, 4, True),
     "box-off-grid-l2-d3": (lambda: box_space([-0.3, 0.1, -0.55], [0.45, 0.77, 0.2],
                                              metric="l2"), 0.2, 3, True),
-    # the declared center's ball box overruns the bounding box on every
-    # side, so its window of cells is the whole grid
+    # the lattice count exceeds the occupied cells, so cell_count caps it, as
+    # it does for annulus-d2
     "ball-box-overruns-grid": (lambda: l2_ball_space(2, 1.0), 1.5, 4, True),
 }
 
@@ -397,36 +430,68 @@ GRID_ORACLE_CASES = {
 def test_grid_counts_match_every_point_oracle(case):
     make, t, level, center_misses = GRID_ORACLE_CASES[case]
     space = make()
-    gp = grid_partition_counts(space, t, level, seed=7, centers=3)
-    probes = list(continuum._sample_in_space(space, 3, 7, GRID_STREAM))
-    if space.sup_center is not None:
-        probes.insert(0, space.sup_center)
-    cells, touched, center_hits = brute_grid_counts(space, t, level, probes)
-    assert (gp.cell_count, gp.touched_count) == (cells, touched)
+    gp = grid_partition_counts(space, t, level)
+    pts, inside = grid_samples(space, level)
+    cells = int(inside.any(axis=1).sum())
+    lattice = lattice_oracle(space.metric, grid_reach(space, level), t, level)
+    assert (gp.cell_count, gp.touched_count) == (cells, min(cells, lattice))
     # the case reaches the sub-grid points when some cell is occupied only
     # through them
-    assert (center_hits < cells) == center_misses
+    assert (int(inside[:, -1].sum()) < cells) == center_misses
 
 
-@pytest.mark.parametrize("side", [-1.0, 1.0])
-def test_grid_ball_box_off_the_grid_touches_no_cell(side):
-    """A ball_bbox beyond the grid, below or above it, gives every probe an
-    empty window of cells: no cell is touched, and no index runs off the grid."""
-    disk = l2_ball_space(2, 1.0)
-    space = dataclasses.replace(disk, ball_bbox=lambda c, t: np.stack([c, c + t]) + 3 * side)
-    with pytest.raises(EstimationError, match="no cell touched"):
-        grid_partition_counts(space, 0.5, 4, seed=1, centers=2)
+@pytest.mark.parametrize("case", GRID_ORACLE_CASES)
+def test_grid_touched_count_bounds_every_center(case):
+    """No ball meets more occupied cells than touched_count, wherever its
+    center: at the declared center, at cell corners, at points drawn in the
+    bounding box (outside the region too, where the region is not a box)
+    and at points beyond the box."""
+    make, t, level, _ = GRID_ORACLE_CASES[case]
+    space = make()
+    gp = grid_partition_counts(space, t, level)
+    pts, inside = grid_samples(space, level)
+    g = np.random.Generator(np.random.Philox(key=level))
+    lo, hi = space.bounding_box
+    eps = 2.0 ** (-level)
+    drawn = lo + (hi - lo) * g.random((40, space.dim))
+    probes = [*np.round(drawn[:8] / eps) * eps, *drawn[8:],
+              *(hi + t * g.random((4, space.dim))), *(lo - t * g.random((4, space.dim)))]
+    if space.sup_center is not None:
+        probes.append(space.sup_center)
+    for c in probes:
+        assert every_point_touched(space, t, pts, inside, c) <= gp.touched_count
+
+
+def test_grid_touched_count_is_no_less_than_an_off_center_ball():
+    """The disk's ball at (11/1024, 11/1024) meets 3322 cells at level 6, more
+    than at the origin: a count over a few probed centers read 3300 here."""
+    space = l2_ball_space(2, 1.0)
+    pts, inside = grid_samples(space, 6)
+    c = np.full(2, 11 / 1024)
+    assert every_point_touched(space, 0.5, pts, inside, c) == 3322
+    assert every_point_touched(space, 0.5, pts, inside, np.zeros(2)) < 3322
+    assert grid_partition_counts(space, 0.5, 6).touched_count >= 3322
+
+
+def test_grid_draws_nothing(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("the grid drew from a random stream")
+
+    monkeypatch.setattr(continuum, "stream", no_stream)
+    for space in (l2_ball_space(2, 1.0), box_space([0.0, 0.0], [1.0, 1.0])):
+        assert grid_partition_counts(space, 0.5, 6).touched_count >= 1
 
 
 def test_grid_occupancy_takes_one_byte_per_cell(monkeypatch):
     """The level-10 unit square has 2^20 candidate cells, all occupied: an
-    int64 index row per occupied cell alone would take 16 MiB. Each worker
-    holds one chunk's points, so the worker count is pinned."""
+    int64 index row per occupied cell alone would take 16 MiB, and the grid
+    keeps no more than a byte per cell. Each worker holds one chunk's
+    points, so the worker count is pinned."""
     monkeypatch.setattr(continuum, "_usable_cpus", lambda: 2)
     space = box_space([0.0, 0.0], [1.0, 1.0])
     tracemalloc.start()
     try:
-        grid_partition_counts(space, 0.25, 10, seed=1, centers=2)
+        grid_partition_counts(space, 0.25, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -436,7 +501,7 @@ def test_grid_occupancy_takes_one_byte_per_cell(monkeypatch):
 def test_grid_memory_guard():
     disk = l2_ball_space(2, 1.0)
     with pytest.raises(EnumerationLimitError):
-        grid_partition_counts(disk, 0.5, 14, seed=0)  # about 1e9 candidate cells
+        grid_partition_counts(disk, 0.5, 14)  # about 1e9 candidate cells
 
 
 def test_grid_refuses_cell_indices_beyond_int64():
@@ -444,7 +509,7 @@ def test_grid_refuses_cell_indices_beyond_int64():
     which warned "invalid value encountered in cast" and built a garbage shape."""
     far = box_space([1e19], [1e19 + 4096])
     with pytest.raises(DomainError, match=r"\blevel\b"):
-        grid_partition_counts(far, 100.0, 0, centers=2)
+        grid_partition_counts(far, 100.0, 0)
 
 
 def test_grid_counts_within_first_order_surface_correction():
@@ -457,6 +522,6 @@ def test_grid_counts_within_first_order_surface_correction():
     for space, vol, surf in [(l2_ball_space(2, 1.0), math.pi, 2 * math.pi),
                              (box_space([0.0, 0.0], [1.0, 1.0]), 1.0, 4.0)]:
         for level in (5, 6, 7):
-            gp = grid_partition_counts(space, 0.5, level, seed=0, centers=2)
+            gp = grid_partition_counts(space, 0.5, level)
             measured = gp.cell_width**2 * gp.cell_count
             assert abs(measured - vol) <= gp.cell_width * surf

@@ -87,15 +87,14 @@ CASES = {
     "fano_conditional_form": _case(fanolab.fano_conditional_form, hvx=1.0, card=6,
                                    profile=_PROFILE),
     "ContinuumSpace": _case(ContinuumSpace, dim=2, contains=_DISK.contains,
-                            bounding_box=_DISK.bounding_box, rho=_DISK.rho),
+                            bounding_box=_DISK.bounding_box, metric="l2"),
     "GridPartition": _case(fanolab.GridPartition, level=3, cell_width=0.125, cell_count=10,
                            touched_count=2),
     "l2_ball_space": _case(l2_ball_space, d=2, r=1.0),
     "ball_volume_ratio_analytic": _case(fanolab.ball_volume_ratio_analytic, r=2.0, t=1.0, d=2),
     "mc_volume_ratio": _case(fanolab.mc_volume_ratio, _DISK, t=0.5, points=100, seed=1),
     "continuum_fano_bound": _case(fanolab.continuum_fano_bound, log_ratio=2.0, mi=0.0),
-    "grid_partition_counts": _case(fanolab.grid_partition_counts, _DISK, t=0.5, level=2,
-                                   seed=1, centers=1),
+    "grid_partition_counts": _case(fanolab.grid_partition_counts, _DISK, t=0.5, level=2),
     "sparse_location_bound": _case(fanolab.sparse_location_bound, d=8, s=2, sigma2=1.0, n=5),
     "compressed_sensing_bound": _case(fanolab.compressed_sensing_bound, 3.0 * np.eye(8),
                                       s=2, sigma2=1.0),
@@ -298,10 +297,9 @@ INTEGRAL_FLOATS = {
                                                       0.0).value, 2),
     "d": (lambda d: fanolab.ball_volume_ratio_analytic(2.0, 1.0, d), 3),
     "dim": (lambda d: fanolab.grid_partition_counts(ContinuumSpace(
-        d, _DISK.contains, _DISK.bounding_box, _DISK.rho, _DISK.ball_bbox, _DISK.sup_center),
-        0.5, 3, seed=1), 2),
+        d, _DISK.contains, _DISK.bounding_box, _DISK.metric, _DISK.sup_center), 0.5, 3), 2),
     "level": (lambda lv: dataclasses.astuple(fanolab.grid_partition_counts(
-        _DISK, 0.5, lv, seed=1, centers=1))[1:], 3),
+        _DISK, 0.5, lv))[1:], 3),
     "normal_mean_bound-d": (lambda d: normal_mean_bound(d, 1.0, 10).value, 4),
     "normal_mean_bound-n": (lambda n: normal_mean_bound(4, 1.0, n).value, 10),
     "normal_mean_tail_integral-d": (lambda d: fanolab.normal_mean_tail_integral(d, 3), 4),

@@ -26,6 +26,7 @@ from fanolab.info import (
     mutual_information_v_vhat,
 )
 from fanolab.continuum import (
+    ContinuumSpace,
     GridPartition,
     ball_volume_ratio_analytic,
     box_space,
@@ -56,6 +57,7 @@ _NAN_ROWS = [[math.nan, 0.5], [0.5, 0.5]]
 _HAMMING_3 = DiscreteSpace.hamming([[0, 1], [1, 1], [1, 0]])
 _G = next(prop1_groups(1, 4))
 _NAN_PRIOR = np.where(np.arange(_G.nv) == 0, math.nan, _G.prior)
+_DISK = l2_ball_space(2, 1.0)
 
 
 # -- oracles: plain-Python enumeration, no shared code with the library ------
@@ -413,6 +415,10 @@ def test_mi_pairwise_refuses_non_finite(means, sigma2, name):
     # a volume ratio's sup comes from a declared maximizer, never a sampled center
     (mc_volume_ratio, (dataclasses.replace(l2_ball_space(2, 1.0), sup_center=None), 0.5),
      "sup_center"),
+    # a declared maximizer is a finite point, and the norm one of the two
+    (ContinuumSpace, (2, _DISK.contains, _DISK.bounding_box, "l2", [math.nan, 0.0]), "sup_center"),
+    (ContinuumSpace, (2, _DISK.contains, _DISK.bounding_box, "l2", [0.0, math.inf]), "sup_center"),
+    (ContinuumSpace, (2, _DISK.contains, _DISK.bounding_box, "l1"), "metric"),
 ], ids=lambda v: v.__name__ if callable(v) else None)
 def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     """Each of these returned NaN, +-inf, a wrong 0.0 or (nan, nan), zeroed
@@ -425,8 +431,10 @@ def test_out_of_domain_input_is_refused_naming_the_argument(fn, args, name):
     fractional count (ball_volume_ratio_analytic(2.0, 1.0, 1.5) was 2.828,
     normal_mean_bound(2.5, 1.0, 10) was 0.0156, grid_partition_counts at level
     1.5 counted 32 cells), read a point index
-    outside [0, n) (rho_index(-1, 0) wrapped to the last point), or took a
-    volume ratio's sup from sampled centers alone."""
+    outside [0, n) (rho_index(-1, 0) wrapped to the last point), took a
+    volume ratio's sup from sampled centers alone, or estimated it around a
+    non-finite declared center (NaN ended in "no draw landed in the declared
+    ball", inf in "the declared ball misses the bounding box")."""
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         fn(*args)
 

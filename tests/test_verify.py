@@ -16,6 +16,7 @@ from fanolab.verify import (
     _hinge_draws,
     _quad_hinge,
     _quad_hinge_log,
+    grid_partition,
     report,
     volume,
 )
@@ -63,6 +64,36 @@ def test_volume_never_forgives_every_run_failing(seeds):
     checks = volume(5, True, seeds=seeds, points=10_000)
     assert [c.fields["failures"] for c in checks] == [f"{seeds}/{seeds}"] * 3
     assert not any(c.ok for c in checks)
+
+
+def test_grid_partition_checks_carry_their_margins():
+    checks = {c.name: c for c in grid_partition(1, False, 6)}
+    level = checks["log-ratio-level6"]
+    assert level.ok and level.margin == 0.05 - level.fields["rel_err"]
+    assert (level.fields["cell_count"], level.fields["touched_count"]) == (13056, 3473)
+    conv = checks["log-ratio-convergence"]
+    errs = [float(e) for e in conv.fields["errs"]]
+    assert conv.ok and conv.margin == errs[0] - errs[-1] > 0
+
+
+@pytest.mark.parametrize("level", [6, 9])
+def test_grid_partition_fault_fails_area_and_log_ratio(level):
+    """The injected fault corrupts both truths, pi and ln 4, so both checks
+    at the top level fail, with negative margins."""
+    failed = {c.name: c.margin for c in grid_partition(1, True, level) if not c.ok}
+    assert {f"disk-area-level{level}", f"log-ratio-level{level}"} <= set(failed)
+    assert failed[f"log-ratio-level{level}"] < 0
+
+
+def test_grid_partition_checks_do_not_depend_on_the_seed(tmp_path):
+    """The grid draws nothing, so only the report's header names the seed."""
+    lines = []
+    for seed in (1, 31):
+        assert cli.main(["verify", "grid-partition", "--level", "6", "--seed", str(seed),
+                         "--out-dir", str(tmp_path)]) == 0
+        text = (tmp_path / f"verify-grid-partition-seed{seed}.txt").read_text()
+        lines.append(text.splitlines()[1:])
+    assert lines[0] == lines[1]
 
 
 def _mp_tail_integral(d, n):
