@@ -24,7 +24,7 @@ numpy loads only on a path that takes arrays: a design (compressed-sensing,
 regression), --with-risk and the verify suites. The bound and table
 commands of normal-mean, sparse-location, discrete-tail and continuum-tail
 compute on Python numbers and never load it; a bound's manifest records
-numpy's and scipy's versions only when the run loaded them.
+numpy's version only when the run loaded it. No command loads scipy.
 """
 
 from __future__ import annotations
@@ -295,10 +295,9 @@ def _write_bound_outputs(out_dir: Path, problem: str, cfg: dict[str, str], seed:
         "timestamp_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "outputs": [json_path.name, csv_path.name],
     }
-    # the versions of the libraries the run loaded; a manifest loads none of its own
-    for lib in ("numpy", "scipy"):
-        if lib in sys.modules:
-            manifest["versions"][lib] = sys.modules[lib].__version__
+    # numpy's version if the run loaded it; a manifest loads nothing of its own
+    if "numpy" in sys.modules:
+        manifest["versions"]["numpy"] = sys.modules["numpy"].__version__
     (out_dir / f"manifest-{problem}-{chash}.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return json_path, csv_path

@@ -8,7 +8,7 @@ then the suite's verdict (every check passed) and its worst margin (the
 smallest margin among the checks that carry one, in check order).
 
 The quadrature suite's reference is a composite Gauss-Legendre rule from
-numpy, so no suite loads scipy's quadrature module.
+numpy, and the intervals come from fanolab.stats, so no suite loads scipy.
 """
 
 from __future__ import annotations

@@ -118,32 +118,139 @@ def _interval_cases():
     return cases
 
 
-def test_clopper_pearson_is_bit_identical_to_beta_ppf():
-    """betaincinv gives the same bits as the scipy.stats.beta.ppf route it
-    replaced, so no interval, and no report built from one, moves."""
+def _tail_newton_step(k: int, n: int, conf: float, side: int, x: float) -> float:
+    """The Newton correction, in mpmath, that would move x onto the lower
+    (side 0) or upper (side 1) endpoint: in the count k or, for the upper
+    endpoint, in the mirrored count n - k, P(X >= k; n, p) = (1 - conf)/2,
+    with the tail summed term by term."""
+    import mpmath as mp
+
+    with mp.workdps(30):
+        a = (1 - mp.mpf(conf)) / 2
+        k, p = (k, mp.mpf(x)) if side == 0 else (n - k, 1 - mp.mpf(x))
+        term = mp.exp(mp.loggamma(n + 1) - mp.loggamma(k + 1) - mp.loggamma(n - k + 1)
+                      + k * mp.log(p) + (n - k) * mp.log1p(-p))
+        slope = k * term / p  # d/dp P(X >= k)
+        tail, j = mp.mpf(0), k
+        while j <= n and term > tail * mp.mpf(10) ** -30:
+            tail += term
+            term *= mp.mpf(n - j) / (j + 1) * p / (1 - p)
+            j += 1
+        step = (a - tail) / slope
+        return float(step if side == 0 else -step)
+
+
+def test_clopper_pearson_matches_beta_ppf():
+    """Every endpoint lies within 1e-13 relative of scipy.stats.beta.ppf or,
+    where beta.ppf is farther off than that (its upper endpoints at k <= 3
+    and n >= 10**6 and some at n >= 10**6 and confidence <= 0.95), within
+    1e-13 of the root that a Newton step in mpmath finds from it."""
     from scipy import stats as st
 
-    cases = _interval_cases()
+    cases = _interval_cases() + [(k, 3 * 10**6, conf) for conf in CONFIDENCES
+                                 for k in (0, 1, 2, 3, 1_500_000, 3 * 10**6 - 1, 3 * 10**6)]
     k, n, conf = (np.array(col) for col in zip(*cases))
     alpha = 1.0 - conf
     with np.errstate(invalid="ignore"):
-        lo = np.where(k == 0, 0.0, st.beta.ppf(alpha / 2, k, n - k + 1))
-        hi = np.where(k == n, 1.0, st.beta.ppf(1 - alpha / 2, k + 1, n - k))
+        want = np.stack([np.where(k == 0, 0.0, st.beta.ppf(alpha / 2, k, n - k + 1)),
+                         np.where(k == n, 1.0, st.beta.ppf(1 - alpha / 2, k + 1, n - k))], 1)
     got = np.array([clopper_pearson(*case) for case in cases])
-    assert np.array_equal(got[:, 0], lo) and np.array_equal(got[:, 1], hi)
+    off = np.argwhere(np.abs(got - want) > 1e-13 * want)
+    for i, side in off:
+        step = _tail_newton_step(*cases[i], side, got[i, side])
+        assert abs(step) <= 1e-13 * got[i, side], (cases[i], side, got[i, side], step)
+
+
+def _ulps(x: float, y: float) -> float:
+    return abs(x - y) / math.ulp(max(abs(x), abs(y)))
+
+
+def test_suite_intervals_match_beta_ppf_to_4_ulp():
+    """The endpoints that verify volume and verify estimator-risk compute lie
+    within 4 ulp of scipy.stats.beta.ppf, and the one a report prints, the
+    estimator-risk tail's, is bit-equal to it."""
+    from scipy import stats as st
+
+    for k, n, conf in SUITE_CALLS:
+        alpha = 1.0 - conf
+        lo, hi = clopper_pearson(k, n, conf)
+        assert _ulps(lo, st.beta.ppf(alpha / 2, k, n - k + 1)) <= 4, (k, n, conf)
+        assert _ulps(hi, st.beta.ppf(1 - alpha / 2, k + 1, n - k)) <= 4, (k, n, conf)
+    assert clopper_pearson(18986, 20000, 0.99) == (st.beta.ppf(0.005, 18986, 1015),
+                                                   st.beta.ppf(0.995, 18987, 1014))
+
+
+@pytest.mark.parametrize("conf", CONFIDENCES)
+def test_edge_endpoints_match_their_closed_forms(conf):
+    """With a = (1 - conf)/2, the endpoints whose tail equation has a closed
+    form: q**n = a at k = 0, p**n = a at k = n, 1 - q**n = a at k = 1 and
+    1 - p**n = a at k = n - 1, each to 4 ulp."""
+    a = (1.0 - conf) / 2
+    for n in [*range(1, 61), 4096, 10**6, 3 * 10**6, 2**53, 2**63]:
+        forms = [(clopper_pearson(0, n, conf)[1], -math.expm1(math.log(a) / n)),
+                 (clopper_pearson(n, n, conf)[0], math.exp(math.log(a) / n)),
+                 (clopper_pearson(1, n, conf)[0], -math.expm1(math.log1p(-a) / n)),
+                 (clopper_pearson(n - 1, n, conf)[1], math.exp(math.log1p(-a) / n))]
+        for got, want in forms:
+            assert _ulps(got, want) <= 4, (n, got, want)
+
+
+def test_interval_size_limit_is_the_stated_rule():
+    """An interval is refused, naming n, once n reaches 2**512 or the variance
+    k(n - k)/n passes 10**10, and answered up to there."""
+    n = 4 * 10**10  # k(n - k)/n = 10**10 at k = n/2
+    lo, hi = clopper_pearson(n // 2, n)
+    assert 0.4999 < lo < 0.5 < hi < 0.5001
+    assert 0.0 < clopper_pearson(7, 2**512 - 1)[1] < 1e-150
+    for k, n in ((n // 2 + 2, n + 4), (7, 2**512)):
+        with pytest.raises(DomainError, match=r"\bn\b.*too large"):
+            clopper_pearson(k, n)
+
+
+def test_intervals_at_a_confidence_next_to_one():
+    """At a confidence 2**-53 below 1, where 1/2 + confidence/2 rounds to 1,
+    the normal quantile is inf and each tail equation still has its root."""
+    conf = 1.0 - 2.0**-53
+    assert mean_ci([1.0, 2.0], conf) == (1.5, (-math.inf, math.inf))
+    a = (1.0 - conf) / 2
+    lo, hi = clopper_pearson(3, 10, conf)
+    pmf = [[math.comb(10, j) * p**j * (1 - p) ** (10 - j) for j in range(11)] for p in (lo, hi)]
+    assert math.fsum(pmf[0][3:]) == pytest.approx(a, rel=1e-12)
+    assert math.fsum(pmf[1][:4]) == pytest.approx(a, rel=1e-12)
+
+
+def test_suite_endpoints_take_few_tail_evaluations(monkeypatch):
+    """Each endpoint of SUITE_CALLS takes at most 8 evaluations of the log
+    tail, and at most 5 on average, so a Newton iteration that slid into a
+    slower fallback fails here."""
+    from fanolab import stats
+
+    calls = []
+    log_tail = stats._log_tail
+    monkeypatch.setattr(stats, "_log_tail", lambda *args: calls.append(args) or log_tail(*args))
+    counts = []
+    for k, n, conf in SUITE_CALLS:
+        for side in (0, 1):
+            calls.clear()
+            stats._tail_root(k if side == 0 else n - k, n, (1.0 - conf) / 2)
+            counts.append(len(calls))
+    assert max(counts) <= 8 and sum(counts) <= 5 * len(counts), counts
 
 
 @pytest.mark.parametrize("conf", CONFIDENCES)
 def test_mean_ci_is_bit_identical_to_norm_ppf(conf):
+    """The interval is the one norm.ppf's quantile gives, to the bit at 0.99,
+    the lab's confidence, and with a quantile within 1 ulp of it at the others."""
     from scipy import stats as st
 
+    z = float(st.norm.ppf(0.5 + conf / 2))
+    quantiles = [z] if conf == 0.99 else [math.nextafter(z, 0.0), z, math.nextafter(z, 4.0)]
     g = np.random.Generator(np.random.Philox(key=14))
     for values in ([-1.0, 1.0], g.standard_normal(7), g.exponential(size=20000)):
         values = np.asarray(values)
         m = float(values.mean())
-        half = (float(st.norm.ppf(0.5 + conf / 2)) * float(values.std(ddof=1))
-                / math.sqrt(values.size))
-        assert mean_ci(values, conf) == (m, (m - half, m + half))
+        halves = [q * float(values.std(ddof=1)) / math.sqrt(values.size) for q in quantiles]
+        assert mean_ci(values, conf) in [(m, (m - half, m + half)) for half in halves]
 
 
 def _run_fresh(code: str) -> None:
@@ -156,34 +263,59 @@ def _run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-def test_import_leaves_scipy_out_until_an_interval_is_needed():
-    """import fanolab and fanolab.cli load no scipy module; the intervals
-    then load scipy.special only, never scipy.stats."""
-    _run_fresh("""
-import sys
-import fanolab, fanolab.cli
-assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
-from fanolab.stats import clopper_pearson, mean_ci
-clopper_pearson(3, 10)
-mean_ci([1.0, 2.0, 4.0])
-assert "scipy.special" in sys.modules
-assert not [m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate"))]
-""")
+# One command of each kind, at small sizes: a scalar bound, a design bound, a
+# table with simulated risk, and every verify suite.
+RUNTIME_COMMANDS = [
+    ["bound", "normal-mean", "--d", "10", "--n", "100"],
+    ["bound", "compressed-sensing", "--d", "32", "--s", "4", "--n", "20", "--design", "gaussian"],
+    ["table", "regression", "--sweep", "sigma2=1,2", "--d", "9", "--n", "9",
+     "--design", "identity", "--with-risk", "200"],
+    ["verify", "prop1-exhaustive", "--instances", "100"],
+    ["verify", "decoder-oracle", "--instances", "50"],
+    ["verify", "quadrature"],
+    ["verify", "volume", "--seeds", "2", "--points", "20000"],
+    ["verify", "grid-partition", "--level", "6"],
+    ["verify", "estimator-risk", "--reps-scale", "0.01"],
+]
 
 
-def test_oracle_verify_suites_load_no_scipy(tmp_path):
-    """The prop1-exhaustive, decoder-oracle and quadrature suites check
-    against enumeration and a numpy Gauss-Legendre rule, so they load no
-    scipy module."""
+def _run_commands(out: Path, refuse_scipy: bool) -> dict[str, bytes]:
+    """Runs RUNTIME_COMMANDS at seed 1 in a fresh interpreter, where a
+    sys.meta_path finder refuses every scipy import if refuse_scipy, and
+    returns the result files they wrote, manifests aside."""
     _run_fresh(f"""
-import sys
+import pathlib, sys
+if {refuse_scipy!r}:
+    class RefuseScipy:
+        def find_spec(self, name, path=None, target=None):
+            if name.partition(".")[0] == "scipy":
+                raise ModuleNotFoundError(f"{{name}} is refused", name=name)
+    sys.meta_path.insert(0, RefuseScipy())
+    try:
+        import scipy.special
+    except ModuleNotFoundError:
+        pass
+    else:
+        raise AssertionError("the finder let scipy in")
 from fanolab import cli
-for argv in (["prop1-exhaustive", "--instances", "100"],
-             ["decoder-oracle", "--instances", "50"],
-             ["quadrature"]):
-    assert cli.main(["verify", *argv, "--out-dir", {str(tmp_path)!r}]) == 0, argv
-assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
+out = pathlib.Path({str(out)!r})
+for i, argv in enumerate({RUNTIME_COMMANDS!r}):
+    dest = ["--out", str(out / f"table-{{i}}.csv")] if argv[0] == "table" else ["--out-dir", str(out)]
+    assert cli.main(argv + ["--seed", "1"] + dest) == 0, argv
+assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"], sorted(sys.modules)
 """)
+    return {f.name: f.read_bytes() for f in out.iterdir() if not f.name.startswith("manifest-")}
+
+
+def test_commands_run_with_scipy_unimportable(tmp_path):
+    """No command imports scipy: with every scipy import refused, one command
+    of each kind exits 0 and writes the same bytes as with scipy importable."""
+    (tmp_path / "refused").mkdir()
+    (tmp_path / "importable").mkdir()
+    refused = _run_commands(tmp_path / "refused", refuse_scipy=True)
+    # each bound writes a JSON and a CSV, a table its CSV, a suite its report
+    assert len(refused) == len(RUNTIME_COMMANDS) + sum(a[0] == "bound" for a in RUNTIME_COMMANDS)
+    assert refused == _run_commands(tmp_path / "importable", refuse_scipy=False)
 
 
 # The commands whose bound is a closed form on Python numbers, and the two whose
