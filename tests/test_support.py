@@ -263,6 +263,35 @@ def _run_fresh(code: str) -> None:
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_leaves_scipy_out_until_an_interval_is_needed():
+    """import fanolab and fanolab.cli load no scipy module, and computing the
+    intervals loads none either: they are computed in the library."""
+    _run_fresh("""
+import sys
+import fanolab, fanolab.cli
+assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
+from fanolab.stats import clopper_pearson, mean_ci
+clopper_pearson(3, 10)
+mean_ci([1.0, 2.0, 4.0])
+assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
+""")
+
+
+def test_oracle_verify_suites_load_no_scipy(tmp_path):
+    """The prop1-exhaustive, decoder-oracle and quadrature suites check
+    against enumeration and a numpy Gauss-Legendre rule, so they load no
+    scipy module."""
+    _run_fresh(f"""
+import sys
+from fanolab import cli
+for argv in (["prop1-exhaustive", "--instances", "100"],
+             ["decoder-oracle", "--instances", "50"],
+             ["quadrature"]):
+    assert cli.main(["verify", *argv, "--out-dir", {str(tmp_path)!r}]) == 0, argv
+assert not [m for m in sys.modules if m.startswith("scipy")], sorted(sys.modules)
+""")
+
+
 # One command of each kind, at small sizes: a scalar bound, a design bound, a
 # table with simulated risk, and every verify suite.
 RUNTIME_COMMANDS = [
