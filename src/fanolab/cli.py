@@ -10,15 +10,15 @@ suite. Flags, config files (flat ``key = value`` text, '#' comments, which
 flags override) and sweeps are checked against them; a key the chosen
 problem or suite does not use, or a value outside its domain, is refused
 with the key named. The default seed comes from FANOLAB_SEED when set.
-Exit codes: 0 success, 1 a verify check failed, 2 invalid configuration,
-3 when the computed bound carries valid=False.
+Exit codes: 0 success, 1 a verify check or a table --with-risk audit
+failed, 2 invalid configuration or output path, 3 a bound with valid=False.
 
-Every artifact embeds the 16-hex config hash of its run manifest; the
-manifest file itself carries wall-clock timestamps, but result JSON/CSV
-and verify reports never do, so reruns with the same config and seed are
-byte-identical. Monte Carlo volume estimates are verification-only: the
-``bound`` command never reports a bound whose volume ratio came from a
-sampled-only supremum.
+Only bound writes a run manifest; bound and table artifacts embed a
+16-hex config hash, and verify reports none. The manifest carries
+wall-clock timestamps, but result JSON/CSV and verify reports never do,
+so reruns with the same config and seed are byte-identical. Monte Carlo
+volume estimates are verification-only: the ``bound`` command never
+reports a bound whose volume ratio came from a sampled-only supremum.
 
 numpy loads only on a path that takes arrays: a design (compressed-sensing,
 regression), --with-risk and the verify suites. The bound and table
@@ -396,7 +396,7 @@ def cmd_table(args) -> int:
     sweep_key = sweep_key.strip().replace("-", "_")
     if args.with_risk is not None and args.with_risk < 1:
         raise ConfigError(f"--with-risk must be >= 1, got {args.with_risk}")
-    rows = []
+    rows, passed = [], []
     for val in sweep_vals.split(","):
         cfg = dict(base)
         cfg[sweep_key] = val.strip()
@@ -405,27 +405,33 @@ def cmd_table(args) -> int:
         result = _compute_bound(args.problem, p, design)
         row = _bound_row(args.problem, result, cfg)
         if args.with_risk is not None:
-            row.update(_risk_columns(args.problem, result, design, seed, args.with_risk))
+            passed.append(_add_risk(row, args.problem, result, design, seed, args.with_risk))
         rows.append(row)
-    chash = _config_hash("table", args.problem, dict(base, sweep=args.sweep), seed)
-    columns = list(CSV_COLUMNS) + (["risk", "risk_ci_lo", "risk_ci_hi"]
+    hashed = dict(base, sweep=args.sweep)
+    if args.with_risk is not None:  # a plain table keeps its hash
+        hashed["with_risk"] = str(args.with_risk)
+    columns = list(CSV_COLUMNS) + (["risk", "risk_ci_lo", "risk_ci_hi", "risk_margin"]
                                    if args.with_risk is not None else [])
-    text = _csv_text(rows, chash, columns)
+    text = _csv_text(rows, _config_hash("table", args.problem, hashed, seed), columns)
     if args.out:
         Path(args.out).write_text(text)
     sys.stdout.write(text)
-    return 0
+    return 0 if all(passed) else 1
 
 
-def _risk_columns(problem: str, result, design: np.ndarray | None, seed: int,
-                  reps: int) -> dict[str, str]:
+def _add_risk(row: dict[str, str], problem: str, result, design: np.ndarray | None,
+              seed: int, reps: int) -> bool:
+    """Adds a row's risk columns; True when risk_margin = risk_ci_hi - bound >= 0."""
     if not isinstance(result, MinimaxBound):
         raise ConfigError(f"--with-risk is not supported for problem {problem!r}")
-    from .lab import audit_config, simulate_risk
+    from .lab import MatchedBound, audit_config, check_bounds, simulate_risk
 
-    rep = simulate_risk(audit_config(result, reps, seed, design))
-    return {"risk": repr(rep.risk_mean), "risk_ci_lo": repr(rep.risk_ci[0]),
-            "risk_ci_hi": repr(rep.risk_ci[1])}
+    rep = simulate_risk(audit_config(result, reps, seed, design),
+                        (MatchedBound(result.pipeline, "risk", result.value),))
+    audit = check_bounds(rep)
+    row.update(risk=repr(rep.risk_mean), risk_ci_lo=repr(rep.risk_ci[0]),
+               risk_ci_hi=repr(rep.risk_ci[1]), risk_margin=repr(audit.worst_margin))
+    return audit.passed
 
 
 # -- entry point -------------------------------------------------------------
@@ -466,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("--sweep", required=True, help="key=v1,v2,...")
     t.add_argument("--config", help="flat key=value config file")
     t.add_argument("--with-risk", dest="with_risk", type=int,
-                   help="attach empirical risk with this many replicates")
+                   help="replicates of the simulated risk; exit 1 if a risk_margin < 0")
     t.add_argument("--out")
     t.set_defaults(fn=cmd_table)
 
@@ -482,7 +488,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError, EstimationError) as exc:
+    except (ConfigError, DomainError, EstimationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -71,15 +71,20 @@ __all__ = [
     "simulate_risk",
     "check_bounds",
     "audit_config",
+    "AUDIT_PROBLEM_OF",
     "REPLICATE_BLOCK",
     "ORACLE_BLOCK",
 ]
 
-# The estimator that audits each problem's bound: hard thresholding at
+# The estimator of each problem's experiment: hard thresholding at
 # sigma sqrt(2 ln d / n), the sample mean, and OLS on the design.
 ESTIMATOR_OF = {"sparse-location": "hard-threshold", "normal-mean": "mean",
                 "regression": "ols"}
 PROBLEMS = tuple(ESTIMATOR_OF)
+# The one table of which problem's experiment audits each pipeline's bound.
+AUDIT_PROBLEM_OF = {"normal-mean-simple": "normal-mean", "normal-mean-integrated": "normal-mean",
+                    "sparse-location": "sparse-location",
+                    "linear-regression": "regression", "compressed-sensing": "regression"}
 # Replicates drawn from one keyed stream. Fixed by the library, so that
 # draws never depend on how the sums are chunked; a block of the widest
 # problem (d = 32) stays near 1 MB per array.
@@ -451,22 +456,11 @@ def check_bounds(report: RiskReport) -> BoundAudit:
 
 def audit_config(bound: MinimaxBound, reps: int, seed: int,
                  design: np.ndarray | None = None) -> ExperimentConfig:
-    """The experiment whose estimator audits a pipeline bound: the sample
-    mean for normal-mean, hard thresholding at the bound's eps for
-    sparse-location, and OLS on `design` for linear regression and
-    compressed sensing. d, s, n and sigma2 come from the bound's extras."""
-    x = bound.extras
-    if bound.pipeline in ("normal-mean-simple", "normal-mean-integrated"):
-        return ExperimentConfig(problem="normal-mean", reps=reps, seed=seed,
-                                d=x["d"], n=x["n"], sigma2=x["sigma2"])
-    if bound.pipeline == "sparse-location":
-        return ExperimentConfig(problem="sparse-location", reps=reps, seed=seed,
-                                d=x["d"], s=x["s"], n=x["n"], sigma2=x["sigma2"],
-                                eps=bound.eps)
-    if bound.pipeline in ("linear-regression", "compressed-sensing"):
-        if design is None:
-            raise DomainError(f"pipeline {bound.pipeline!r} is audited by OLS and needs "
-                              "its design")
-        return ExperimentConfig(problem="regression", reps=reps, seed=seed,
-                                d=np.shape(design)[1], sigma2=x["sigma2"], design=design)
-    raise DomainError(f"no estimator audits pipeline {bound.pipeline!r}")
+    """The experiment that AUDIT_PROBLEM_OF names for the bound's pipeline, with
+    d, s, n and sigma2 from the bound's extras, the bound's eps and `design`;
+    ExperimentConfig refuses a regression audit without its design."""
+    if bound.pipeline not in AUDIT_PROBLEM_OF:
+        raise DomainError(f"no estimator audits pipeline {bound.pipeline!r}")
+    keys = {k: bound.extras[k] for k in ("d", "s", "n", "sigma2") if k in bound.extras}
+    return ExperimentConfig(problem=AUDIT_PROBLEM_OF[bound.pipeline], reps=reps, seed=seed,
+                            eps=bound.eps or 0.0, design=design, **keys)

@@ -8,6 +8,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -223,10 +224,50 @@ def test_table_with_risk(capsys):
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     header = lines[1].split(",")
-    assert header[-3:] == ["risk", "risk_ci_lo", "risk_ci_hi"]
+    assert header[-4:] == ["risk", "risk_ci_lo", "risk_ci_hi", "risk_margin"]
     for ln in lines[2:]:
         row = dict(zip(header, ln.split(",")))
         assert float(row["bound"]) <= float(row["risk_ci_hi"])
+        margin = float(row["risk_margin"])
+        assert margin == float(row["risk_ci_hi"]) - float(row["bound"])
+        assert margin >= 0
+
+
+def test_table_with_risk_exits_1_when_a_bound_tops_its_risk(tmp_path, monkeypatch, capsys):
+    """A bound inflated 20-fold, as estimator-risk's --inject-fault inflates
+    it, sits above the simulated risk: each row shows a negative risk_margin,
+    the CSV is still written, and the table exits 1 as a failed verify does."""
+    bound = cli.normal_mean_bound
+
+    def inflated(*args, **kwargs):
+        result = bound(*args, **kwargs)
+        return replace(result, value=20.0 * result.value)
+
+    monkeypatch.setattr(cli, "normal_mean_bound", inflated)
+    code = run(["table", "normal-mean", "--sweep", "n=50,100", "--d", "5",
+                "--sigma2", "1", "--mode", "integrated", "--with-risk", "400",
+                "--seed", "3", "--out", str(tmp_path / "t.csv")])
+    assert code == 1
+    rows = read_csv(tmp_path / "t.csv")
+    assert len(rows) == 2
+    assert all(float(row["risk_margin"]) < 0 for row in rows)
+
+
+def test_table_hash_covers_with_risk(capsys):
+    """The header hash changes with the replicate count of --with-risk, and a
+    table without --with-risk keeps the hash of a config without the count."""
+    argv = ["table", "regression", "--sweep", "sigma2=1", "--d", "9", "--n", "9",
+            "--design", "identity", "--seed", "1"]
+    heads = []
+    for risk in ([], ["--with-risk", "2000"], ["--with-risk", "4000"]):
+        assert run(argv + risk) == 0
+        heads.append(capsys.readouterr().out.splitlines()[0])
+    assert heads[0] == "# schema=fanolab-bound-v1 manifest=ddd8f092e863ecbd"
+    assert len(set(heads)) == 3
+    assert run(["table", "sparse-location", "--sweep", "d=16,32,64", "--s", "4",
+                "--n", "200", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "# schema=fanolab-bound-v1 manifest=29301a1e013af6fc\n")
 
 
 def test_table_with_risk_builds_each_design_once(tmp_path, monkeypatch, capsys):
@@ -327,6 +368,8 @@ def test_env_seed_override(tmp_path, monkeypatch, capsys):
 
 # -- the checked parameter table ----------------------------------------------
 
+_A_FILE = __file__
+_NO_DIR = str(Path(__file__).with_name("no-such-dir"))
 REFUSED = [
     # (argv, the key, path or variable the error must name)
     (["bound", "sparse-location", "--d", "32", "--s", "4", "--n", "200", "--t", "7"], "t"),
@@ -371,6 +414,13 @@ REFUSED = [
     (["table", "regression", "--sweep", "d=9", "--n", "9", "--with-risk", "1000000000000000"],
      "reps"),
     (["verify", "estimator-risk", "--reps-scale", "1e12"], "reps:"),
+    # output locations that cannot be written: a missing directory, a path
+    # under a file, and a file where the output directory should be
+    (["table", "normal-mean", "--sweep", "n=10", "--d", "5", "--out", _NO_DIR + "/t.csv"],
+     "no-such-dir/t.csv"),
+    (["bound", "normal-mean", "--d", "4", "--n", "10", "--out-dir", _A_FILE + "/sub"],
+     "test_cli.py/sub"),
+    (["verify", "quadrature", "--out-dir", _A_FILE], "test_cli.py"),
 ]
 
 
@@ -378,7 +428,7 @@ REFUSED = [
 def test_out_of_domain_input_exits_2_naming_the_key(argv, name, tmp_path, capsys):
     out = ["--out", str(tmp_path / "t.csv")] if argv[0] == "table" else \
         ["--out-dir", str(tmp_path)]
-    assert run(argv + out) == 2
+    assert run(argv + (out if out[0] not in argv else [])) == 2
     err = capsys.readouterr().err
     assert name in err
     assert "Traceback" not in err

@@ -25,7 +25,9 @@ from fanolab.info import (
     mutual_information_exact,
 )
 from fanolab.lab import (
+    AUDIT_PROBLEM_OF,
     ORACLE_BLOCK,
+    PROBLEMS,
     REPLICATE_BLOCK,
     ExperimentConfig,
     MatchedBound,
@@ -565,6 +567,23 @@ def test_audit_config_linear_pipelines_use_ols_on_their_design():
         assert np.array_equal(cfg.design, X)
         with pytest.raises(DomainError, match="design"):
             audit_config(bound, 300, 4)
+
+
+def test_audit_config_refuses_a_design_other_than_the_bounds():
+    bound = linear_regression_bound(stream(3, 0).standard_normal((20, 8)), 1.5)
+    with pytest.raises(DomainError, match="d=8"):
+        audit_config(bound, 300, 4, stream(3, 1).standard_normal((20, 9)))
+
+
+def test_every_pipeline_has_one_audit_problem():
+    X = stream(3, 0).standard_normal((20, 8))
+    pipelines = {b.pipeline for b in (normal_mean_bound(10, 1.0, 50, mode="simple"),
+                                      normal_mean_bound(10, 1.0, 50, mode="integrated"),
+                                      sparse_location_bound(32, 4, 1.0, 200),
+                                      linear_regression_bound(X, 1.0),
+                                      compressed_sensing_bound(X, 2, 1.0))}
+    assert pipelines == set(AUDIT_PROBLEM_OF)
+    assert set(AUDIT_PROBLEM_OF.values()) == set(PROBLEMS)
 
 
 def test_audit_config_refuses_a_pipeline_without_an_estimator():
