@@ -10,7 +10,7 @@ import math
 
 from .discrete import _MI_DOMAIN, _fano_tail
 from .info import DomainError, _require, _shown
-from .results import BoundResult
+from .results import MinimaxBound
 
 
 class EstimationError(RuntimeError):
@@ -32,15 +32,17 @@ def ball_volume_ratio_analytic(r: float, t: float, d: int) -> float:
     raise DomainError(f"(r/t)^d overflows float64 at r={r!r}, t={t!r}, d={_shown(d)}")
 
 
-def continuum_fano_bound(log_ratio: float, mi: float) -> BoundResult:
+def continuum_fano_bound(log_ratio: float, mi: float) -> MinimaxBound:
     """Volume-ratio Fano bound: P(rho(Vhat, V) >= t) >= 1 - (I + ln 2) / log_ratio.
 
     Applies to V uniform on the region, with log_ratio =
     ln( Vol(V) / sup_v Vol(ball(t, v) & V) ) in nats. The event uses the
-    weak inequality rho >= t. A nonpositive log-ratio makes the formula
-    inapplicable: valid=False, value 0.
+    weak inequality rho >= t. The MinimaxBound has pipeline continuum-tail
+    and no t: the log-ratio alone does not name the radius. A nonpositive
+    log-ratio makes the formula inapplicable: valid=False, value 0.
     """
     _require("finite", "log_ratio must be finite", log_ratio=log_ratio)
     _require(*_MI_DOMAIN, mi=mi)
-    return BoundResult(value=_fano_tail(mi, log_ratio), valid=log_ratio > 0,
-                       ingredients={"mi_bound": mi, "log_ratio": log_ratio})
+    return MinimaxBound(value=_fano_tail(mi, log_ratio), pipeline="continuum-tail",
+                        mi_bound=mi, log_ratio=log_ratio, valid=log_ratio > 0,
+                        extras={"mi_bound": mi, "log_ratio": log_ratio})

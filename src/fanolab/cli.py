@@ -12,6 +12,12 @@ problem or suite does not use, or a value outside its domain, is refused
 with the key named. The default seed comes from FANOLAB_SEED when set.
 Exit codes: 0 success, 1 a verify check or a table --with-risk audit
 failed, 2 invalid configuration or output path, 3 a bound with valid=False.
+An output location is created (--out-dir) or checked (--out) before any
+bound or suite is computed.
+
+Every problem's bound is one MinimaxBound, and its fields fill the CSV row
+and the JSON alike. --with-risk audits a bound through lab.audit_config,
+which refuses, with exit 2, a tail problem's pipeline: no estimator audits it.
 
 Only bound writes a run manifest; bound and table artifacts embed a
 16-hex config hash, and verify reports none. The manifest carries
@@ -242,47 +248,33 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _recipe(problem: str, result) -> tuple:
-    """(pipeline, t, eps, mi_bound, log_ratio) of a MinimaxBound or, read
-    from its ingredients, of a tail BoundResult."""
-    if isinstance(result, MinimaxBound):
-        return result.pipeline, result.t, result.eps, result.mi_bound, result.log_ratio
-    ing = result.ingredients
-    return problem, ing.get("t"), None, ing.get("mi_bound"), ing.get("log_ratio")
-
-
-def _bound_row(problem: str, result, cfg: dict[str, str]) -> dict[str, str]:
-    pipeline, t, eps, mi, lr = _recipe(problem, result)
+def _bound_row(result: MinimaxBound, cfg: dict[str, str]) -> dict[str, str]:
     return {
-        "pipeline": pipeline,
+        "pipeline": result.pipeline,
         "d": cfg.get("d", ""), "s": cfg.get("s", ""), "n": cfg.get("n", ""),
         "sigma2": cfg.get("sigma2", ""),
-        "t": _fmt(t), "eps": _fmt(eps),
-        "mi_bound_nats": _fmt(mi), "log_ratio_nats": _fmt(lr),
+        "t": _fmt(result.t), "eps": _fmt(result.eps),
+        "mi_bound_nats": _fmt(result.mi_bound), "log_ratio_nats": _fmt(result.log_ratio),
         "bound": _fmt(result.value), "valid": _fmt(result.valid),
     }
 
 
 def _write_bound_outputs(out_dir: Path, problem: str, cfg: dict[str, str], seed: int,
-                         result, row: dict[str, str]) -> tuple[Path, Path]:
-    out_dir.mkdir(parents=True, exist_ok=True)
+                         result: MinimaxBound, row: dict[str, str]) -> tuple[Path, Path]:
     chash = _config_hash("bound", problem, cfg, seed)
-    detail = (dict(result.extras) if isinstance(result, MinimaxBound)
-              else dict(result.ingredients))
-    pipeline, t, eps, mi, lr = _recipe(problem, result)
     payload = {
         "schema": CSV_SCHEMA,
         "manifest": chash,
-        "pipeline": pipeline,
+        "pipeline": result.pipeline,
         "params": dict(sorted(cfg.items())),
         "seed": seed,
         "value": result.value,
         "valid": result.valid,
-        "t": t,
-        "eps": eps,
-        "mi_bound_nats": mi,
-        "log_ratio_nats": lr,
-        "detail": detail,
+        "t": result.t,
+        "eps": result.eps,
+        "mi_bound_nats": result.mi_bound,
+        "log_ratio_nats": result.log_ratio,
+        "detail": dict(result.extras),
     }
     json_path = out_dir / f"{problem}-{chash}.json"
     json_path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
@@ -314,7 +306,7 @@ def _csv_text(rows: list[dict[str, str]], manifest_hash: str,
 # -- bound dispatch ----------------------------------------------------------
 
 
-def _compute_bound(problem: str, p: dict, design: np.ndarray | None):
+def _compute_bound(problem: str, p: dict, design: np.ndarray | None) -> MinimaxBound:
     if problem == "normal-mean":
         return normal_mean_bound(p["d"], p["sigma2"], p["n"], mode=p["mode"])
     if problem == "sparse-location":
@@ -337,16 +329,17 @@ def _compute_bound(problem: str, p: dict, design: np.ndarray | None):
                  else math.log(ball_volume_ratio_analytic(p["r"], p["t"], p["d"])))
     result = continuum_fano_bound(log_ratio, p["mi"])
     # the bound is the tail at radius t; record t as the discrete tail does
-    return replace(result, ingredients={**result.ingredients, "t": p["t"]})
+    return replace(result, t=p["t"], extras={**result.extras, "t": p["t"]})
 
 
 def cmd_bound(args) -> int:
     cfg, seed = _params(args)
     p = _typed(cfg, BOUND_PROBLEMS[args.problem], args.problem)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     result = _compute_bound(args.problem, p, _design_matrix(p, seed))
-    row = _bound_row(args.problem, result, cfg)
-    json_path, csv_path = _write_bound_outputs(Path(args.out_dir), args.problem,
-                                               cfg, seed, result, row)
+    row = _bound_row(result, cfg)
+    json_path, csv_path = _write_bound_outputs(out_dir, args.problem, cfg, seed, result, row)
     print(f"{row['pipeline']}: bound={_fmt(result.value)} valid={_fmt(result.valid)}")
     print(f"wrote {json_path} and {csv_path}")
     return 0 if result.valid else 3
@@ -374,11 +367,11 @@ def cmd_verify(args) -> int:
 
     name, keys = SUITES[args.suite]
     given, seed = _params(args)
-    checks = getattr(verify, name)(seed, args.inject_fault,
-                                   **_typed(given, keys, f"suite {args.suite}"))
-    report, ok = verify.report(args.suite, seed, checks)
+    kwargs = _typed(given, keys, f"suite {args.suite}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    checks = getattr(verify, name)(seed, args.inject_fault, **kwargs)
+    report, ok = verify.report(args.suite, seed, checks)
     (out_dir / f"verify-{args.suite}-seed{seed}.txt").write_text(report)
     sys.stdout.write(report)
     return 0 if ok else 1
@@ -389,6 +382,10 @@ def cmd_verify(args) -> int:
 
 def cmd_table(args) -> int:
     base, seed = _params(args)
+    out = Path(args.out) if args.out else None
+    if out is not None and (out.is_dir() or not out.parent.is_dir()):
+        why = "it is a directory" if out.is_dir() else "its parent is not a directory"
+        raise ConfigError(f"cannot write --out {args.out}: {why}")
     try:
         sweep_key, sweep_vals = args.sweep.split("=", 1)
     except ValueError:
@@ -403,9 +400,9 @@ def cmd_table(args) -> int:
         p = _typed(cfg, BOUND_PROBLEMS[args.problem], args.problem)
         design = _design_matrix(p, seed)  # shared by the bound and its risk
         result = _compute_bound(args.problem, p, design)
-        row = _bound_row(args.problem, result, cfg)
+        row = _bound_row(result, cfg)
         if args.with_risk is not None:
-            passed.append(_add_risk(row, args.problem, result, design, seed, args.with_risk))
+            passed.append(_add_risk(row, result, design, seed, args.with_risk))
         rows.append(row)
     hashed = dict(base, sweep=args.sweep)
     if args.with_risk is not None:  # a plain table keeps its hash
@@ -413,17 +410,16 @@ def cmd_table(args) -> int:
     columns = list(CSV_COLUMNS) + (["risk", "risk_ci_lo", "risk_ci_hi", "risk_margin"]
                                    if args.with_risk is not None else [])
     text = _csv_text(rows, _config_hash("table", args.problem, hashed, seed), columns)
-    if args.out:
-        Path(args.out).write_text(text)
+    if out is not None:
+        out.write_text(text)
     sys.stdout.write(text)
     return 0 if all(passed) else 1
 
 
-def _add_risk(row: dict[str, str], problem: str, result, design: np.ndarray | None,
+def _add_risk(row: dict[str, str], result: MinimaxBound, design: np.ndarray | None,
               seed: int, reps: int) -> bool:
-    """Adds a row's risk columns; True when risk_margin = risk_ci_hi - bound >= 0."""
-    if not isinstance(result, MinimaxBound):
-        raise ConfigError(f"--with-risk is not supported for problem {problem!r}")
+    """Adds a row's risk columns; True when risk_margin = risk_ci_hi - bound >= 0.
+    audit_config refuses a pipeline that no estimator audits: the tail forms."""
     from .lab import MatchedBound, audit_config, check_bounds, simulate_risk
 
     rep = simulate_risk(audit_config(result, reps, seed, design),

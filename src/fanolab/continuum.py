@@ -183,11 +183,7 @@ def _metric(name: str):
             return out
     else:
         raise DomainError(f"unknown metric {name!r}; expected 'l2' or 'linf'")
-
-    def bbox(center, t):
-        return np.stack([center - t, center + t])
-
-    return rho, bbox
+    return rho
 
 
 def l2_ball_space(d: int, r: float, *, metric: str = "l2") -> ContinuumSpace:
@@ -317,8 +313,10 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
         raise DomainError(f"the volume {box_vol!r} of space's bounding box is out of range")
     per_count_conf = 1.0 - (1.0 - _CONFIDENCE) / 2.0  # two counts share the miss budget
 
-    rho, bbox = _metric(space.metric)
-    ball_box = _intersect_boxes(space.bounding_box, bbox(space.sup_center, t))
+    rho = _metric(space.metric)
+    # center +- t bounds the ball in either norm
+    ball_box = _intersect_boxes(space.bounding_box,
+                                np.stack([space.sup_center - t, space.sup_center + t]))
     if ball_box is None:
         raise EstimationError("the declared ball misses the bounding box; cannot estimate the sup")
 

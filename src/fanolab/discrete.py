@@ -13,7 +13,9 @@ and, over leading batch axes, _neighborhood_extremes, _miss (the event
 rho(Vhat, V) > t) and _miss_tail (its probability P_t). The public
 functions here check their inputs and call them (neighborhood_sizes through
 DiscreteSpace._counts_within); so do the volume-ratio bound and minimax
-(_fano_tail) and the batched oracle kernels in lab (all of them). Distance
+(_fano_tail) and the batched oracle kernels in lab (all of them). The tail
+forms return the MinimaxBound that every bound returns, with pipeline
+discrete-tail or discrete-conditional. Distance
 matrices are checked by one rule, _check_symmetric. The Fano cores, the
 tail forms and the sparse counts run on Python numbers; numpy loads when a
 space or an array core is first used.
@@ -41,7 +43,7 @@ from .info import (
     _shown,
     conditional_entropy,
 )
-from .results import BoundResult
+from .results import MinimaxBound
 
 if TYPE_CHECKING:
     import numpy as np
@@ -449,7 +451,7 @@ def _require_card(card: int, profile: NeighborhoodProfile) -> None:
             f"neighborhood size n_max={_shown(profile.n_max)} exceeds card={_shown(card)}")
 
 
-def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) -> BoundResult:
+def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) -> MinimaxBound:
     """Mutual-information tail bound: P(rho(Vhat, V) > t) >= 1 - (I + ln 2) / ln(card / N_max).
 
     Requires V uniform on the space. The side condition
@@ -463,13 +465,13 @@ def fano_tail_lower_bound(card: int, profile: NeighborhoodProfile, mi: float) ->
     value = _fano_tail(mi, log_ratio)
     side_ok = (card - profile.n_min) > profile.n_max
     valid = side_ok and log_ratio > 0
-    return BoundResult(value=value, valid=valid, ingredients={
-        "mi_bound": mi, "log_ratio": log_ratio, "t": profile.t,
-        "card": card, "n_max": profile.n_max, "n_min": profile.n_min,
-    })
+    return MinimaxBound(value=value, pipeline="discrete-tail", t=profile.t, mi_bound=mi,
+                        log_ratio=log_ratio, valid=valid,
+                        extras={"mi_bound": mi, "log_ratio": log_ratio, "t": profile.t,
+                                "card": card, "n_max": profile.n_max, "n_min": profile.n_min})
 
 
-def fano_conditional_form(hvx: float, card: int, profile: NeighborhoodProfile) -> BoundResult:
+def fano_conditional_form(hvx: float, card: int, profile: NeighborhoodProfile) -> MinimaxBound:
     """Conditional-entropy tail bound, valid for any distribution of V.
 
     P(rho(Vhat, V) > t) >= (H(V|X) - ln N_max - ln 2) / ln((card - N_min) / N_max),
@@ -478,7 +480,7 @@ def fano_conditional_form(hvx: float, card: int, profile: NeighborhoodProfile) -
     _require("finite and >= 0", hvx=hvx)
     _require_card(card, profile)
     value, den = _fano_conditional(hvx, card, profile.n_max, profile.n_min)
-    return BoundResult(value=value, valid=den > 0, ingredients={
-        "hvx": hvx, "denominator": den, "t": profile.t,
-        "card": card, "n_max": profile.n_max, "n_min": profile.n_min,
-    })
+    return MinimaxBound(value=value, pipeline="discrete-conditional", t=profile.t,
+                        valid=den > 0,
+                        extras={"hvx": hvx, "denominator": den, "t": profile.t,
+                                "card": card, "n_max": profile.n_max, "n_min": profile.n_min})

@@ -24,7 +24,7 @@ and load no numpy; the design pipelines import it when they are called.
 Scale parameters that are usually only pinned up to proportionality
 (eps^2 of order log(d/s)/n) are set to the exact maximizer of the bound
 objective, which is concave in eps^2; every returned bound records that
-eps and all ingredients, and no unspecified "universal constant" is ever
+eps and its whole recipe, and no unspecified "universal constant" is ever
 hard-coded: the implied constant is reported alongside the bound instead.
 """
 

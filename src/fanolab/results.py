@@ -1,4 +1,5 @@
-"""Result records shared by the bound computations."""
+"""The one record every bound computation returns: the tail forms of
+fanolab.discrete and fanolab.continuum and the minimax pipelines alike."""
 
 from __future__ import annotations
 
@@ -7,38 +8,24 @@ from types import MappingProxyType
 
 from .info import _require
 
-__all__ = ["BoundResult", "MinimaxBound"]
+__all__ = ["MinimaxBound"]
 
 _BOUND_VALUE = "bound value must be finite and >= 0, got {value}"
 
 
 @dataclass(frozen=True)
-class BoundResult:
-    """A computed tail lower bound plus the ingredients that produced it.
-
-    value is finite and clamped to [0, inf): a formula that evaluates
-    negative is a vacuous-but-correct bound of 0 and keeps valid=True.
-    valid=False marks a structural failure (denominator sign, side
-    condition), i.e. the formula did not apply at all; the value is 0.
-    """
-
-    value: float
-    valid: bool
-    ingredients: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
-
-    def __post_init__(self):
-        _require("finite and >= 0", _BOUND_VALUE, value=self.value)
-        if not isinstance(self.ingredients, MappingProxyType):
-            object.__setattr__(self, "ingredients", MappingProxyType(dict(self.ingredients)))
-
-
-@dataclass(frozen=True)
 class MinimaxBound:
-    """A minimax risk lower bound in loss units, with its full recipe.
+    """A lower bound, a tail probability or a minimax risk in loss units,
+    with its full recipe.
 
     pipeline names which construction produced it; eps and t are the scale
     and radius the construction used (None where not applicable); mi_bound
-    and log_ratio are the information ingredients in nats.
+    and log_ratio are the information terms in nats; extras holds the
+    rest of the recipe. value is finite and clamped to [0, inf): a formula
+    that evaluates negative is a vacuous-but-correct bound of 0 and keeps
+    valid=True. valid=False marks a structural failure (denominator sign,
+    side condition, a degenerate design), i.e. the formula did not apply at
+    all; a tail form then reports 0, a minimax pipeline its formula value.
     """
 
     value: float

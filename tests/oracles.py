@@ -172,7 +172,7 @@ def generalized_fano_minimax(family: ParamFamily, t: float, mi: float, card: int
     else:
         value = 0.0
     return MinimaxBound(value=value, pipeline="generalized-fano", t=t, eps=None,
-                        mi_bound=mi, log_ratio=tail.ingredients["log_ratio"],
+                        mi_bound=mi, log_ratio=tail.extras["log_ratio"],
                         valid=tail.valid,
                         extras={"delta": delta, "tail_bound": tail.value,
                                 "card": card, "n_max": profile.n_max,

@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -115,6 +116,76 @@ def test_bound_json_agrees_with_csv(argv, tmp_path):
         assert js[key] == (None if row[column] == "" else float(row[column])), column
     if argv[0].endswith("-tail"):
         assert js["mi_bound_nats"] == 0.1 and js["log_ratio_nats"] > 0
+
+
+# SHA-256 of the JSON and the CSV that `bound` writes at seed 1, with the
+# exit code. Repeat identity cannot show that a refactor kept the bytes;
+# pinned digests can.
+BOUND_DIGESTS = {
+    "normal-mean-simple": (
+        ["normal-mean", "--d", "10", "--n", "100", "--mode", "simple"], 0,
+        "36d42747f4dba33a887117c0764e9872beaef3b74f2c394f8afa03b223c52c71",
+        "43058d86c5525717cccd403a89da2a2155c67d03c45b004564e91c4ce010789d"),
+    "normal-mean-integrated": (
+        ["normal-mean", "--d", "10", "--n", "100", "--mode", "integrated"], 0,
+        "488ba8cdd7ae5dc735d479b4fab913dec0e30b3e8be4486b3a42524f13892639",
+        "9219214ee8d3237bf91f3e26ac841868285d57eb1e0c6bb9ac8e7ec78d633128"),
+    "sparse-location": (
+        ["sparse-location", "--d", "32", "--s", "4", "--n", "200"], 0,
+        "bacf90695d355f16e9235f20ddc328c26941c628c67c7e1ba95882299927bcda",
+        "d41d39ef5268d023a531939490acd6d990435174e75622c98453a376de91138d"),
+    "compressed-sensing": (
+        ["compressed-sensing", "--d", "32", "--s", "4", "--n", "20", "--design", "gaussian"], 0,
+        "a1c315318029704c20df8f395d626e77835dd265a8a0ba5344ec0c1df6ca568d",
+        "09bdb736df8c3ee8f0b9fac91c1ed8dd5e9561183b9f8ef20a5a7495fa7bfc69"),
+    "regression": (
+        ["regression", "--d", "9", "--n", "9"], 0,
+        "d13a364fefc8ae5d86e0876da4daebdca44ae8401e9c9853c8fc45dcdfe763a3",
+        "4098f9f6820cceda9fb11d09e2e7bfc78076a0689cdd0ed677b3e8fbfff6a9b7"),
+    "discrete-tail": (
+        ["discrete-tail", "--card", "6", "--n-max", "2", "--n-min", "2", "--t", "1",
+         "--mi", "0.1"], 0,
+        "f9c893ddf99141b888b15c9bbeeac9aefb03b8db8c37e3d6274612ace2a74411",
+        "9b35d1636d76a1cf8173e820b47a6ae07c6d5e836c1d79a1826342148612443d"),
+    "discrete-tail-invalid": (
+        ["discrete-tail", "--card", "2", "--n-max", "1", "--n-min", "1"], 3,
+        "038d823e5afabf114b10d229f8531b04617efaf79c0fd9674d02493bab63d921",
+        "653eed60db725ec2714f46a8abd37c5cbb5674c1b993e67876c735c8746c6535"),
+    "continuum-tail-radii": (
+        ["continuum-tail", "--r", "2", "--t", "1", "--d", "2", "--mi", "0.1"], 0,
+        "dac0ec98edf92e5ff6a6dc3337b0e2dc088fee2d17253963616b74c6fafa39d5",
+        "3537a95d83e8056d2f5dabf21632b79258cf321b27b7eec6ad0506837baedfec"),
+    "continuum-tail-log-ratio": (
+        ["continuum-tail", "--log-ratio", "1.5", "--mi", "0.1"], 0,
+        "80d1dbc921afeed65d2fef71aedf9bb99d7c9bd5dc2dce10cb2e8da27e1d6efc",
+        "0a31474ff0bbe5343bc066995b096379864596f80880ac1609d03a4285736682"),
+}
+# The same for the CSV of a plain table and of a --with-risk table.
+TABLE_DIGESTS = {
+    "plain": (["sparse-location", "--sweep", "d=16,32,64", "--s", "4", "--n", "200"],
+              "c84b7ae0cf8d2ccd02674b2de4d05fb470d1159de7e8e087f955d0a9b7f4773b"),
+    "with-risk": (["normal-mean", "--sweep", "n=50,100", "--d", "5", "--with-risk", "400"],
+                  "ce17ac684d00c21454d6514d93bfc3ab46c4746d14a2db4bf49a6de2099a04df"),
+}
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", BOUND_DIGESTS)
+def test_bound_outputs_match_pinned_digests(case, tmp_path):
+    argv, code, json_digest, csv_digest = BOUND_DIGESTS[case]
+    assert run(["bound", *argv, "--seed", "1", "--out-dir", str(tmp_path)]) == code
+    assert _sha256(next(tmp_path.glob(f"{argv[0]}-*.json"))) == json_digest
+    assert _sha256(next(tmp_path.glob(f"{argv[0]}-*.csv"))) == csv_digest
+
+
+@pytest.mark.parametrize("case", TABLE_DIGESTS)
+def test_table_csv_matches_pinned_digest(case, tmp_path):
+    argv, digest = TABLE_DIGESTS[case]
+    assert run(["table", *argv, "--seed", "1", "--out", str(tmp_path / "t.csv")]) == 0
+    assert _sha256(tmp_path / "t.csv") == digest
 
 
 def test_bound_config_file_with_flag_override(tmp_path):
@@ -253,6 +324,19 @@ def test_table_with_risk_exits_1_when_a_bound_tops_its_risk(tmp_path, monkeypatc
     assert all(float(row["risk_margin"]) < 0 for row in rows)
 
 
+@pytest.mark.parametrize("argv", [
+    ["discrete-tail", "--sweep", "mi=0,0.1", "--card", "6", "--n-max", "2", "--n-min", "2"],
+    ["continuum-tail", "--sweep", "mi=0,0.1", "--log-ratio", "2"],
+], ids=lambda argv: argv[0])
+def test_table_with_risk_refuses_a_tail_problem(argv, tmp_path, capsys):
+    """No estimator audits a tail bound: the audit table refuses its
+    pipeline, and no CSV is written."""
+    out = tmp_path / "t.csv"
+    assert run(["table", *argv, "--with-risk", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: no estimator audits pipeline {argv[0]!r}\n"
+    assert not out.exists()
+
+
 def test_table_hash_covers_with_risk(capsys):
     """The header hash changes with the replicate count of --with-risk, and a
     table without --with-risk keeps the hash of a config without the count."""
@@ -364,6 +448,43 @@ def test_env_seed_override(tmp_path, monkeypatch, capsys):
                 "--out-dir", str(tmp_path)])
     assert code == 0
     assert "seed=777" in capsys.readouterr().out
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("the work ran before its output location was checked")
+
+
+def test_bound_refuses_its_out_dir_before_computing(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_compute_bound", _never)
+    (tmp_path / "a-file").write_text("")
+    out_dir = tmp_path / "a-file" / "sub"
+    assert run(["bound", "normal-mean", "--d", "4", "--n", "10",
+                "--out-dir", str(out_dir)]) == 2
+    assert str(out_dir) in capsys.readouterr().err
+
+
+def test_verify_refuses_its_out_dir_before_the_suite(tmp_path, monkeypatch, capsys):
+    from fanolab import verify
+
+    monkeypatch.setattr(verify, "quadrature", _never)
+    (tmp_path / "a-file").write_text("")
+    assert run(["verify", "quadrature", "--out-dir", str(tmp_path / "a-file")]) == 2
+    assert str(tmp_path / "a-file") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["no-such-dir/t.csv", "a-file/t.csv", "a-dir"])
+def test_table_refuses_its_out_before_the_sweep(where, tmp_path, monkeypatch, capsys):
+    """An --out that cannot take the CSV is refused, naming it, before the
+    first bound; nothing is created."""
+    monkeypatch.setattr(cli, "_compute_bound", _never)
+    (tmp_path / "a-file").write_text("")
+    (tmp_path / "a-dir").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    out = tmp_path / where
+    assert run(["table", "regression", "--sweep", "sigma2=1,2,3", "--d", "9", "--n", "9",
+                "--with-risk", "3000000", "--out", str(out)]) == 2
+    assert str(out) in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 # -- the checked parameter table ----------------------------------------------

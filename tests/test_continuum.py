@@ -247,7 +247,7 @@ def test_sampling_and_metrics_match_row_broadcast_formulas(d):
         assert pts.flags.f_contiguous
         for metric, want in [("l2", np.sqrt(column_sum_of_squares(pts - c))),
                              ("linf", np.abs(pts - c).max(axis=1))]:
-            got = continuum._metric(metric)[0](c, pts)
+            got = continuum._metric(metric)(c, pts)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (metric, m)
         # a radius with about half the points inside
         sums = column_sum_of_squares(pts)

@@ -117,7 +117,6 @@ CASES = {
     "clopper_pearson": _case(fanolab.clopper_pearson, k=1, n=4, confidence=0.9),
     "mean_ci": _case(fanolab.mean_ci, [1.0, 2.0], confidence=0.9),
     "stream": _case(fanolab.stream, seed=1, stream_id=0),
-    "BoundResult": _case(fanolab.BoundResult, value=0.5, valid=True),
     "MinimaxBound": _case(fanolab.MinimaxBound, value=0.5, pipeline="x", t=1.0, eps=0.1,
                           mi_bound=0.2, log_ratio=2.0),
 }
@@ -279,7 +278,7 @@ def test_a_cardinality_beyond_float64_is_divided_exactly():
     # card / n_max = 2**100 in exact integers: L = 100 ln 2, the bound 1 - 1/100
     bound = fanolab.fano_tail_lower_bound(2**1100, NeighborhoodProfile(1.0, 2**1000, 1), 0.0)
     assert bound.value == pytest.approx(0.99, rel=1e-12)
-    assert bound.ingredients["card"] == 2**1100
+    assert bound.extras["card"] == 2**1100
 
 
 def test_counts_beyond_int64_are_taken_exactly():

@@ -9,8 +9,10 @@ import pytest
 
 from fanolab import lab
 from fanolab.cli import main
+from fanolab.continuum import continuum_fano_bound
 from fanolab.discrete import (
     DiscreteSpace,
+    NeighborhoodProfile,
     fano_conditional_form,
     fano_inequality_sides,
     fano_tail_lower_bound,
@@ -587,5 +589,10 @@ def test_every_pipeline_has_one_audit_problem():
 
 
 def test_audit_config_refuses_a_pipeline_without_an_estimator():
-    with pytest.raises(DomainError, match="generalized-fano"):
-        audit_config(MinimaxBound(value=0.1, pipeline="generalized-fano"), 300, 4)
+    profile = NeighborhoodProfile(t=1.0, n_max=2, n_min=2)
+    for bound in (MinimaxBound(value=0.1, pipeline="generalized-fano"),
+                  fano_tail_lower_bound(6, profile, 0.1),
+                  fano_conditional_form(1.5, 6, profile),
+                  continuum_fano_bound(2.0, 0.1)):
+        with pytest.raises(DomainError, match=f"pipeline '{bound.pipeline}'$"):
+            audit_config(bound, 300, 4)

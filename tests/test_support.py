@@ -11,7 +11,7 @@ import pytest
 
 import fanolab
 from fanolab.info import DomainError
-from fanolab.results import BoundResult, MinimaxBound
+from fanolab.results import MinimaxBound
 from fanolab.stats import clopper_pearson, mean_ci, pairwise_sum
 from fanolab.streams import stream
 
@@ -449,8 +449,6 @@ def test_pairwise_sum_deterministic_order():
 
 def test_bound_result_rejects_negative():
     with pytest.raises(ValueError):
-        BoundResult(value=-0.1, valid=True)
-    with pytest.raises(ValueError):
         MinimaxBound(value=-1e-9, pipeline="x")
 
 
@@ -459,14 +457,12 @@ def test_bound_records_reject_non_finite_value(value):
     """An overflowed formula (say, sigma2 near the float maximum) is refused,
     not reported as a valid infinite bound."""
     with pytest.raises(DomainError, match="finite"):
-        BoundResult(value=value, valid=True)
-    with pytest.raises(DomainError, match="finite"):
         MinimaxBound(value=value, pipeline="x")
 
 
 def test_result_records_are_frozen_with_readonly_maps():
-    res = BoundResult(value=0.5, valid=True, ingredients={"a": 1})
+    res = MinimaxBound(value=0.5, pipeline="discrete-tail", extras={"a": 1})
     with pytest.raises(Exception):
-        res.ingredients["a"] = 2
+        res.extras["a"] = 2
     with pytest.raises(Exception):
         res.value = 1.0
