@@ -26,6 +26,12 @@ so reruns with the same config and seed are byte-identical. Monte Carlo
 volume estimates are verification-only: the ``bound`` command never
 reports a bound whose volume ratio came from a sampled-only supremum.
 
+Start-up: ``import fanolab.cli`` loads argparse and the parameter tables:
+no library module, and none of dataclasses, json, hashlib or numpy. Each
+command imports the modules on its own path where it calls them, so
+``--help`` and an argument error load no library module. bound and table
+load the problem's bound module before the design loads numpy: a module
+compiled after numpy's import raises the command's peak RSS.
 numpy loads only on a path that takes arrays: a design (compressed-sensing,
 regression), --with-risk and the verify suites. The bound and table
 commands of normal-mean, sparse-location, discrete-tail and continuum-tail
@@ -36,30 +42,19 @@ numpy's version only when the run loaded it. No command loads scipy.
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from ._volume import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
-from .discrete import NeighborhoodProfile, fano_tail_lower_bound
-from .info import _DOMAINS, DomainError, _require
-from .minimax import (
-    compressed_sensing_bound,
-    linear_regression_bound,
-    normal_mean_bound,
-    sparse_location_bound,
-)
-from .results import MinimaxBound
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .results import MinimaxBound
 
 CSV_SCHEMA = "fanolab-bound-v1"
 CSV_COLUMNS = ("pipeline", "d", "s", "n", "sigma2", "t", "eps",
@@ -76,17 +71,20 @@ class ConfigError(Exception):
 REQUIRED = "required"
 
 
-@dataclass(frozen=True)
 class Key:
     """One parameter key: its type, its default (REQUIRED when it must be
-    given, None when it may stay absent) and its domain: a _DOMAINS name,
-    or the values a string may take."""
+    given, None when it may stay absent) and its domain: a name of
+    info._DOMAINS, or the values a string may take."""
 
-    type: type
-    default: object = REQUIRED
-    domain: str | tuple[str, ...] = "finite"
+    __slots__ = ("type", "default", "domain")
+
+    def __init__(self, type: type, default: object = REQUIRED,
+                 domain: str | tuple[str, ...] = "finite"):
+        self.type, self.default, self.domain = type, default, domain
 
     def parse(self, key: str, raw: str):
+        from .info import _DOMAINS
+
         try:
             value = self.type(raw)
             ok = value in self.domain if isinstance(self.domain, tuple) \
@@ -148,6 +146,8 @@ def _seed(given: str | None) -> int:
         seed = int(raw)
     except ValueError:
         raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+    from .info import _require
+
     _require("an integer in [0, 2**64)", **{name: seed})
     return seed
 
@@ -233,6 +233,8 @@ def _jsonable(obj):
 
 
 def _config_hash(command: str, problem: str, cfg: dict[str, str], seed: int) -> str:
+    import hashlib
+
     canon = "\n".join([command, problem, f"seed={seed}"]
                       + [f"{k}={v}" for k, v in sorted(cfg.items())])
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
@@ -261,6 +263,8 @@ def _bound_row(result: MinimaxBound, cfg: dict[str, str]) -> dict[str, str]:
 
 def _write_bound_outputs(out_dir: Path, problem: str, cfg: dict[str, str], seed: int,
                          result: MinimaxBound, row: dict[str, str]) -> tuple[Path, Path]:
+    import json
+
     chash = _config_hash("bound", problem, cfg, seed)
     payload = {
         "schema": CSV_SCHEMA,
@@ -306,23 +310,41 @@ def _csv_text(rows: list[dict[str, str]], manifest_hash: str,
 # -- bound dispatch ----------------------------------------------------------
 
 
-def _compute_bound(problem: str, p: dict, design: np.ndarray | None) -> MinimaxBound:
-    if problem == "normal-mean":
-        return normal_mean_bound(p["d"], p["sigma2"], p["n"], mode=p["mode"])
-    if problem == "sparse-location":
-        return sparse_location_bound(p["d"], p["s"], p["sigma2"], p["n"])
-    if problem == "compressed-sensing":
-        return compressed_sensing_bound(design, p["s"], p["sigma2"])
-    if problem == "regression":
-        return linear_regression_bound(design, p["sigma2"])
+def _compute_bound(problem: str, p: dict, seed: int) -> tuple[MinimaxBound, np.ndarray | None]:
+    """The problem's bound and the design it was computed on (None for a
+    problem without one). The bound's module loads before the design loads
+    numpy."""
     if problem == "discrete-tail":
+        from .discrete import NeighborhoodProfile, fano_tail_lower_bound
+
         profile = NeighborhoodProfile(t=p["t"], n_max=p["n_max"], n_min=p["n_min"])
-        return fano_tail_lower_bound(p["card"], profile, p["mi"])
+        return fano_tail_lower_bound(p["card"], profile, p["mi"]), None
+    if problem == "continuum-tail":
+        return _continuum_tail_bound(p), None
+    from . import minimax
+
+    design = _design_matrix(p, seed)
+    if problem == "normal-mean":
+        result = minimax.normal_mean_bound(p["d"], p["sigma2"], p["n"], mode=p["mode"])
+    elif problem == "sparse-location":
+        result = minimax.sparse_location_bound(p["d"], p["s"], p["sigma2"], p["n"])
+    elif problem == "compressed-sensing":
+        result = minimax.compressed_sensing_bound(design, p["s"], p["sigma2"])
+    else:
+        result = minimax.linear_regression_bound(design, p["sigma2"])
+    return result, design
+
+
+def _continuum_tail_bound(p: dict) -> MinimaxBound:
+    from dataclasses import replace
+
+    from ._volume import ball_volume_ratio_analytic, continuum_fano_bound
+
     given = [k for k in ("log_ratio", "r", "t", "d") if p[k] is not None]
     if given == ["log_ratio"]:
         return continuum_fano_bound(p["log_ratio"], p["mi"])
     if given != ["r", "t", "d"]:
-        raise ConfigError(f"{problem} takes log_ratio, or all of r, t and d; "
+        raise ConfigError("continuum-tail takes log_ratio, or all of r, t and d; "
                           f"got {', '.join(given) or 'none'}")
     # an r/t beyond float64 gives an infinite log-ratio, which continuum_fano_bound refuses
     log_ratio = (math.inf if math.isinf(p["r"] / p["t"])
@@ -337,7 +359,7 @@ def cmd_bound(args) -> int:
     p = _typed(cfg, BOUND_PROBLEMS[args.problem], args.problem)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = _compute_bound(args.problem, p, _design_matrix(p, seed))
+    result, _ = _compute_bound(args.problem, p, seed)
     row = _bound_row(result, cfg)
     json_path, csv_path = _write_bound_outputs(out_dir, args.problem, cfg, seed, result, row)
     print(f"{row['pipeline']}: bound={_fmt(result.value)} valid={_fmt(result.valid)}")
@@ -398,8 +420,7 @@ def cmd_table(args) -> int:
         cfg = dict(base)
         cfg[sweep_key] = val.strip()
         p = _typed(cfg, BOUND_PROBLEMS[args.problem], args.problem)
-        design = _design_matrix(p, seed)  # shared by the bound and its risk
-        result = _compute_bound(args.problem, p, design)
+        result, design = _compute_bound(args.problem, p, seed)  # one design for both
         row = _bound_row(result, cfg)
         if args.with_risk is not None:
             passed.append(_add_risk(row, result, design, seed, args.with_risk))
@@ -479,12 +500,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _refusals() -> tuple[type[Exception], ...]:
+    """The errors that refuse a command's input or output path, exit 2. main
+    evaluates this only when an exception reaches it, so a command that
+    succeeds loads none of the modules that define them."""
+    from ._volume import EstimationError
+    from .info import DomainError
+
+    return (ConfigError, DomainError, EstimationError, OSError)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, DomainError, EstimationError, OSError) as exc:
+    except _refusals() as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

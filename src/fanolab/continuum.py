@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 import os
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -266,6 +265,8 @@ def _map(fn, n: int) -> list:
     workers = min(n, _usable_cpus())
     if workers <= 1:
         return [fn(i) for i in range(n)]
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n)))
 

@@ -197,7 +197,8 @@ def fano_sides_batch(group: OracleGroup) -> tuple[np.ndarray, np.ndarray]:
     joint = _joint_law(group.prior, group.channel, group.decoder)
     p_t = _miss_tail(joint, group.dist, group.t)
     n_max, n_min = _neighborhood_extremes(group.dist, group.t)
-    lhs = np.array([_fano_lhs(p, group.nv, hi, lo)
+    nv = group.nv
+    lhs = np.array([_fano_lhs(p, nv, hi, lo)
                     for p, hi, lo in zip(p_t.tolist(), n_max.tolist(), n_min.tolist())])
     return lhs, _conditional_entropy(joint)
 

@@ -9,18 +9,23 @@ smallest margin among the checks that carry one, in check order).
 
 The quadrature suite's reference is a composite Gauss-Legendre rule from
 numpy, and the intervals come from fanolab.stats, so no suite loads scipy.
+Each suite imports the library modules it calls: only volume and
+grid-partition load fanolab.continuum and its worker threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import continuum, lab, minimax
 from .info import LN2, _budget
 from .streams import VERIFY_STREAM, stream
+
+if TYPE_CHECKING:
+    from . import lab
 
 VERIFY_SCHEMA = "fanolab-verify-v1"
 # the (d, n) pairs at which the quadrature suite checks the tail integral
@@ -53,6 +58,8 @@ def report(suite: str, seed: int, checks: list[Check]) -> tuple[str, bool]:
 
 
 def prop1_exhaustive(seed: int, fault: bool, instances: int) -> list[Check]:
+    from . import lab
+
     worst = math.inf
     for group in lab.prop1_groups(seed, instances):
         lhs, rhs = lab.fano_sides_batch(group)
@@ -63,6 +70,8 @@ def prop1_exhaustive(seed: int, fault: bool, instances: int) -> list[Check]:
 
 
 def decoder_oracle(seed: int, fault: bool, instances: int) -> list[Check]:
+    from . import lab
+
     worst = math.inf
     bump = 0.05 if fault else 0.0
     for group in lab.decoder_groups(seed, instances):
@@ -122,6 +131,8 @@ def _quad_hinge(c1: float, c2: float, rule: tuple[np.ndarray, np.ndarray]) -> fl
 
 
 def quadrature(seed: int, fault: bool) -> list[Check]:
+    from . import minimax
+
     rule = np.polynomial.legendre.leggauss(20)
     worst = -math.inf
     floor_ok = True
@@ -146,6 +157,8 @@ def volume(seed: int, fault: bool, seeds: int, points: int) -> list[Check]:
     """Per dimension, `seeds` estimates of the ratio of a radius-1/2 ball to
     the unit ball. A run fails when it is off by more than 3% or its CI
     misses the truth; the check allows at most 3 such runs, and never all."""
+    from . import continuum
+
     # three dimensions, each run counting the region and the declared ball
     _budget("sampled points", 6 * seeds * points, "6 * seeds * points")
     checks = []
@@ -170,6 +183,8 @@ def grid_partition(seed: int, fault: bool, level: int) -> list[Check]:
     """The unit square's cell counts, then the disk's area and log count
     ratio against pi and ln 4 at levels level - 4 to level. The grid draws
     nothing, so the seed changes no check."""
+    from . import continuum
+
     square = continuum.box_space([0.0, 0.0], [1.0, 1.0], metric="linf")
     sq_ok = all(continuum.grid_partition_counts(square, 0.5, lv).cell_count == 4**lv
                 for lv in range(1, 5))
@@ -199,6 +214,8 @@ def _risk_check(name: str, config: lab.ExperimentConfig, *bounds: lab.MatchedBou
     """Simulates `config` and checks that every bound sits below the 99% CI
     upper endpoint of the risk or tail it is matched to. The report line
     shows that risk or tail, the bound when there is one, and the margin."""
+    from . import lab
+
     rep = lab.simulate_risk(config, bounds)
     audit = lab.check_bounds(rep)
     fields = ({"tail": rep.tails[0].p_hat} if bounds[0].target == "tail"
@@ -210,6 +227,9 @@ def _risk_check(name: str, config: lab.ExperimentConfig, *bounds: lab.MatchedBou
 
 
 def estimator_risk(seed: int, fault: bool, reps_scale: float) -> list[Check]:
+    from . import lab, minimax
+    from ._volume import continuum_fano_bound
+
     inflate = 20.0 if fault else 1.0
 
     def reps(base: int) -> int:
@@ -223,7 +243,7 @@ def estimator_risk(seed: int, fault: bool, reps_scale: float) -> list[Check]:
     # the channel information bound stays below the volume log-ratio
     t = math.sqrt((math.sqrt(2.0) - 1.0) / 4.0)
     mi_ub = 0.5 * math.log1p(4.0 * t * t)
-    tail = continuum.continuum_fano_bound(2 * LN2, mi_ub)
+    tail = continuum_fano_bound(2 * LN2, mi_ub)
     tail_config = lab.ExperimentConfig(problem="normal-mean", reps=reps(20_000), seed=seed,
                                        d=2, n=1, sigma2=1.0, t_list=(t,))
     return [

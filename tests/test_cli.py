@@ -279,6 +279,8 @@ def test_sparse_commands_never_materialize_the_space(argv, tmp_path, monkeypatch
     def refuse(*args, **kwargs):
         raise AssertionError("brute-force enumeration reached the bound path")
 
+    import fanolab.minimax  # noqa: F401  the bound path's modules, loaded to be patched
+
     for name, module in list(sys.modules.items()):
         if name == "fanolab" or name.startswith("fanolab."):
             for attr in ("sparse_sign_space", "neighborhood_sizes"):
@@ -307,14 +309,17 @@ def test_table_with_risk(capsys):
 def test_table_with_risk_exits_1_when_a_bound_tops_its_risk(tmp_path, monkeypatch, capsys):
     """A bound inflated 20-fold, as estimator-risk's --inject-fault inflates
     it, sits above the simulated risk: each row shows a negative risk_margin,
-    the CSV is still written, and the table exits 1 as a failed verify does."""
-    bound = cli.normal_mean_bound
+    the CSV is still written, and the table exits 1 as a failed verify does.
+    The command reads the bound from fanolab.minimax when it runs."""
+    from fanolab import minimax
+
+    bound = minimax.normal_mean_bound
 
     def inflated(*args, **kwargs):
         result = bound(*args, **kwargs)
         return replace(result, value=20.0 * result.value)
 
-    monkeypatch.setattr(cli, "normal_mean_bound", inflated)
+    monkeypatch.setattr(minimax, "normal_mean_bound", inflated)
     code = run(["table", "normal-mean", "--sweep", "n=50,100", "--d", "5",
                 "--sigma2", "1", "--mode", "integrated", "--with-risk", "400",
                 "--seed", "3", "--out", str(tmp_path / "t.csv")])

@@ -401,6 +401,75 @@ for argv in {SCALAR_COMMANDS!r}:
 """)
 
 
+def test_cli_import_and_help_load_argparse_alone():
+    """import fanolab.cli loads no library module and none of dataclasses,
+    json, hashlib or numpy; --help, for the program and each command, exits
+    0 without loading a library module either."""
+    _run_fresh("""
+import sys
+before = set(sys.modules)
+import fanolab.cli
+loaded = set(sys.modules) - before
+assert not [m for m in loaded if m.startswith("fanolab.") and m != "fanolab.cli"], sorted(loaded)
+assert not loaded & {"dataclasses", "json", "hashlib", "numpy"}, sorted(loaded)
+for argv in (["--help"], ["bound", "--help"], ["verify", "--help"], ["table", "--help"]):
+    try:
+        fanolab.cli.main(argv)
+    except SystemExit as exc:
+        assert exc.code == 0, (argv, exc.code)
+    else:
+        raise AssertionError(f"{argv} did not exit")
+loaded = set(sys.modules) - before
+assert not [m for m in loaded if m.startswith("fanolab.") and m != "fanolab.cli"], sorted(loaded)
+""")
+
+
+def test_oracle_and_risk_suites_load_no_continuum(tmp_path):
+    """The suites that sample no volume and build no grid leave fanolab.continuum
+    and its worker threads (concurrent.futures) unloaded."""
+    _run_fresh(f"""
+import sys
+before = set(sys.modules)
+from fanolab import cli
+for argv in (["prop1-exhaustive", "--instances", "100"],
+             ["decoder-oracle", "--instances", "50"],
+             ["quadrature"],
+             ["estimator-risk", "--reps-scale", "0.01"]):
+    assert cli.main(["verify", *argv, "--seed", "1", "--out-dir", {str(tmp_path)!r}]) == 0, argv
+    loaded = set(sys.modules) - before
+    assert not loaded & {{"fanolab.continuum", "concurrent.futures"}}, (argv, sorted(loaded))
+""")
+
+
+def test_volume_suite_loads_continuum_and_its_threads(tmp_path):
+    """verify volume samples through fanolab.continuum, whose chunks run on
+    worker threads wherever more than one CPU is usable."""
+    _run_fresh(f"""
+import sys
+before = set(sys.modules)
+from fanolab import cli
+argv = ["verify", "volume", "--seeds", "2", "--points", "20000", "--seed", "1"]
+assert cli.main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0
+loaded = set(sys.modules) - before
+from fanolab import continuum
+assert "fanolab.continuum" in loaded
+assert ("concurrent.futures" in loaded) == (continuum._usable_cpus() > 1), sorted(loaded)
+""")
+
+
+@pytest.mark.parametrize("argv", DESIGN_COMMANDS, ids=lambda argv: argv[1])
+def test_design_commands_load_the_bound_module_before_numpy(argv, tmp_path):
+    """A design command imports fanolab.minimax before the design imports
+    numpy: sys.modules keeps insertion order, so the positions show the order."""
+    _run_fresh(f"""
+import sys
+from fanolab import cli
+assert cli.main({argv!r} + ["--out-dir", {str(tmp_path)!r}]) == 0
+order = list(sys.modules)
+assert order.index("fanolab.minimax") < order.index("numpy"), order
+""")
+
+
 @pytest.mark.parametrize("argv", DESIGN_COMMANDS, ids=lambda argv: argv[1])
 def test_design_commands_load_numpy(argv, tmp_path):
     _run_fresh(f"""
