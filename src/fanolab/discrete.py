@@ -55,7 +55,6 @@ __all__ = [
     "sparse_sign_space",
     "sparse_sign_cardinality",
     "sparse_sign_neighborhood_exact",
-    "sparse_sign_neighborhood_upper",
     "chain_tail",
     "fano_inequality_sides",
     "fano_tail_lower_bound",
@@ -250,7 +249,7 @@ def neighborhood_sizes(space: DiscreteSpace, t: float) -> NeighborhoodProfile:
     blocks of centers from distance rows, or on Hamming vectors from equal
     coordinates with no distance built. Spaces beyond the pairwise budget
     raise and point the caller at structured formulas such as
-    sparse_sign_neighborhood_upper. A non-finite t, or one so small that
+    sparse_sign_neighborhood_exact. A non-finite t, or one so small that
     every neighborhood is empty, is refused.
     """
     import numpy as np
@@ -295,7 +294,7 @@ def sparse_sign_space(d: int, s: int) -> DiscreteSpace:
     transitively on it and preserve Hamming distance, so every
     neighborhood is congruent and exact counts need only one center scan.
     For more than 2,000,000 points, work with
-    sparse_sign_cardinality and sparse_sign_neighborhood_upper instead.
+    sparse_sign_cardinality and sparse_sign_neighborhood_exact instead.
     """
     import numpy as np
 
@@ -333,23 +332,6 @@ def sparse_sign_neighborhood_exact(d: int, s: int, t: float) -> int:
         for f in range(0, min(s - a, radius - 2 * a) + 1):
             total += math.comb(s, a) * math.comb(s - a, f) * math.comb(d - s, a) * 2**a
     return total
-
-
-def sparse_sign_neighborhood_upper(d: int, s: int) -> tuple[int, int]:
-    """Radius floor(s/4) and the combinatorial ceiling on its max neighborhood size.
-
-    Returns (t, ceil(s/4) * 2^t * C(d, t)) with t = floor(s/4). The exact
-    count is recomputed on the spot and a violation of the ceiling raises:
-    the ceiling is asserted, not assumed.
-    """
-    _require_sparse(d, s)
-    t = s // 4
-    bound = math.ceil(s / 4) * (2**t) * math.comb(d, t)
-    exact = sparse_sign_neighborhood_exact(d, s, t)
-    if exact > bound:
-        raise RuntimeError(
-            f"neighborhood ceiling violated at (d={d}, s={s}): exact {exact} > bound {bound}")
-    return t, bound
 
 
 def chain_tail(chain: MarkovChainSpec, space: DiscreteSpace, t: float) -> float:

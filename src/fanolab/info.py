@@ -35,11 +35,6 @@ __all__ = [
     "entropy",
     "conditional_entropy",
     "mutual_information_exact",
-    "mutual_information_v_vhat",
-    "kl_discrete",
-    "kl_gaussian_shared_cov",
-    "mi_pairwise_kl_bound",
-    "mi_pairwise_kl_bound_discrete",
     "PROB_SUM_TOL",
 ]
 
@@ -158,9 +153,9 @@ def _require(domain: str, refusal: str | None = None, /, **values) -> None:
 # ask for, and what to use instead where there is something to advise.
 _BUDGETS = {
     "distance-matrix entries": (10**7, "use DiscreteSpace.hamming or a structured formula "
-                                "(e.g. sparse_sign_neighborhood_upper) instead"),
+                                "(e.g. sparse_sign_neighborhood_exact) instead"),
     "pairwise evaluations": (10**9, "use a structured formula "
-                             "(e.g. sparse_sign_neighborhood_upper) instead"),
+                             "(e.g. sparse_sign_neighborhood_exact) instead"),
     "sparse sign points": (2 * 10**6, "use the counting forms instead of materializing"),
     "joint-table entries": (10**7, None),
     "decoders": (10**6, None),
@@ -300,11 +295,6 @@ def mutual_information_exact(prior: ProbVector, channel) -> float:
     return float(_mutual_information(prior.p, c))
 
 
-def mutual_information_v_vhat(chain: MarkovChainSpec) -> float:
-    """I(V; Vhat) for the end-to-end chain, via H(V) - H(V | Vhat)."""
-    return max(0.0, entropy(chain.prior) - conditional_entropy(chain))
-
-
 # Each information formula once, over leading batch axes, for the public
 # functions above and lab's batched kernels alike. Unchecked.
 def _joint_law(prior: np.ndarray, channel: np.ndarray, decoder: np.ndarray) -> np.ndarray:
@@ -331,92 +321,3 @@ def _mutual_information(prior: np.ndarray, channel: np.ndarray) -> np.ndarray:
     pos = joint > 0
     log_odds = np.log(np.where(pos, joint, 1.0)) - np.log(np.where(pos, prod, 1.0))
     return np.maximum(0.0, np.where(pos, joint * log_odds, 0.0).sum(axis=(-2, -1)))
-
-
-def kl_discrete(p: ProbVector, q: ProbVector) -> float:
-    """KL(p || q) in nats; +inf when p puts mass where q has none."""
-    import numpy as np
-
-    if len(p) != len(q):
-        raise DomainError("distributions must share an index set")
-    pp, qq = p.p, q.p
-    if np.any((pp > 0) & (qq == 0)):
-        return math.inf
-    mask = pp > 0
-    return max(0.0, float((pp[mask] * (np.log(pp[mask]) - np.log(qq[mask]))).sum()))
-
-
-def kl_gaussian_shared_cov(mu1, mu2, sigma2: float) -> float:
-    """KL( N(mu1, sigma2*I) || N(mu2, sigma2*I) ) = ||mu1 - mu2||^2 / (2 sigma2).
-    Non-finite arguments, and a KL that overflows float64, are refused."""
-    import numpy as np
-
-    _require("finite", mu1=mu1, mu2=mu2)
-    _require("finite and > 0", sigma2=sigma2)
-    a = np.asarray(mu1, dtype=np.float64)
-    b = np.asarray(mu2, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise DomainError(f"mean vectors must be 1-d with equal length; got {a.shape} vs {b.shape}")
-    with np.errstate(over="ignore"):
-        kl = float((a - b) @ (a - b)) / (2.0 * sigma2)
-    if not math.isfinite(kl):
-        raise DomainError("the KL overflows float64: mu1 and mu2 are too far apart for "
-                          f"sigma2={sigma2!r}")
-    return kl
-
-
-def mi_pairwise_kl_bound(means, sigma2: float, n_samples: int) -> float:
-    """Convexity upper bound on I(V; X_1^n) for V uniform on a Gaussian mean family.
-
-    For V, W independent and uniform on the list of means,
-
-        I(V; X_1^n) <= n * (1/M^2) * sum_{v,w} KL(N(mu_v, s I) || N(mu_w, s I))
-                     = n * (E||V||^2 - ||E V||^2) / sigma2,
-
-    where the second form is the algebraic collapse of the double sum; it
-    is what gets evaluated, so million-point families cost O(M d).
-    Non-finite means, a non-finite sigma2, an n_samples that is not a whole
-    number, and a bound that overflows float64 are refused.
-    """
-    import numpy as np
-
-    _require("finite", means=means)
-    _require("finite and > 0", sigma2=sigma2)
-    _require("a whole number >= 1", n_samples=n_samples)
-    _require("finite", n_samples=n_samples)
-    a = np.asarray(means, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if a.ndim != 2 or a.shape[0] == 0:
-        raise DomainError("means must be a nonempty list of vectors")
-    with np.errstate(over="ignore"):
-        mean_sq = float((a * a).sum(axis=1).mean())
-        centroid = a.mean(axis=0)
-        bound = n_samples * (mean_sq - float(centroid @ centroid)) / sigma2
-    # inf - inf is NaN, which the clamp below would turn into a silent 0
-    if not math.isfinite(bound):
-        raise DomainError("the bound overflows float64: the means are too large, or "
-                          f"sigma2={sigma2!r} too small, for n_samples={n_samples!r}")
-    return max(0.0, bound)
-
-
-def mi_pairwise_kl_bound_discrete(rows, n_samples: int = 1) -> float:
-    """Same convexity bound for a finite channel: n * (1/M^2) sum_{v,w} KL(row_v || row_w),
-    evaluated in O(M K) as n * [(1/M) sum_{v,k} p_vk ln p_vk - sum_k pbar_k (1/M) sum_w ln p_wk]
-    with pbar the mean row. It is +inf exactly when a column with pbar_k > 0 has a zero
-    entry; all-zero columns drop out. An n_samples that is not a whole number, or that
-    makes a finite value overflow, is refused."""
-    import numpy as np
-
-    _require("a whole number >= 1", n_samples=n_samples)
-    _require("finite", n_samples=n_samples)
-    m = _validate_rows(rows, "rows")
-    cols = m[:, m.any(axis=0)]
-    if not cols.all():
-        return math.inf
-    logs = np.log(cols)
-    val = float((cols * logs).sum()) / m.shape[0] - float(cols.mean(axis=0) @ logs.mean(axis=0))
-    if n_samples * val == math.inf:
-        raise DomainError(f"n_samples={n_samples!r} times the mean KL {val!r} overflows "
-                          "float64")
-    return max(0.0, n_samples * val)

@@ -12,11 +12,12 @@ the tail probability. Four concrete pipelines are packaged:
 * linear_regression_bound   -- fixed-design regression, volume-ratio route
 
 The two sparse pipelines share one body, whose tail is the one formula
-max(0, 1 - (I + ln 2) / L) of discrete._fano_tail; the normal-mean and
-regression pipelines use closed forms of its integral over radii. The
-generic reduction over a materialized family, with delta(t) found by
-enumerating index pairs, lives in the tests (tests/oracles.py) as the
-oracle of the sparse pipelines.
+max(0, 1 - (I + ln 2) / L) of discrete._fano_tail. The normal-mean and
+regression pipelines bound I by the KL to the centre of a radius-2t ball,
+so their tail is linear in t^2 and integrates in closed form
+(hinge_integral). The generic reduction over a materialized family, with
+delta(t) found by enumerating index pairs, lives in the tests
+(tests/oracles.py) as the oracle of the sparse pipelines.
 
 The scalar pipelines (sparse location, normal mean) run on Python numbers
 and load no numpy; the design pipelines import it when they are called.
@@ -188,7 +189,10 @@ def normal_mean_tail_integral(d: int, n: int) -> float:
     """Closed form of integral_0^inf max(0, (d-1)/d - n*ln(1+t)/(2 d ln2)) dt.
 
     Equals (n / (2 d ln2)) * (exp(2(d-1)ln2/n) - 1 - 2(d-1)ln2/n),
-    and is never below (d-1)^2 * ln2 / (d n).
+    and is never below (d-1)^2 * ln2 / (d n). No bound calls it: its
+    integrand takes I = (n/2) ln(1 + t), which does not bound the mutual
+    information once d outgrows n. It is the formula that `verify
+    quadrature` and the acceptance tests check against quadrature.
     """
     _require("a whole number >= 2", d=d)
     _require("a whole number >= 1", n=n)
@@ -212,7 +216,8 @@ def normal_mean_tail_integral(d: int, n: int) -> float:
 
 
 def normal_mean_tail_integral_floor(d: int, n: int) -> float:
-    """Taylor floor (d-1)^2 * ln2 / (d n) of normal_mean_tail_integral."""
+    """Taylor floor (d-1)^2 * ln2 / (d n) of normal_mean_tail_integral;
+    sigma2/4 times it is normal_mean_bound's integrated value."""
     _require("a whole number >= 2", d=d)
     _require("a whole number >= 1", n=n)
     _require("finite", d=d, n=n)
@@ -225,17 +230,23 @@ def normal_mean_tail_integral_floor(d: int, n: int) -> float:
 
 def normal_mean_bound(d: int, sigma2: float, n: int,
                       mode: str = "integrated") -> MinimaxBound:
-    """Minimax squared-error bound for a d-dimensional Gaussian mean, d >= 2.
+    """Minimax squared-error bound for a d-dimensional Gaussian mean.
 
-    mode="simple": the single-radius statement. At t^2 = d sigma2 ln2/(4n)
-    the error exceeds t with probability at least 1/4, so the risk is at
-    least t^2/4; the bound value is that floor and the extras carry t^2
-    and the probability floor.
+    Both modes index a ball of radius r = 2t, so the log-ratio is d ln2,
+    and bound the mutual information by the KL to the ball's centre,
+    I <= n r^2 / (2 sigma2) = 2 n t^2 / sigma2.
 
-    mode="integrated": integrating the tail bound over radii gives
-    ((d-1)^2 ln2 / (4 d^2)) * (sigma2 d / n), the sharper constant. The
-    extras carry the exact tail integral and its Taylor floor so the two
-    routes can be cross-checked.
+    mode="simple", d >= 4: the single radius t^2 = d sigma2 ln2/(4n), where
+    I <= d ln2/2 (the recorded mi_bound) and the Fano tail is 1/2 - 1/d.
+    From d = 4 on that tail is at least the recorded prob_floor 1/4, so the
+    risk is at least t^2/4, the bound value. Below d = 4 the tail is smaller
+    (0 at d = 2), and the mode is refused.
+
+    mode="integrated", d >= 2: the KL-to-centre step makes the tail at
+    radius t linear in t^2, (d-1)/d - 2 n t^2 / (sigma2 d ln2), and its
+    integral over t^2 (hinge_integral) is the value
+    ((d-1)^2 ln2 / (4 d^2)) * (sigma2 d / n), at most ln2/4 of the exact
+    minimax risk sigma2 d / n.
     """
     _require("a whole number >= 1", d=d)
     _require("finite and >= 2", "need d >= 2", d=d)
@@ -244,27 +255,24 @@ def normal_mean_bound(d: int, sigma2: float, n: int,
     _require("finite", n=n)
     log_ratio = d * LN2  # radius ratio r/t = 2
     if mode == "simple":
+        if d < 4:
+            raise DomainError(f"mode='simple' needs d >= 4, got d={d!r}: below it the "
+                              "Fano tail 1/2 - 1/d is under the probability floor 1/4")
         t_sq = d * sigma2 * LN2 / (4.0 * n)
         value = t_sq / 4.0
         return MinimaxBound(value=value, pipeline="normal-mean-simple",
                             t=math.sqrt(t_sq), eps=None,
                             mi_bound=d * LN2 / 2.0, log_ratio=log_ratio, valid=True,
                             extras={"t_squared": t_sq, "prob_floor": 0.25,
-                                    "mi_log_form": n / 2.0 * math.log1p(4.0 * t_sq / sigma2),
                                     "d": d, "n": n, "sigma2": sigma2})
     if mode == "integrated":
         try:
             value = ((d - 1) ** 2 * LN2 / (4.0 * d * d)) * (sigma2 * d / n)
         except OverflowError:
             raise DomainError("d is too large: (d - 1)^2 overflows float64") from None
-        integral = normal_mean_tail_integral(d, n)
         return MinimaxBound(value=value, pipeline="normal-mean-integrated",
                             t=None, eps=None, mi_bound=None, log_ratio=log_ratio,
-                            valid=True,
-                            extras={"tail_integral": integral,
-                                    "integral_route_value": sigma2 / 4.0 * integral,
-                                    "taylor_floor": normal_mean_tail_integral_floor(d, n),
-                                    "d": d, "n": n, "sigma2": sigma2})
+                            valid=True, extras={"d": d, "n": n, "sigma2": sigma2})
     raise DomainError(f"mode must be 'simple' or 'integrated', got {mode!r}")
 
 

@@ -1,6 +1,7 @@
 """Brute-force references for the tests: random chains and spaces, the
 exhaustive decoder minimum that the Fano tail bounds are audited against,
-QUADPACK quadrature of the normal-mean tail integral, and the generic
+QUADPACK quadrature of the normal-mean tail integral, the KL and
+pairwise-KL information helpers, and the generic
 estimation-to-testing reduction over a materialized parameter family,
 which the sparse pipelines are checked against.
 
@@ -21,7 +22,17 @@ import numpy as np
 from scipy import integrate
 
 from fanolab.discrete import DiscreteSpace, NeighborhoodProfile, fano_tail_lower_bound
-from fanolab.info import LN2, DomainError, MarkovChainSpec, ProbVector, _budget, _require
+from fanolab.info import (
+    LN2,
+    DomainError,
+    MarkovChainSpec,
+    ProbVector,
+    _budget,
+    _require,
+    _validate_rows,
+    conditional_entropy,
+    entropy,
+)
 from fanolab.results import MinimaxBound
 from fanolab.streams import stream
 
@@ -103,6 +114,99 @@ def quadpack_tail_integral(d: int, n: int) -> float:
     edges = np.append(edges[edges <= root], root)
     return sum(integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
                for a, b in zip(edges[:-1], edges[1:]) if b > a)
+
+
+# -- information helpers ----------------------------------------------------------
+# KL divergences, the pairwise-KL bound on I(V; X) and I(V; Vhat): no
+# pipeline calls them (the sparse pipelines inline their mutual information
+# coefficients), so they serve here as the references those coefficients are
+# held against.
+
+
+def mutual_information_v_vhat(chain: MarkovChainSpec) -> float:
+    """I(V; Vhat) for the end-to-end chain, via H(V) - H(V | Vhat)."""
+    return max(0.0, entropy(chain.prior) - conditional_entropy(chain))
+
+
+def kl_discrete(p: ProbVector, q: ProbVector) -> float:
+    """KL(p || q) in nats; +inf when p puts mass where q has none."""
+    if len(p) != len(q):
+        raise DomainError("distributions must share an index set")
+    pp, qq = p.p, q.p
+    if np.any((pp > 0) & (qq == 0)):
+        return math.inf
+    mask = pp > 0
+    return max(0.0, float((pp[mask] * (np.log(pp[mask]) - np.log(qq[mask]))).sum()))
+
+
+def kl_gaussian_shared_cov(mu1, mu2, sigma2: float) -> float:
+    """KL( N(mu1, sigma2*I) || N(mu2, sigma2*I) ) = ||mu1 - mu2||^2 / (2 sigma2).
+    Non-finite arguments, and a KL that overflows float64, are refused."""
+    _require("finite", mu1=mu1, mu2=mu2)
+    _require("finite and > 0", sigma2=sigma2)
+    a = np.asarray(mu1, dtype=np.float64)
+    b = np.asarray(mu2, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise DomainError(f"mean vectors must be 1-d with equal length; got {a.shape} vs {b.shape}")
+    with np.errstate(over="ignore"):
+        kl = float((a - b) @ (a - b)) / (2.0 * sigma2)
+    if not math.isfinite(kl):
+        raise DomainError("the KL overflows float64: mu1 and mu2 are too far apart for "
+                          f"sigma2={sigma2!r}")
+    return kl
+
+
+def mi_pairwise_kl_bound(means, sigma2: float, n_samples: int) -> float:
+    """Convexity upper bound on I(V; X_1^n) for V uniform on a Gaussian mean family.
+
+    For V, W independent and uniform on the list of means,
+
+        I(V; X_1^n) <= n * (1/M^2) * sum_{v,w} KL(N(mu_v, s I) || N(mu_w, s I))
+                     = n * (E||V||^2 - ||E V||^2) / sigma2,
+
+    where the second form is the algebraic collapse of the double sum; it
+    is what gets evaluated, so million-point families cost O(M d).
+    Non-finite means, a non-finite sigma2, an n_samples that is not a whole
+    number, and a bound that overflows float64 are refused.
+    """
+    _require("finite", means=means)
+    _require("finite and > 0", sigma2=sigma2)
+    _require("a whole number >= 1", n_samples=n_samples)
+    _require("finite", n_samples=n_samples)
+    a = np.asarray(means, dtype=np.float64)
+    if a.ndim == 1:
+        a = a[:, None]
+    if a.ndim != 2 or a.shape[0] == 0:
+        raise DomainError("means must be a nonempty list of vectors")
+    with np.errstate(over="ignore"):
+        mean_sq = float((a * a).sum(axis=1).mean())
+        centroid = a.mean(axis=0)
+        bound = n_samples * (mean_sq - float(centroid @ centroid)) / sigma2
+    # inf - inf is NaN, which the clamp below would turn into a silent 0
+    if not math.isfinite(bound):
+        raise DomainError("the bound overflows float64: the means are too large, or "
+                          f"sigma2={sigma2!r} too small, for n_samples={n_samples!r}")
+    return max(0.0, bound)
+
+
+def mi_pairwise_kl_bound_discrete(rows, n_samples: int = 1) -> float:
+    """Same convexity bound for a finite channel: n * (1/M^2) sum_{v,w} KL(row_v || row_w),
+    evaluated in O(M K) as n * [(1/M) sum_{v,k} p_vk ln p_vk - sum_k pbar_k (1/M) sum_w ln p_wk]
+    with pbar the mean row. It is +inf exactly when a column with pbar_k > 0 has a zero
+    entry; all-zero columns drop out. An n_samples that is not a whole number, or that
+    makes a finite value overflow, is refused."""
+    _require("a whole number >= 1", n_samples=n_samples)
+    _require("finite", n_samples=n_samples)
+    m = _validate_rows(rows, "rows")
+    cols = m[:, m.any(axis=0)]
+    if not cols.all():
+        return math.inf
+    logs = np.log(cols)
+    val = float((cols * logs).sum()) / m.shape[0] - float(cols.mean(axis=0) @ logs.mean(axis=0))
+    if n_samples * val == math.inf:
+        raise DomainError(f"n_samples={n_samples!r} times the mean KL {val!r} overflows "
+                          "float64")
+    return max(0.0, n_samples * val)
 
 
 # -- the generic reduction -----------------------------------------------------

@@ -30,7 +30,6 @@ from fanolab.discrete import (
     neighborhood_sizes,
     sparse_sign_cardinality,
     sparse_sign_neighborhood_exact,
-    sparse_sign_neighborhood_upper,
     sparse_sign_space,
 )
 from fanolab.info import binary_entropy, entropy, mutual_information_exact
@@ -232,7 +231,8 @@ def test_criterion_11_sparse_sign_combinatorics():
         for s in range(1, d + 1):
             space = sparse_sign_space(d, s)
             card_ok = card_ok and space.n_points == sparse_sign_cardinality(d, s)
-            t, upper = sparse_sign_neighborhood_upper(d, s)
+            t = s // 4
+            upper = math.ceil(s / 4) * 2**t * math.comb(d, t)
             # full all-centers enumeration, not the homogeneous shortcut
             prof = neighborhood_sizes(DiscreteSpace.hamming(space.vectors), t)
             bound_ok = bound_ok and prof.n_max <= upper

@@ -68,6 +68,23 @@ def test_bound_missing_key_exit2(tmp_path, capsys):
     assert "s" in capsys.readouterr().err
 
 
+def test_bound_normal_mean_reports_where_the_tail_integral_overflows(tmp_path):
+    """The headline needs no tail integral, so one that overflows float64 no
+    longer refuses a finite bound."""
+    assert run(["bound", "normal-mean", "--d", "1000", "--n", "1",
+                "--out-dir", str(tmp_path)]) == 0
+    js = json.loads(next(tmp_path.glob("normal-mean-*.json")).read_text())
+    assert js["value"] == pytest.approx(172.9, rel=1e-3)
+
+
+def test_bound_normal_mean_simple_below_d4_exit2(tmp_path, capsys):
+    code = run(["bound", "normal-mean", "--d", "3", "--n", "10", "--mode", "simple",
+                "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert "d >= 4, got d=3" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bound_invalid_flag_exit3(tmp_path):
     # card=2 with n_max=n_min=1 fails the side condition -> valid=False
     code = run(["bound", "discrete-tail", "--card", "2", "--n-max", "1",
@@ -120,15 +137,17 @@ def test_bound_json_agrees_with_csv(argv, tmp_path):
 
 # SHA-256 of the JSON and the CSV that `bound` writes at seed 1, with the
 # exit code. Repeat identity cannot show that a refactor kept the bytes;
-# pinned digests can.
+# pinned digests can. The two normal-mean JSON digests were re-pinned when the
+# extras that are not bounds (tail_integral, integral_route_value,
+# mi_log_form, taylor_floor) left their detail.
 BOUND_DIGESTS = {
     "normal-mean-simple": (
         ["normal-mean", "--d", "10", "--n", "100", "--mode", "simple"], 0,
-        "36d42747f4dba33a887117c0764e9872beaef3b74f2c394f8afa03b223c52c71",
+        "aac0fa61707c9321edb081442473661bd7f9439536c525e2a4126830f26d369f",
         "43058d86c5525717cccd403a89da2a2155c67d03c45b004564e91c4ce010789d"),
     "normal-mean-integrated": (
         ["normal-mean", "--d", "10", "--n", "100", "--mode", "integrated"], 0,
-        "488ba8cdd7ae5dc735d479b4fab913dec0e30b3e8be4486b3a42524f13892639",
+        "13de16a5eeaedca0a0f448b5ab0f791372793b3a0a2557eb7075fdf53a92845b",
         "9219214ee8d3237bf91f3e26ac841868285d57eb1e0c6bb9ac8e7ec78d633128"),
     "sparse-location": (
         ["sparse-location", "--d", "32", "--s", "4", "--n", "200"], 0,

@@ -20,7 +20,6 @@ from fanolab.discrete import (
     neighborhood_sizes,
     sparse_sign_cardinality,
     sparse_sign_neighborhood_exact,
-    sparse_sign_neighborhood_upper,
     sparse_sign_space,
 )
 from fanolab.info import (
@@ -302,28 +301,28 @@ def test_neighborhood_sizes_refuses_empty_neighborhoods(space):
         neighborhood_sizes(space, -0.1)
 
 
-def test_neighborhood_upper_checks_ceiling_at_every_size(monkeypatch):
-    """The ceiling is asserted against the exact count even where the space
-    is far too large to materialize."""
-    from fanolab import discrete
-
-    assert sparse_sign_neighborhood_upper(200, 12) == (3, 3 * 8 * math.comb(200, 3))
-    monkeypatch.setattr(discrete, "sparse_sign_neighborhood_exact",
-                        lambda d, s, t: 10**9)
-    with pytest.raises(RuntimeError, match="ceiling violated"):
-        sparse_sign_neighborhood_upper(200, 12)
+def neighborhood_ceiling(d, s):
+    """Radius t = floor(s/4) and the combinatorial ceiling ceil(s/4) 2^t C(d, t)
+    on the s-sparse sign space's largest neighborhood at t."""
+    t = s // 4
+    return t, math.ceil(s / 4) * 2**t * math.comb(d, t)
 
 
 def test_neighborhood_upper_examples():
-    assert sparse_sign_neighborhood_upper(8, 4) == (1, 16)
-    assert sparse_sign_neighborhood_upper(5, 1) == (0, 1)
-    assert sparse_sign_neighborhood_upper(16, 8) == (2, 960)
+    assert neighborhood_ceiling(8, 4) == (1, 16)
+    assert neighborhood_ceiling(5, 1) == (0, 1)
+    assert neighborhood_ceiling(16, 8) == (2, 960)
+    assert neighborhood_ceiling(200, 12) == (3, 3 * 8 * math.comb(200, 3))
+    # the exact counts, by hand: 1 + 4, 1, and 1 + 8 + 28 + 8 * 8 * 2
+    for (d, s), want in {(8, 4): 5, (5, 1): 1, (16, 8): 165}.items():
+        t, ceiling = neighborhood_ceiling(d, s)
+        assert sparse_sign_neighborhood_exact(d, s, t) == want <= ceiling
 
 
 @pytest.mark.parametrize("d", range(2, 8))
 def test_neighborhood_upper_dominates_exact(d):
     for s in range(1, d + 1):
-        t, bound = sparse_sign_neighborhood_upper(d, s)
+        t, bound = neighborhood_ceiling(d, s)
         exact = neighborhood_sizes(sparse_sign_space(d, s), t).n_max
         assert exact <= bound
 
@@ -568,7 +567,7 @@ def test_neighborhood_enumeration_budget():
     pts = list(range(n))
     with pytest.raises(EnumerationLimitError) as exc:
         neighborhood_sizes(DiscreteSpace(pts, lambda a, b: float(abs(a - b))), 1.0)
-    assert "sparse_sign_neighborhood_upper" in str(exc.value)
+    assert "sparse_sign_neighborhood_exact" in str(exc.value)
 
 
 def test_distance_matrix_guard():
@@ -586,5 +585,4 @@ def test_sparse_sign_materialization_guard():
         sparse_sign_space(50, 5)  # 32 * C(50,5) = 6.8e7 points
     # counting forms still fine at that size
     assert sparse_sign_cardinality(50, 5) == 2**5 * math.comb(50, 5)
-    t, bound = sparse_sign_neighborhood_upper(50, 5)
-    assert t == 1 and bound == 2 * 2 * 50
+    assert sparse_sign_neighborhood_exact(50, 5, 1) == 1 + 5

@@ -68,18 +68,12 @@ def _case(fn, *args, inf_ok=False, **kwargs):
 # numeric scalars are the arguments probed.
 CASES = {
     "binary_entropy": _case(fanolab.binary_entropy, p=0.3),
-    "kl_gaussian_shared_cov": _case(fanolab.kl_gaussian_shared_cov, [0.0], [1.0], sigma2=1.0),
-    "mi_pairwise_kl_bound": _case(fanolab.mi_pairwise_kl_bound, [[0.0], [1.0]],
-                                  sigma2=1.0, n_samples=1),
-    "mi_pairwise_kl_bound_discrete": _case(fanolab.mi_pairwise_kl_bound_discrete,
-                                           [[0.5, 0.5], [0.25, 0.75]], n_samples=1),
     "NeighborhoodProfile": _case(NeighborhoodProfile, t=1.0, n_max=2, n_min=1),
     "neighborhood_sizes": _case(fanolab.neighborhood_sizes, _Z3, t=0.5),
     "sparse_sign_space": _case(fanolab.sparse_sign_space, d=4, s=2),
     "sparse_sign_cardinality": _case(fanolab.sparse_sign_cardinality, d=8, s=2),
     "sparse_sign_neighborhood_exact": _case(fanolab.sparse_sign_neighborhood_exact,
                                             d=8, s=2, t=1.0),
-    "sparse_sign_neighborhood_upper": _case(fanolab.sparse_sign_neighborhood_upper, d=8, s=4),
     "chain_tail": _case(fanolab.chain_tail, _CHAIN, _Z3, t=0.5),
     "fano_inequality_sides": _case(fanolab.fano_inequality_sides, _CHAIN, _Z3, t=0.5),
     "fano_tail_lower_bound": _case(fanolab.fano_tail_lower_bound, card=6, profile=_PROFILE,
@@ -227,19 +221,17 @@ PROBABILITY_ARRAYS = {
                                                       decoder=_CHAIN.decoder)),
     "mutual_information_exact-channel": (fanolab.mutual_information_exact,
                                          dict(prior=_CHAIN.prior, channel=_CHAIN.channel)),
-    "mi_pairwise_kl_bound_discrete-rows": (fanolab.mi_pairwise_kl_bound_discrete,
-                                           dict(rows=[[0.5, 0.5], [0.25, 0.75]])),
     "OracleGroup-prior": (fanolab.OracleGroup, _ORACLE),
     "OracleGroup-channel": (fanolab.OracleGroup, _ORACLE),
     "OracleGroup-decoder": (fanolab.OracleGroup, _ORACLE),
 }
 
 
-@pytest.mark.parametrize("case", PROBABILITY_ARRAYS)
-def test_out_of_domain_probability_entry_is_refused_naming_it(case):
-    """The scalar probes above never reach a probability array, which is how
-    NaN probabilities went unrefused."""
-    fn, kwargs = PROBABILITY_ARRAYS[case]
+def check_probability_refused_naming_it(arrays, case):
+    """Each of BAD_PROBABILITIES as the first entry of the array argument that
+    case names (after its last "-") in the call of arrays[case] is refused
+    naming that argument."""
+    fn, kwargs = arrays[case]
     arg = case.rsplit("-", 1)[1]
     fn(**kwargs)
     for value in BAD_PROBABILITIES:
@@ -247,6 +239,13 @@ def test_out_of_domain_probability_entry_is_refused_naming_it(case):
         bad.flat[0] = value
         with pytest.raises(DomainError, match=rf"\b{arg}\b"):
             fn(**{**kwargs, arg: bad})
+
+
+@pytest.mark.parametrize("case", PROBABILITY_ARRAYS)
+def test_out_of_domain_probability_entry_is_refused_naming_it(case):
+    """The scalar probes above never reach a probability array, which is how
+    NaN probabilities went unrefused."""
+    check_probability_refused_naming_it(PROBABILITY_ARRAYS, case)
 
 
 # Refusals of integers past Python's limit on str() digits (4,300 by default).

@@ -18,12 +18,7 @@ from fanolab.info import (
     binary_entropy,
     conditional_entropy,
     entropy,
-    kl_discrete,
-    kl_gaussian_shared_cov,
-    mi_pairwise_kl_bound,
-    mi_pairwise_kl_bound_discrete,
     mutual_information_exact,
-    mutual_information_v_vhat,
 )
 from fanolab.continuum import (
     ContinuumSpace,
@@ -50,7 +45,14 @@ from fanolab.minimax import (
 )
 from fanolab.stats import clopper_pearson, mean_ci
 from fanolab.streams import stream
-from oracles import random_chain
+from oracles import (
+    kl_discrete,
+    kl_gaussian_shared_cov,
+    mi_pairwise_kl_bound,
+    mi_pairwise_kl_bound_discrete,
+    mutual_information_v_vhat,
+    random_chain,
+)
 
 LN2 = math.log(2.0)
 _NAN_ROWS = [[math.nan, 0.5], [0.5, 0.5]]

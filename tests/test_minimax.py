@@ -9,8 +9,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from fanolab.discrete import DiscreteSpace, neighborhood_sizes, sparse_sign_space
-from fanolab.info import DomainError, mi_pairwise_kl_bound
+from fanolab.discrete import (
+    DiscreteSpace,
+    _fano_tail,
+    neighborhood_sizes,
+    sparse_sign_cardinality,
+    sparse_sign_neighborhood_exact,
+    sparse_sign_space,
+)
+from fanolab.info import DomainError
 from fanolab.lab import ExperimentConfig
 from fanolab.minimax import (
     compressed_sensing_bound,
@@ -21,9 +28,11 @@ from fanolab.minimax import (
     normal_mean_tail_integral_floor,
     sparse_location_bound,
 )
+from fanolab.streams import stream
 from oracles import (
     ParamFamily,
     generalized_fano_minimax,
+    mi_pairwise_kl_bound,
     quadpack_tail_integral,
     reduce_estimator_to_test,
     separation_delta,
@@ -193,8 +202,6 @@ def test_reduction_monte_carlo_pathwise():
     """On simulated data the implication holds on every replicate, so the
     decoded test errs no more often than the estimator's half-separation
     event (the probability form follows pathwise)."""
-    from fanolab.streams import stream
-
     eps, t, n, sigma = 0.8, 1.0, 3, 0.5
     fam = sparse_family(3, 1, eps)
     vec = fam.index_space.vectors.astype(float)
@@ -431,12 +438,13 @@ def test_cs_mi_ingredient():
 
 
 def test_cs_matches_sparse_location_for_scaled_identity():
-    d, s, n = 16, 3, 25
-    X = math.sqrt(n) * np.eye(d)
-    a = compressed_sensing_bound(X, s, 1.0)
-    b = sparse_location_bound(d, s, 1.0, n)
-    assert a.value == pytest.approx(b.value, rel=1e-10)
-    assert a.eps == pytest.approx(b.eps, rel=1e-10)
+    """Through sqrt(n) I_d the design pipeline is the sparse-location one."""
+    for d, n, sigma2 in itertools.product(SWEEP_DESIGN_D, SWEEP_N, SWEEP_SIGMA2):
+        for s in sweep_s(d):
+            a = compressed_sensing_bound(math.sqrt(n) * np.eye(d), s, sigma2)
+            b = sparse_location_bound(d, s, sigma2, n)
+            assert abs(a.value - b.value) <= 1e-15 * b.value, (d, s, n, sigma2)
+            assert abs(a.eps - b.eps) <= 1e-15 * b.eps, (d, s, n, sigma2)
 
 
 def test_cs_degenerate_design_flagged():
@@ -531,20 +539,20 @@ def test_normal_mean_integrated_constant():
 
 
 def test_normal_mean_simple_artifacts():
-    res = normal_mean_bound(2, 1.0, 50, mode="simple")
-    t_sq = 2 * 1.0 * LN2 / (4 * 50)
+    res = normal_mean_bound(4, 1.0, 50, mode="simple")
+    t_sq = 4 * 1.0 * LN2 / (4 * 50)
     assert res.extras["t_squared"] == pytest.approx(t_sq, rel=1e-15)
     assert res.extras["prob_floor"] == 0.25
     assert res.value == pytest.approx(t_sq / 4, rel=1e-15)
+    assert set(res.extras) == {"t_squared", "prob_floor", "d", "n", "sigma2"}
 
 
 def test_normal_mean_integrated_dominates_simple():
-    for d, n in [(2, 10), (5, 40), (10, 100), (32, 1000)]:
+    for d, n in [(4, 10), (5, 40), (10, 100), (32, 1000)]:
         simple = normal_mean_bound(d, 1.0, n, mode="simple")
         integ = normal_mean_bound(d, 1.0, n, mode="integrated")
         assert integ.value >= simple.value
-        # the exact integral route dominates the Taylor-floor value
-        assert integ.extras["integral_route_value"] >= integ.value
+        assert set(integ.extras) == {"d", "n", "sigma2"}
 
 
 def test_normal_mean_domain():
@@ -552,6 +560,16 @@ def test_normal_mean_domain():
         normal_mean_bound(1, 1.0, 10)
     with pytest.raises(DomainError):
         normal_mean_bound(3, 1.0, 10, mode="other")
+
+
+@pytest.mark.parametrize("d", [2, 3, 3.0])
+def test_normal_mean_simple_refuses_d_below_4(d):
+    """At d < 4 the Fano tail 1/2 - 1/d of the recorded ingredients is below
+    the probability floor 1/4 that the value t^2/4 takes."""
+    assert _fano_tail(d * LN2 / 2, d * LN2) < 0.25
+    with pytest.raises(DomainError, match=r"needs d >= 4, got d="):
+        normal_mean_bound(d, 1.0, 10, mode="simple")
+    assert normal_mean_bound(d, 1.0, 10).valid  # the integrated mode holds from d = 2
 
 
 # -- hinge integral ---------------------------------------------------------------------------
@@ -612,14 +630,19 @@ def test_regression_small_d_returns_exact_flagged():
 
 
 def test_regression_scaling():
-    g = np.random.Generator(np.random.Philox(key=3))
-    X = g.normal(size=(12, 9))
-    base = linear_regression_bound(X, 1.0)
-    for c in (2.0, 4.0):
-        scaled = linear_regression_bound(c * X, 1.0)
-        assert scaled.extras["exact_value"] == pytest.approx(
-            base.extras["exact_value"] / c**2, rel=1e-12)
-        assert scaled.value == pytest.approx(base.value / c**2, rel=1e-12)
+    """X -> cX divides the regression and compressed-sensing bounds by c^2.
+    The simplified regression value takes ||X||_2 from an SVD, whose relative
+    error moves by a few ulps under scaling; the rest are within 1e-15."""
+    for d, sigma2, c in itertools.product(SWEEP_DESIGN_D, SWEEP_SIGMA2, (0.5, 3.0, 1e3)):
+        for X in sweep_designs(d):
+            base, scaled = linear_regression_bound(X, sigma2), linear_regression_bound(c * X, sigma2)
+            for key, rel in (("exact_value", 1e-15), ("simplified_value", 4e-15)):
+                want = base.extras[key] / c**2
+                assert abs(scaled.extras[key] - want) <= rel * want, (d, sigma2, c, key)
+            for s in sweep_s(d):
+                want = compressed_sensing_bound(X, s, sigma2).value / c**2
+                got = compressed_sensing_bound(c * X, s, sigma2).value
+                assert abs(got - want) <= 1e-15 * want, (d, sigma2, c, s)
 
 
 def test_regression_refuses_a_sigma2_whose_simplified_bound_underflows():
@@ -656,6 +679,114 @@ def test_param_family_rejects_decreasing_loss():
     with pytest.raises(DomainError):
         ParamFamily(index_space=space, theta_map=lambda i: np.array([float(i)]),
                     param_metric=l2, loss=lambda x: -x)
+
+
+# -- soundness sweep ------------------------------------------------------------------------------
+# Each pipeline over a log-spaced grid of its domain, with identity and seeded
+# Gaussian designs. Every headline is recomputed from the ingredients its record
+# carries, through the one tail formula discrete._fano_tail, and it and every
+# extra that names a bound (a key ending in "_value") stay at or below the exact
+# minimax risk: sigma2 d / n for a Gaussian mean, where the sample mean is
+# minimax, and sigma2 tr((X^T X)^-1) for fixed-design regression, where OLS is.
+# The sparse problems restrict those models to s-sparse parameters, so the same
+# risks bound theirs from above.
+
+SWEEP_D = (2, 3, 4, 9, 32, 100, 1000)
+SWEEP_DESIGN_D = (2, 4, 9, 32, 100)
+SWEEP_N = (1, 10, 1000, 10**6)
+SWEEP_SIGMA2 = (1e-6, 1.0, 1e6)
+
+
+def sweep_s(d):
+    """The sparsity levels swept at dimension d: 1, 2, d/4 and d/2 where allowed."""
+    return sorted({1, 2, d // 4, d // 2} & set(range(1, d // 2 + 1)))
+
+
+def sweep_designs(d):
+    """sqrt(10) I_d and seeded Gaussian designs with d and 4d rows."""
+    return [math.sqrt(10) * np.eye(d)] + [stream(41, d).standard_normal((m, d))
+                                          for m in (d, 4 * d)]
+
+
+def assert_at_most_risk(res, risk):
+    for key in ("value", *(k for k in res.extras if k.endswith("_value"))):
+        x = res.value if key == "value" else res.extras[key]
+        assert 0.0 <= x <= risk, (res.pipeline, key, x, risk)
+
+
+def assert_sparse_recipe(res, d, s):
+    """Pairs of the s-sparse sign family further than t = floor(s/4) apart are
+    more than max(sqrt(t), 1) eps apart, so the value is (that / 2)^2 times the
+    Fano tail of the recorded I and L = ln(|V| / N_t)."""
+    t = s // 4
+    assert res.t == t
+    card, n_max = sparse_sign_cardinality(d, s), sparse_sign_neighborhood_exact(d, s, t)
+    assert res.log_ratio == pytest.approx(math.log(card) - math.log(n_max), rel=1e-15)
+    want = max(t, 1) * res.eps**2 / 4 * _fano_tail(res.mi_bound, res.log_ratio)
+    assert res.value == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("d", SWEEP_D)
+def test_normal_mean_bounds_follow_from_their_ingredients(d):
+    for n, sigma2 in itertools.product(SWEEP_N, SWEEP_SIGMA2):
+        risk = sigma2 * d / n
+        integ = normal_mean_bound(d, sigma2, n)
+        L = integ.log_ratio
+        assert L == d * LN2
+        # with I <= 2 n t^2 / sigma2 the tail at radius t is c1 - c2 t^2
+        c1, c2 = _fano_tail(0.0, L), 2 * n / (sigma2 * L)
+        assert _fano_tail(2 * n * (c1 / c2 / 2) / sigma2, L) == pytest.approx(c1 / 2, rel=1e-12)
+        assert integ.value == pytest.approx(hinge_integral(c1, c2), rel=1e-13)
+        assert integ.value == pytest.approx(sigma2 / 4 * normal_mean_tail_integral_floor(d, n),
+                                            rel=1e-15)
+        assert_at_most_risk(integ, risk)
+        if d < 4:
+            continue
+        simple = normal_mean_bound(d, sigma2, n, mode="simple")
+        assert simple.log_ratio == L
+        assert simple.mi_bound == pytest.approx(2 * n * simple.t**2 / sigma2, rel=1e-13)
+        assert simple.extras["prob_floor"] <= _fano_tail(simple.mi_bound, L)
+        assert simple.value == pytest.approx(simple.t**2 * simple.extras["prob_floor"],
+                                             rel=1e-13)
+        assert_at_most_risk(simple, risk)
+
+
+@pytest.mark.parametrize("d", SWEEP_D)
+def test_sparse_location_bounds_follow_from_their_ingredients(d):
+    for s, n, sigma2 in itertools.product(sweep_s(d), SWEEP_N, SWEEP_SIGMA2):
+        res = sparse_location_bound(d, s, sigma2, n)
+        assert res.mi_bound == pytest.approx(n * s * res.eps**2 / sigma2, rel=1e-13)
+        assert_sparse_recipe(res, d, s)
+        assert_at_most_risk(res, sigma2 * d / n)
+        # linear in sigma2, and 1/n in n
+        for c in (1e-3, 3.0, 1e3):
+            assert abs(sparse_location_bound(d, s, c * sigma2, n).value - c * res.value) \
+                <= 1e-15 * c * res.value, (d, s, n, sigma2, c)
+        for c in (2, 10, 1000):
+            assert abs(sparse_location_bound(d, s, sigma2, c * n).value - res.value / c) \
+                <= 1e-15 * res.value / c, (d, s, n, sigma2, c)
+
+
+@pytest.mark.parametrize("d", SWEEP_DESIGN_D)
+def test_design_bounds_follow_from_their_ingredients(d):
+    for X, sigma2 in itertools.product(sweep_designs(d), SWEEP_SIGMA2):
+        risk = sigma2 * float(np.trace(np.linalg.inv(X.T @ X)))
+        fro2 = float((X * X).sum())
+        res = linear_regression_bound(X, sigma2)
+        L = res.log_ratio
+        assert L == d * LN2
+        # with I <= mi_r2_coeff r^2 at r = 2t the tail is c1 - c2 t^2
+        c1, c2 = _fano_tail(0.0, L), 4 * res.extras["mi_r2_coeff"] / L
+        assert res.extras["exact_value"] == pytest.approx(hinge_integral(c1, c2),
+                                                          rel=1e-13)
+        if res.extras["simplified_valid"]:
+            assert res.value == res.extras["simplified_value"] <= res.extras["exact_value"]
+        assert_at_most_risk(res, risk)
+        for s in sweep_s(d):
+            cs = compressed_sensing_bound(X, s, sigma2)
+            assert cs.mi_bound == pytest.approx(s * fro2 * cs.eps**2 / (d * sigma2), rel=1e-13)
+            assert_sparse_recipe(cs, d, s)
+            assert_at_most_risk(cs, risk)
 
 
 # -- pinned bits ---------------------------------------------------------------------------------
