@@ -308,11 +308,19 @@ def neighborhood_ceiling(d, s):
     return t, math.ceil(s / 4) * 2**t * math.comb(d, t)
 
 
+def test_neighborhood_upper_checks_ceiling_at_every_size():
+    """The ceiling holds against the exact count even where the space is far
+    too large to materialize."""
+    assert neighborhood_ceiling(200, 12) == (3, 3 * 8 * math.comb(200, 3))
+    for d, s in [(200, 12), (50, 5), (1000, 40)]:
+        t, ceiling = neighborhood_ceiling(d, s)
+        assert sparse_sign_neighborhood_exact(d, s, t) <= ceiling
+
+
 def test_neighborhood_upper_examples():
     assert neighborhood_ceiling(8, 4) == (1, 16)
     assert neighborhood_ceiling(5, 1) == (0, 1)
     assert neighborhood_ceiling(16, 8) == (2, 960)
-    assert neighborhood_ceiling(200, 12) == (3, 3 * 8 * math.comb(200, 3))
     # the exact counts, by hand: 1 + 4, 1, and 1 + 8 + 28 + 8 * 8 * 2
     for (d, s), want in {(8, 4): 5, (5, 1): 1, (16, 8): 165}.items():
         t, ceiling = neighborhood_ceiling(d, s)
