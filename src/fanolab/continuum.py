@@ -31,16 +31,20 @@ Both estimators split their work into fixed-size chunks and run the chunks
 on a pool of threads, one per usable CPU. Each Monte Carlo chunk draws from
 its own stream keyed by (seed, chunk index), and every chunk's count is
 summed exactly, so the results do not depend on the number of workers or
-on the order in which chunks finish. A chunk of m points is drawn
-coordinate-major: coordinate j of point i is the stream's value j*m + i, so
-each coordinate is one contiguous column, and the built-in predicates work
-column by column. The grid builds its sample points in the same layout.
+on the order in which chunks finish. A chunk is drawn and tested in blocks
+of _VOLUME_BLOCK points, each block coordinate-major through one buffer per
+worker: in the block of b points that starts at point a of its chunk,
+coordinate j of point a + i is the chunk stream's value d*a + j*b + i. So
+each coordinate of a block is one contiguous column, the built-in predicates
+work column by column, and a worker holds one block, not a chunk. The grid
+builds its sample points coordinate-major too.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import queue
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
@@ -69,9 +73,13 @@ __all__ = [
 
 # Points per keyed stream in mc_volume_ratio and cells per job in
 # grid_partition_counts. The volume chunk is part of the stream keying, and
-# so is the coordinate-major layout of a chunk: changing either changes which
-# draw lands in which stream and coordinate, hence the counts.
+# so are the block and its coordinate-major layout: a chunk's stream fills
+# its blocks in order, d * b values for a block of b points, coordinate j of
+# the block's point i at offset j * b + i. Changing the chunk, the block or
+# the layout changes which draw lands in which stream and coordinate, hence
+# the counts. A block is the most points a worker holds at once.
 VOLUME_CHUNK = 1 << 16
+_VOLUME_BLOCK = 1 << 14
 GRID_CHUNK = 1 << 15
 # Sample points per predicate call of the grid: a chunk's sub-grid points go
 # in parts, which bounds their memory and that of the predicate's temporaries.
@@ -138,28 +146,28 @@ def _column_minus(pts: np.ndarray, center, j: int, out: np.ndarray) -> np.ndarra
 
 
 def _sum_of_squares(pts: np.ndarray, center=None) -> np.ndarray:
-    """sum_j (pts[:, j] - center[j])**2 for (m, d) points, column by column.
+    """sum_j (pts[:, j] - center[j])**2 for (m, d) points.
 
-    The order of the additions is fixed: the squares of the even columns
-    in column order, then those of the odd columns in column order, then
-    the even sum plus the odd sum. Each column is read once, through one
-    m-length scratch row; the odd sum takes a row of its own only when it
-    has more than one column.
+    The squares of all d columns take one or two whole-array operations into
+    a (d, m) scratch, one contiguous row per column. The order of the
+    additions is fixed: the squares of the even columns in column order,
+    then those of the odd columns in column order, then the even sum plus
+    the odd sum, accumulated in place in the rows of columns 0 and 1.
     """
     m, d = pts.shape
-    scratch = np.empty(m)
-
-    def square(j, out):
-        col = _column_minus(pts, center, j, scratch)
-        return np.multiply(col, col, out=out)
-
-    total = square(0, np.empty(m))
+    sq = np.empty((d, m)).T
+    if center is None:
+        np.multiply(pts, pts, out=sq)
+    else:
+        np.subtract(pts, center, out=sq)
+        np.multiply(sq, sq, out=sq)
+    total = sq[:, 0]
     for j in range(2, d, 2):
-        total += square(j, scratch)
+        total += sq[:, j]
     if d > 1:
-        odd = square(1, np.empty(m) if d > 3 else scratch)
+        odd = sq[:, 1]
         for j in range(3, d, 2):
-            odd += square(j, scratch)
+            odd += sq[:, j]
         total += odd
     return total
 
@@ -271,15 +279,16 @@ def _map(fn, n: int) -> list:
         return list(pool.map(fn, range(n)))
 
 
-def _sample_box(g: np.random.Generator, count: int, box: np.ndarray) -> np.ndarray:
-    """count points uniform in box, as the (count, d) transpose of a (d, count)
-    draw: coordinate j of point i is the stream's value j * count + i, scaled
-    in place, and each coordinate is a contiguous column."""
+def _sample_box(g: np.random.Generator, box: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fills out, a C-ordered (d, b) float64 array, with b points uniform in
+    box and returns them as its (b, d) transpose: coordinate j of point i is
+    the stream's next value j * b + i, scaled in place, and each coordinate
+    is a contiguous column."""
     lo, hi = box
-    u = g.random((lo.size, count))
-    u *= (hi - lo)[:, None]
-    u += lo[:, None]
-    return u.T
+    g.random(out=out)
+    out *= (hi - lo)[:, None]
+    out += lo[:, None]
+    return out.T
 
 
 def _intersect_boxes(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
@@ -300,7 +309,9 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
     come in chunks of VOLUME_CHUNK points, each from the stream keyed by
     (seed, chunk), and the chunks run on worker threads; the result is
     bit-identical whatever the number of workers or the order in which the
-    chunks run.
+    chunks run. Each worker draws and tests a chunk in blocks of
+    _VOLUME_BLOCK points through one buffer, so what a worker holds does
+    not grow with `points`.
     """
     _require("finite and > 0", t=t)
     _require("an integer in [1, 2**63)", points=points)
@@ -337,9 +348,23 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
             for k, (box, predicate, base) in enumerate(counts)
             for i, take in enumerate(sizes)]
 
+    # One block buffer per running worker: a job takes a free one, or makes
+    # one when none is free, and gives it back when done.
+    buffers = queue.SimpleQueue()
+
     def run(n):
         _, box, predicate, g, take = jobs[n]
-        return int(np.count_nonzero(predicate(_sample_box(g, take, box))))
+        try:
+            buf = buffers.get_nowait()
+        except queue.Empty:
+            buf = np.empty(space.dim * _VOLUME_BLOCK)
+        hits = 0
+        for start in range(0, take, _VOLUME_BLOCK):
+            b = min(_VOLUME_BLOCK, take - start)
+            u = _sample_box(g, box, buf[:space.dim * b].reshape(space.dim, b))
+            hits += int(np.count_nonzero(predicate(u)))
+        buffers.put(buf)
+        return hits
 
     hits = [0, 0]
     for (k, *_), h in zip(jobs, _map(run, len(jobs))):

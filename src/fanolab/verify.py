@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .info import LN2, _budget
+from .info import LN2, DomainError, _budget
 from .streams import VERIFY_STREAM, stream
 
 if TYPE_CHECKING:
@@ -156,11 +156,15 @@ def quadrature(seed: int, fault: bool) -> list[Check]:
 def volume(seed: int, fault: bool, seeds: int, points: int) -> list[Check]:
     """Per dimension, `seeds` estimates of the ratio of a radius-1/2 ball to
     the unit ball. A run fails when it is off by more than 3% or its CI
-    misses the truth; the check allows at most 3 such runs, and never all."""
+    misses the truth; the check allows at most 3 such runs, and never all.
+    Run k takes seed + k, so the last seed must still be a stream seed."""
     from . import continuum
 
     # three dimensions, each run counting the region and the declared ball
     _budget("sampled points", 6 * seeds * points, "6 * seeds * points")
+    if seed + seeds - 1 >= 2**64:
+        raise DomainError(f"seeds={seeds} from seed={seed} would run seeds past 2**64 - 1, "
+                          "the largest stream seed")
     checks = []
     for d in (2, 3, 5):
         space = continuum.l2_ball_space(d, 1.0)
@@ -182,19 +186,19 @@ def volume(seed: int, fault: bool, seeds: int, points: int) -> list[Check]:
 def grid_partition(seed: int, fault: bool, level: int) -> list[Check]:
     """The unit square's cell counts, then the disk's area and log count
     ratio against pi and ln 4 at levels level - 4 to level. The grid draws
-    nothing, so the seed changes no check."""
+    nothing, so the seed changes no check. The disk at `level` is computed
+    first, so a level past the grid budget is refused before any other."""
     from . import continuum
 
+    disk = continuum.l2_ball_space(2, 1.0)
+    gp = continuum.grid_partition_counts(disk, 0.5, level)
     square = continuum.box_space([0.0, 0.0], [1.0, 1.0], metric="linf")
     sq_ok = all(continuum.grid_partition_counts(square, 0.5, lv).cell_count == 4**lv
                 for lv in range(1, 5))
-    disk = continuum.l2_ball_space(2, 1.0)
     log4 = math.log(4.0) * (1.2 if fault else 1.0)
-    errs = []
-    for lv in range(level - 4, level + 1):
-        gp = continuum.grid_partition_counts(disk, 0.5, lv)
-        errs.append(abs(gp.log_count_ratio() - log4))
-    # gp is the partition at `level` now
+    errs = [abs(continuum.grid_partition_counts(disk, 0.5, lv).log_count_ratio() - log4)
+            for lv in range(level - 4, level)]
+    errs.append(abs(gp.log_count_ratio() - log4))
     truth = math.pi * (1.05 if fault else 1.0)
     area_err = abs(gp.cell_width**2 * gp.cell_count - truth) / truth
     ratio_err = errs[-1] / log4

@@ -244,10 +244,13 @@ def test_criterion_11_sparse_sign_combinatorics():
 
 
 # The six criterion-12 runs at seed 31, each with the SHA-256 of its report
-# as the suites wrote it before they moved from fanolab.cli to fanolab.verify;
-# quadrature's is re-pinned to its Gauss-Legendre reference, whose errors
-# differ from QUADPACK's in the last bits, and grid-partition's to the
-# closed-form touched count and the margins its log-ratio checks now carry.
+# as the suites wrote it before they moved from fanolab.cli to fanolab.verify.
+# Three are re-pinned: quadrature's to its Gauss-Legendre reference, whose
+# errors differ from QUADPACK's in the last bits; grid-partition's to the
+# closed-form touched count and the margins its log-ratio checks now carry;
+# volume's to the draws of 16,384-point blocks within each chunk, whose
+# counts tests/test_continuum.py checks against an independent layout
+# reference.
 CRITERION_12_SUITES = [
     (["verify", "prop1-exhaustive", "--seed", "31", "--instances", "150"],
      "962d4dd7aa763c0d64fad33e61430c3800f85c082e1343081a4cdd7d7eb46d37"),
@@ -256,7 +259,7 @@ CRITERION_12_SUITES = [
     (["verify", "quadrature", "--seed", "31"],
      "8fc2c021614b033464b3941fbf0dca666dafc412f3b2d4b7426630423c830319"),
     (["verify", "volume", "--seed", "31", "--seeds", "3", "--points", "50000"],
-     "70df93db9e0f26ac1c14d5b97e04e3c64450f67b503e126ddffbd604654c8575"),
+     "37469d81a76e532bfdfb6f3d36c335586437ab58eec55048fc02e94cc2fcfa2f"),
     (["verify", "grid-partition", "--seed", "31", "--level", "6"],
      "bcf5b9f57d5fe7b33f461708dcc8ac31d086ddf3ce25c9d2ebfd7717c400450d"),
     (["verify", "estimator-risk", "--seed", "31", "--reps-scale", "0.01"],

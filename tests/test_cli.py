@@ -496,6 +496,57 @@ def test_verify_refuses_its_out_dir_before_the_suite(tmp_path, monkeypatch, caps
     assert str(tmp_path / "a-file") in capsys.readouterr().err
 
 
+def test_verify_volume_refuses_seeds_past_the_last_seed_before_any_estimate(
+        tmp_path, monkeypatch, capsys):
+    """Run k takes seed + k: three runs from 2**64 - 2 are refused naming
+    seeds, before the first estimate, and not as a seed the user never gave."""
+    from fanolab import continuum
+
+    monkeypatch.setattr(continuum, "mc_volume_ratio", _never)
+    assert run(["verify", "volume", "--seeds", "3", "--points", "1000",
+                "--seed", str(2**64 - 2), "--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "seeds=3" in err
+    assert str(2**64) not in err
+    assert not (tmp_path / f"verify-volume-seed{2**64 - 2}.txt").exists()
+
+
+def test_verify_volume_runs_up_to_the_last_seed(tmp_path, monkeypatch):
+    """Two runs from 2**64 - 2 take the last two stream seeds."""
+    from fanolab import continuum
+
+    seeds = []
+    real = continuum.mc_volume_ratio
+
+    def record(space, t, *, points, seed):
+        seeds.append(seed)
+        return real(space, t, points=points, seed=seed)
+
+    monkeypatch.setattr(continuum, "mc_volume_ratio", record)
+    assert run(["verify", "volume", "--seeds", "2", "--points", "1000",
+                "--seed", str(2**64 - 2), "--out-dir", str(tmp_path)]) in (0, 1)
+    assert seeds == [2**64 - 2, 2**64 - 1] * 3
+
+
+def test_verify_grid_refuses_a_level_past_the_budget_before_any_level(
+        tmp_path, monkeypatch, capsys):
+    """The disk at the given level is counted first, so a level past the
+    grid budget is refused naming it, with no coarser level counted."""
+    from fanolab import continuum
+
+    levels = []
+    real = continuum.grid_partition_counts
+
+    def record(space, t, level):
+        levels.append(level)
+        return real(space, t, level)
+
+    monkeypatch.setattr(continuum, "grid_partition_counts", record)
+    assert run(["verify", "grid-partition", "--level", "13", "--out-dir", str(tmp_path)]) == 2
+    assert "level=13" in capsys.readouterr().err
+    assert levels == [13]
+
+
 @pytest.mark.parametrize("where", ["no-such-dir/t.csv", "a-file/t.csv", "a-dir"])
 def test_table_refuses_its_out_before_the_sweep(where, tmp_path, monkeypatch, capsys):
     """An --out that cannot take the CSV is refused, naming it, before the

@@ -23,6 +23,7 @@ from fanolab.continuum import (
     mc_volume_ratio,
 )
 from fanolab.info import DomainError, EnumerationLimitError
+from fanolab.streams import BALL_STREAM, VOLUME_STREAM, stream
 
 LN2 = math.log(2.0)
 
@@ -133,18 +134,19 @@ def plain_disk():
                           bounding_box=np.array([[-1.0, -1.0], [1.0, 1.0]]), metric="l2")
 
 
-# 200_003 points leave a partial last chunk. The counts are those of the
-# SFC64 streams of streams.stream, drawn coordinate-major, the same on any
-# number of threads.
+# 200_003 points leave a partial last chunk, whose last block is partial
+# too. The counts are those of the SFC64 streams of streams.stream, each
+# chunk drawn in coordinate-major blocks (blocked_reference_hits below), the
+# same on any number of threads.
 GOLDEN_MC = [
-    (lambda: l2_ball_space(2, 1.0), 0.5, (156919, 157156), 3.993967777240449),
-    (lambda: l2_ball_space(3, 1.0), 0.5, (104590, 104609), 7.998546970145972),
-    (lambda: l2_ball_space(5, 1.0), 0.5, (32716, 32860), 31.859768715763845),
+    (lambda: l2_ball_space(2, 1.0), 0.5, (156758, 157264), 3.987129921660393),
+    (lambda: l2_ball_space(3, 1.0), 0.5, (104673, 104698), 7.998089743834649),
+    (lambda: l2_ball_space(5, 1.0), 0.5, (32739, 33033), 31.715193897012078),
     (lambda: box_space(np.zeros(2), np.ones(2)), 0.3, (200003, 200003), 2.7777777777777772),
     (lambda: box_space(np.zeros(3), np.ones(3)), 0.3, (200003, 200003), 4.629629629629628),
     (lambda: box_space(np.zeros(5), np.ones(5)), 0.3, (200003, 200003), 12.86008230452674),
-    (lambda: box_space(np.zeros(3), np.ones(3), metric="l2"), 0.3, (200003, 104609),
-     8.851435486572038),
+    (lambda: box_space(np.zeros(3), np.ones(3), metric="l2"), 0.3, (200003, 104698),
+     8.843911199973395),
 ]
 
 
@@ -172,6 +174,20 @@ def declared_disk():
     return dataclasses.replace(plain_disk(), sup_center=np.zeros(2))
 
 
+# Point counts on both sides of a block's and a chunk's edge, and one with
+# a partial last chunk and a partial last block.
+BLOCK_EDGES = (1, 16_383, 16_384, 16_385, 65_537, 200_003)
+
+
+def mc_outcome(space, t, points, seed):
+    """The estimate, or the type and text of the refusal: at one point, the
+    region or the ball may get no hit."""
+    try:
+        return mc_volume_ratio(space, t, points=points, seed=seed)
+    except EstimationError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("make", [
     lambda: l2_ball_space(2, 1.0), pytest.param(declared_disk, id="plain_disk"),
     pytest.param(lambda: box_space([0.0, 0.0], [1.0, 1.0]), id="box-linf"),
@@ -184,7 +200,7 @@ def test_results_do_not_depend_on_worker_count(make, monkeypatch):
     runs = []
     for workers in (1, 4):
         monkeypatch.setattr(continuum, "_usable_cpus", lambda: workers)
-        runs.append((mc_volume_ratio(space, 0.5, points=200_003, seed=5),
+        runs.append(([mc_outcome(space, 0.5, points, 5) for points in BLOCK_EDGES],
                      grid_partition_counts(space, 0.5, level)))
     (est1, gp1), (est4, gp4) = runs
     assert est1 == est4
@@ -240,11 +256,12 @@ def test_sampling_and_metrics_match_row_broadcast_formulas(d):
     hi = lo + np.linspace(0.5, 3.0, d)  # a different width on every axis
     c = np.linspace(-0.3, 0.6, d)
     for m in (1, 63, 64, 1001, 16960, 65536):
-        pts = continuum._sample_box(np.random.Generator(np.random.Philox(key=m)), m,
-                                    np.stack([lo, hi]))
+        out = np.empty((d, m))
+        pts = continuum._sample_box(np.random.Generator(np.random.Philox(key=m)),
+                                    np.stack([lo, hi]), out)
         ref = lo + (hi - lo) * np.random.Generator(np.random.Philox(key=m)).random((d, m)).T
         assert pts.shape == ref.shape and pts.tobytes() == ref.tobytes()
-        assert pts.flags.f_contiguous
+        assert pts.flags.f_contiguous and np.shares_memory(pts, out)
         for metric, want in [("l2", np.sqrt(column_sum_of_squares(pts - c))),
                              ("linf", np.abs(pts - c).max(axis=1))]:
             got = continuum._metric(metric)(c, pts)
@@ -254,6 +271,78 @@ def test_sampling_and_metrics_match_row_broadcast_formulas(d):
         r = math.sqrt(float(np.median(sums)))
         inside = l2_ball_space(d, r).contains(pts)
         assert np.array_equal(inside, sums <= r * r), m
+
+
+def blocked_reference_hits(space, t, points, seed):
+    """(region hits, ball hits) of an l2 space, recomputed chunk by chunk from
+    the documented layout. Chunk i of the region draws from the stream
+    (seed, VOLUME_STREAM + i), that of the ball from (seed, BALL_STREAM + i).
+    In the block of b points that starts at point a of its chunk, coordinate
+    j of point a + i is the chunk stream's value d*a + j*b + i: each point is
+    gathered by that index from one flat draw of the whole chunk, then scaled
+    into its box by the row-broadcast formula."""
+    d, block = space.dim, 16_384
+    lo, hi = space.bounding_box
+    c = space.sup_center
+    boxes = [(VOLUME_STREAM, lo, hi),
+             (BALL_STREAM, np.maximum(lo, c - t), np.minimum(hi, c + t))]
+    hits = []
+    for base, box_lo, box_hi in boxes:
+        count = 0
+        for i, first in enumerate(range(0, points, continuum.VOLUME_CHUNK)):
+            m = min(continuum.VOLUME_CHUNK, points - first)
+            flat = stream(seed, base + i).random(d * m)
+            index = np.empty((m, d), dtype=np.int64)
+            for a in range(0, m, block):
+                b = min(block, m - a)
+                index[a:a + b] = d * a + np.arange(d) * b + np.arange(b)[:, None]
+            pts = box_lo + (box_hi - box_lo) * flat[index]
+            inside = space.contains(pts)
+            if base == BALL_STREAM:
+                inside &= np.sqrt(column_sum_of_squares(pts - c)) <= t
+            count += int(np.count_nonzero(inside))
+        hits.append(count)
+    return tuple(hits)
+
+
+@pytest.mark.parametrize("points", BLOCK_EDGES)
+@pytest.mark.parametrize("make, t", [
+    pytest.param(lambda: l2_ball_space(2, 1.0), 0.5, id="ball-l2-d2"),
+    pytest.param(lambda: l2_ball_space(5, 1.0), 0.5, id="ball-l2-d5"),
+    pytest.param(lambda: box_space(np.zeros(3), np.ones(3), metric="l2"), 0.3, id="box-l2-d3")])
+def test_mc_counts_match_the_blocked_layout_reference(make, t, points):
+    assert continuum._VOLUME_BLOCK == 16_384
+    space = make()
+    want = blocked_reference_hits(space, t, points, 7)
+    got = mc_outcome(space, t, points, 7)
+    if 0 in want:  # a count with no hit is refused, naming which
+        assert got[0] is EstimationError
+        assert ("region" if want[0] == 0 else "declared ball") in got[1]
+    else:
+        assert hit_counts(got, space, t, points) == want
+
+
+def test_mc_memory_does_not_grow_with_points(monkeypatch):
+    """Each worker draws and tests a chunk in blocks through one buffer of
+    d * 16,384 floats. At d = 5 a call's traced peak on 2 workers stays
+    below 4 MiB, where whole 65,536-point chunks took 8.2 MiB. On one
+    worker, 10**6 points take what 2**16 take but for the list of keyed
+    jobs, about 1 KB a job; on two, at most two workers' blocks."""
+    space = l2_ball_space(5, 1.0)
+    peaks = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(continuum, "_usable_cpus", lambda: workers)
+        mc_volume_ratio(space, 0.5, points=1000, seed=1)  # loads the thread pool untraced
+        for points in (2**16, 10**6):
+            tracemalloc.start()
+            try:
+                mc_volume_ratio(space, 0.5, points=points, seed=1)
+                peaks[workers, points] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert max(peaks[2, 2**16], peaks[2, 10**6]) < 4 * 2**20
+    assert peaks[1, 10**6] - peaks[1, 2**16] < 2**16
+    assert peaks[2, 10**6] < 2 * peaks[1, 2**16] + 2**18
 
 
 # -- the bound itself -------------------------------------------------------------
