@@ -27,13 +27,17 @@ only under-estimate the sup, which over-states the ratio and the bound.
 The grid needs no center: its touched count is a closed-form lattice count
 that bounds the cells any radius-t ball meets, whatever its center.
 
-Both estimators split their work into fixed-size chunks and run the chunks
-on a pool of threads, one per usable CPU. Each Monte Carlo chunk draws from
-its own stream keyed by (seed, chunk index), and every chunk's count is
-summed exactly, so the results do not depend on the number of workers or
-on the order in which chunks finish. A chunk is drawn and tested in blocks
-of _VOLUME_BLOCK points, each block coordinate-major through one buffer per
-worker: in the block of b points that starts at point a of its chunk,
+Both estimators split their work into fixed-size chunks and run them in
+processes: with W = min(chunks, usable CPUs) > 1 the caller forks W - 1
+worker processes and runs every W-th chunk itself. Each Monte Carlo chunk
+draws from its own stream keyed by (seed, chunk index), its size and stream
+derived from its index inside the worker, and each worker sends back the
+exact integer sums of its chunks' counts, so the results do not depend on
+the number of workers. A worker gets the space as it was at the fork, and a
+side effect of contains in a worker is never seen by the caller. A chunk is
+drawn and tested in blocks of _VOLUME_BLOCK points, each block
+coordinate-major through one buffer per worker process: in the block of b
+points that starts at point a of its chunk,
 coordinate j of point a + i is the chunk stream's value d*a + j*b + i. So
 each coordinate of a block is one contiguous column, the built-in predicates
 work column by column, and a worker holds one block, not a chunk. The grid
@@ -44,8 +48,11 @@ from __future__ import annotations
 
 import math
 import os
-import queue
+import pickle
+import signal
+import threading
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from typing import Callable
 
@@ -54,7 +61,7 @@ import numpy as np
 from ._volume import EstimationError, ball_volume_ratio_analytic, continuum_fano_bound
 from .info import DomainError, _budget, _require, _shown
 from .stats import clopper_pearson
-from .streams import BALL_STREAM, VOLUME_STREAM, stream
+from .streams import BALL_STREAM, VOLUME_STREAM, _sfc64
 
 __all__ = [
     "EstimationError",
@@ -105,8 +112,9 @@ class ContinuumSpace:
     never on the other rows or on how many there are. The grid partition
     relies on this when it tests each cell's center apart from, and
     before, the cell's other sample points. The estimators call contains
-    concurrently from worker threads, so it must be pure: no shared state
-    that a call mutates.
+    in the caller and in worker processes forked from it, so it must be
+    pure: what a call changes in a worker (a counter, a cache, an array)
+    stays in that worker and is never seen by the caller.
     """
 
     dim: int
@@ -262,21 +270,122 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map(fn, n: int) -> list:
-    """[fn(0), ..., fn(n - 1)], run on min(n, usable CPUs) threads.
+def _map(fn, n: int, width: int) -> list[int]:
+    """The per-slot sums of the (slot, count) pairs fn(0), ..., fn(n - 1), as
+    a list of width ints.
 
-    With one worker this is a plain in-order loop. fn must call no public
-    fanolab function: perfbench's tracer rebinds those to span recorders
-    that share one stack, which is not thread-local. So whatever fn needs
-    from the library, random streams included, is built by the caller.
+    With W = min(n, usable CPUs) > 1 and os.fork at hand, the caller forks
+    W - 1 worker processes and is worker 0 itself: worker w runs the jobs
+    i = w (mod W) in order, and sends the sums of its share through a pipe
+    for the caller to add up. Integer sums do not depend on the order of
+    the additions, so the result is the same for any W. Otherwise, and in
+    a process that runs other threads (a fork copies only the calling
+    thread, and a lock that another thread holds would stay held in the
+    worker), this is a plain in-order loop.
+
+    An exception that fn raises in a worker is raised again in the caller,
+    with its type, its message and the worker's traceback as a note. A
+    worker that ends without sending its sums raises a RuntimeError that
+    names its exit status. The caller's share is run first, then the
+    workers' results are taken in order, and the first failure is raised;
+    partial sums are never returned. On every path each worker is reaped,
+    killed first if it is still running.
+
+    fn must call no public fanolab function: a tracer that rebinds those
+    keeps a worker's spans in that worker, so it would see the caller's
+    share alone. So fn builds its random streams through streams._sfc64.
     """
     workers = min(n, _usable_cpus())
-    if workers <= 1:
-        return [fn(i) for i in range(n)]
-    from concurrent.futures import ThreadPoolExecutor
+    if workers <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _share(fn, range(n), width)
+    procs = []  # [pid or None once reaped, read end of its pipe] per worker
+    try:
+        for w in range(1, workers):
+            r, wfd = os.pipe()
+            procs.append([None, open(r, "rb")])
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(fn, range(w, n, workers), width, wfd)
+            finally:
+                os.close(wfd)
+            procs[-1][0] = pid
+        sums = _share(fn, range(0, n, workers), width)
+        for proc in procs:
+            pid, reader = proc
+            with reader:
+                data = reader.read()
+            status = os.waitpid(pid, 0)[1]
+            proc[0] = None
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0 or not data:
+                raise RuntimeError(f"worker process {pid} ended with {_exit_status(code)} "
+                                   "before sending its counts")
+            part = pickle.loads(data)
+            if isinstance(part, BaseException):
+                raise part
+            sums = [a + b for a, b in zip(sums, part)]
+        return sums
+    finally:
+        for pid, reader in procs:
+            reader.close()
+            if pid is not None:
+                with suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(n)))
+
+def _share(fn, jobs, width: int) -> list[int]:
+    sums = [0] * width
+    for i in jobs:
+        slot, count = fn(i)
+        sums[slot] += count
+    return sums
+
+
+def _work(fn, jobs, width: int, fd: int):
+    """A forked worker of _map: runs its share and writes the sums, or the
+    exception that stopped it, to fd; then leaves through os._exit, so none
+    of the caller's cleanup (atexit, finally blocks, buffered output) runs
+    in the worker. The exit status is 0 only once the result is written."""
+    status = 1
+    try:
+        try:
+            result = _share(fn, jobs, width)
+        except BaseException as exc:
+            result = _portable(exc)
+        with open(fd, "wb") as out:
+            out.write(pickle.dumps(result))
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _portable(exc: BaseException) -> BaseException:
+    """exc with the worker's traceback as a note, or, when it does not survive
+    pickling, a RuntimeError with its type, message and note."""
+    import traceback
+
+    note = "raised in a worker process:\n" + "".join(traceback.format_exception(exc)).rstrip()
+    exc.add_note(note)
+    try:
+        pickle.loads(pickle.dumps(exc))
+        return exc
+    except Exception:  # say, a class whose __init__ its args do not fit
+        out = RuntimeError(f"{type(exc).__qualname__}: {exc}")
+        out.add_note(note)
+        return out
+
+
+def _exit_status(code: int) -> str:
+    """A waitstatus_to_exitcode value in words: negative codes are signals."""
+    if code >= 0:
+        return f"exit status {code}"
+    try:
+        name = signal.Signals(-code).name
+    except ValueError:
+        name = f"signal {-code}"
+    return f"exit status {code} (killed by {name})"
 
 
 def _sample_box(g: np.random.Generator, box: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -307,11 +416,13 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
     space's declared sup_center `points` draws in the box sup_center +- t cut
     to the bounding box. A space that declares no sup_center is refused. The draws
     come in chunks of VOLUME_CHUNK points, each from the stream keyed by
-    (seed, chunk), and the chunks run on worker threads; the result is
-    bit-identical whatever the number of workers or the order in which the
-    chunks run. Each worker draws and tests a chunk in blocks of
-    _VOLUME_BLOCK points through one buffer, so what a worker holds does
-    not grow with `points`.
+    (seed, chunk), and the chunks run in worker processes (see _map); the
+    result is bit-identical whatever the number of workers. A job knows only
+    its index: the worker derives the chunk's size and stream from it, and
+    draws and tests the chunk in blocks of _VOLUME_BLOCK points through the
+    one buffer it owns. So neither the caller nor a worker holds anything
+    that grows with `points`. contains runs in the workers too, and what it
+    changes there is not seen by the caller.
     """
     _require("finite and > 0", t=t)
     _require("an integer in [1, 2**63)", points=points)
@@ -340,36 +451,27 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
         ok &= rho(space.sup_center, u) <= t
         return ok
 
-    # (box, predicate, stream base): the region, then the ball
+    _require("an integer in [0, 2**64)", seed=seed)  # once, before any worker starts
+
+    # (box, predicate, stream base): count 0 is the region, count 1 the ball
     counts = [(space.bounding_box, in_region, VOLUME_STREAM),
               (ball_box, in_ball, BALL_STREAM)]
-    sizes = [min(VOLUME_CHUNK, points - done) for done in range(0, points, VOLUME_CHUNK)]
-    jobs = [(k, box, predicate, stream(seed, base + i), take)
-            for k, (box, predicate, base) in enumerate(counts)
-            for i, take in enumerate(sizes)]
-
-    # One block buffer per running worker: a job takes a free one, or makes
-    # one when none is free, and gives it back when done.
-    buffers = queue.SimpleQueue()
+    chunks = -(-points // VOLUME_CHUNK)
+    buf = np.empty(space.dim * _VOLUME_BLOCK)  # each forked worker writes its own copy
 
     def run(n):
-        _, box, predicate, g, take = jobs[n]
-        try:
-            buf = buffers.get_nowait()
-        except queue.Empty:
-            buf = np.empty(space.dim * _VOLUME_BLOCK)
+        k, i = divmod(n, chunks)  # job n is chunk i of count k
+        box, predicate, base = counts[k]
+        g = _sfc64(seed, base + i)
+        take = min(VOLUME_CHUNK, points - i * VOLUME_CHUNK)
         hits = 0
         for start in range(0, take, _VOLUME_BLOCK):
             b = min(_VOLUME_BLOCK, take - start)
             u = _sample_box(g, box, buf[:space.dim * b].reshape(space.dim, b))
             hits += int(np.count_nonzero(predicate(u)))
-        buffers.put(buf)
-        return hits
+        return k, hits
 
-    hits = [0, 0]
-    for (k, *_), h in zip(jobs, _map(run, len(jobs))):
-        hits[k] += h
-    vol_hits, ball_hits = hits
+    vol_hits, ball_hits = _map(run, 2 * chunks, 2)
 
     if vol_hits == 0:
         raise EstimationError("no draw landed in the region; cannot estimate its volume")
@@ -467,8 +569,10 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int) -> GridPa
 
     Cells are [k*eps, (k+1)*eps)^d with eps = 2^(-level). Occupancy is
     decided on each cell's fixed interior sample points, for the candidate
-    cells of the bounding box's grid in chunks of GRID_CHUNK on worker
-    threads; the count does not depend on the number of workers.
+    cells of the bounding box's grid in chunks of GRID_CHUNK in worker
+    processes (see _map); the count does not depend on the number of
+    workers, and what contains changes in a worker is not seen by the
+    caller.
     touched_count is the smaller of cell_count and _lattice_count, a
     closed form that no center's ball exceeds, so it needs no center.
     Nothing is drawn: the result depends on the space, t and level alone.
@@ -483,7 +587,9 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int) -> GridPa
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         k_lo, k_hi = np.floor(lo / eps), np.ceil(hi / eps)  # k_hi exclusive
         total = float(np.prod(k_hi - k_lo))
-    _budget("grid cells", total, f"the grid at level={level!r}")
+    # the count as an int where finite, so that a refusal shows it as one
+    _budget("grid cells", int(total) if math.isfinite(total) else total,
+            f"the grid at level={level!r}")
     if not np.all((np.abs(k_lo) < 2**63) & (np.abs(k_hi) < 2**63)):
         raise DomainError(f"the cell indices of the space's bounding box at level={level} "
                           "do not fit int64: the box lies too far from the origin")
@@ -517,9 +623,9 @@ def grid_partition_counts(space: ContinuumSpace, t: float, level: int) -> GridPa
             part = miss[start:start + per]
             sub = np.asarray(space.contains(cell_points(kvec[:, part], sub_grid)), dtype=bool)
             hit[part] = sub.reshape(-1, part.size).any(axis=0)
-        return int(np.count_nonzero(hit))
+        return 0, int(np.count_nonzero(hit))
 
-    n_cells = sum(_map(occupied, -(-total // GRID_CHUNK)))
+    n_cells, = _map(occupied, -(-total // GRID_CHUNK), 1)
     if n_cells == 0:
         raise EstimationError("no cell intersects the region; check bounding box and level")
     reach = [int(m) - 1 for m in shape]

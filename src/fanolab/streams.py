@@ -40,5 +40,15 @@ def stream(seed: int, stream_id: int = 0) -> np.random.Generator:
     """
     _require("an integer in [0, 2**64)", seed=seed)
     _require("an integer", stream_id=stream_id)
+    return _sfc64(seed, stream_id)
+
+
+def _sfc64(seed: int, stream_id: int) -> np.random.Generator:
+    """The stream keyed by ``(seed, stream_id)``, for a seed already checked.
+
+    The one place the key is derived: stream() calls it after its checks,
+    and the Monte Carlo workers of fanolab.continuum build each chunk's
+    stream with it, a private name that no tracer rebinds.
+    """
     key = np.random.SeedSequence([int(seed), stream_id & _MASK64])
     return np.random.Generator(np.random.SFC64(key))

@@ -10,7 +10,8 @@ smallest margin among the checks that carry one, in check order).
 The quadrature suite's reference is a composite Gauss-Legendre rule from
 numpy, and the intervals come from fanolab.stats, so no suite loads scipy.
 Each suite imports the library modules it calls: only volume and
-grid-partition load fanolab.continuum and its worker threads.
+grid-partition load fanolab.continuum, which runs their chunks in forked
+worker processes.
 """
 
 from __future__ import annotations

@@ -543,7 +543,8 @@ def test_verify_grid_refuses_a_level_past_the_budget_before_any_level(
 
     monkeypatch.setattr(continuum, "grid_partition_counts", record)
     assert run(["verify", "grid-partition", "--level", "13", "--out-dir", str(tmp_path)]) == 2
-    assert "level=13" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "level=13" in err and "268435456 grid cells" in err
     assert levels == [13]
 
 

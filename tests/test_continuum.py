@@ -3,6 +3,9 @@
 import dataclasses
 import itertools
 import math
+import os
+import signal
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -137,7 +140,7 @@ def plain_disk():
 # 200_003 points leave a partial last chunk, whose last block is partial
 # too. The counts are those of the SFC64 streams of streams.stream, each
 # chunk drawn in coordinate-major blocks (blocked_reference_hits below), the
-# same on any number of threads.
+# same on any number of worker processes.
 GOLDEN_MC = [
     (lambda: l2_ball_space(2, 1.0), 0.5, (156758, 157264), 3.987129921660393),
     (lambda: l2_ball_space(3, 1.0), 0.5, (104673, 104698), 7.998089743834649),
@@ -195,16 +198,130 @@ def mc_outcome(space, t, points, seed):
     pytest.param(lambda: l2_ball_space(5, 1.0), id="ball-l2-d5"),
     pytest.param(lambda: box_space([0.0, 0.0], [1.0, 1.0], metric="l2"), id="box-l2")])
 def test_results_do_not_depend_on_worker_count(make, monkeypatch):
+    """1 worker is the plain loop; on 3, the round-robin shares are uneven."""
     space = make()
     level = 8 if space.dim == 2 else 1  # a d = 5 cell has 4^5 sub-grid points
     runs = []
-    for workers in (1, 4):
+    for workers in (1, 2, 3, 4):
         monkeypatch.setattr(continuum, "_usable_cpus", lambda: workers)
         runs.append(([mc_outcome(space, 0.5, points, 5) for points in BLOCK_EDGES],
                      grid_partition_counts(space, 0.5, level)))
-    (est1, gp1), (est4, gp4) = runs
-    assert est1 == est4
-    assert gp1 == gp4
+    for est, gp in runs[1:]:
+        assert est == runs[0][0]
+        assert gp == runs[0][1]
+
+
+def disk_calling(act):
+    """declared_disk whose contains first calls act(caller's pid)."""
+    caller, disk = os.getpid(), declared_disk()
+
+    def contains(p):
+        act(caller)
+        return disk.contains(p)
+
+    return dataclasses.replace(disk, contains=contains)
+
+
+def fail_in_worker(caller):
+    if os.getpid() != caller:
+        raise ValueError("boom")
+
+
+def fail_in_caller(caller):
+    if os.getpid() == caller:
+        raise ValueError("boom")
+
+
+def kill_worker(caller):
+    if os.getpid() != caller:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def mark_pid(folder):
+    """An act that leaves a file named by the pid of each process running it:
+    a side effect in a worker reaches the caller only through the file system."""
+    def act(caller):
+        (folder / str(os.getpid())).touch()
+
+    return act
+
+
+def assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# the Monte Carlo call has 2 * 4 jobs, the level-8 grid 8 chunks
+CALLS = {
+    "mc": lambda space: mc_volume_ratio(space, 0.5, points=200_003, seed=5),
+    "grid": lambda space: grid_partition_counts(space, 0.5, 8),
+}
+
+
+@pytest.mark.parametrize("call", CALLS)
+@pytest.mark.parametrize("act", [fail_in_worker, fail_in_caller])
+def test_an_exception_in_contains_is_raised_in_the_caller(call, act, monkeypatch):
+    """Raised in a worker or in the caller's own share, the exception keeps
+    its type and message, and every worker is reaped."""
+    monkeypatch.setattr(continuum, "_usable_cpus", lambda: 2)
+    with pytest.raises(ValueError) as caught:
+        CALLS[call](disk_calling(act))
+    assert str(caught.value) == "boom"
+    if act is fail_in_worker:
+        assert "raised in a worker process" in "".join(caught.value.__notes__)
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("call", CALLS)
+def test_a_worker_that_dies_fails_the_call(call, monkeypatch):
+    monkeypatch.setattr(continuum, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"exit status -9 \(killed by SIGKILL\)"):
+        CALLS[call](disk_calling(kill_worker))
+    assert_no_worker_left()
+
+
+class Unpicklable(Exception):
+    """Unpickling calls Unpicklable(*args), with one argument of two."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+def test_an_unpicklable_exception_keeps_its_type_name_and_message(monkeypatch):
+    def act(caller):
+        if os.getpid() != caller:
+            raise Unpicklable("this", "that")
+
+    monkeypatch.setattr(continuum, "_usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError) as caught:
+        CALLS["grid"](disk_calling(act))
+    assert str(caught.value) == "Unpicklable: this and that"
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_call_runs_in_one_process_per_worker(workers, monkeypatch, tmp_path):
+    """The level-8 disk has 8 chunks, so every worker gets one."""
+    monkeypatch.setattr(continuum, "_usable_cpus", lambda: workers)
+    CALLS["grid"](disk_calling(mark_pid(tmp_path)))
+    pids = {int(f.name) for f in tmp_path.iterdir()}
+    assert len(pids) == workers and os.getpid() in pids
+    assert_no_worker_left()
+
+
+def test_a_call_from_a_threaded_process_forks_no_worker(monkeypatch, tmp_path):
+    """A fork copies only the calling thread, so a call made while another
+    thread runs keeps to its own process, with the same counts."""
+    monkeypatch.setattr(continuum, "_usable_cpus", lambda: 2)
+    want = CALLS["grid"](disk_calling(lambda caller: None))
+    got = []
+    thread = threading.Thread(
+        target=lambda: got.append(CALLS["grid"](disk_calling(mark_pid(tmp_path)))))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive() and got == [want]
+    assert [f.name for f in tmp_path.iterdir()] == [str(os.getpid())]
+    assert_no_worker_left()
 
 
 def test_user_predicates_get_float64_points_in_any_layout():
@@ -324,25 +441,28 @@ def test_mc_counts_match_the_blocked_layout_reference(make, t, points):
 
 def test_mc_memory_does_not_grow_with_points(monkeypatch):
     """Each worker draws and tests a chunk in blocks through one buffer of
-    d * 16,384 floats. At d = 5 a call's traced peak on 2 workers stays
-    below 4 MiB, where whole 65,536-point chunks took 8.2 MiB. On one
-    worker, 10**6 points take what 2**16 take but for the list of keyed
-    jobs, about 1 KB a job; on two, at most two workers' blocks."""
+    d * 16,384 floats, and derives each chunk's size and stream from the
+    job's index. On one worker, where tracemalloc sees every chunk, a call
+    at d = 5 stays below 4 MiB, where whole 65,536-point chunks took
+    8.2 MiB, and 10**6 points take what 2**16 take. On two, tracemalloc
+    sees only the caller, whose peak does not grow from 10**6 to 4 * 10**6
+    points: it holds no list of jobs, streams or results (a job list took
+    about 1 KB a job)."""
     space = l2_ball_space(5, 1.0)
     peaks = {}
-    for workers in (1, 2):
+    for workers, sizes in ((1, (2**16, 10**6)), (2, (10**6, 4 * 10**6))):
         monkeypatch.setattr(continuum, "_usable_cpus", lambda: workers)
-        mc_volume_ratio(space, 0.5, points=1000, seed=1)  # loads the thread pool untraced
-        for points in (2**16, 10**6):
+        mc_volume_ratio(space, 0.5, points=1000, seed=1)  # loads what a call loads, untraced
+        for points in sizes:
             tracemalloc.start()
             try:
                 mc_volume_ratio(space, 0.5, points=points, seed=1)
                 peaks[workers, points] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-    assert max(peaks[2, 2**16], peaks[2, 10**6]) < 4 * 2**20
-    assert peaks[1, 10**6] - peaks[1, 2**16] < 2**16
-    assert peaks[2, 10**6] < 2 * peaks[1, 2**16] + 2**18
+    assert peaks[1, 10**6] < 4 * 2**20
+    assert peaks[1, 10**6] - peaks[1, 2**16] < 2**12
+    assert peaks[2, 4 * 10**6] - peaks[2, 10**6] < 2**12
 
 
 # -- the bound itself -------------------------------------------------------------
@@ -566,7 +686,7 @@ def test_grid_draws_nothing(monkeypatch):
     def no_stream(*args):
         raise AssertionError("the grid drew from a random stream")
 
-    monkeypatch.setattr(continuum, "stream", no_stream)
+    monkeypatch.setattr(continuum, "_sfc64", no_stream)
     for space in (l2_ball_space(2, 1.0), box_space([0.0, 0.0], [1.0, 1.0])):
         assert grid_partition_counts(space, 0.5, 6).touched_count >= 1
 
@@ -574,9 +694,9 @@ def test_grid_draws_nothing(monkeypatch):
 def test_grid_occupancy_takes_one_byte_per_cell(monkeypatch):
     """The level-10 unit square has 2^20 candidate cells, all occupied: an
     int64 index row per occupied cell alone would take 16 MiB, and the grid
-    keeps no more than a byte per cell. Each worker holds one chunk's
-    points, so the worker count is pinned."""
-    monkeypatch.setattr(continuum, "_usable_cpus", lambda: 2)
+    keeps no more than a byte per cell. On one worker tracemalloc sees
+    every chunk; a forked worker's memory is its own and not traced here."""
+    monkeypatch.setattr(continuum, "_usable_cpus", lambda: 1)
     space = box_space([0.0, 0.0], [1.0, 1.0])
     tracemalloc.start()
     try:

@@ -441,9 +441,10 @@ for argv in (["prop1-exhaustive", "--instances", "100"],
 """)
 
 
-def test_volume_suite_loads_continuum_and_its_threads(tmp_path):
-    """verify volume samples through fanolab.continuum, whose chunks run on
-    worker threads wherever more than one CPU is usable."""
+def test_volume_suite_loads_continuum_and_no_thread_pool(tmp_path):
+    """verify volume samples through fanolab.continuum, whose chunks run in
+    forked worker processes: neither a thread pool (concurrent.futures) nor
+    a queue of buffers is loaded."""
     _run_fresh(f"""
 import sys
 before = set(sys.modules)
@@ -451,9 +452,8 @@ from fanolab import cli
 argv = ["verify", "volume", "--seeds", "2", "--points", "20000", "--seed", "1"]
 assert cli.main(argv + ["--out-dir", {str(tmp_path)!r}]) == 0
 loaded = set(sys.modules) - before
-from fanolab import continuum
 assert "fanolab.continuum" in loaded
-assert ("concurrent.futures" in loaded) == (continuum._usable_cpus() > 1), sorted(loaded)
+assert not loaded & {{"concurrent.futures", "queue"}}, sorted(loaded)
 """)
 
 
