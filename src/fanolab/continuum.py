@@ -21,27 +21,31 @@ lies in the region costs one test. Each chunk of cells returns only its
 count of occupied cells.
 
 The supremum over centers of Vol(ball(t, v) & V) is uncomputable in
-general. mc_volume_ratio takes it at the space's declared maximizer
-sup_center and refuses a space that declares none: a sampled center can
-only under-estimate the sup, which over-states the ratio and the bound.
-The grid needs no center: its touched count is a closed-form lattice count
-that bounds the cells any radius-t ball meets, whatever its center.
+general. mc_volume_ratios (and mc_volume_ratio, its one-seed form) takes it
+at the space's declared maximizer sup_center and refuses a space that
+declares none: a sampled center can only under-estimate the sup, which
+over-states the ratio and the bound. The grid needs no center: its
+touched count is a closed-form lattice count that bounds the cells any
+radius-t ball meets, whatever its center.
 
 Both estimators split their work into fixed-size chunks and run them in
 processes: with W = min(chunks, usable CPUs) > 1 the caller forks W - 1
-worker processes and runs every W-th chunk itself. Each Monte Carlo chunk
-draws from its own stream keyed by (seed, chunk index), its size and stream
-derived from its index inside the worker, and each worker sends back the
-exact integer sums of its chunks' counts, so the results do not depend on
-the number of workers. A worker gets the space as it was at the fork, and a
-side effect of contains in a worker is never seen by the caller. A chunk is
-drawn and tested in blocks of _VOLUME_BLOCK points, each block
-coordinate-major through one buffer per worker process: in the block of b
-points that starts at point a of its chunk,
-coordinate j of point a + i is the chunk stream's value d*a + j*b + i. So
-each coordinate of a block is one contiguous column, the built-in predicates
-work column by column, and a worker holds one block, not a chunk. The grid
-builds its sample points coordinate-major too.
+worker processes and runs every W-th chunk itself. A call forks its workers
+once, so mc_volume_ratios runs the chunks of all its seeds in one call: a
+dimension of `verify volume` forks W - 1 workers for all its seeds. Each
+Monte Carlo chunk draws from its own stream keyed by (seed, chunk index),
+its seed, size and stream derived from its index inside the worker, and
+each worker sends back the exact integer sums of its chunks' counts, so the
+results do not depend on the number of workers or on which seeds share a
+call. A worker gets the space as it was at the fork, and a side effect of
+contains in a worker is never seen by the caller. A chunk is drawn and
+tested in blocks of _VOLUME_BLOCK points, each block coordinate-major
+through one buffer per worker process: in the block of b points that
+starts at point a of its chunk, coordinate j of point a + i is the chunk
+stream's value d*a + j*b + i. So each coordinate of a block is one
+contiguous column, the built-in predicates work column by column, and a
+worker holds one block, not a chunk. The grid builds its sample points
+coordinate-major too.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ import threading
 from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,6 +76,7 @@ __all__ = [
     "box_space",
     "ball_volume_ratio_analytic",
     "mc_volume_ratio",
+    "mc_volume_ratios",
     "continuum_fano_bound",
     "grid_partition_counts",
     "VOLUME_CHUNK",
@@ -283,6 +288,11 @@ def _map(fn, n: int, width: int) -> list[int]:
     thread, and a lock that another thread holds would stay held in the
     worker), this is a plain in-order loop.
 
+    Each call forks its workers anew, and a forked worker pays a
+    copy-on-write page fault for each page of the caller's that it writes
+    to. So a caller puts all the jobs it has into one call, as
+    mc_volume_ratios does with the chunks of all its seeds.
+
     An exception that fn raises in a worker is raised again in the caller,
     with its type, its message and the worker's traceback as a note. A
     worker that ends without sending its sums raises a RuntimeError that
@@ -410,23 +420,54 @@ def _intersect_boxes(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
 
 def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
                     seed: int = 0) -> VolumeRatioEstimate:
-    """Estimate Vol(V) and sup_v Vol(ball(t, v) & V) by rejection sampling.
+    """mc_volume_ratios for the one seed: the estimate of
+    Vol(V) / sup_v Vol(ball(t, v) & V) from the streams keyed by seed."""
+    return mc_volume_ratios(space, t, points=points, seeds=(seed,))[0]
 
-    Vol(V) uses `points` draws in the bounding box, and the ball around the
-    space's declared sup_center `points` draws in the box sup_center +- t cut
-    to the bounding box. A space that declares no sup_center is refused. The draws
-    come in chunks of VOLUME_CHUNK points, each from the stream keyed by
-    (seed, chunk), and the chunks run in worker processes (see _map); the
-    result is bit-identical whatever the number of workers. A job knows only
-    its index: the worker derives the chunk's size and stream from it, and
-    draws and tests the chunk in blocks of _VOLUME_BLOCK points through the
-    one buffer it owns. So neither the caller nor a worker holds anything
-    that grows with `points`. contains runs in the workers too, and what it
-    changes there is not seen by the caller.
+
+def _seed_tuple(seeds) -> tuple:
+    """seeds as a nonempty tuple of stream seeds, or a DomainError naming the
+    first one that is not an integer in [0, 2**64)."""
+    try:
+        out = tuple(seeds)
+    except TypeError:  # not a sequence at all
+        out = ()
+    if not out:
+        raise DomainError("seeds must be a nonempty sequence of integers in [0, 2**64), "
+                          f"got seeds={_shown(seeds, repr)}")
+    for s, seed in enumerate(out):
+        _require("an integer in [0, 2**64)", "seed must be an integer in [0, 2**64), "
+                 f"got seed={{value}} at seeds[{s}]", seed=seed)
+    return out
+
+
+def mc_volume_ratios(space: ContinuumSpace, t: float, *, points: int = 100_000,
+                     seeds: Sequence[int]) -> list[VolumeRatioEstimate]:
+    """Estimate Vol(V) and sup_v Vol(ball(t, v) & V) by rejection sampling,
+    once per seed: one VolumeRatioEstimate per seed, in seed order.
+
+    For each seed, Vol(V) uses `points` draws in the bounding box, and the
+    ball around the space's declared sup_center `points` draws in the box
+    sup_center +- t cut to the bounding box. A space that declares no
+    sup_center is refused. The draws come in chunks of VOLUME_CHUNK points,
+    each from the stream keyed by (seed, chunk), and the chunks of every
+    seed run in one _map call, so a call forks its worker processes once
+    however many seeds it has; each estimate is bit-identical to that of
+    a call with its seed alone, whatever the number of workers. A job
+    knows only its index: the worker derives the job's seed, count and
+    chunk from it, and the chunk's size and stream, and draws and tests the
+    chunk in blocks of _VOLUME_BLOCK points through the one buffer it owns.
+    So neither the caller nor a worker holds anything that grows with
+    `points`; the caller holds two sums per seed. contains runs in the
+    workers too, and what it changes there is not seen by the caller. A
+    refusal that depends on the draws (no hit in the region or the ball,
+    or a ball volume that underflows) is raised for the first seed, in
+    seed order, whose draws call for it.
     """
     _require("finite and > 0", t=t)
     _require("an integer in [1, 2**63)", points=points)
-    _budget("sampled points", 2 * points, "2 * points")  # the region and the ball
+    _budget("sampled points", 2 * points, "2 * points")  # the region and the ball, per seed
+    seeds = _seed_tuple(seeds)  # every seed checked before any worker starts
     if space.sup_center is None:
         raise DomainError("mc_volume_ratio needs the space's declared maximizer sup_center; "
                           "a sampled center would understate the sup and overstate the ratio")
@@ -451,8 +492,6 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
         ok &= rho(space.sup_center, u) <= t
         return ok
 
-    _require("an integer in [0, 2**64)", seed=seed)  # once, before any worker starts
-
     # (box, predicate, stream base): count 0 is the region, count 1 the ball
     counts = [(space.bounding_box, in_region, VOLUME_STREAM),
               (ball_box, in_ball, BALL_STREAM)]
@@ -460,38 +499,42 @@ def mc_volume_ratio(space: ContinuumSpace, t: float, *, points: int = 100_000,
     buf = np.empty(space.dim * _VOLUME_BLOCK)  # each forked worker writes its own copy
 
     def run(n):
-        k, i = divmod(n, chunks)  # job n is chunk i of count k
+        s, rest = divmod(n, 2 * chunks)  # job n is chunk i of count k of seed s
+        k, i = divmod(rest, chunks)
         box, predicate, base = counts[k]
-        g = _sfc64(seed, base + i)
+        g = _sfc64(seeds[s], base + i)
         take = min(VOLUME_CHUNK, points - i * VOLUME_CHUNK)
         hits = 0
         for start in range(0, take, _VOLUME_BLOCK):
             b = min(_VOLUME_BLOCK, take - start)
             u = _sample_box(g, box, buf[:space.dim * b].reshape(space.dim, b))
             hits += int(np.count_nonzero(predicate(u)))
-        return k, hits
+        return 2 * s + k, hits
 
-    vol_hits, ball_hits = _map(run, 2 * chunks, 2)
+    sums = _map(run, 2 * chunks * len(seeds), 2 * len(seeds))
 
-    if vol_hits == 0:
-        raise EstimationError("no draw landed in the region; cannot estimate its volume")
-    v_lo, v_hi = clopper_pearson(vol_hits, points, per_count_conf)
-    vol_est = vol_hits / points * box_vol
-    vol_ci = (v_lo * box_vol, v_hi * box_vol)
-
-    if ball_hits == 0:
-        raise EstimationError("no draw landed in the declared ball; cannot estimate the sup")
     sub_vol = float(np.prod(ball_box[1] - ball_box[0]))
-    b_lo, b_hi = clopper_pearson(ball_hits, points, per_count_conf)
-    ball_est = ball_hits / points * sub_vol
-    ball_ci = (b_lo * sub_vol, b_hi * sub_vol)
-    if ball_ci[0] == 0.0:
-        raise DomainError(f"t={t!r} is too small: the volume of its ball underflows float64")
-    return VolumeRatioEstimate(
-        ratio=vol_est / ball_est,
-        ci=(vol_ci[0] / ball_ci[1], vol_ci[1] / ball_ci[0]),
-        vol_estimate=vol_est, vol_ci=vol_ci,
-        ball_estimate=ball_est, ball_ci=ball_ci)
+    estimates = []
+    for vol_hits, ball_hits in zip(sums[0::2], sums[1::2]):
+        if vol_hits == 0:
+            raise EstimationError("no draw landed in the region; cannot estimate its volume")
+        v_lo, v_hi = clopper_pearson(vol_hits, points, per_count_conf)
+        vol_est = vol_hits / points * box_vol
+        vol_ci = (v_lo * box_vol, v_hi * box_vol)
+
+        if ball_hits == 0:
+            raise EstimationError("no draw landed in the declared ball; cannot estimate the sup")
+        b_lo, b_hi = clopper_pearson(ball_hits, points, per_count_conf)
+        ball_est = ball_hits / points * sub_vol
+        ball_ci = (b_lo * sub_vol, b_hi * sub_vol)
+        if ball_ci[0] == 0.0:
+            raise DomainError(f"t={t!r} is too small: the volume of its ball underflows float64")
+        estimates.append(VolumeRatioEstimate(
+            ratio=vol_est / ball_est,
+            ci=(vol_ci[0] / ball_ci[1], vol_ci[1] / ball_ci[0]),
+            vol_estimate=vol_est, vol_ci=vol_ci,
+            ball_estimate=ball_est, ball_ci=ball_ci))
+    return estimates
 
 
 @dataclass(frozen=True)

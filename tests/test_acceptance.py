@@ -19,7 +19,7 @@ from fanolab.continuum import (
     continuum_fano_bound,
     grid_partition_counts,
     l2_ball_space,
-    mc_volume_ratio,
+    mc_volume_ratios,
 )
 from fanolab.discrete import (
     DiscreteSpace,
@@ -188,8 +188,7 @@ def test_criterion_08_volume_oracle_sweep():
         space = l2_ball_space(d, 1.0)
         truth = ball_volume_ratio_analytic(1.0, 0.5, d)
         fails = 0
-        for k in range(100):
-            est = mc_volume_ratio(space, 0.5, points=10**6, seed=SEED + 8 + k)
+        for est in mc_volume_ratios(space, 0.5, points=10**6, seeds=range(SEED + 8, SEED + 108)):
             if abs(est.ratio - truth) > 0.03 * truth or \
                     not (est.ci[0] <= truth <= est.ci[1]):
                 fails += 1

@@ -502,7 +502,7 @@ def test_verify_volume_refuses_seeds_past_the_last_seed_before_any_estimate(
     seeds, before the first estimate, and not as a seed the user never gave."""
     from fanolab import continuum
 
-    monkeypatch.setattr(continuum, "mc_volume_ratio", _never)
+    monkeypatch.setattr(continuum, "mc_volume_ratios", _never)
     assert run(["verify", "volume", "--seeds", "3", "--points", "1000",
                 "--seed", str(2**64 - 2), "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
@@ -512,20 +512,21 @@ def test_verify_volume_refuses_seeds_past_the_last_seed_before_any_estimate(
 
 
 def test_verify_volume_runs_up_to_the_last_seed(tmp_path, monkeypatch):
-    """Two runs from 2**64 - 2 take the last two stream seeds."""
+    """Two runs from 2**64 - 2 take the last two stream seeds, in one call
+    per dimension."""
     from fanolab import continuum
 
-    seeds = []
-    real = continuum.mc_volume_ratio
+    calls = []
+    real = continuum.mc_volume_ratios
 
-    def record(space, t, *, points, seed):
-        seeds.append(seed)
-        return real(space, t, points=points, seed=seed)
+    def record(space, t, *, points, seeds):
+        calls.append(list(seeds))
+        return real(space, t, points=points, seeds=seeds)
 
-    monkeypatch.setattr(continuum, "mc_volume_ratio", record)
+    monkeypatch.setattr(continuum, "mc_volume_ratios", record)
     assert run(["verify", "volume", "--seeds", "2", "--points", "1000",
                 "--seed", str(2**64 - 2), "--out-dir", str(tmp_path)]) in (0, 1)
-    assert seeds == [2**64 - 2, 2**64 - 1] * 3
+    assert calls == [[2**64 - 2, 2**64 - 1]] * 3
 
 
 def test_verify_grid_refuses_a_level_past_the_budget_before_any_level(

@@ -24,6 +24,7 @@ from fanolab.continuum import (
     grid_partition_counts,
     l2_ball_space,
     mc_volume_ratio,
+    mc_volume_ratios,
 )
 from fanolab.info import DomainError, EnumerationLimitError
 from fanolab.streams import BALL_STREAM, VOLUME_STREAM, stream
@@ -211,6 +212,40 @@ def test_results_do_not_depend_on_worker_count(make, monkeypatch):
         assert gp == runs[0][1]
 
 
+# At one point a count, seed 6 gets no hit in the disk's declared ball and
+# seed 1 none in the disk, so the batch is refused as seed 6 is.
+BATCH_SEEDS = (2, 6, 1, 2**64 - 1, 3)
+
+
+def batch_outcome(space, t, points, seeds):
+    """The estimates of one batched call, or the type and text of its refusal."""
+    try:
+        return mc_volume_ratios(space, t, points=points, seeds=seeds)
+    except EstimationError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("points", (1, 16_383, 16_385, 65_537, 200_003))
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: l2_ball_space(2, 1.0), id="ball-l2"),
+    pytest.param(lambda: box_space([0.0, 0.0], [1.0, 1.0]), id="box-linf")])
+def test_batched_estimates_equal_the_single_seed_ones(make, points, monkeypatch):
+    """One call over seeds gives, on 1 to 4 workers, the estimates of one
+    call per seed; where a seed is refused, the batch is refused as the
+    first such seed is."""
+    space = make()
+    monkeypatch.setattr(continuum, "_usable_cpus", lambda: 1)
+    single = [mc_outcome(space, 0.5, points, seed) for seed in BATCH_SEEDS]
+    refused = [out for out in single if not isinstance(out, continuum.VolumeRatioEstimate)]
+    want = refused[0] if refused else single
+    if points == 1 and space.metric == "l2":
+        assert want == (EstimationError, "no draw landed in the declared ball; "
+                                         "cannot estimate the sup")
+    for workers in (1, 2, 3, 4):
+        monkeypatch.setattr(continuum, "_usable_cpus", lambda: workers)
+        assert batch_outcome(space, 0.5, points, BATCH_SEEDS) == want, workers
+
+
 def disk_calling(act):
     """declared_disk whose contains first calls act(caller's pid)."""
     caller, disk = os.getpid(), declared_disk()
@@ -307,6 +342,37 @@ def test_a_call_runs_in_one_process_per_worker(workers, monkeypatch, tmp_path):
     pids = {int(f.name) for f in tmp_path.iterdir()}
     assert len(pids) == workers and os.getpid() in pids
     assert_no_worker_left()
+
+
+def test_a_batched_call_forks_its_workers_once(monkeypatch, tmp_path):
+    """Ten seeds on two workers run in two processes, not one per seed."""
+    monkeypatch.setattr(continuum, "_usable_cpus", lambda: 2)
+    mc_volume_ratios(disk_calling(mark_pid(tmp_path)), 0.5, points=1000, seeds=range(10))
+    pids = {int(f.name) for f in tmp_path.iterdir()}
+    assert len(pids) == 2 and os.getpid() in pids
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("seeds, named", [
+    ((), "seeds=()"),
+    (5, "seeds=5"),
+    pytest.param(10**5000, "seeds=about 10**5000", id="huge-seeds"),
+    pytest.param((10**5000,), "seed=about 10**5000 at seeds[0]", id="huge-seed"),
+    ((0, -1), "seed=-1 at seeds[1]"),
+    ((0, 1, 2**64), f"seed={2**64} at seeds[2]"),
+    ((1.5,), "seed=1.5 at seeds[0]"),
+    ((3, 2.0), "seed=2.0 at seeds[1]"),
+    ((math.nan,), "seed=nan at seeds[0]"),
+    (("7",), "seed='7' at seeds[0]"),
+    ((None, 1), "seed=None at seeds[0]")])
+def test_batched_seeds_are_refused_before_any_worker(seeds, named, monkeypatch):
+    def never(*args):
+        raise AssertionError("a worker started before the seeds were checked")
+
+    monkeypatch.setattr(continuum, "_map", never)
+    with pytest.raises(DomainError) as caught:
+        mc_volume_ratios(l2_ball_space(2, 1.0), 0.5, points=1000, seeds=seeds)
+    assert named in str(caught.value)
 
 
 def test_a_call_from_a_threaded_process_forks_no_worker(monkeypatch, tmp_path):

@@ -87,6 +87,7 @@ CASES = {
     "l2_ball_space": _case(l2_ball_space, d=2, r=1.0),
     "ball_volume_ratio_analytic": _case(fanolab.ball_volume_ratio_analytic, r=2.0, t=1.0, d=2),
     "mc_volume_ratio": _case(fanolab.mc_volume_ratio, _DISK, t=0.5, points=100, seed=1),
+    "mc_volume_ratios": _case(fanolab.mc_volume_ratios, _DISK, t=0.5, points=100, seeds=(1, 2)),
     "continuum_fano_bound": _case(fanolab.continuum_fano_bound, log_ratio=2.0, mi=0.0),
     "grid_partition_counts": _case(fanolab.grid_partition_counts, _DISK, t=0.5, level=2),
     "sparse_location_bound": _case(fanolab.sparse_location_bound, d=8, s=2, sigma2=1.0, n=5),

@@ -66,6 +66,27 @@ def test_volume_never_forgives_every_run_failing(seeds):
     assert not any(c.ok for c in checks)
 
 
+def test_volume_hands_its_runs_over_in_batches(monkeypatch):
+    """A dimension's runs go to mc_volume_ratios in calls of at most 1024
+    seeds, in seed order, so what the suite holds does not grow with seeds."""
+    from fanolab import continuum
+
+    calls = []
+
+    def record(space, t, *, points, seeds):
+        calls.append((space.dim, seeds[0], len(seeds)))
+        truth = 2.0**space.dim  # the radius-1/2 ball in the unit ball
+        exact = continuum.VolumeRatioEstimate(truth, (truth, truth), 1.0, (1.0, 1.0),
+                                              1.0 / truth, (1.0 / truth, 1.0 / truth))
+        return [exact] * len(seeds)
+
+    monkeypatch.setattr(continuum, "mc_volume_ratios", record)
+    checks = volume(7, False, seeds=2500, points=1)
+    assert calls == [(d, 7 + first, n) for d in (2, 3, 5)
+                     for first, n in ((0, 1024), (1024, 1024), (2048, 452))]
+    assert [c.fields["failures"] for c in checks] == ["0/2500"] * 3
+
+
 def test_grid_partition_checks_carry_their_margins():
     checks = {c.name: c for c in grid_partition(1, False, 6)}
     level = checks["log-ratio-level6"]
